@@ -19,32 +19,31 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import layer_configs, parse_kv_file, render_kv
 from .dataset import (
-    LabeledDataset,
     SynthSpec,
+    format_ratio,
     load_stats,
-    pad_traces,
     parse_synth_spec,
     parse_trace_csv,
+    prepare_input,
     save_stats,
-    standardize_apply,
     synth_generate,
     write_trace_csv,
 )
 from .errors import ConfigError, DataError, ExperimentError, IntentCnnError
 from .evaluation import (
-    DEFAULT_RATIOS,
+    ExperimentSpec,
     parse_experiment_config,
     render_report,
     run_experiment,
     write_experiment_outputs,
 )
-from .model import NetworkConfig, TrainSpec, load_model, save_model
+from .model import TRAIN_KEYS, NetworkConfig, TrainSpec, load_model, save_model
 from .streaming import (
     DEFAULT_HOP_FRAMES,
     DEFAULT_WINDOW_FRAMES,
@@ -74,44 +73,27 @@ def _configure_logging() -> None:
 # defaults, layering, shared plumbing
 # ---------------------------------------------------------------------------
 
+def _rendered_defaults(obj, prefix: str = "", keys=None) -> dict[str, str]:
+    """``prefix + key`` -> the dataclass field's value as text; tuples become comma lists."""
+    values = {key: getattr(obj, key) for key in keys or [f.name for f in fields(obj)]}
+    return {prefix + key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for key, v in values.items()}
+
+
 def _generate_defaults() -> dict[str, str]:
-    spec = SynthSpec()
-    return {
-        "num_classes": str(spec.num_classes),
-        "trials_per_class": str(spec.trials_per_class),
-        "channels": str(spec.channels),
-        "frame_min": str(spec.frame_range[0]),
-        "frame_max": str(spec.frame_range[1]),
-        "noise_std": str(spec.noise_std),
-        "seed": str(spec.seed),
-        "sample_rate_hz": str(spec.sample_rate_hz),
-        "class_prefix": spec.class_prefix,
-    }
+    pairs = _rendered_defaults(SynthSpec())
+    pairs["frame_min"], pairs["frame_max"] = pairs.pop("frame_range").split(", ")
+    return pairs
 
 
 def _experiment_defaults() -> dict[str, str]:
-    net = NetworkConfig()
-    spec = TrainSpec()
+    experiment = {f.name: f.default for f in fields(ExperimentSpec)}
     return {
-        "experiment.seed": "0",
-        "experiment.block_frames": "1000",
-        "experiment.ratios": ", ".join("/".join(f"{f:g}" for f in r)
-                                       for r in DEFAULT_RATIOS),
-        "model.channels": str(net.channels),
-        "model.input_frames": str(net.input_frames),
-        "model.conv_filters": ", ".join(map(str, net.conv_filters)),
-        "model.kernel_width": str(net.kernel_width),
-        "model.pool": str(net.pool),
-        "model.pool_stride": str(net.pool_stride),
-        "model.fc_sizes": ", ".join(map(str, net.fc_sizes)),
-        "model.num_classes": str(net.num_classes),
-        "model.batchnorm_position": net.batchnorm_position,
-        "train.epochs": str(spec.epochs),
-        "train.batch_size": str(spec.batch_size),
-        "train.learning_rate": f"{spec.learning_rate:g}",
-        "train.optimizer": spec.optimizer,
-        "train.patience": str(spec.patience),
-        "train.seed": str(spec.seed),
+        "experiment.seed": str(experiment["seed"]),
+        "experiment.block_frames": str(experiment["block_frames"]),
+        "experiment.ratios": ", ".join(map(format_ratio, experiment["ratios"])),
+        **_rendered_defaults(NetworkConfig(), "model."),
+        **_rendered_defaults(TrainSpec(), "train.", TRAIN_KEYS),
     }
 
 
@@ -241,12 +223,8 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"{len(class_names)} class names for "
                           f"{network.num_classes} classes")
     trace = parse_trace_csv(args.trace)
-    dataset = LabeledDataset(traces=[trace], labels=np.array([0]), vocab=("trace",))
-    dataset = standardize_apply(dataset, stats)
-    input_frames = network.config.input_frames
-    dataset = pad_traces(dataset, block_frames=input_frames,
-                         target_frames=input_frames)
-    probs = network.predict_proba(dataset.traces[0].values[None, :, :])[0]
+    x = prepare_input(trace.values, stats, network.config.input_frames)
+    probs = network.predict_proba(x[None, :, :])[0]
     label = int(np.argmax(probs))
     name = class_names[label] if class_names is not None else f"class{label}"
     rendered = ",".join(f"{float(p):.9g}" for p in probs)

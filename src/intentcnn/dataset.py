@@ -315,6 +315,8 @@ class StandardizationStats:
         if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
             raise DimensionError(f"stats must be aligned vectors, got {self.mean.shape} "
                                  f"and {self.std.shape}")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise InputError("means and standard deviations must be finite")
         if np.any(self.std <= 0):
             raise InputError("standard deviations must be positive")
 
@@ -345,19 +347,32 @@ def standardize_fit(dataset: LabeledDataset) -> StandardizationStats:
 
 def standardize_apply(dataset: LabeledDataset, stats: StandardizationStats) -> LabeledDataset:
     """Map every non-padded value to (x - mean) / std; padded frames stay zero."""
-    if dataset.traces and dataset.channels != stats.channels:
-        raise DimensionError(f"stats cover {stats.channels} channels but dataset has "
-                             f"{dataset.channels}")
-    out = []
-    for trace in dataset.traces:
-        values = trace.values.copy()
-        source = trace.values[:, :trace.source_frames].astype(np.float64)
-        values[:, :trace.source_frames] = ((source - stats.mean[:, None]) /
-                                           stats.std[:, None]).astype(np.float32)
-        out.append(Trace(values=values, channel_names=trace.channel_names,
-                         sample_rate_hz=trace.sample_rate_hz,
-                         source_frames=trace.source_frames))
+    out = [replace(trace, values=prepare_input(trace.source_values(), stats, trace.frames))
+           for trace in dataset.traces]
     return LabeledDataset(traces=out, labels=dataset.labels, vocab=dataset.vocab)
+
+
+def prepare_input(raw, stats: StandardizationStats, input_frames: int,
+                  offset: int = 0) -> np.ndarray:
+    """Standardize raw ``(channels, frames)`` values into a zero ``(channels,
+    input_frames)`` float32 array, starting at column ``offset``.
+
+    The one input preparation of training, prediction and streaming: the
+    arithmetic runs in float64 and every frame outside the raw ones is exactly
+    zero, so the same raw frames give the same network input on every path.
+    """
+    raw = np.asarray(raw)
+    channels, frames = raw.shape
+    if channels != stats.channels:
+        raise DimensionError(f"stats cover {stats.channels} channels but the input has "
+                             f"{channels}")
+    if offset + frames > input_frames:
+        raise InputError(f"{frames} frames at offset {offset} do not fit an input of "
+                         f"{input_frames} frames")
+    out = np.zeros((channels, input_frames), dtype=np.float32)
+    out[:, offset:offset + frames] = ((raw.astype(np.float64) - stats.mean[:, None]) /
+                                      stats.std[:, None]).astype(np.float32)
+    return out
 
 
 def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
@@ -387,8 +402,11 @@ def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
         try:
             means.append(float(row[1]))
             stds.append(float(row[2]))
+            StandardizationStats(mean=means[-1:], std=stds[-1:])
         except ValueError:
             raise FormatError(f"{path}: row {r}: non-numeric statistic") from None
+        except InputError as exc:
+            raise FormatError(f"{path}: row {r}: {exc}") from None
     if not names:
         raise FormatError(f"{path}: no channel rows")
     return StandardizationStats(mean=np.array(means), std=np.array(stds)), tuple(names)
@@ -418,8 +436,10 @@ class SplitSpec:
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_frac, self.val_frac, self.test_frac)
 
-    def tag(self) -> str:
-        return "/".join(f"{f:g}" for f in self.fractions)
+
+def format_ratio(fractions) -> str:
+    """A split ratio as reports and config files write it, e.g. ``0.8/0.1/0.1``."""
+    return "/".join(f"{f:g}" for f in fractions)
 
 
 def largest_remainder_counts(n: int, fractions) -> list[int]:
@@ -440,8 +460,9 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec
                      ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Per-class seeded shuffle, then largest-remainder apportioning per class.
 
-    Every class needs at least 3 samples.  The three results are disjoint and
-    exhaustive; identical seeds give identical index sets.
+    Every class needs at least 3 samples, and no partition may end up empty.
+    The three results are disjoint and exhaustive; identical seeds give
+    identical index sets.
     """
     counts = dataset.class_counts()
     for k, count in enumerate(counts):
@@ -457,8 +478,13 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec
         parts[0].extend(perm[:n_train].tolist())
         parts[1].extend(perm[n_train:n_train + n_val].tolist())
         parts[2].extend(perm[n_train + n_val:].tolist())
+    for name, part in zip(("training", "validation", "test"), parts):
+        if not part:
+            raise InsufficientSupportError(f"split {format_ratio(spec.fractions)} leaves "
+                                           f"the {name} partition empty")
     train, val, test = (dataset.subset(sorted(part)) for part in parts)
-    log.info("stratified split %s -> %d/%d/%d samples", spec.tag(), len(train), len(val), len(test))
+    log.info("stratified split %s -> %d/%d/%d samples", format_ratio(spec.fractions),
+             len(train), len(val), len(test))
     return train, val, test
 
 

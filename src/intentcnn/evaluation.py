@@ -39,6 +39,7 @@ from .dataset import (
     SplitSpec,
     StandardizationStats,
     SynthSpec,
+    format_ratio,
     load_csv_dir,
     merge_datasets,
     pad_traces,
@@ -160,7 +161,7 @@ class RatioOutcome:
     train_seconds: float
 
     def ratio_tag(self) -> str:
-        return "/".join(f"{f:g}" for f in self.fractions)
+        return format_ratio(self.fractions)
 
     def file_tag(self) -> str:
         return "-".join(str(round(f * 100)) for f in self.fractions)

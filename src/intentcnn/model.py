@@ -15,8 +15,10 @@ at build time for high-precision gradient verification.  Model files use the
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -134,21 +136,9 @@ def plan_layers(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def parse_network_config(reader: KeyReader, defaults: NetworkConfig | None = None,
                          prefix: str = "model.") -> NetworkConfig:
-    """Read ``model.*`` keys from a KeyReader over flat key=value pairs."""
-    base = defaults if defaults is not None else NetworkConfig()
-    return NetworkConfig(
-        channels=reader.take_int(prefix + "channels", base.channels),
-        input_frames=reader.take_int(prefix + "input_frames", base.input_frames),
-        conv_filters=tuple(reader.take_int_list(prefix + "conv_filters",
-                                                list(base.conv_filters))),
-        kernel_width=reader.take_int(prefix + "kernel_width", base.kernel_width),
-        pool=reader.take_int(prefix + "pool", base.pool),
-        pool_stride=reader.take_int(prefix + "pool_stride", base.pool_stride),
-        fc_sizes=tuple(reader.take_int_list(prefix + "fc_sizes", list(base.fc_sizes))),
-        num_classes=reader.take_int(prefix + "num_classes", base.num_classes),
-        batchnorm_position=reader.take_str(prefix + "batchnorm_position",
-                                           base.batchnorm_position),
-    )
+    """Read ``model.*`` keys (one per NetworkConfig field) from a KeyReader."""
+    return reader.take_fields(defaults if defaults is not None else NetworkConfig(), prefix,
+                              [f.name for f in fields(NetworkConfig)])
 
 
 # ---------------------------------------------------------------------------
@@ -405,46 +395,45 @@ def build_network(config: NetworkConfig, seed: int = 0, dtype=np.float32) -> Net
     biases, unit batchnorm scale.  Draws happen in layer order from one seeded
     generator, so a given (config, seed) always yields the same parameters.
     """
-    plan = plan_layers(config)
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
 
-    def he_uniform(shape, fan_in):
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    def initial(tag, dims):
+        if tag == b"BNRM":  # gamma, beta, running_mean, running_var
+            return [np.ones(dims[0], dtype=dtype), np.zeros(dims[0], dtype=dtype),
+                    np.zeros(dims[0], dtype=dtype), np.ones(dims[0], dtype=dtype)]
+        if tag in (b"CONV", b"DENS"):  # weights (out, fan_in...), then bias
+            bound = np.sqrt(6.0 / math.prod(dims[1:]))
+            return [rng.uniform(-bound, bound, size=dims).astype(dtype),
+                    np.zeros(dims[0], dtype=dtype)]
+        return []
 
-    conv_stack = []
-    in_channels = config.channels
-    for n, filters in enumerate(config.conv_filters, start=1):
-        weights = he_uniform((filters, in_channels, config.kernel_width),
-                             in_channels * config.kernel_width)
-        bias = np.zeros(filters, dtype=dtype)
-        conv_stack.append(ConvLayer(f"conv{n}", weights, bias))
-        conv_stack.append(PoolLayer(f"pool{n}", config.pool, config.pool_stride))
-        in_channels = filters
-    flat = next(shape[0] for name, shape in plan if name == "flatten")
-    fc_stack = []
-    if config.batchnorm_position == "after_last_conv":
-        conv_stack.append(_fresh_batchnorm("batchnorm", in_channels, True, dtype))
-    else:
-        fc_stack.append(_fresh_batchnorm("batchnorm", flat, False, dtype))
-    in_features = flat
-    for n, width in enumerate(config.fc_sizes, start=1):
-        fc_stack.append(DenseLayer(f"fc{n}", he_uniform((width, in_features), in_features),
-                                   np.zeros(width, dtype=dtype), relu=True))
-        in_features = width
-    fc_stack.append(DenseLayer("output", he_uniform((config.num_classes, in_features), in_features),
-                               np.zeros(config.num_classes, dtype=dtype), relu=False))
+    records = [(tag, dims, initial(tag, dims)) for tag, dims in _record_layout(config)]
+    return _network_from_records(config, records, dtype)
+
+
+def _network_from_records(config: NetworkConfig, records, dtype) -> Network:
+    """Layers for ``(tag, dims, arrays)`` records that follow ``_record_layout(config)``."""
+    conv_stack: list = []
+    fc_stack: list = []
+    stack = conv_stack
+    convs = denses = 0
+    for tag, dims, arrays in records:
+        if tag == b"CONV":
+            convs += 1
+            stack.append(ConvLayer(f"conv{convs}", *arrays))
+        elif tag == b"POOL":
+            stack.append(PoolLayer(f"pool{convs}", *dims))
+        elif tag == b"BNRM":
+            if dims[1] == 1:
+                stack = fc_stack
+            stack.append(BatchNormLayer("batchnorm", *arrays, per_channel=dims[1] == 0))
+        elif tag == b"DENS":
+            stack = fc_stack
+            denses += 1
+            head = denses > len(config.fc_sizes)
+            stack.append(DenseLayer("output" if head else f"fc{denses}", *arrays, relu=not head))
     return Network(config, conv_stack, fc_stack, dtype=dtype)
-
-
-def _fresh_batchnorm(name: str, features: int, per_channel: bool, dtype) -> BatchNormLayer:
-    return BatchNormLayer(name,
-                          gamma=np.ones(features, dtype=dtype),
-                          beta=np.zeros(features, dtype=dtype),
-                          running_mean=np.zeros(features, dtype=dtype),
-                          running_var=np.ones(features, dtype=dtype),
-                          per_channel=per_channel)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +486,15 @@ class TrainResult:
     stopped_early: bool
 
 
+# the TrainSpec fields that config files set as train.<key>; the Adam
+# constants stay at their defaults
+TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "optimizer", "patience", "seed")
+
+
 def parse_train_spec(reader: KeyReader, defaults: TrainSpec | None = None,
                      prefix: str = "train.") -> TrainSpec:
-    base = defaults if defaults is not None else TrainSpec()
-    return TrainSpec(
-        epochs=reader.take_int(prefix + "epochs", base.epochs),
-        batch_size=reader.take_int(prefix + "batch_size", base.batch_size),
-        learning_rate=reader.take_float(prefix + "learning_rate", base.learning_rate),
-        optimizer=reader.take_str(prefix + "optimizer", base.optimizer),
-        patience=reader.take_int(prefix + "patience", base.patience),
-        seed=reader.take_int(prefix + "seed", base.seed),
-    )
+    return reader.take_fields(defaults if defaults is not None else TrainSpec(), prefix,
+                              TRAIN_KEYS)
 
 
 class _Adam:
@@ -701,38 +688,53 @@ def check_network_gradients(network: Network, x, labels, epsilon: float = 1e-5,
 #                                       style 0 = conv channels, 1 = flat entries
 #     DENS (out, in)                    weights then bias
 # Records appear in network order; relu is implied on every conv and on every
-# dense except the last.
+# dense except the last.  The INPT, CONV, POOL, BNRM and DENS dims determine a
+# NetworkConfig, and a file is valid exactly when its records equal
+# _record_layout of that config and nothing follows the last one.
+
+_TAGS = (b"INPT", b"CONV", b"POOL", b"BNRM", b"DENS")
+
+
+def _record_layout(config: NetworkConfig) -> list[tuple[bytes, tuple[int, ...]]]:
+    """The ``(tag, dims)`` of every record of a ``config`` network, in file order.
+
+    The only description of the record layout: build_network draws parameters
+    in this order, serialize writes it and deserialize accepts nothing else.
+    Allocates no arrays, so it is safe on dims read from an untrusted file.
+    """
+    records = [(b"INPT", (config.channels, config.input_frames))]
+    inputs = config.channels
+    for name, shape in plan_layers(config):
+        if name.startswith("conv"):
+            records.append((b"CONV", (shape[0], inputs, config.kernel_width)))
+        elif name.startswith("pool"):
+            records.append((b"POOL", (config.pool, config.pool_stride)))
+        elif name == "batchnorm":
+            records.append((b"BNRM", (shape[0], 0 if len(shape) == 2 else 1)))
+        elif name != "flatten":
+            records.append((b"DENS", (shape[0], inputs)))
+        inputs = shape[0]
+    return records
+
+
+def _payload_shapes(tag: bytes, dims) -> list[tuple[int, ...]]:
+    """Shapes of the float arrays that follow a record's dims."""
+    if tag == b"BNRM":
+        return [dims[:1]] * 4
+    return [dims, dims[:1]] if tag in (b"CONV", b"DENS") else []
+
 
 def serialize(network: Network) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    records = _records_of(network)
-    out += struct.pack("<II", FORMAT_VERSION, len(records))
-    for tag, dims, payloads in records:
-        out += tag
-        out += struct.pack("<I", len(dims))
-        out += struct.pack(f"<{len(dims)}I", *dims)
-        for arr in payloads:
+    layout = _record_layout(network.config)
+    out = bytearray(MAGIC) + struct.pack("<II", FORMAT_VERSION, len(layout))
+    for (tag, dims), layer in zip(layout, [None] + network.layers()):
+        out += tag + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+        arrays = [arr for _, arr in layer.param_items()] if layer else []
+        if isinstance(layer, BatchNormLayer):
+            arrays += [layer.running_mean, layer.running_var]
+        for arr in arrays:
             out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     return bytes(out)
-
-
-def _records_of(network: Network):
-    config = network.config
-    records = [(b"INPT", (config.channels, config.input_frames), [])]
-    for layer in network.layers():
-        if isinstance(layer, ConvLayer):
-            records.append((b"CONV", layer.weights.shape, [layer.weights, layer.bias]))
-        elif isinstance(layer, PoolLayer):
-            records.append((b"POOL", (layer.pool, layer.stride), []))
-        elif isinstance(layer, BatchNormLayer):
-            records.append((b"BNRM", (layer.gamma.shape[0], 0 if layer.per_channel else 1),
-                            [layer.gamma, layer.beta, layer.running_mean, layer.running_var]))
-        elif isinstance(layer, DenseLayer):
-            records.append((b"DENS", layer.weights.shape, [layer.weights, layer.bias]))
-        else:  # pragma: no cover - the stacks only ever hold the four types above
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return records
 
 
 def save_model(network: Network, path: str) -> None:
@@ -741,11 +743,13 @@ def save_model(network: Network, path: str) -> None:
 
 
 class _Cursor:
+    """Reads a byte string front to back; never reads, or allocates, past its end."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if self.offset + count > len(self.data):
             raise FormatError(f"model file truncated at byte {self.offset} while "
                               f"reading {what}")
@@ -753,204 +757,82 @@ class _Cursor:
         self.offset += count
         return chunk
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def floats(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float32)
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.take(4 * count, what))
 
 
 def deserialize(data: bytes) -> Network:
+    """Rebuild a network from INTC bytes in one pass; any defect is a FormatError.
+
+    Payloads stay views of ``data`` until every record has been checked
+    against the layout, so a corrupt size costs no memory.
+    """
     cursor = _Cursor(data)
-    magic = cursor.take(4, "magic")
+    magic = bytes(cursor.take(4, "magic"))
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-    version = cursor.u32("format version")
+    version, count = cursor.u32s(2, "format version and record count")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version} at byte 4, "
                           f"expected {FORMAT_VERSION}")
-    count = cursor.u32("record count")
+    offsets, records = [], []
     for index in range(count):
-        record_offset = cursor.offset
-        tag = cursor.take(4, f"tag of record {index}")
-        try:
-            name = tag.decode("ascii")
-        except UnicodeDecodeError:
-            raise FormatError(f"unreadable record tag at byte {record_offset}") from None
-        ndims = cursor.u32(f"dimension count of {name}")
-        if ndims > 8:
-            raise FormatError(f"record {name} at byte {record_offset} claims {ndims} "
+        offsets.append(cursor.offset)
+        tag = bytes(cursor.take(4, f"tag of record {index}"))
+        if tag not in _TAGS:
+            raise FormatError(f"unknown record tag {tag!r} at byte {offsets[-1]}")
+        name = tag.decode("ascii")
+        (ndims,) = cursor.u32s(1, f"dimension count of {name}")
+        if not 1 <= ndims <= 8:
+            raise FormatError(f"record {name} at byte {offsets[-1]} claims {ndims} "
                               f"dimensions")
-        dims = tuple(cursor.u32(f"dimensions of {name}") for _ in range(ndims))
-        _skip_payload(cursor, name, dims, record_offset)
+        dims = cursor.u32s(ndims, f"dimensions of {name}")
+        arrays = [np.frombuffer(cursor.take(4 * math.prod(shape), f"{name} payload"),
+                                dtype="<f4").reshape(shape)
+                  for shape in _payload_shapes(tag, dims)]
+        records.append((tag, dims, arrays))
     if cursor.offset != len(data):
         raise FormatError(f"{len(data) - cursor.offset} trailing bytes after the last "
                           f"record (at byte {cursor.offset})")
-    return _rebuild(data, count)
-
-
-def _payload_spec(name: str, dims, offset: int):
-    """Expected payload arrays as (label, shape) pairs for a record type."""
-    if name == "INPT":
-        _need_dims(name, dims, 2, offset)
-        return []
-    if name == "CONV":
-        _need_dims(name, dims, 3, offset)
-        out, inp, kernel = dims
-        return [("weights", (out, inp, kernel)), ("bias", (out,))]
-    if name == "POOL":
-        _need_dims(name, dims, 2, offset)
-        return []
-    if name == "BNRM":
-        _need_dims(name, dims, 2, offset)
-        features, style = dims
-        if style not in (0, 1):
-            raise FormatError(f"BNRM record at byte {offset} has unknown style {style}")
-        return [(label, (features,)) for label in
-                ("gamma", "beta", "running_mean", "running_var")]
-    if name == "DENS":
-        _need_dims(name, dims, 2, offset)
-        out, inp = dims
-        return [("weights", (out, inp)), ("bias", (out,))]
-    raise FormatError(f"unknown record tag {name!r} at byte {offset}")
-
-
-def _need_dims(name: str, dims, expected: int, offset: int) -> None:
-    if len(dims) != expected:
-        raise FormatError(f"{name} record at byte {offset} has {len(dims)} dimensions, "
-                          f"expected {expected}")
-    sizes = dims[:1] if name == "BNRM" else dims  # the BNRM style field may be 0
-    if any(d == 0 for d in sizes):
-        raise FormatError(f"{name} record at byte {offset} has a zero dimension")
-
-
-def _skip_payload(cursor: _Cursor, name: str, dims, offset: int) -> None:
-    for label, shape in _payload_spec(name, dims, offset):
-        cursor.floats(int(np.prod(shape)), f"{name}.{label}")
-
-
-def _rebuild(data: bytes, count: int) -> Network:
-    """Second pass: reconstruct layers now that the container structure checks out."""
-    cursor = _Cursor(data)
-    cursor.take(4, "magic")
-    cursor.u32("version")
-    cursor.u32("record count")
-    conv_stack: list = []
-    fc_stack: list = []
-    channels = frames = None
-    conv_index = pool_index = dense_count = 0
-    bn_records = 0
-    in_fc = False
-    dense_layers: list[DenseLayer] = []
-    for index in range(count):
-        offset = cursor.offset
-        name = cursor.take(4, "tag").decode("ascii")
-        ndims = cursor.u32("ndims")
-        dims = tuple(cursor.u32("dims") for _ in range(ndims))
-        payloads = [cursor.floats(int(np.prod(shape)), f"{name}.{label}").reshape(shape)
-                    for label, shape in _payload_spec(name, dims, offset)]
-        if name == "INPT":
-            if index != 0:
-                raise FormatError(f"INPT record at byte {offset} must come first")
-            channels, frames = dims
-        elif channels is None:
-            raise FormatError("model file does not start with an INPT record")
-        elif name == "CONV":
-            if in_fc:
-                raise FormatError(f"CONV record at byte {offset} after the flatten point")
-            conv_index += 1
-            conv_stack.append(ConvLayer(f"conv{conv_index}", payloads[0], payloads[1]))
-        elif name == "POOL":
-            if in_fc:
-                raise FormatError(f"POOL record at byte {offset} after the flatten point")
-            pool_index += 1
-            conv_stack.append(PoolLayer(f"pool{pool_index}", dims[0], dims[1]))
-        elif name == "BNRM":
-            bn_records += 1
-            if bn_records > 1:
-                raise FormatError(f"second BNRM record at byte {offset}; the stack has "
-                                  f"exactly one normalization")
-            per_channel = dims[1] == 0
-            layer = BatchNormLayer("batchnorm", payloads[0], payloads[1], payloads[2],
-                                   payloads[3], per_channel)
-            if per_channel:
-                if in_fc:
-                    raise FormatError(f"conv-style BNRM at byte {offset} after the "
-                                      f"flatten point")
-                conv_stack.append(layer)
-            else:
-                in_fc = True
-                fc_stack.append(layer)
-        elif name == "DENS":
-            in_fc = True
-            dense_count += 1
-            dense_layers.append(DenseLayer("", payloads[0], payloads[1], relu=True))
-            fc_stack.append(dense_layers[-1])
-    if channels is None:
-        raise FormatError("model file has no records")
-    if not dense_layers:
-        raise FormatError("model file has no DENS record; a classifier head is required")
-    if bn_records == 0:
-        raise FormatError("model file has no BNRM record; the stack has exactly one "
-                          "normalization")
-    for n, layer in enumerate(dense_layers[:-1], start=1):
-        layer.name = f"fc{n}"
-    dense_layers[-1].name = "output"
-    dense_layers[-1].relu = False
-
-    config = _config_from_layers(channels, frames, conv_stack, fc_stack)
     try:
-        network = Network(config, conv_stack, fc_stack, dtype=np.float32)
+        config = _config_of(records)
+        layout = _record_layout(config)
     except ConfigError as exc:
         raise FormatError(f"stored architecture is invalid: {exc}") from exc
-    _check_rebuilt_shapes(network)
-    return network
+    stored = [(tag, dims) for tag, dims, _ in records]
+    for index, (got, want) in enumerate(itertools.zip_longest(stored, layout)):
+        if got != want:
+            got_text, want_text = (f"{r[0].decode('ascii')} {r[1]}" if r else "no record"
+                                   for r in (got, want))
+            raise FormatError(f"record {index} at byte "
+                              f"{offsets[index] if got else len(data)} is {got_text}, "
+                              f"but the stored architecture needs {want_text}")
+    records = [(tag, dims, [a.astype(np.float32) for a in arrays])
+               for tag, dims, arrays in records]
+    return _network_from_records(config, records, np.float32)
 
 
-def _config_from_layers(channels: int, frames: int, conv_stack, fc_stack) -> NetworkConfig:
-    convs = [l for l in conv_stack if isinstance(l, ConvLayer)]
-    pools = [l for l in conv_stack if isinstance(l, PoolLayer)]
-    if len(convs) != len(pools):
-        raise FormatError(f"{len(convs)} CONV records but {len(pools)} POOL records; "
-                          f"the stack pairs them")
-    if not convs:
-        raise FormatError("model file has no CONV record")
-    kernels = {c.weights.shape[2] for c in convs}
-    if len(kernels) != 1:
-        raise FormatError(f"mixed kernel widths {sorted(kernels)} are not supported")
-    pool_sizes = {(p.pool, p.stride) for p in pools}
-    if len(pool_sizes) != 1:
-        raise FormatError(f"mixed pool geometries {sorted(pool_sizes)} are not supported")
-    bn_in_conv = any(isinstance(l, BatchNormLayer) for l in conv_stack)
-    denses = [l for l in fc_stack if isinstance(l, DenseLayer)]
-    try:
-        return NetworkConfig(
-            channels=channels,
-            input_frames=frames,
-            conv_filters=tuple(c.weights.shape[0] for c in convs),
-            kernel_width=convs[0].weights.shape[2],
-            pool=pools[0].pool,
-            pool_stride=pools[0].stride,
-            fc_sizes=tuple(d.weights.shape[0] for d in denses[:-1]),
-            num_classes=denses[-1].weights.shape[0],
-            batchnorm_position="after_last_conv" if bn_in_conv else "before_first_fc",
-        )
-    except ConfigError as exc:
-        raise FormatError(f"stored architecture is invalid: {exc}") from exc
+def _config_of(records) -> NetworkConfig:
+    """The NetworkConfig that the first record of each tag describes.
 
-
-def _check_rebuilt_shapes(network: Network) -> None:
-    """Every stored tensor must agree with the shape plan of the stored config."""
-    try:
-        reference = build_network(network.config, seed=0)
-    except ConfigError as exc:
-        raise FormatError(f"stored architecture is invalid: {exc}") from exc
-    stored = {name: arr.shape for name, arr in network.param_items()}
-    expected = {name: arr.shape for name, arr in reference.param_items()}
-    if stored != expected:
-        bad = sorted(set(stored.items()) ^ set(expected.items()))
-        raise FormatError(f"stored tensor shapes do not fit the architecture: {bad[:4]}")
+    Reads the last dim with [-1], so a record with too few dims reaches the
+    layout comparison rather than an IndexError.
+    """
+    dims = {tag: [d for t, d, _ in records if t == tag] for tag in _TAGS}
+    missing = [tag.decode("ascii") for tag in _TAGS if not dims[tag]]
+    if missing:
+        raise FormatError(f"model file has no {', '.join(missing)} record")
+    return NetworkConfig(
+        channels=dims[b"INPT"][0][0],
+        input_frames=dims[b"INPT"][0][-1],
+        conv_filters=tuple(d[0] for d in dims[b"CONV"]),
+        kernel_width=dims[b"CONV"][0][-1],
+        pool=dims[b"POOL"][0][0],
+        pool_stride=dims[b"POOL"][0][-1],
+        fc_sizes=tuple(d[0] for d in dims[b"DENS"][:-1]),
+        num_classes=dims[b"DENS"][-1][0],
+        batchnorm_position=BATCHNORM_POSITIONS[dims[b"BNRM"][0][-1] != 0],
+    )
 
 
 def load_model(path: str) -> Network:

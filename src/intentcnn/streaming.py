@@ -14,9 +14,10 @@ Wire formats:
 * output — one line per hop,
   ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
 
-Malformed input lines produce a structured error record and are skipped (the
-stream keeps running); a frame with the wrong channel count arriving through
-the array interface is a hard stream error.
+Malformed input lines, including ones with a non-finite value (``nan``, or a
+number beyond float32 range), produce a structured error record and are
+skipped (the stream keeps running); a frame with the wrong channel count
+arriving through the array interface is a hard stream error.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StandardizationStats
+from .dataset import StandardizationStats, prepare_input
 from .errors import ConfigError, StreamError
 from .model import Network
 
 DEFAULT_WINDOW_FRAMES = 1000
 DEFAULT_HOP_FRAMES = 100
+
+# doubles of this magnitude or more round to inf in float32: the midpoint
+# between the largest finite float32 and 2**128
+_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True)
@@ -123,15 +128,16 @@ def window_extract(frame_buffer, cfg: WindowConfig) -> list[Window]:
     if buffer.shape[0] != cfg.channels:
         raise StreamError(f"frame buffer has {buffer.shape[0]} channels but the "
                           f"model expects {cfg.channels}")
-    channels, total = buffer.shape
-    window, hop = cfg.window_frames, cfg.hop_frames
-    windows = []
-    for end in range(hop - 1, total, hop):
-        real = min(end + 1, window)
-        values = np.zeros((channels, window), dtype=np.float32)
-        values[:, window - real:] = buffer[:, end + 1 - real: end + 1]
-        windows.append(Window(frame_index=end, values=values, real_frames=real))
-    return windows
+    return [_window(buffer[:, max(0, end + 1 - cfg.window_frames):end + 1], end, cfg)
+            for end in range(cfg.hop_frames - 1, buffer.shape[1], cfg.hop_frames)]
+
+
+def _window(frames: np.ndarray, end: int, cfg: WindowConfig) -> Window:
+    """The window ending at stream frame ``end`` whose last columns are ``frames``."""
+    real = frames.shape[1]
+    values = np.zeros((cfg.channels, cfg.window_frames), dtype=np.float32)
+    values[:, cfg.window_frames - real:] = frames
+    return Window(frame_index=end, values=values, real_frames=real)
 
 
 def classify_window(window: Window, cfg: WindowConfig) -> StreamPrediction:
@@ -140,15 +146,10 @@ def classify_window(window: Window, cfg: WindowConfig) -> StreamPrediction:
     Only the real (received) frames are standardized; warm-up front-fill and
     the tail padding stay exactly zero, matching training-time padding.
     """
-    channels = cfg.channels
-    input_frames = cfg.network.config.input_frames
-    padded = np.zeros((channels, input_frames), dtype=np.float32)
     lo = cfg.window_frames - window.real_frames
-    real = window.values[:, lo:].astype(np.float64)
-    padded[:, lo:cfg.window_frames] = (
-        (real - cfg.stats.mean[:, None]) / cfg.stats.std[:, None]
-    ).astype(np.float32)
-    probs = cfg.network.predict_proba(padded[None, :, :])[0]
+    x = prepare_input(window.values[:, lo:], cfg.stats, cfg.network.config.input_frames,
+                      offset=lo)
+    probs = cfg.network.predict_proba(x[None, :, :])[0]
     return StreamPrediction(frame_index=window.frame_index,
                             label=int(np.argmax(probs)),
                             probs=probs,
@@ -168,11 +169,7 @@ class _StreamState:
         self.count += 1
         if self.count % self.cfg.hop_frames != 0:
             return None
-        window_frames = self.cfg.window_frames
-        real = len(self.frames)
-        values = np.zeros((self.cfg.channels, window_frames), dtype=np.float32)
-        values[:, window_frames - real:] = np.stack(self.frames, axis=1)
-        window = Window(frame_index=self.count - 1, values=values, real_frames=real)
+        window = _window(np.stack(self.frames, axis=1), self.count - 1, self.cfg)
         return classify_window(window, self.cfg)
 
 
@@ -183,9 +180,12 @@ def parse_frame_line(text: str, channels: int) -> np.ndarray:
         raise StreamError(f"expected {channels} comma-separated values, got "
                           f"{len(tokens)}")
     try:
-        return np.array([np.float32(token) for token in tokens], dtype=np.float32)
+        values = [float(token) for token in tokens]
     except ValueError:
         raise StreamError("non-numeric value in frame") from None
+    if not all(-_FLOAT32_OVERFLOW < v < _FLOAT32_OVERFLOW for v in values):  # false for NaN
+        raise StreamError("non-finite value in frame")
+    return np.array(values, dtype=np.float32)     # rounds as np.float32(token) does
 
 
 def stream_classify(lines, cfg: WindowConfig):

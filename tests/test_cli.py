@@ -271,3 +271,85 @@ def test_stream_reports_bad_lines(tmp_path, capsys, monkeypatch):
     assert len(predictions) == 2                 # 10 valid frames, hop 5
     fields = predictions[0].split(",")
     assert fields[2] == f"class{fields[1]}"      # fallback names: no labels file
+
+
+# ---------------------------------------------------------------------------
+# defaults and data errors found on the command line
+# ---------------------------------------------------------------------------
+
+GENERATE_SHOW_CONFIG = """\
+channels = 24
+class_prefix = task
+frame_max = 1600
+frame_min = 800
+noise_std = 0.1
+num_classes = 6
+sample_rate_hz = 100.0
+seed = 0
+trials_per_class = 20
+"""
+
+TRAIN_SHOW_CONFIG = """\
+experiment.block_frames = 1000
+experiment.ratios = 0.8/0.1/0.1, 0.7/0.15/0.15, 0.6/0.2/0.2
+experiment.seed = 0
+model.batchnorm_position = after_last_conv
+model.channels = 24
+model.conv_filters = 16, 32, 64, 64
+model.fc_sizes = 128, 64
+model.input_frames = 2000
+model.kernel_width = 5
+model.num_classes = 6
+model.pool = 2
+model.pool_stride = 2
+train.batch_size = 8
+train.epochs = 60
+train.learning_rate = 0.001
+train.optimizer = adam
+train.patience = 10
+train.seed = 0
+"""
+
+
+def test_show_config_defaults_text(capsys):
+    assert main(["generate", "--show-config"]) == 0
+    assert capsys.readouterr().out == GENERATE_SHOW_CONFIG
+    assert main(["train", "--show-config"]) == 0
+    assert capsys.readouterr().out == TRAIN_SHOW_CONFIG
+
+
+def test_predict_with_non_finite_stats_exits_3(tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--out", str(model_dir)]) == 0
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--out", str(data_dir)]) == 0
+    stats = tmp_path / "nan_stats.csv"
+    stats.write_text("channel,mean,std\nc01,0.0,1.0\nc02,0.0,nan\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_dir / "model.intc"), "--stats", str(stats),
+                 "--trace", str(data_dir / "task1_trial01.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "nan_stats.csv" in err and "row 3" in err
+
+
+def test_train_with_an_empty_split_partition_exits_3(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--set", "trials_per_class=3", "--out", str(data_dir)]) == 0
+    config = write_config(tmp_path, f"""
+experiment.id = tiny
+experiment.ratios = 0.8/0.1/0.1
+experiment.block_frames = 10
+source.1.kind = csv
+source.1.path = {data_dir}
+model.conv_filters = 2, 2
+model.kernel_width = 3
+model.fc_sizes = 8
+train.epochs = 2
+train.batch_size = 4
+""", "train.cfg")
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert "validation partition empty" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from intentcnn.dataset import (
     padded_length,
     parse_synth_spec,
     parse_trace_csv,
+    prepare_input,
     relabel_binary,
     rename_classes,
     save_stats,
@@ -255,6 +256,25 @@ def test_standardize_apply_checks_channels():
         standardize_apply(data, stats)
 
 
+
+def test_standardization_stats_reject_non_finite():
+    for mean, std in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]),
+                      ([np.inf, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0])):
+        with pytest.raises(InputError, match="finite"):
+            StandardizationStats(mean=np.array(mean), std=np.array(std))
+
+
+def test_prepare_input_standardizes_into_zero_frame():
+    stats = StandardizationStats(mean=np.array([1.0, -2.0]), std=np.array([2.0, 0.5]))
+    raw = np.array([[1.0, 3.0], [-2.0, -1.0]], dtype=np.float32)
+    out = prepare_input(raw, stats, input_frames=5, offset=2)
+    assert out.dtype == np.float32 and out.shape == (2, 5)
+    npt.assert_array_equal(out, [[0, 0, 0, 1, 0], [0, 0, 0, 2, 0]])
+    with pytest.raises(InputError):
+        prepare_input(raw, stats, input_frames=3, offset=2)
+    with pytest.raises(DimensionError):
+        prepare_input(raw[:1], stats, input_frames=5)
+
 def test_stats_csv_round_trip_is_exact(tmp_path):
     stats = StandardizationStats(mean=np.array([0.1, -2.75, 1e-7]),
                                  std=np.array([1.5, 0.3333333333333333, 42.0]))
@@ -278,6 +298,15 @@ def test_load_stats_rejects_malformed(tmp_path):
     with pytest.raises(FormatError):
         load_stats(str(path))
 
+
+
+@pytest.mark.parametrize("mean, std", [("nan", "1.0"), ("0.5", "nan"), ("0.5", "inf"),
+                                       ("0.5", "0")])
+def test_load_stats_rejects_unusable_values_with_row(tmp_path, mean, std):
+    path = tmp_path / "stats.csv"
+    path.write_text(f"channel,mean,std\na,0.0,1.0\nb,{mean},{std}\n")
+    with pytest.raises(FormatError, match=r"stats\.csv: row 3"):
+        load_stats(str(path))
 
 # ---------------------------------------------------------------------------
 # splitting
@@ -344,6 +373,13 @@ def test_stratified_split_needs_support():
     with pytest.raises(InsufficientSupportError):
         stratified_split(data, SplitSpec(0.8, 0.1, 0.1))
 
+
+
+def test_stratified_split_rejects_empty_partition():
+    # three per class at 0.8/0.1/0.1 apportions 3/0/0: nothing left to validate on
+    data = make_dataset([3, 3])
+    with pytest.raises(InsufficientSupportError, match="0.8/0.1/0.1.*validation"):
+        stratified_split(data, SplitSpec(0.8, 0.1, 0.1))
 
 # ---------------------------------------------------------------------------
 # relabel / select / rename / merge

@@ -1,5 +1,9 @@
 """Tests for network construction, training, gradient flow and model files."""
 
+import struct
+import time
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -415,3 +419,51 @@ def test_bn_running_stats_survive_round_trip():
     npt.assert_array_equal(bn.running_mean, bn_clone.running_mean)
     npt.assert_array_equal(bn.running_var, bn_clone.running_var)
     assert not np.array_equal(bn.running_mean, np.zeros_like(bn.running_mean))
+
+
+@pytest.mark.parametrize("dim_offset, value", [(24, 2 ** 31), (20, 2 ** 20)],
+                         ids=["inpt_frames", "inpt_channels"])
+def test_deserialize_rejects_huge_header_dims_cheaply(dim_offset, value):
+    # INPT sits at byte 12: tag, ndims, channels (byte 20), frames (byte 24)
+    blob = bytearray(serialize(build_network(NetworkConfig(), seed=40)))
+    assert bytes(blob[12:16]) == b"INPT"
+    blob[dim_offset:dim_offset + 4] = struct.pack("<I", value)
+    blob = bytes(blob)
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(FormatError, match=r"record \d+ at byte \d+"):
+            deserialize(blob)
+        elapsed = time.monotonic() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 * len(blob)
+
+
+def test_deserialize_names_the_first_record_off_the_layout():
+    blob = bytearray(serialize(build_network(SMALL, seed=41)))
+    # SMALL: INPT, CONV, POOL, CONV, POOL, BNRM, DENS, DENS; the first POOL
+    # record starts after INPT (16 bytes) and CONV (20 + 4 * (2*3*3 + 2) bytes)
+    pool_at = 12 + 16 + 20 + 4 * (2 * 3 * 3 + 2)
+    assert bytes(blob[pool_at:pool_at + 4]) == b"POOL"
+    second_pool_at = pool_at + 16 + 20 + 4 * (2 * 2 * 3 + 2)
+    assert bytes(blob[second_pool_at:second_pool_at + 4]) == b"POOL"
+    strided = bytearray(blob)
+    strided[pool_at + 12:pool_at + 16] = struct.pack("<I", 3)   # first stride 2 -> 3
+    with pytest.raises(FormatError, match=f"record 4 at byte {second_pool_at} is POOL"):
+        deserialize(bytes(strided))     # the second POOL no longer matches the first
+    no_input = bytearray(blob[:12] + blob[28:])                   # INPT dropped
+    no_input[8:12] = struct.pack("<I", 7)
+    with pytest.raises(FormatError, match="no INPT record"):
+        deserialize(bytes(no_input))
+
+
+def test_deserialize_rejects_bad_dimension_counts():
+    blob = bytearray(serialize(build_network(SMALL, seed=42)))
+    for ndims in (0, 9):
+        bad = bytearray(blob)
+        bad[16:20] = struct.pack("<I", ndims)
+        with pytest.raises(FormatError, match="dimensions"):
+            deserialize(bytes(bad))

@@ -172,6 +172,23 @@ def test_stream_classify_skips_malformed_lines():
         assert got.probs.tobytes() == want.probs.tobytes()
 
 
+def test_stream_classify_skips_non_finite_lines():
+    cfg = make_config(window=20, hop=5)
+    buffer = np.random.default_rng(3).normal(size=(2, 10)).astype(np.float32)
+    lines = buffer_lines(buffer)
+    lines.insert(3, "nan,0.5\n")            # NaN
+    lines.insert(7, "0.5,1e39\n")           # finite text, but overflows float32
+    events = list(stream_classify(lines, cfg))
+    errors = [e for e in events if isinstance(e, StreamErrorRecord)]
+    predictions = [e for e in events if isinstance(e, StreamPrediction)]
+    assert [e.line_number for e in errors] == [4, 8]
+    assert all("non-finite" in e.message for e in errors)
+    assert [p.frame_index for p in predictions] == [4, 9]
+    clean = list(stream_classify(buffer_lines(buffer), cfg))
+    for got, want in zip(predictions, clean):
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+
 def test_stream_classify_deterministic_output():
     cfg = make_config(window=20, hop=5)
     buffer = np.random.default_rng(4).normal(size=(2, 25)).astype(np.float32)
@@ -216,6 +233,15 @@ def test_parse_frame_line():
         parse_frame_line("1.5", channels=2)
     with pytest.raises(StreamError):
         parse_frame_line("1.5,x", channels=2)
+
+
+def test_parse_frame_line_float32_range():
+    largest = np.finfo(np.float32).max
+    frame = parse_frame_line("3.40282347e+38,-3.40282347e+38", channels=2)
+    np.testing.assert_array_equal(frame, np.array([largest, -largest], dtype=np.float32))
+    for text in ("3.4028236e38,0", "0,-1e39", "inf,0", "0,nan"):
+        with pytest.raises(StreamError, match="non-finite"):
+            parse_frame_line(text, channels=2)
 
 
 def test_format_prediction_fields():
