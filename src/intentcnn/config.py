@@ -104,15 +104,16 @@ class KeyReader:
         except ValueError as exc:
             raise ConfigError(f"{self.origin}: key {key!r} expects integers, got {items!r}") from exc
 
-    def take_fields(self, base, prefix: str, keys):
+    def take_fields(self, base, prefix: str, keys, **given):
         """``base`` (a dataclass) with each field in ``keys`` read from
         ``prefix + key`` when present, typed like the class default (a tuple
-        default reads an integer list)."""
+        default reads an integer list), and the fields in ``given`` set."""
         take = {int: self.take_int, float: self.take_float, str: self.take_str,
                 tuple: lambda key, default: tuple(self.take_int_list(key, list(default)))}
         cls = type(base)
-        return replace(base, **{key: take[type(getattr(cls, key))](prefix + key, getattr(base, key))
-                                for key in keys})
+        return replace(base, **given,
+                       **{key: take[type(getattr(cls, key))](prefix + key, getattr(base, key))
+                          for key in keys})
 
     def reject_unknown(self, known_prefixes: tuple[str, ...] = ()) -> None:
         """Raise if any key was never consumed and matches no known prefix."""

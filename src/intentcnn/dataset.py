@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -663,21 +663,19 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
     return LabeledDataset(traces=traces, labels=np.array(labels), vocab=spec.class_names())
 
 
+# the generation config keys: the SynthSpec fields, with frame_range read as
+# frame_min and frame_max
+_SYNTH_FIELDS = tuple(f.name for f in fields(SynthSpec) if f.name != "frame_range")
+SYNTH_KEYS = _SYNTH_FIELDS + ("frame_min", "frame_max")
+
+
 def parse_synth_spec(source: str | dict, origin: str = "<config>") -> SynthSpec:
     """Build a SynthSpec from a flat key=value file path or an already-parsed dict."""
     pairs = parse_kv_file(source) if isinstance(source, str) else dict(source)
     origin = source if isinstance(source, str) else origin
     reader = KeyReader(pairs, origin=origin)
-    spec = SynthSpec(
-        num_classes=reader.take_int("num_classes", SynthSpec.num_classes),
-        trials_per_class=reader.take_int("trials_per_class", SynthSpec.trials_per_class),
-        channels=reader.take_int("channels", SynthSpec.channels),
-        frame_range=(reader.take_int("frame_min", SynthSpec.frame_range[0]),
-                     reader.take_int("frame_max", SynthSpec.frame_range[1])),
-        noise_std=reader.take_float("noise_std", SynthSpec.noise_std),
-        seed=reader.take_int("seed", SynthSpec.seed),
-        sample_rate_hz=reader.take_float("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ),
-        class_prefix=reader.take_str("class_prefix", "task"),
-    )
+    lo, hi = SynthSpec.frame_range
+    frame_range = (reader.take_int("frame_min", lo), reader.take_int("frame_max", hi))
+    spec = reader.take_fields(SynthSpec(), "", _SYNTH_FIELDS, frame_range=frame_range)
     reader.reject_unknown()
     return spec

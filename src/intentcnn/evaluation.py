@@ -35,6 +35,7 @@ import numpy as np
 from .config import KeyReader, parse_kv_file
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
+    SYNTH_KEYS,
     LabeledDataset,
     SplitSpec,
     StandardizationStats,
@@ -357,9 +358,6 @@ def standard_experiment(name: str, seed: int = 0,
 
 _SOURCE_KEY_RE = re.compile(r"^source\.(\d+)\.(.+)$")
 
-_SYNTH_KEYS = ("num_classes", "trials_per_class", "channels", "frame_min", "frame_max",
-               "noise_std", "seed", "sample_rate_hz", "class_prefix")
-
 
 def parse_experiment_config(source: str | dict) -> ExperimentSpec:
     """Build an ExperimentSpec from flat key=value pairs (file path or dict).
@@ -450,7 +448,7 @@ def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
             sources.append(SourceSpec(kind="csv", path=path,
                                       take=tuple(take) if take else None, rename=rename))
             continue
-        synth_pairs = {key: reader.take_str(prefix + key) for key in _SYNTH_KEYS
+        synth_pairs = {key: reader.take_str(prefix + key) for key in SYNTH_KEYS
                        if prefix + key in pairs}
         synth_pairs.setdefault("seed", str(experiment_seed + SOURCE_SEED_STRIDE * n))
         sources.append(SourceSpec(kind="synth",

@@ -375,16 +375,14 @@ class Network:
     # -- prediction -----------------------------------------------------------
 
     def predict_proba(self, x) -> np.ndarray:
-        """Class probabilities, computed one sample at a time.
+        """Class probabilities from one batched inference-mode forward pass.
 
-        Processing each sample through its own forward pass keeps the
-        arithmetic (and therefore the exact float results) independent of how
-        callers group samples into batches, so online single-window use and
-        offline batch evaluation agree bit for bit.
+        No kernel lets a sample's arithmetic depend on the rest of its batch
+        (pooling and batchnorm are elementwise, each conv output keeps its GEMM
+        reduction order, dense layers run one matmul per row), so online
+        single-window use and offline batch evaluation agree bit for bit.
         """
-        x = self._check_input(np.asarray(x))
-        rows = [softmax(self.forward_infer(x[i:i + 1]))[0] for i in range(x.shape[0])]
-        return np.stack(rows)
+        return softmax(self.forward_infer(x))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=-1)
@@ -621,8 +619,7 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
 
 
 def _validate(network: Network, val_x, val_y) -> tuple[float, float]:
-    logits = network.forward_infer(val_x)
-    probs = softmax(logits)
+    probs = network.predict_proba(val_x)
     loss = categorical_cross_entropy(probs, one_hot(val_y, network.num_classes))
     preds = np.argmax(probs, axis=-1)
     cm = confusion_matrix(np.asarray(val_y), preds, network.num_classes)
@@ -690,7 +687,8 @@ def check_network_gradients(network: Network, x, labels, epsilon: float = 1e-5,
 # Records appear in network order; relu is implied on every conv and on every
 # dense except the last.  The INPT, CONV, POOL, BNRM and DENS dims determine a
 # NetworkConfig, and a file is valid exactly when its records equal
-# _record_layout of that config and nothing follows the last one.
+# _record_layout of that config, nothing follows the last one and every payload
+# float is finite.
 
 _TAGS = (b"INPT", b"CONV", b"POOL", b"BNRM", b"DENS")
 
@@ -765,7 +763,7 @@ def deserialize(data: bytes) -> Network:
     """Rebuild a network from INTC bytes in one pass; any defect is a FormatError.
 
     Payloads stay views of ``data`` until every record has been checked
-    against the layout, so a corrupt size costs no memory.
+    against the layout and found finite, so a corrupt size costs no memory.
     """
     cursor = _Cursor(data)
     magic = bytes(cursor.take(4, "magic"))
@@ -807,6 +805,10 @@ def deserialize(data: bytes) -> Network:
             raise FormatError(f"record {index} at byte "
                               f"{offsets[index] if got else len(data)} is {got_text}, "
                               f"but the stored architecture needs {want_text}")
+    for index, (tag, _, arrays) in enumerate(records):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FormatError(f"record {index} at byte {offsets[index]} "
+                              f"({tag.decode('ascii')}) holds a NaN or Inf value")
     records = [(tag, dims, [a.astype(np.float32) for a in arrays])
                for tag, dims, arrays in records]
     return _network_from_records(config, records, np.float32)

@@ -16,6 +16,7 @@ backward passes -- no autodiff framework.  Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +150,14 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
 # max pooling
 # ---------------------------------------------------------------------------
 
-def _pool_windows(xb: np.ndarray, pool: int, stride: int) -> np.ndarray:
-    return sliding_window_view(xb, pool, axis=2)[:, :, ::stride, :]   # (B, C, T, P)
-
-
-def _check_pool_args(frames: int, pool: int, stride: int) -> None:
+def _pool_taps(xb: np.ndarray, pool: int, stride: int) -> list[np.ndarray]:
+    """Tap k of every window as a strided (B, C, out_frames) view: frame t*stride + k."""
     if pool < 1 or stride < 1:
         raise InputError(f"pool and stride must be >= 1, got pool={pool} stride={stride}")
-    if frames < pool:
-        raise DegenerateInputError(f"{frames} frames is shorter than pool size {pool}")
+    if xb.shape[2] < pool:
+        raise DegenerateInputError(f"{xb.shape[2]} frames is shorter than pool size {pool}")
+    span = (xb.shape[2] - pool) // stride * stride + 1
+    return [xb[:, :, k:k + span:stride] for k in range(pool)]
 
 
 def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
@@ -167,34 +167,32 @@ def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
     earliest frame (relevant only to the backward pass).
     """
     xb, batched = _as_batched_map(x)
-    _check_pool_args(xb.shape[2], pool, stride)
-    out = _pool_windows(xb, pool, stride).max(axis=3)
+    taps = _pool_taps(xb, pool, stride)
+    out = functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
     return out if batched else out[0]
 
 
 def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarray) -> np.ndarray:
-    """Route upstream gradient to each window's (first) argmax frame."""
+    """Route upstream gradient to each window's first maximal frame; where
+    windows overlap, a frame adds up its windows' shares in window order."""
     xb, batched = _as_batched_map(x)
-    _check_pool_args(xb.shape[2], pool, stride)
+    taps = _pool_taps(xb, pool, stride)
     upb, up_batched = _as_batched_map(upstream, "upstream")
     if up_batched != batched:
         raise DimensionError("upstream batchedness does not match input")
-    windows = _pool_windows(xb, pool, stride)
-    batch, channels, out_frames, _ = windows.shape
-    if upb.shape != (batch, channels, out_frames):
+    if upb.shape != taps[0].shape:
         raise DimensionError(f"upstream shape {upb.shape} does not match pooled output "
-                             f"{(batch, channels, out_frames)}")
-    winners = windows.argmax(axis=3)                                  # first max wins
+                             f"{taps[0].shape}")
+    out = functools.reduce(np.maximum, taps)
+    found = np.zeros(out.shape, dtype=bool)         # windows whose first max is routed
+    shares = []
+    for tap in taps:
+        first = (tap == out) & ~found
+        found |= first
+        shares.append(np.where(first, upb, 0))
     dx = np.zeros_like(xb)
-    if stride >= pool:
-        # windows never overlap: a plain scatter is enough
-        covered = dx[:, :, :(out_frames - 1) * stride + pool]
-        dx_windows = sliding_window_view(covered, pool, axis=2, writeable=True)[:, :, ::stride, :]
-        np.put_along_axis(dx_windows, winners[..., None], upb[..., None], axis=3)
-    else:
-        frame_index = winners + stride * np.arange(out_frames)[None, None, :]
-        b_index, c_index, _ = np.indices(winners.shape, sparse=True)
-        np.add.at(dx, (b_index, c_index, frame_index), upb)
+    for dx_tap, share in zip(_pool_taps(dx, pool, stride)[::-1], shares[::-1]):
+        dx_tap += share                             # windows in ascending order
     return dx if batched else dx[0]
 
 
@@ -213,7 +211,8 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
         raise DimensionError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
     if xb.shape[1] != weights.shape[1]:
         raise DimensionError(f"input has {xb.shape[1]} features but weights expect {weights.shape[1]}")
-    out = xb @ weights.T + bias
+    # one (1, in) @ (in, out) product per row: no row depends on its batch
+    out = (xb[:, None, :] @ weights.T)[:, 0] + bias
     return out if batched else out[0]
 
 

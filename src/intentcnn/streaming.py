@@ -4,9 +4,9 @@ A stream of per-frame channel readings is classified at every hop boundary:
 the last ``window_frames`` frames (zero-front-filled while the stream is still
 warming up) are standardized with the training-time statistics, zero-padded at
 the tail up to the model's input length, and pushed through an inference-mode
-forward pass.  Because the model evaluates each window in its own forward
-pass, the emitted probabilities are bit-identical to calling the batch
-predictor on the same standardized, padded window.
+forward pass.  The network's kernels compute every row the same way whatever
+the batch, so the emitted probabilities are bit-identical to the batch
+predictor's row for the same standardized, padded window.
 
 Wire formats:
 
@@ -15,9 +15,10 @@ Wire formats:
   ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
 
 Malformed input lines, including ones with a non-finite value (``nan``, or a
-number beyond float32 range), produce a structured error record and are
-skipped (the stream keeps running); a frame with the wrong channel count
-arriving through the array interface is a hard stream error.
+number beyond float32 range) and, on a TCP source, bytes that are not UTF-8,
+produce a structured error record and are skipped (the stream keeps running);
+a frame with the wrong channel count arriving through the array interface is a
+hard stream error.
 """
 
 from __future__ import annotations
@@ -258,5 +259,6 @@ def open_line_source(source: str):
             conn = socket.create_connection((host, port))
         except OSError as exc:
             raise StreamError(f"cannot connect to {host}:{port}: {exc}") from exc
-        return conn.makefile("r", encoding="utf-8")
+        # undecodable bytes become U+FFFD, so the line is an error record
+        return conn.makefile("r", encoding="utf-8", errors="replace")
     raise ConfigError(f"stream source must be '-' or 'tcp:HOST:PORT', got {source!r}")

@@ -56,6 +56,22 @@ def maxpool1d_loops(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
     return out
 
 
+def maxpool1d_backward_loops(x: np.ndarray, pool: int, stride: int,
+                             upstream: np.ndarray) -> np.ndarray:
+    """Each window's upstream value goes to its first maximal frame; overlaps add up."""
+    channels, frames = x.shape
+    out_frames = (frames - pool) // stride + 1
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    for c in range(channels):
+        for t in range(out_frames):
+            best = t * stride
+            for f in range(t * stride + 1, t * stride + pool):
+                if x[c, f] > x[c, best]:
+                    best = f
+            dx[c, best] += upstream[c, t]
+    return dx
+
+
 def dense_loops(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out_features, in_features = weights.shape
     out = np.empty(out_features, dtype=x.dtype)

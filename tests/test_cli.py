@@ -353,3 +353,20 @@ train.batch_size = 4
     capsys.readouterr()
     assert main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 3
     assert "validation partition empty" in capsys.readouterr().err
+
+
+def test_predict_with_a_nan_weight_exits_3_naming_the_record(tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--out", str(model_dir)]) == 0
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--out", str(data_dir)]) == 0
+    blob = bytearray((model_dir / "model.intc").read_bytes())
+    blob[48:52] = np.float32(np.nan).tobytes()      # first CONV weight; the record is at 28
+    corrupt = tmp_path / "nan.intc"
+    corrupt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(corrupt), "--stats", str(model_dir / "stats.csv"),
+                 "--trace", str(data_dir / "task1_trial01.csv")]) == 3
+    assert "record 1 at byte 28 (CONV) holds a NaN or Inf value" in capsys.readouterr().err

@@ -174,6 +174,21 @@ def test_predict_is_batch_grouping_invariant():
     npt.assert_array_equal(whole, halves)
 
 
+@pytest.mark.parametrize("overrides", [{}, {"batchnorm_position": "before_first_fc"},
+                                       {"fc_sizes": ()}],
+                         ids=["default", "before_first_fc", "no_fc"])
+def test_predict_rows_are_batch_size_invariant_on_full_size_networks(overrides):
+    # a row's probabilities must not change a bit with the batch it rides in
+    config = NetworkConfig(**overrides)
+    net = build_network(config, seed=11)
+    rng = np.random.default_rng(12)
+    x = make_batch(rng, config, 13)
+    x[::2, :, 1500:] = 0.0                  # zero tail padding, as prepare_input leaves it
+    singles = np.concatenate([net.predict_proba(x[i:i + 1]) for i in range(13)])
+    for b in (1, 2, 3, 5, 7, 8, 13):
+        assert net.predict_proba(x[:b]).tobytes() == singles[:b].tobytes(), b
+
+
 def test_batchnorm_per_channel_normalizes_channels():
     net = build_network(SMALL, seed=6)
     bn = [l for l in net.conv_stack if isinstance(l, BatchNormLayer)]
@@ -467,3 +482,19 @@ def test_deserialize_rejects_bad_dimension_counts():
         bad[16:20] = struct.pack("<I", ndims)
         with pytest.raises(FormatError, match="dimensions"):
             deserialize(bytes(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deserialize_rejects_non_finite_payloads(bad):
+    blob = serialize(build_network(SMALL, seed=1))
+    conv_at = 12 + 16                                # after the header and INPT
+    first_weight = conv_at + 20
+    corrupt = bytearray(blob)
+    corrupt[first_weight:first_weight + 4] = struct.pack("<f", bad)
+    with pytest.raises(FormatError, match=f"record 1 at byte {conv_at} \\(CONV\\) holds a NaN"):
+        deserialize(bytes(corrupt))
+    corrupt = bytearray(blob)
+    corrupt[-4:] = struct.pack("<f", bad)            # the output layer's last bias
+    last = len(plan_layers(SMALL)) - 1               # INPT is record 0; flatten has none
+    with pytest.raises(FormatError, match=f"record {last} at byte \\d+ \\(DENS\\)"):
+        deserialize(bytes(corrupt))

@@ -154,6 +154,23 @@ def test_maxpool_backward_overlapping_windows_accumulate():
     npt.assert_array_equal(dx, np.array([[0.0, 2.0, 0.0, 1.0]], np.float32))
 
 
+def test_maxpool_backward_matches_loop_oracle():
+    # dyadic values from a 5-point grid: many ties, and sums exact in any order
+    rng = np.random.default_rng(17)
+    for pool in (1, 2, 3):
+        for stride in (1, 2, 3, 4):                 # stride > pool leaves gaps
+            for frames in range(pool, pool + 9):
+                out_frames = (frames - pool) // stride + 1
+                x = oracles.dyadic(rng, (3, 2, frames), step=0.5, span=2)
+                up = oracles.dyadic(rng, (3, 2, out_frames))
+                dx = nm.maxpool1d_backward(x, pool, stride, up)
+                want = np.stack([oracles.maxpool1d_backward_loops(x[b], pool, stride, up[b])
+                                 for b in range(3)])
+                assert dx.tobytes() == want.tobytes(), (pool, stride, frames)
+                assert nm.maxpool1d_backward(x[0], pool, stride, up[0]).tobytes() == \
+                    want[0].tobytes()
+
+
 def test_maxpool_backward_finite_differences():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 11)).astype(np.float64)

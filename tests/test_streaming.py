@@ -302,6 +302,34 @@ def test_open_line_source_tcp_roundtrip():
     assert lines == ["1.0,2.0\n", "3.0,4.0\n"]
 
 
+def test_tcp_stream_turns_undecodable_bytes_into_an_error_record():
+    cfg = make_config()
+    buffer = np.random.default_rng(9).normal(size=(2, 20)).astype(np.float32)
+    good = [line.encode() for line in buffer_lines(buffer)]
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def serve():
+        conn, _ = server.accept()
+        conn.sendall(b"".join(good[:7]) + b"\xff\xfe,0.3\n" + b"".join(good[7:]))
+        conn.close()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    fh = open_line_source(f"tcp:127.0.0.1:{port}")
+    out = list(stream_classify(fh, cfg))
+    fh.close()
+    thread.join()
+    server.close()
+    errors = [r for r in out if isinstance(r, StreamErrorRecord)]
+    hops = [r for r in out if isinstance(r, StreamPrediction)]
+    assert [(r.line_number, r.message) for r in errors] == [(8, "non-numeric value in frame")]
+    want = list(stream_classify(buffer_lines(buffer), cfg))
+    assert [h.frame_index for h in hops] == [h.frame_index for h in want] == [4, 9, 14, 19]
+    for got, ref in zip(hops, want):
+        assert got.probs.tobytes() == ref.probs.tobytes()
+
+
 def test_open_line_source_tcp_refused():
     with pytest.raises(StreamError):
         open_line_source("tcp:127.0.0.1:1")      # nothing listens on port 1
