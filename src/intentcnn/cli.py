@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .dataset import (
     synth_generate,
     write_trace_csv,
 )
-from .errors import ConfigError, DataError, ExperimentError, IntentCnnError
+from .errors import ConfigError, DataError, ExperimentError, InputError, IntentCnnError
 from .evaluation import (
     ExperimentSpec,
     parse_experiment_config,
@@ -217,12 +218,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     network = load_model(args.model)
-    stats, _ = load_stats(args.stats)
+    stats, channel_names = load_stats(args.stats)
     class_names = _read_labels(args.labels)
     if class_names is not None and len(class_names) != network.num_classes:
         raise ConfigError(f"{len(class_names)} class names for "
                           f"{network.num_classes} classes")
     trace = parse_trace_csv(args.trace)
+    for k, (got, want) in enumerate(zip_longest(trace.channel_names, channel_names), start=1):
+        if got != want:
+            raise InputError(f"{args.trace}: channel {k} is {got!r} where {args.stats} has {want!r}")
     x = prepare_input(trace.values, stats, network.config.input_frames)
     probs = network.predict_proba(x[None, :, :])[0]
     label = int(np.argmax(probs))

@@ -378,9 +378,9 @@ class Network:
         """Class probabilities from one batched inference-mode forward pass.
 
         No kernel lets a sample's arithmetic depend on the rest of its batch
-        (pooling and batchnorm are elementwise, each conv output keeps its GEMM
-        reduction order, dense layers run one matmul per row), so online
-        single-window use and offline batch evaluation agree bit for bit.
+        (pooling and batchnorm are elementwise, convs run one GEMM per tap and
+        sample, dense layers run one matmul per row), so online single-window
+        use and offline batch evaluation agree bit for bit.
         """
         return softmax(self.forward_infer(x))
 

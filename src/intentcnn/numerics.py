@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateInputError,
@@ -62,17 +61,33 @@ def _require_finite(x: np.ndarray, name: str) -> None:
         raise NumericError(f"{name} contains NaN or Inf")
 
 
+def _taps(xb: np.ndarray, width: int, stride: int) -> list[np.ndarray]:
+    """Tap k of every window as a strided (B, C, out_frames) view: frame t*stride + k.
+
+    Conv and pool take their windows from here; the caller has checked
+    1 <= width <= frames and stride >= 1.
+    """
+    span = (xb.shape[2] - width) // stride * stride + 1
+    return [xb[:, :, k:k + span:stride] for k in range(width)]
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kernel_width: int) -> np.ndarray:
-    """(B, C, F) -> (B * out_frames, C * kernel_width) patch matrix."""
-    batch, channels, frames = x.shape
-    out_frames = frames - kernel_width + 1
-    windows = sliding_window_view(x, kernel_width, axis=2)          # (B, C, T, K) view
-    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        batch * out_frames, channels * kernel_width)
+def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Check x against weights; return (batched x, had_batch_axis, weights as (K, O, C))."""
+    xb, batched = _as_batched_map(x)
+    weights = np.asarray(weights)
+    if weights.ndim != 3 or weights.shape[2] < 1:
+        raise DimensionError(f"weights must be (out_channels, in_channels, kernel_width), got shape {weights.shape}")
+    _, in_channels, kernel_width = weights.shape
+    if xb.shape[1] != in_channels:
+        raise DimensionError(f"input has {xb.shape[1]} channels but kernels expect {in_channels}")
+    if xb.shape[2] < kernel_width:
+        raise DegenerateInputError(f"{xb.shape[2]} frames is shorter than kernel width {kernel_width}")
+    # one contiguous (O, C) matrix per tap, so every tap product is a plain GEMM
+    return xb, batched, np.ascontiguousarray(weights.transpose(2, 0, 1))
 
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -82,26 +97,19 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     Returns (out_channels, F-K+1) or (B, out_channels, F-K+1).
 
     out[o, t] = sum_c sum_k x[c, t + k] * weights[o, c, k] + bias[o]
+
+    Taps accumulate in ascending k, one (O, C) @ (C, T) GEMM per tap and
+    sample, and the bias comes last, so no sample depends on its batch.
     """
-    xb, batched = _as_batched_map(x)
-    weights = np.asarray(weights)
+    xb, batched, w_taps = _conv_operands(x, weights)
     bias = np.asarray(bias)
-    if weights.ndim != 3:
-        raise DimensionError(f"weights must be (out_channels, in_channels, kernel_width), got shape {weights.shape}")
-    out_channels, in_channels, kernel_width = weights.shape
-    if bias.shape != (out_channels,):
-        raise DimensionError(f"bias shape {bias.shape} does not match {out_channels} output channels")
-    batch, channels, frames = xb.shape
-    if channels != in_channels:
-        raise DimensionError(f"input has {channels} channels but kernels expect {in_channels}")
-    if frames < kernel_width:
-        raise DegenerateInputError(f"{frames} frames is shorter than kernel width {kernel_width}")
-    out_frames = frames - kernel_width + 1
-    cols = _im2col(xb, kernel_width)                                  # (B*T, C*K)
-    flat = cols @ weights.reshape(out_channels, in_channels * kernel_width).T
-    flat += bias
-    out = flat.reshape(batch, out_frames, out_channels).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out)
+    if bias.shape != (w_taps.shape[1],):
+        raise DimensionError(f"bias shape {bias.shape} does not match {w_taps.shape[1]} output channels")
+    taps = _taps(xb, len(w_taps), 1)
+    out = w_taps[0] @ taps[0]
+    for w_tap, tap in zip(w_taps[1:], taps[1:]):
+        out += w_tap @ tap
+    out += bias[:, None]
     return out if batched else out[0]
 
 
@@ -110,54 +118,38 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
     """Gradients of a scalar loss through conv1d_forward.
 
     upstream has the forward output's shape.  Returns (dx, dweights, dbias)
-    with the shapes of x, weights and bias respectively.
+    with the shapes of x, weights and bias respectively.  Per tap k,
+    dweights[:, :, k] sums upstream @ tap_k^T over the batch, and
+    weights[:, :, k]^T @ upstream is added into tap k's frames of dx, in
+    ascending k.
     """
-    xb, batched = _as_batched_map(x)
-    weights = np.asarray(weights)
-    out_channels, in_channels, kernel_width = weights.shape
+    xb, batched, w_taps = _conv_operands(x, weights)
     upb, up_batched = _as_batched_map(upstream, "upstream")
     if up_batched != batched:
         raise DimensionError("upstream batchedness does not match input")
-    batch, channels, frames = xb.shape
-    out_frames = frames - kernel_width + 1
-    if upb.shape != (batch, out_channels, out_frames):
-        raise DimensionError(f"upstream shape {upb.shape} does not match forward output "
-                             f"{(batch, out_channels, out_frames)}")
-
+    taps = _taps(xb, len(w_taps), 1)
+    out_shape = (xb.shape[0], w_taps.shape[1], taps[0].shape[2])
+    if upb.shape != out_shape:
+        raise DimensionError(f"upstream shape {upb.shape} does not match forward output {out_shape}")
     dbias = upb.sum(axis=(0, 2))
-
-    cols = _im2col(xb, kernel_width)                                  # (B*T, C*K)
-    up_flat = np.ascontiguousarray(upb.transpose(1, 0, 2)).reshape(out_channels, batch * out_frames)
-    dweights = (up_flat @ cols).reshape(out_channels, in_channels, kernel_width)
-
-    # dx is the full correlation of the upstream gradient with tap-reversed kernels.
-    pad = kernel_width - 1
-    up_pad = np.zeros((batch, out_channels, out_frames + 2 * pad), dtype=upb.dtype)
-    up_pad[:, :, pad:pad + out_frames] = upb
-    up_windows = sliding_window_view(up_pad, kernel_width, axis=2)    # (B, O, F, K)
-    up_cols = np.ascontiguousarray(up_windows.transpose(0, 2, 1, 3)).reshape(
-        batch * frames, out_channels * kernel_width)
-    w_rev = np.ascontiguousarray(weights[:, :, ::-1].transpose(0, 2, 1)).reshape(
-        out_channels * kernel_width, in_channels)
-    dx = (up_cols @ w_rev).reshape(batch, frames, in_channels).transpose(0, 2, 1)
-    dx = np.ascontiguousarray(dx)
-    if not batched:
-        dx = dx[0]
-    return dx, dweights, dbias
+    dweights = np.stack([(upb @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
+    dx = np.zeros(xb.shape, dtype=np.result_type(upb, w_taps))
+    for dx_tap, w_tap in zip(_taps(dx, len(w_taps), 1), w_taps):
+        dx_tap += w_tap.T @ upb
+    return (dx if batched else dx[0]), dweights, dbias
 
 
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------
 
-def _pool_taps(xb: np.ndarray, pool: int, stride: int) -> list[np.ndarray]:
-    """Tap k of every window as a strided (B, C, out_frames) view: frame t*stride + k."""
+def _pool_input(x: np.ndarray, pool: int, stride: int) -> tuple[np.ndarray, bool]:
+    xb, batched = _as_batched_map(x)
     if pool < 1 or stride < 1:
         raise InputError(f"pool and stride must be >= 1, got pool={pool} stride={stride}")
     if xb.shape[2] < pool:
         raise DegenerateInputError(f"{xb.shape[2]} frames is shorter than pool size {pool}")
-    span = (xb.shape[2] - pool) // stride * stride + 1
-    return [xb[:, :, k:k + span:stride] for k in range(pool)]
+    return xb, batched
 
 
 def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
@@ -166,8 +158,8 @@ def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
     Trailing frames that do not fill a window are dropped.  Ties take the
     earliest frame (relevant only to the backward pass).
     """
-    xb, batched = _as_batched_map(x)
-    taps = _pool_taps(xb, pool, stride)
+    xb, batched = _pool_input(x, pool, stride)
+    taps = _taps(xb, pool, stride)
     out = functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
     return out if batched else out[0]
 
@@ -175,8 +167,8 @@ def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
 def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarray) -> np.ndarray:
     """Route upstream gradient to each window's first maximal frame; where
     windows overlap, a frame adds up its windows' shares in window order."""
-    xb, batched = _as_batched_map(x)
-    taps = _pool_taps(xb, pool, stride)
+    xb, batched = _pool_input(x, pool, stride)
+    taps = _taps(xb, pool, stride)
     upb, up_batched = _as_batched_map(upstream, "upstream")
     if up_batched != batched:
         raise DimensionError("upstream batchedness does not match input")
@@ -191,7 +183,7 @@ def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarr
         found |= first
         shares.append(np.where(first, upb, 0))
     dx = np.zeros_like(xb)
-    for dx_tap, share in zip(_pool_taps(dx, pool, stride)[::-1], shares[::-1]):
+    for dx_tap, share in zip(_taps(dx, pool, stride)[::-1], shares[::-1]):
         dx_tap += share                             # windows in ascending order
     return dx if batched else dx[0]
 

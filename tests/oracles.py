@@ -34,6 +34,26 @@ def conv1d_loops(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nda
     return out
 
 
+def conv1d_backward_loops(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
+    """Gradients (dx, dweights, dbias) of sum(conv1d_loops(x, weights, bias) * upstream)."""
+    channels, frames = x.shape
+    out_channels, in_channels, kernel_width = weights.shape
+    assert channels == in_channels
+    out_frames = frames - kernel_width + 1
+    dx = np.zeros(x.shape)
+    dw = np.zeros(weights.shape)
+    db = np.zeros(out_channels)
+    for o in range(out_channels):
+        for t in range(out_frames):
+            g = float(upstream[o, t])
+            db[o] += g
+            for c in range(channels):
+                for k in range(kernel_width):
+                    dx[c, t + k] += g * float(weights[o, c, k])
+                    dw[o, c, k] += g * float(x[c, t + k])
+    return dx.astype(x.dtype), dw.astype(x.dtype), db.astype(x.dtype)
+
+
 def flipped_conv1d_loops(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Textbook single-channel discrete convolution C(i) = sum_d x(i-d) * w(d), valid part."""
     n, m = len(x), len(kernel)

@@ -334,6 +334,26 @@ def test_predict_with_non_finite_stats_exits_3(tmp_path, capsys):
     assert "nan_stats.csv" in err and "row 3" in err
 
 
+def test_predict_with_renamed_channels_exits_3(tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--out", str(model_dir)]) == 0
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--out", str(data_dir)]) == 0
+    trace = data_dir / "task1_trial01.csv"
+    header, body = trace.read_text().split("\n", 1)
+    assert header == "t,c01,c02"
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("t,c01,fx\n" + body)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_dir / "model.intc"),
+                 "--stats", str(model_dir / "stats.csv"), "--trace", str(renamed)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "renamed.csv: channel 2 is 'fx'" in captured.err and "'c02'" in captured.err
+
+
 def test_train_with_an_empty_split_partition_exits_3(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),

@@ -91,6 +91,15 @@ def test_conv_errors():
         nm.conv1d_forward(np.zeros((3, 10), np.float32), w, b)   # channel mismatch
     with pytest.raises(DegenerateInputError):
         nm.conv1d_forward(np.zeros((2, 2), np.float32), w, b)    # frames < kernel width
+    up = np.zeros((1, 8), np.float32)
+    with pytest.raises(DimensionError):
+        nm.conv1d_backward(np.zeros((2, 10), np.float32), w[0], up)   # weights with 2 dims
+    with pytest.raises(DimensionError):
+        nm.conv1d_backward(np.zeros((3, 10), np.float32), w, up)      # channel mismatch
+    with pytest.raises(DegenerateInputError):
+        nm.conv1d_backward(np.zeros((2, 2), np.float32), w, up[:, :0])   # frames < kernel width
+    with pytest.raises(DimensionError):
+        nm.conv1d_forward(np.zeros((2, 10), np.float32), w[:, :, :0], b)   # kernel width 0
 
 
 def test_conv_backward_finite_differences():
@@ -107,6 +116,23 @@ def test_conv_backward_finite_differences():
     res = nm.gradient_check(loss, [x, w, b], [dx, dw, db], epsilon=1e-5)
     assert res.max_relative_error < 1e-6
     assert res.checked >= 0.9 * (x.size + w.size + b.size)
+
+
+def test_conv_backward_matches_loop_oracle_bit_exact_on_dyadic_grid():
+    rng = np.random.default_rng(23)
+    for channels in (1, 2, 3):
+        for kernel_width in range(1, 6):
+            for frames in range(kernel_width, 20):
+                for out_channels in (1, 3):
+                    x = oracles.dyadic(rng, (2, channels, frames))
+                    w = oracles.dyadic(rng, (out_channels, channels, kernel_width))
+                    up = oracles.dyadic(rng, (2, out_channels, frames - kernel_width + 1))
+                    dx, dw, db = nm.conv1d_backward(x, w, up)
+                    want = [oracles.conv1d_backward_loops(x[b], w, up[b]) for b in range(2)]
+                    case = (channels, kernel_width, frames, out_channels)
+                    assert dx.tobytes() == np.stack([want[0][0], want[1][0]]).tobytes(), case
+                    assert dw.tobytes() == (want[0][1] + want[1][1]).tobytes(), case
+                    assert db.tobytes() == (want[0][2] + want[1][2]).tobytes(), case
 
 
 # ---------------------------------------------------------------------------
