@@ -163,10 +163,11 @@ class ConvLayer:
     def forward_infer(self, x):
         return relu_forward(conv1d_forward(x, self.weights, self.bias))
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
+        """(dx, parameter gradients); dx is None when input_grad is false."""
         x, pre = cache
         dpre = relu_backward(pre, upstream)
-        dx, dw, db = conv1d_backward(x, self.weights, dpre)
+        dx, dw, db = conv1d_backward(x, self.weights, dpre, input_grad=input_grad)
         return dx, {f"{self.name}.weights": dw, f"{self.name}.bias": db}
 
 
@@ -362,9 +363,12 @@ class Network:
             grads.update(layer_grads)
         channels, frames = self.conv_out_shape
         upstream = upstream.reshape(upstream.shape[0], channels, frames)
-        for layer, cache in zip(reversed(self.conv_stack), reversed(caches[:split])):
+        for layer, cache in zip(reversed(self.conv_stack[1:]), reversed(caches[1:split])):
             upstream, layer_grads = layer.backward(cache, upstream)
             grads.update(layer_grads)
+        # the stack opens with conv1, whose input (the network input) needs no gradient
+        _, layer_grads = self.conv_stack[0].backward(caches[0], upstream, input_grad=False)
+        grads.update(layer_grads)
         return grads
 
     def update_running_stats(self, caches) -> None:

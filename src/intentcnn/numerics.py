@@ -71,6 +71,21 @@ def _taps(xb: np.ndarray, width: int, stride: int) -> list[np.ndarray]:
     return [xb[:, :, k:k + span:stride] for k in range(width)]
 
 
+def _masked(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """values where keep holds, else +0: bit for bit np.where(keep, values, 0).
+
+    The values' bits are ANDed with an all-ones or all-zeros word, so there is
+    no branch to mispredict, and -0.0, +-inf and NaN pass or clear like any
+    other value (multiplying by the mask would turn masked zeros into -0.0
+    and masked infinities into NaN).  Items must be 1, 2, 4 or 8 bytes wide,
+    which excludes longdouble and complex values.
+    """
+    uint = np.dtype(f"u{values.dtype.itemsize}")
+    bits = np.negative(keep, dtype=uint)            # True -> all ones, False -> 0
+    bits &= values.view(uint)
+    return bits.view(values.dtype)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -113,8 +128,9 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out if batched else out[0]
 
 
-def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
+                    input_grad: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
     upstream has the forward output's shape.  Returns (dx, dweights, dbias)
@@ -122,6 +138,10 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
     dweights[:, :, k] sums upstream @ tap_k^T over the batch, and
     weights[:, :, k]^T @ upstream is added into tap k's frames of dx, in
     ascending k.
+
+    With ``input_grad=False`` dx is not computed and comes back as None;
+    dweights and dbias are the same bits as in the full call.  A network's
+    first layer needs no gradient for its input.
     """
     xb, batched, w_taps = _conv_operands(x, weights)
     upb, up_batched = _as_batched_map(upstream, "upstream")
@@ -133,6 +153,8 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
         raise DimensionError(f"upstream shape {upb.shape} does not match forward output {out_shape}")
     dbias = upb.sum(axis=(0, 2))
     dweights = np.stack([(upb @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
+    if not input_grad:
+        return None, dweights, dbias
     dx = np.zeros(xb.shape, dtype=np.result_type(upb, w_taps))
     for dx_tap, w_tap in zip(_taps(dx, len(w_taps), 1), w_taps):
         dx_tap += w_tap.T @ upb
@@ -166,7 +188,11 @@ def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
 
 def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarray) -> np.ndarray:
     """Route upstream gradient to each window's first maximal frame; where
-    windows overlap, a frame adds up its windows' shares in window order."""
+    windows overlap, a frame adds up its windows' shares in window order.
+
+    Each tap's share is masked without branches (``_masked``), bit for bit
+    equal to ``np.where(first_max, upstream, 0)``.
+    """
     xb, batched = _pool_input(x, pool, stride)
     taps = _taps(xb, pool, stride)
     upb, up_batched = _as_batched_map(upstream, "upstream")
@@ -181,7 +207,7 @@ def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarr
     for tap in taps:
         first = (tap == out) & ~found
         found |= first
-        shares.append(np.where(first, upb, 0))
+        shares.append(_masked(upb, first))
     dx = np.zeros_like(xb)
     for dx_tap, share in zip(_taps(dx, pool, stride)[::-1], shares[::-1]):
         dx_tap += share                             # windows in ascending order
@@ -229,12 +255,16 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Pass upstream where x > 0, zero where x <= 0."""
+    """Pass upstream where x > 0, +0 elsewhere (x <= 0 or NaN).
+
+    Branch-free (``_masked``) and bit for bit equal to
+    ``np.where(x > 0, upstream, 0)`` in upstream's dtype.
+    """
     x = np.asarray(x)
     upstream = np.asarray(upstream)
     if x.shape != upstream.shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match input {x.shape}")
-    return np.where(x > 0, upstream, np.zeros((), dtype=upstream.dtype))
+    return _masked(upstream, x > 0)
 
 
 # ---------------------------------------------------------------------------

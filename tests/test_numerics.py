@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
 from intentcnn import numerics as nm
 from intentcnn.errors import (
@@ -133,6 +136,24 @@ def test_conv_backward_matches_loop_oracle_bit_exact_on_dyadic_grid():
                     assert dx.tobytes() == np.stack([want[0][0], want[1][0]]).tobytes(), case
                     assert dw.tobytes() == (want[0][1] + want[1][1]).tobytes(), case
                     assert db.tobytes() == (want[0][2] + want[1][2]).tobytes(), case
+
+
+def test_conv_backward_without_input_grad_keeps_parameter_grads_bit_exact():
+    # the dyadic sweep's shapes with normal values: equality needs the same arithmetic
+    rng = np.random.default_rng(29)
+    for channels in (1, 2, 3):
+        for kernel_width in range(1, 6):
+            for frames in range(kernel_width, 20):
+                for out_channels in (1, 3):
+                    x = rng.normal(size=(2, channels, frames)).astype(np.float32)
+                    w = rng.normal(size=(out_channels, channels, kernel_width)).astype(np.float32)
+                    up = rng.normal(size=(2, out_channels, frames - kernel_width + 1)).astype(np.float32)
+                    _, dw, db = nm.conv1d_backward(x, w, up)
+                    no_dx, dw_only, db_only = nm.conv1d_backward(x, w, up, input_grad=False)
+                    case = (channels, kernel_width, frames, out_channels)
+                    assert no_dx is None, case
+                    assert dw_only.tobytes() == dw.tobytes(), case
+                    assert db_only.tobytes() == db.tobytes(), case
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +293,61 @@ def test_relu_finite_differences_away_from_kink():
     res = nm.gradient_check(loss, [x], [nm.relu_backward(x, up)], epsilon=1e-5)
     assert res.max_relative_error < 1e-6
     assert res.skipped == 0
+
+
+# ---------------------------------------------------------------------------
+# branch-free gradient masks
+# ---------------------------------------------------------------------------
+
+_MASK_SETTINGS = settings(max_examples=200, deadline=None, database=None)
+_FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
+_UINT = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def _special_floats(dtype, allow_nan=True):
+    """Any float of dtype, subnormals included, with -0.0, +-inf (and NaN) drawn often."""
+    width = np.finfo(dtype).bits
+    specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf] + ([math.nan] if allow_nan else [])
+    return st.one_of(st.sampled_from(specials),
+                     st.floats(width=width, allow_nan=allow_nan, allow_subnormal=True))
+
+
+def _upstream(draw, dtype, shape):
+    """An upstream gradient of shape (B, C, F), drawn C-contiguous or as the
+    transposed view of a (B, F, C) array that BatchNormLayer hands back."""
+    batch, channels, frames = shape
+    if draw(st.booleans()):
+        return draw(hnp.arrays(dtype, shape, elements=_special_floats(dtype)))
+    rows = draw(hnp.arrays(dtype, (batch, frames, channels), elements=_special_floats(dtype)))
+    return rows.transpose(0, 2, 1)
+
+
+@_MASK_SETTINGS
+@given(data=st.data(), dtype=_FLOAT_DTYPES,
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12)))
+def test_relu_backward_is_bitwise_np_where(data, dtype, shape):
+    x = data.draw(hnp.arrays(dtype, shape, elements=_special_floats(dtype)))
+    up = _upstream(data.draw, dtype, shape)
+    got = nm.relu_backward(x, up)
+    want = np.where(x > 0, up, 0)
+    assert got.dtype == want.dtype == dtype
+    npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
+
+
+@_MASK_SETTINGS
+@given(data=st.data(), dtype=_FLOAT_DTYPES, batch=st.integers(1, 3), channels=st.integers(1, 3),
+       pool=st.integers(1, 3), stride=st.integers(1, 4), extra=st.integers(0, 8))
+def test_maxpool_backward_is_bitwise_loop_oracle(data, dtype, batch, channels, pool, stride, extra):
+    # NaN stays out of x only: a window holding NaN has no first maximum to route to
+    frames = pool + extra
+    x = data.draw(hnp.arrays(dtype, (batch, channels, frames),
+                             elements=_special_floats(dtype, allow_nan=False)))
+    up = _upstream(data.draw, dtype, (batch, channels, (frames - pool) // stride + 1))
+    got = nm.maxpool1d_backward(x, pool, stride, up)
+    want = np.stack([oracles.maxpool1d_backward_loops(x[b], pool, stride, up[b])
+                     for b in range(batch)])
+    assert got.dtype == want.dtype == dtype
+    npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
 
 
 # ---------------------------------------------------------------------------
