@@ -115,12 +115,9 @@ class KeyReader:
                        **{key: take[type(getattr(cls, key))](prefix + key, getattr(base, key))
                           for key in keys})
 
-    def reject_unknown(self, known_prefixes: tuple[str, ...] = ()) -> None:
-        """Raise if any key was never consumed and matches no known prefix."""
-        leftover = [
-            key for key in self.pairs
-            if key not in self._seen and not any(key.startswith(p) for p in known_prefixes)
-        ]
+    def reject_unknown(self) -> None:
+        """Raise if any key was never consumed."""
+        leftover = [key for key in self.pairs if key not in self._seen]
         if leftover:
             raise ConfigError(f"{self.origin}: unknown key(s): {', '.join(sorted(leftover))}")
 

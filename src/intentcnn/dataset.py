@@ -148,9 +148,10 @@ class LabeledDataset:
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
     """Read a trace CSV: header ``t,<ch1>,...``, one row per frame.
 
-    Validates the header (present, non-empty, unique names), numeric cells,
-    strictly increasing time, and that the sample rate inferred from the
-    median time delta lies within 1% of ``expected_rate_hz``.
+    Validates the header (present, non-empty, unique names), numeric cells
+    (:func:`_read_numbers`; times must be finite), strictly increasing time,
+    and that the sample rate inferred from the median time delta lies within
+    1% of ``expected_rate_hz``.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -162,7 +163,11 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     header = [name.strip() for name in rows[0]]
     if len(header) < 2:
         raise FormatError(f"{path}: header needs a time column plus at least one channel")
-    if all(_is_number(cell) for cell in header):
+    try:
+        _read_numbers(header)
+    except ValueError:
+        pass
+    else:
         raise FormatError(f"{path}: missing header row (first line is numeric)")
     if any(name == "" for name in header):
         raise FormatError(f"{path}: blank column name in header")
@@ -172,26 +177,21 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     if not data_rows:
         raise FormatError(f"{path}: no data rows after the header")
 
-    channels = len(header) - 1
-    times = np.empty(len(data_rows), dtype=np.float64)
-    values = np.empty((channels, len(data_rows)), dtype=np.float32)
-    for r, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        for c, cell in enumerate(row):
-            try:
-                number = float(cell)
-            except ValueError:
-                raise FormatError(f"{path}: row {r + 2}, column {header[c]!r}: "
-                                  f"non-numeric value {cell!r}") from None
-            if c == 0:
-                times[r] = number
-            else:
-                values[c - 1, r] = number
-    if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite value in data")
+    try:
+        numbers, fits = _read_numbers(data_rows)
+        if numbers.shape[1] != len(header):
+            raise ValueError("rows differ from the header in width")
+    except ValueError:
+        raise FormatError(_first_unreadable_cell(path, header, data_rows)) from None
+    times = numbers[:, 0]
+    fits[:, 0] = np.isfinite(times)
+    if not fits.all():
+        r, c = divmod(int(np.argmin(fits)), len(header))
+        raise FormatError(f"{path}: row {r + 2}, column {header[c]!r}: "
+                          f"non-finite value {data_rows[r][c]!r}")
     if len(times) > 1:
-        deltas = np.diff(times)
+        with np.errstate(over="ignore"):        # finite times can still differ by inf
+            deltas = np.diff(times)
         if np.any(deltas <= 0):
             bad = int(np.argmax(deltas <= 0))
             raise FormatError(f"{path}: time not strictly increasing at row {bad + 3}")
@@ -199,15 +199,37 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
         if abs(inferred - expected_rate_hz) > RATE_TOLERANCE * expected_rate_hz:
             raise FormatError(f"{path}: inferred sample rate {inferred:.3f} Hz is outside 1% "
                               f"of expected {expected_rate_hz:g} Hz")
+    values = numbers[:, 1:].T.astype(np.float32, order="C")
     return Trace(values=values, channel_names=tuple(header[1:]), sample_rate_hz=expected_rate_hz)
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+# doubles of this magnitude or more round to inf in float32: the midpoint
+# between the largest finite float32 and 2**128
+_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
+
+def _read_numbers(tokens: list) -> tuple[np.ndarray, np.ndarray]:
+    """The number rule for trace cells and stream frames: every token (in a
+    list, or in equal-length rows) read in one conversion exactly as
+    ``float()`` reads it (``ValueError`` if any is not a number, or rows are
+    ragged), as float64 values plus a mask of those whose float32 rounding is
+    finite (false for NaN and for magnitudes rounding to inf)."""
+    values = np.array(tokens, dtype=np.float64)
+    return values, np.abs(values) < _FLOAT32_OVERFLOW
+
+
+def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
+    """Name the first ragged row or non-numeric cell in file order, once the
+    bulk conversion in :func:`parse_trace_csv` has failed; it makes no values."""
+    for r, row in enumerate(data_rows, start=2):
+        if len(row) != len(header):
+            return f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+        for name, cell in zip(header, row):
+            try:
+                _read_numbers([cell])
+            except ValueError:
+                return f"{path}: row {r}, column {name!r}: non-numeric value {cell!r}"
+    raise AssertionError(f"{path}: bulk conversion failed but every cell reads alone")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

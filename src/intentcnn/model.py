@@ -308,9 +308,6 @@ class Network:
             items.extend(layer.param_items())
         return items
 
-    def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.param_items())
-
     def snapshot(self):
         """Deep copy of every mutable tensor (parameters and running statistics)."""
         return copy.deepcopy((self.conv_stack, self.fc_stack))

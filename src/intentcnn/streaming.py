@@ -14,11 +14,10 @@ Wire formats:
 * output — one line per hop,
   ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
 
-Malformed input lines, including ones with a non-finite value (``nan``, or a
-number beyond float32 range) and, on a TCP source, bytes that are not UTF-8,
-produce a structured error record and are skipped (the stream keeps running);
-a frame with the wrong channel count arriving through the array interface is a
-hard stream error.
+Malformed input lines (the wrong value count, a value that breaks the number
+rule of trace cells: anything ``float()`` accepts whose float32 rounding is
+finite, or on a TCP source bytes that are not UTF-8) produce a structured
+error record and are skipped (the stream keeps running).
 """
 
 from __future__ import annotations
@@ -30,16 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StandardizationStats, prepare_input
+from .dataset import StandardizationStats, _read_numbers, prepare_input
 from .errors import ConfigError, StreamError
 from .model import Network
 
 DEFAULT_WINDOW_FRAMES = 1000
 DEFAULT_HOP_FRAMES = 100
-
-# doubles of this magnitude or more round to inf in float32: the midpoint
-# between the largest finite float32 and 2**128
-_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass(frozen=True)
@@ -181,12 +176,12 @@ def parse_frame_line(text: str, channels: int) -> np.ndarray:
         raise StreamError(f"expected {channels} comma-separated values, got "
                           f"{len(tokens)}")
     try:
-        values = [float(token) for token in tokens]
+        values, fits = _read_numbers(tokens)
     except ValueError:
         raise StreamError("non-numeric value in frame") from None
-    if not all(-_FLOAT32_OVERFLOW < v < _FLOAT32_OVERFLOW for v in values):  # false for NaN
+    if not fits.all():
         raise StreamError("non-finite value in frame")
-    return np.array(values, dtype=np.float32)     # rounds as np.float32(token) does
+    return values.astype(np.float32)
 
 
 def stream_classify(lines, cfg: WindowConfig):
@@ -206,19 +201,6 @@ def stream_classify(lines, cfg: WindowConfig):
         except StreamError as exc:
             yield StreamErrorRecord(line_number=line_number, message=str(exc), raw=text)
             continue
-        prediction = state.push(frame)
-        if prediction is not None:
-            yield prediction
-
-
-def classify_frames(frames, cfg: WindowConfig):
-    """Classify already-parsed frame vectors; wrong channel count is fatal."""
-    state = _StreamState(cfg)
-    for frame in frames:
-        frame = np.asarray(frame, dtype=np.float32)
-        if frame.shape != (cfg.channels,):
-            raise StreamError(f"frame has shape {frame.shape}, expected "
-                              f"({cfg.channels},)")
         prediction = state.push(frame)
         if prediction is not None:
             yield prediction

@@ -9,7 +9,14 @@ result is independent of accumulation order.
 
 from __future__ import annotations
 
+import csv
+import math
+import statistics
+import struct
+
 import numpy as np
+
+from intentcnn.errors import FormatError
 
 
 def dyadic(rng: np.random.Generator, shape, step: float = 0.25, span: int = 8) -> np.ndarray:
@@ -141,3 +148,70 @@ def simulate_shapes(channels, frames, conv_filters, kernel_width, pool, pool_str
         shapes.append((f"fc{n}", (d,)))
     shapes.append(("output", (num_classes,)))
     return shapes
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _fits_float32(x: float) -> bool:
+    """True when x rounds to a finite float32, decided by ``struct``, not NumPy."""
+    try:
+        struct.pack("<f", x)
+    except OverflowError:
+        return False
+    return math.isfinite(x)
+
+
+def parse_trace_csv_cells(path: str, expected_rate_hz: float = 100.0):
+    """Per-cell ``float()`` reading of a trace CSV with the library's error
+    precedence: header faults, then ragged rows and non-numeric cells in file
+    order, then non-finite cells in file order (a time must be finite, a
+    channel value must fit float32), then time order and sample rate.
+
+    Returns ``(values, channel_names)`` with values (channels, frames)
+    float32 rounded by ``struct``; raises FormatError.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    header = [name.strip() for name in rows[0]]
+    if len(header) < 2:
+        raise FormatError(f"{path}: header needs a time column plus at least one channel")
+    if all(_is_float(cell) for cell in header):
+        raise FormatError(f"{path}: missing header row (first line is numeric)")
+    if "" in header:
+        raise FormatError(f"{path}: blank column name in header")
+    if len(set(header)) != len(header):
+        raise FormatError(f"{path}: duplicate column names in header")
+    if len(rows) < 2:
+        raise FormatError(f"{path}: no data rows after the header")
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        for name, cell in zip(header, row):
+            if not _is_float(cell):
+                raise FormatError(f"{path}: row {r}, column {name!r}: non-numeric value {cell!r}")
+    for r, row in enumerate(rows[1:], start=2):
+        for c, (name, cell) in enumerate(zip(header, row)):
+            if not (math.isfinite(float(cell)) if c == 0 else _fits_float32(float(cell))):
+                raise FormatError(f"{path}: row {r}, column {name!r}: non-finite value {cell!r}")
+    times = [float(row[0]) for row in rows[1:]]
+    deltas = [b - a for a, b in zip(times, times[1:])]
+    for i, delta in enumerate(deltas):
+        if delta <= 0:
+            raise FormatError(f"{path}: time not strictly increasing at row {i + 3}")
+    if deltas:
+        inferred = 1.0 / statistics.median(deltas)
+        if abs(inferred - expected_rate_hz) > 0.01 * expected_rate_hz:
+            raise FormatError(f"{path}: inferred sample rate {inferred:.3f} Hz is outside 1% "
+                              f"of expected {expected_rate_hz:g} Hz")
+    columns = [[float(row[c]) for row in rows[1:]] for c in range(1, len(header))]
+    values = np.array([np.frombuffer(struct.pack(f"<{len(col)}f", *col), dtype="<f4")
+                       for col in columns], dtype=np.float32)
+    return values, tuple(header[1:])

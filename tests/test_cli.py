@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, override layering."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -390,3 +391,31 @@ def test_predict_with_a_nan_weight_exits_3_naming_the_record(tmp_path, capsys):
     assert main(["predict", "--model", str(corrupt), "--stats", str(model_dir / "stats.csv"),
                  "--trace", str(data_dir / "task1_trial01.csv")]) == 3
     assert "record 1 at byte 28 (CONV) holds a NaN or Inf value" in capsys.readouterr().err
+
+
+def test_predict_names_the_non_finite_cell_and_prints_nothing_else(tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--out", str(model_dir)]) == 0
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--out", str(data_dir)]) == 0
+    rows = (data_dir / "task1_trial01.csv").read_text().splitlines()
+    assert rows[0] == "t,c01,c02"
+    for cell in ("1e39", "nan"):
+        corrupt = tmp_path / f"corrupt_{cell}.csv"
+        time, c01, _ = rows[3].split(",")
+        corrupt.write_text("\n".join(rows[:3] + [f"{time},{c01},{cell}"] + rows[4:]) + "\n")
+        argv = ["predict", "--model", str(model_dir / "model.intc"),
+                "--stats", str(model_dir / "stats.csv"), "--trace", str(corrupt)]
+        expected = f"error: {corrupt}: row 4, column 'c02': non-finite value '{cell}'\n"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr() == ("", expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr() == ("", expected)

@@ -1,10 +1,13 @@
 """Tests for trace ingestion, preprocessing, splitting and synthesis."""
 
 import math
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
 from intentcnn.dataset import (
     LabeledDataset,
@@ -45,6 +48,8 @@ from intentcnn.errors import (
     NumericError,
     RelabelError,
 )
+
+import oracles
 
 
 def make_dataset(class_sizes, channels=2, frames=10, vocab=None, seed=0):
@@ -134,6 +139,89 @@ def test_parse_trace_csv_checks_sample_rate(tmp_path):
     parse_trace_csv(path, expected_rate_hz=100.0)
     with pytest.raises(FormatError):
         parse_trace_csv(path, expected_rate_hz=50.0)
+
+
+# cells that probe the number rule: blanks, non-finite and float32-overflowing
+# values, the float32 boundary, spellings float() accepts or rejects, and text
+# that needs CSV quoting
+_ODD_CELLS = ("", " ", "nan", "-nan", "inf", "-Infinity", "1e39", "-1e39", "3.40282357e38",
+              "3.4028235e38", "\u0661\u0662", "1_000", "0x10", " 1.5 ", "1e-50", "oops",
+              "1,5", "2\n5", '"')
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(width=32, allow_nan=False, allow_infinity=False)
+                     .map(lambda v: f"{v:.9g}"),
+                     st.integers(-10 ** 6, 10 ** 6).map(str))
+
+
+def _draw_cell(draw) -> str:
+    return draw(st.sampled_from(_ODD_CELLS) if draw(st.integers(0, 7)) == 0 else _NUMBERS)
+
+
+def _csv_field(cell: str, quote: bool) -> str:
+    if quote or any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), channels=st.integers(1, 3), frames=st.integers(1, 5),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_parse_trace_csv_matches_per_cell_oracle(tmp_path_factory, data, channels, frames,
+                                                 newline):
+    draw = data.draw
+    header = ["t", "a", "b", "c"][:channels + 1]
+    if draw(st.integers(0, 15)) == 0:
+        header = [_draw_cell(draw) for _ in header]
+    rows = [header]
+    for i in range(frames):
+        time = f"{i / 100:.4f}" if draw(st.integers(0, 7)) else _draw_cell(draw)
+        row = [time] + [_draw_cell(draw) for _ in range(channels)]
+        ragged = draw(st.integers(0, 19))
+        rows.append(row[:-1] if ragged == 0 else row + ["0"] if ragged == 1 else row)
+    text = newline.join(",".join(_csv_field(cell, draw(st.integers(0, 3)) == 0) for cell in row)
+                        for row in rows)
+    path = tmp_path_factory.getbasetemp() / "grid.csv"
+    path.write_text(text + draw(st.sampled_from(["", newline])), encoding="utf-8", newline="")
+    try:
+        want_values, want_names = oracles.parse_trace_csv_cells(str(path))
+    except FormatError as exc:
+        want_values, want_error = None, str(exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want_values is None:
+            with pytest.raises(FormatError) as got:
+                parse_trace_csv(str(path))
+            assert str(got.value) == want_error
+        else:
+            trace = parse_trace_csv(str(path))
+            assert trace.values.shape == want_values.shape
+            assert trace.values.tobytes() == want_values.tobytes()
+            assert trace.channel_names == want_names
+
+
+def test_parse_trace_csv_names_the_first_non_finite_cell(tmp_path):
+    path = tmp_path / "trace.csv"
+    for text, message in (
+            ("t,a,b\n0.00,1,2\n0.01,1e39,nan\n", "row 3, column 'a': non-finite value '1e39'"),
+            ("t,a,b\n0.00,1,3.40282357e38\n", "row 2, column 'b': non-finite value '3.40282357e38'"),
+            ("t,a\ninf,1\n0.01,nan\n", "row 2, column 't': non-finite value 'inf'"),
+            ("t,a\n0.00,nan\n0.01,x\n", "row 3, column 'a': non-numeric value 'x'")):
+        path.write_text(text)
+        with pytest.raises(FormatError) as got:
+            parse_trace_csv(str(path))
+        assert str(got.value) == f"{path}: {message}"
+    path.write_text("t,a\n0.00,3.4028235e38\n0.01,-3.4028235e38\n")
+    largest = np.finfo(np.float32).max
+    npt.assert_array_equal(parse_trace_csv(str(path)).values, [[largest, -largest]])
+
+
+def test_parse_trace_csv_time_deltas_beyond_float64_are_a_rate_error(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,a\n-1e308,1\n1e308,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="inferred sample rate 0.000 Hz"):
+            parse_trace_csv(str(path))
 
 
 def test_label_from_filename():
@@ -274,6 +362,24 @@ def test_prepare_input_standardizes_into_zero_frame():
         prepare_input(raw, stats, input_frames=3, offset=2)
     with pytest.raises(DimensionError):
         prepare_input(raw[:1], stats, input_frames=5)
+
+
+def test_prepare_input_is_the_criterion_8_recipe_bit_for_bit():
+    rng = np.random.default_rng(8)
+    stats = StandardizationStats(mean=np.array([0.1, -0.2, 0.3, 0.05]),
+                                 std=np.array([1.5, 0.7, 2.0, 1.1]))
+    buffer = rng.normal(0.0, 3.0, size=(4, 1300)).astype(np.float32)
+    window, input_frames = 1000, 2000
+    for end in (0, 99, 499, 998, 999, 1299):                # warm-up, then full windows
+        real = min(end + 1, window)
+        recipe = np.zeros((4, input_frames), dtype=np.float32)
+        chunk = buffer[:, end + 1 - real: end + 1].astype(np.float64)
+        recipe[:, window - real: window] = (
+            (chunk - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
+        got = prepare_input(buffer[:, end + 1 - real: end + 1], stats, input_frames,
+                            offset=window - real)
+        assert got.dtype == np.float32 and got.tobytes() == recipe.tobytes()
+
 
 def test_stats_csv_round_trip_is_exact(tmp_path):
     stats = StandardizationStats(mean=np.array([0.1, -2.75, 1e-7]),

@@ -3,8 +3,10 @@
 import socket
 import threading
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from intentcnn.dataset import StandardizationStats
 from intentcnn.errors import ConfigError, StreamError
@@ -14,7 +16,6 @@ from intentcnn.streaming import (
     StreamPrediction,
     WindowConfig,
     Window,
-    classify_frames,
     classify_window,
     format_error_record,
     format_prediction,
@@ -198,21 +199,35 @@ def test_stream_classify_deterministic_output():
     assert first == second
 
 
-def test_classify_frames_rejects_bad_shape():
-    cfg = make_config()
-    frames = [np.zeros(2, dtype=np.float32)] * 4 + [np.zeros(3, dtype=np.float32)]
-    with pytest.raises(StreamError):
-        list(classify_frames(frames, cfg))
+_NUMBER = st.floats(-1e6, 1e6).map(repr)
+_TOKENS = st.one_of(_NUMBER, st.floats().map(repr), st.sampled_from(
+    ["", " 1.5", "1e39", "-nan", "inf", "3.40282357e38", "\u0661\u0662", "1_000", "0x10",
+     "\ufffd", "\x00", "1\r", "oops"]))
+_LINES = st.one_of(st.text(max_size=12), st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
+                   st.tuples(_NUMBER, _NUMBER).map(",".join))
+_FUZZ_CONFIG = make_config(window=4, hop=2)
 
 
-def test_classify_frames_matches_stream():
-    cfg = make_config(window=20, hop=5)
-    buffer = np.random.default_rng(5).normal(size=(2, 15)).astype(np.float32)
-    via_frames = list(classify_frames(buffer.T, cfg))
-    via_lines = list(stream_classify(buffer_lines(buffer), cfg))
-    assert len(via_frames) == len(via_lines) == 3
-    for a, b in zip(via_frames, via_lines):
-        assert a.probs.tobytes() == b.probs.tobytes()
+@settings(max_examples=200, deadline=None, database=None)
+@given(lines=st.lists(_LINES, max_size=30))
+def test_stream_classify_survives_arbitrary_text(lines):
+    cfg = _FUZZ_CONFIG
+    consumed = []
+
+    def source():
+        for line in lines:
+            consumed.append(line)
+            yield line
+
+    errors = 0
+    for event in stream_classify(source(), cfg):
+        if isinstance(event, StreamErrorRecord):
+            errors += 1
+            assert event.line_number == len(consumed)
+        else:
+            assert isinstance(event, StreamPrediction)
+            accepted = sum(1 for line in consumed if line.strip()) - errors
+            assert event.frame_index + 1 == accepted and accepted % cfg.hop_frames == 0
 
 
 def test_prediction_probs_must_sum_to_one():
