@@ -15,6 +15,7 @@ its frames are real in ``source_frames``.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -145,6 +146,20 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _read_csv_rows(path: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file.  A file that cannot be read or is not
+    UTF-8 is a FormatError; the message gives the offending byte's offset,
+    never the file's bytes."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
     """Read a trace CSV: header ``t,<ch1>,...``, one row per frame.
 
@@ -153,11 +168,7 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     and that the sample rate inferred from the median time delta lies within
     1% of ``expected_rate_hz``.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    rows = _read_csv_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -409,11 +420,7 @@ def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
 
 
 def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    rows = _read_csv_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
         raise FormatError(f"{path}: expected header 'channel,mean,std'")
     names, means, stds = [], [], []

@@ -1,7 +1,8 @@
 """The trace classifier network: configuration, training, and binary model files.
 
 Architecture (fixed topology, configurable widths): N repetitions of
-[conv -> relu -> maxpool] over (channels, frames) input, one batch
+[conv -> relu -> maxpool] over (channels, frames) input (the relu runs after
+the pooling, where it gives the same values on fewer frames), one batch
 normalization, flatten, a stack of relu dense layers, and a final dense
 classifier read through softmax.  Batch normalization sits either directly
 after the last pooling stage (normalizing each conv channel, the default) or
@@ -146,7 +147,8 @@ def parse_network_config(reader: KeyReader, defaults: NetworkConfig | None = Non
 # ---------------------------------------------------------------------------
 
 class ConvLayer:
-    """Valid cross-correlation followed by relu."""
+    """Valid cross-correlation.  Its output is the pre-activation: the relu
+    that follows every conv runs in the PoolLayer after it."""
 
     def __init__(self, name: str, weights: np.ndarray, bias: np.ndarray):
         self.name = name
@@ -157,22 +159,26 @@ class ConvLayer:
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
     def forward_train(self, x):
-        pre = conv1d_forward(x, self.weights, self.bias)
-        return relu_forward(pre), (x, pre)
+        return conv1d_forward(x, self.weights, self.bias), x
 
     def forward_infer(self, x):
-        return relu_forward(conv1d_forward(x, self.weights, self.bias))
+        return conv1d_forward(x, self.weights, self.bias)
 
     def backward(self, cache, upstream, input_grad=True):
         """(dx, parameter gradients); dx is None when input_grad is false."""
-        x, pre = cache
-        dpre = relu_backward(pre, upstream)
-        dx, dw, db = conv1d_backward(x, self.weights, dpre, input_grad=input_grad)
+        dx, dw, db = conv1d_backward(cache, self.weights, upstream, input_grad=input_grad)
         return dx, {f"{self.name}.weights": dw, f"{self.name}.bias": db}
 
 
 class PoolLayer:
-    """Temporal max pooling; no parameters."""
+    """relu of the temporal max pooling of a conv pre-activation; no parameters.
+
+    relu commutes with max pooling, so relu runs on the pooled map, about
+    1/stride the size of the conv output.  The backward pass masks upstream
+    where the output is not positive and routes the rest to each window's
+    first maximum of the pre-activation: the same bits as pooling relu(pre)
+    and masking by pre > 0 afterwards.
+    """
 
     def __init__(self, name: str, pool: int, stride: int):
         self.name = name
@@ -182,14 +188,16 @@ class PoolLayer:
     def param_items(self):
         return []
 
-    def forward_train(self, x):
-        return maxpool1d_forward(x, self.pool, self.stride), x
+    def forward_train(self, pre):
+        out = self.forward_infer(pre)
+        return out, (pre, out)
 
-    def forward_infer(self, x):
-        return maxpool1d_forward(x, self.pool, self.stride)
+    def forward_infer(self, pre):
+        return relu_forward(maxpool1d_forward(pre, self.pool, self.stride))
 
     def backward(self, cache, upstream):
-        return maxpool1d_backward(cache, self.pool, self.stride, upstream), {}
+        pre, out = cache
+        return maxpool1d_backward(pre, self.pool, self.stride, relu_backward(out, upstream)), {}
 
 
 class BatchNormLayer:
@@ -496,12 +504,26 @@ def parse_train_spec(reader: KeyReader, defaults: TrainSpec | None = None,
                               TRAIN_KEYS)
 
 
+# Elements per Adam chunk: every pass over a chunk of a parameter, its grad,
+# m, v and two scratch chunks (6 x 256 KiB in float32) stays in L2 cache.
+ADAM_CHUNK = 65536
+
+
 class _Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) updating the parameters in place.
+
+    Each parameter is walked in flat chunks of ADAM_CHUNK elements (loop
+    tiling), and every chunk runs the same elementwise ufuncs in the same
+    order as the whole-array formula, so the bits do not depend on the chunk
+    size.  Gradients come in their parameter's dtype.
+    """
+
     def __init__(self, spec: TrainSpec):
         self.spec = spec
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
+        self.m: dict[str, np.ndarray] = {}    # flat, one per parameter
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def apply(self, params, grads) -> None:
         spec = self.spec
@@ -509,19 +531,36 @@ class _Adam:
         bias1 = 1.0 - spec.beta1 ** self.step
         bias2 = 1.0 - spec.beta2 ** self.step
         for key, value in params:
-            grad = grads[key]
+            flat = value.reshape(-1)
+            assert np.may_share_memory(flat, value), f"{key} is not contiguous"
+            grad = grads[key].reshape(-1)
+            assert grad.dtype == flat.dtype, f"{key} gradient is {grad.dtype}"
             m = self.m.get(key)
             if m is None:
-                m = np.zeros_like(value)
-                self.m[key] = m
-                self.v[key] = np.zeros_like(value)
+                m = self.m[key] = np.zeros_like(flat)
+                self.v[key] = np.zeros_like(flat)
             v = self.v[key]
-            m *= spec.beta1
-            m += (1.0 - spec.beta1) * grad
-            v *= spec.beta2
-            v += (1.0 - spec.beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + spec.adam_epsilon)
-            value -= spec.learning_rate * update.astype(value.dtype, copy=False)
+            scratch = self._scratch.get(flat.dtype)
+            if scratch is None:
+                scratch = self._scratch[flat.dtype] = (np.empty(ADAM_CHUNK, flat.dtype),
+                                                       np.empty(ADAM_CHUNK, flat.dtype))
+            for start in range(0, flat.size, ADAM_CHUNK):
+                end = min(start + ADAM_CHUNK, flat.size)
+                g, mc, vc = grad[start:end], m[start:end], v[start:end]
+                s, u = scratch[0][:end - start], scratch[1][:end - start]
+                # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+                mc *= spec.beta1
+                mc += np.multiply(1.0 - spec.beta1, g, out=s)
+                vc *= spec.beta2
+                np.multiply(1.0 - spec.beta2, g, out=s)
+                vc += np.multiply(s, g, out=s)
+                # value -= lr ((m / bias1) / (sqrt(v / bias2) + eps))
+                np.divide(vc, bias2, out=s)
+                np.sqrt(s, out=s)
+                s += spec.adam_epsilon
+                np.divide(mc, bias1, out=u)
+                u /= s
+                flat[start:end] -= np.multiply(spec.learning_rate, u, out=u)
 
 
 class _Sgd:
@@ -685,11 +724,12 @@ def check_network_gradients(network: Network, x, labels, epsilon: float = 1e-5,
 #     BNRM (features, style)            gamma, beta, running_mean, running_var
 #                                       style 0 = conv channels, 1 = flat entries
 #     DENS (out, in)                    weights then bias
-# Records appear in network order; relu is implied on every conv and on every
-# dense except the last.  The INPT, CONV, POOL, BNRM and DENS dims determine a
-# NetworkConfig, and a file is valid exactly when its records equal
-# _record_layout of that config, nothing follows the last one and every payload
-# float is finite.
+# Records appear in network order.  relu is implied after every conv (the
+# network applies it to the pooled map, as every CONV is followed by a POOL)
+# and after every dense except the last.  The INPT, CONV, POOL, BNRM and DENS
+# dims determine a NetworkConfig, and a file is valid exactly when its records
+# equal _record_layout of that config, nothing follows the last one and every
+# payload float is finite.
 
 _TAGS = (b"INPT", b"CONV", b"POOL", b"BNRM", b"DENS")
 

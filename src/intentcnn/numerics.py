@@ -191,7 +191,9 @@ def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarr
     windows overlap, a frame adds up its windows' shares in window order.
 
     Each tap's share is masked without branches (``_masked``), bit for bit
-    equal to ``np.where(first_max, upstream, 0)``.
+    equal to ``np.where(first_max, upstream, 0)``.  Each tap is copied to one
+    contiguous buffer before it is compared: NumPy copies a strided view and
+    compares the copy in about half the time it compares the view.
     """
     xb, batched = _pool_input(x, pool, stride)
     taps = _taps(xb, pool, stride)
@@ -202,10 +204,14 @@ def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarr
         raise DimensionError(f"upstream shape {upb.shape} does not match pooled output "
                              f"{taps[0].shape}")
     out = functools.reduce(np.maximum, taps)
+    tap_values = np.empty(out.shape, dtype=xb.dtype)
+    first = np.empty(out.shape, dtype=bool)
     found = np.zeros(out.shape, dtype=bool)         # windows whose first max is routed
     shares = []
     for tap in taps:
-        first = (tap == out) & ~found
+        np.copyto(tap_values, tap)
+        np.equal(tap_values, out, out=first)
+        np.greater(first, found, out=first)         # a max, and no earlier one
         found |= first
         shares.append(_masked(upb, first))
     dx = np.zeros_like(xb)

@@ -215,3 +215,34 @@ def parse_trace_csv_cells(path: str, expected_rate_hz: float = 100.0):
     values = np.array([np.frombuffer(struct.pack(f"<{len(col)}f", *col), dtype="<f4")
                        for col in columns], dtype=np.float32)
     return values, tuple(header[1:])
+
+
+class AdamWholeArray:
+    """Adam as one allocating NumPy expression per parameter: the formula the
+    chunked ``model._Adam`` must match bit for bit."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.step = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def apply(self, params, grads) -> None:
+        spec = self.spec
+        self.step += 1
+        bias1 = 1.0 - spec.beta1 ** self.step
+        bias2 = 1.0 - spec.beta2 ** self.step
+        for key, value in params:
+            grad = grads[key]
+            m = self.m.get(key)
+            if m is None:
+                m = np.zeros_like(value)
+                self.m[key] = m
+                self.v[key] = np.zeros_like(value)
+            v = self.v[key]
+            m *= spec.beta1
+            m += (1.0 - spec.beta1) * grad
+            v *= spec.beta2
+            v += (1.0 - spec.beta2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + spec.adam_epsilon)
+            value -= spec.learning_rate * update.astype(value.dtype, copy=False)

@@ -1,14 +1,16 @@
 """Command-line interface tests: subcommands, exit codes, override layering."""
 
 import io
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from intentcnn import errors
 from intentcnn.cli import main
-from intentcnn.dataset import load_csv_dir
-from intentcnn.model import load_model
+from intentcnn.dataset import StandardizationStats, load_csv_dir, save_stats
+from intentcnn.model import NetworkConfig, build_network, load_model, save_model, serialize
 
 TINY_EXPERIMENT = """
 experiment.id = tinycli
@@ -76,6 +78,45 @@ def test_data_error_exits_3(tmp_path, capsys):
     assert main(["predict", "--model", missing, "--stats", stats,
                  "--trace", trace]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _documented_exit_codes() -> dict[str, int]:
+    """errors.py's docstring map, e.g. {'ConfigError': 2, 'DataError': 3, 'TrainingError': 4}."""
+    text = " ".join(errors.__doc__.split())
+    return {name: int(code) for name, code in re.findall(r"(\w+Error)\b[^>]*?-> (\d)", text)}
+
+
+TINY_NETWORK = NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2), kernel_width=3,
+                             fc_sizes=(8,), num_classes=3)
+
+
+def _unknown_config_key(tmp_path):
+    config = write_config(tmp_path, TINY_EXPERIMENT + "model.kernel_widht = 3\n")
+    return ["train", "--config", config, "--out", str(tmp_path / "out")], "unknown"
+
+
+def _truncated_model_file(tmp_path):
+    model = tmp_path / "model.intc"
+    model.write_bytes(serialize(build_network(TINY_NETWORK))[:-6])
+    return ["predict", "--model", str(model), "--stats", str(tmp_path / "stats.csv"),
+            "--trace", str(tmp_path / "trace.csv")], "truncated"
+
+
+def _diverging_training(tmp_path):
+    config = write_config(tmp_path, TINY_EXPERIMENT + "train.learning_rate = 1e30\n")
+    return ["train", "--config", config, "--out", str(tmp_path / "out")], "non-finite"
+
+
+@pytest.mark.parametrize("failure, make_argv", [("ConfigError", _unknown_config_key),
+                                                ("DataError", _truncated_model_file),
+                                                ("TrainingError", _diverging_training)])
+def test_exit_codes_follow_the_documented_map(tmp_path, capsys, failure, make_argv):
+    argv, reason = make_argv(tmp_path)
+    with np.errstate(all="ignore"):
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == _documented_exit_codes()[failure]
+    assert err.startswith("error: ") and reason in err
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +432,18 @@ def test_predict_with_a_nan_weight_exits_3_naming_the_record(tmp_path, capsys):
     assert main(["predict", "--model", str(corrupt), "--stats", str(model_dir / "stats.csv"),
                  "--trace", str(data_dir / "task1_trial01.csv")]) == 3
     assert "record 1 at byte 28 (CONV) holds a NaN or Inf value" in capsys.readouterr().err
+
+
+def test_predict_on_a_non_utf8_trace_exits_3_without_echoing_it(tmp_path, capsys):
+    model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
+    save_model(build_network(TINY_NETWORK), model)
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    rows = "t,c01,c02\n" + "".join(f"{i / 100:.2f},0.5,-0.5\n" for i in range(30))
+    bad_at = len(rows) // 2
+    with open(trace, "wb") as fh:
+        fh.write(rows[:bad_at].encode() + b"\xff" + rows[bad_at:].encode())
+    assert main(["predict", "--model", model, "--stats", stats, "--trace", trace]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}: not UTF-8 at byte {bad_at}\n")
 
 
 def test_predict_names_the_non_finite_cell_and_prints_nothing_else(tmp_path, capsys):

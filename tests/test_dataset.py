@@ -224,6 +224,20 @@ def test_parse_trace_csv_time_deltas_beyond_float64_are_a_rate_error(tmp_path):
             parse_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("reader, header", [(parse_trace_csv, "t,a\n"),
+                                             (load_stats, "channel,mean,std\n")])
+@pytest.mark.parametrize("bad_at", [0, 9000])     # past the first 8 KiB read block
+def test_non_utf8_csv_is_a_format_error_naming_the_byte(tmp_path, reader, header, bad_at):
+    path = tmp_path / "file.csv"
+    good = (header + "".join(f"{i / 100:.2f},{i}\n" for i in range(2000))).encode()
+    assert len(good) > bad_at
+    path.write_bytes(good[:bad_at] + b"\xff\xfe" + good[bad_at:])
+    with pytest.raises(FormatError) as got:
+        reader(str(path))
+    assert str(got.value) == f"{path}: not UTF-8 at byte {bad_at}"
+    assert got.value.__cause__ is None and got.value.__suppress_context__
+
+
 def test_label_from_filename():
     assert label_from_filename("task3_trial07.csv") == (3, 7)
     assert label_from_filename("/some/dir/task12_trial00.csv") == (12, 0)

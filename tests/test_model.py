@@ -16,9 +16,11 @@ from intentcnn.errors import (
     TrainingError,
 )
 from intentcnn.model import (
+    ADAM_CHUNK,
     BatchNormLayer,
     NetworkConfig,
     TrainSpec,
+    _Adam,
     _batch_plan,
     build_network,
     check_network_gradients,
@@ -33,7 +35,7 @@ from intentcnn.model import (
 )
 from intentcnn.config import KeyReader
 
-from oracles import simulate_shapes
+from oracles import AdamWholeArray, simulate_shapes
 
 SMALL = NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
                       pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3)
@@ -248,6 +250,30 @@ def test_train_spec_validation():
         TrainSpec(optimizer="adagrad")
     with pytest.raises(ConfigError):
         TrainSpec(learning_rate=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_adam_is_bitwise_the_whole_array_formula(dtype):
+    sizes = [1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5]
+    rng = np.random.default_rng(7)
+    shapes = [(n,) for n in sizes] + [(5, 3, 7)]
+    start = [rng.normal(0.0, 0.1, size=shape).astype(dtype) for shape in shapes]
+    params = [(f"p{i}", value.copy()) for i, value in enumerate(start)]
+    reference = [(f"p{i}", value.copy()) for i, value in enumerate(start)]
+    spec = TrainSpec(learning_rate=3e-3)
+    adam, oracle = _Adam(spec), AdamWholeArray(spec)
+    for _ in range(4):
+        # gradients over many decades, so the sqrt and division round often
+        grads = {key: (rng.standard_normal(value.shape)
+                       * 10.0 ** rng.uniform(-9, 3, size=value.shape)).astype(dtype)
+                 for key, value in params}
+        adam.apply(params, grads)
+        oracle.apply(reference, grads)
+    for (key, got), (_, want) in zip(params, reference):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), key
+        assert adam.m[key].tobytes() == oracle.m[key].tobytes(), key
+        assert adam.v[key].tobytes() == oracle.v[key].tobytes(), key
 
 
 def test_train_learns_separable_classes():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from intentcnn import numerics as nm
+from intentcnn.model import PoolLayer
 from intentcnn.errors import (
     DegenerateInputError,
     DimensionError,
@@ -348,6 +349,32 @@ def test_maxpool_backward_is_bitwise_loop_oracle(data, dtype, batch, channels, p
                      for b in range(batch)])
     assert got.dtype == want.dtype == dtype
     npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
+
+
+@_MASK_SETTINGS
+@given(data=st.data(), dtype=_FLOAT_DTYPES, batch=st.integers(1, 3), channels=st.integers(1, 3),
+       window=st.one_of(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
+                        st.tuples(st.integers(1, 3), st.integers(1, 4))),
+       extra=st.integers(0, 8))
+def test_relu_folded_into_pooling_is_bitwise_relu_then_pool(data, dtype, batch, channels,
+                                                            window, extra):
+    # the reference runs relu on the whole map, pools, and backpropagates both;
+    # NaN may sit in pre too, as np.maximum propagates it in either order
+    pool, stride = window
+    pre = data.draw(hnp.arrays(dtype, (batch, channels, pool + extra),
+                               elements=_special_floats(dtype)))
+    activated = nm.relu_forward(pre)
+    want_out = nm.maxpool1d_forward(activated, pool, stride)
+    up = _upstream(data.draw, dtype, want_out.shape)
+    want_dx = nm.relu_backward(pre, nm.maxpool1d_backward(activated, pool, stride, up))
+    layer = PoolLayer("pool1", pool, stride)
+    out, cache = layer.forward_train(pre)
+    dx, grads = layer.backward(cache, up)
+    infer = layer.forward_infer(pre)
+    assert grads == {}
+    for got, want in ((out, want_out), (infer, want_out), (dx, want_dx)):
+        assert got.dtype == want.dtype == dtype
+        npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
 
 
 # ---------------------------------------------------------------------------
