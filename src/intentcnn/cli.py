@@ -1,9 +1,11 @@
 """Command-line entry point: generate / train / eval / predict / stream.
 
-One binary, five subcommands, one configuration story: flat ``key = value``
-files layered under command-line ``--set key=value`` overrides (command line
-beats file, file beats built-in defaults).  ``--show-config`` prints the
-effective merged configuration without running anything.
+One binary, five subcommands.  ``generate``, ``train`` and ``eval`` share one
+configuration story: flat ``key = value`` files layered under command-line
+``--set key=value`` overrides and ``--seed`` (command line beats file, file
+beats built-in defaults).  ``--show-config`` prints the effective merged
+configuration without running anything.  ``predict`` and ``stream`` take only
+their own options.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 data error, 4 training or other runtime error.  The ``INTENT_LOG``
@@ -24,7 +26,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .config import layer_configs, parse_kv_file, render_kv
+from .config import parse_kv_file, read_utf8, render_kv
 from .dataset import (
     SynthSpec,
     format_ratio,
@@ -110,24 +112,16 @@ def _parse_set_items(items) -> dict[str, str]:
 
 
 def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
-                     config_path: str | None = None) -> dict[str, str]:
-    """defaults < config file < --set < dedicated flags."""
-    path = config_path if config_path is not None else getattr(args, "config", None)
-    file_pairs = parse_kv_file(path) if path else {}
-    flag_pairs: dict[str, str] = {}
-    if getattr(args, "seed", None) is not None:
-        flag_pairs[seed_key] = str(args.seed)
-    return layer_configs(defaults, file_pairs, _parse_set_items(args.set), flag_pairs)
+                     path: str | None) -> dict[str, str]:
+    """defaults < config file ``path`` < --set < --seed."""
+    return {**defaults, **(parse_kv_file(path) if path else {}), **_parse_set_items(args.set),
+            **({} if args.seed is None else {seed_key: str(args.seed)})}
 
 
 def _read_labels(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read labels file {path!r}: {exc}") from exc
+    names = [line.strip() for line in read_utf8(path, ConfigError).splitlines() if line.strip()]
     if not names:
         raise ConfigError(f"labels file {path!r} is empty")
     return tuple(names)
@@ -143,7 +137,7 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    pairs = _effective_pairs(args, _generate_defaults(), seed_key="seed")
+    pairs = _effective_pairs(args, _generate_defaults(), "seed", args.config)
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
@@ -167,12 +161,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    pairs = _effective_pairs(args, _experiment_defaults(), seed_key="experiment.seed")
+    pairs = _effective_pairs(args, _experiment_defaults(), "experiment.seed", args.config)
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
     pairs.setdefault("experiment.id", "train")
-    spec = parse_experiment_config(pairs)
+    spec = parse_experiment_config(pairs, origin=args.config or "<defaults>")
     spec = replace(spec, ratios=(spec.ratios[0],))
     report = run_experiment(spec)
     outcome = report.outcomes[0]
@@ -195,14 +189,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     defaults = _experiment_defaults()
-    all_pairs = [_effective_pairs(args, defaults, seed_key="experiment.seed",
-                                  config_path=path) for path in args.config]
+    all_pairs = [_effective_pairs(args, defaults, "experiment.seed", path)
+                 for path in args.config]
     if args.show_config:
         for path, pairs in zip(args.config, all_pairs):
             print(f"# {path}")
             sys.stdout.write(render_kv(pairs))
         return 0
-    specs = [parse_experiment_config(pairs) for pairs in all_pairs]
+    specs = [parse_experiment_config(pairs, origin=path)
+             for path, pairs in zip(args.config, all_pairs)]
     jobs = max(1, args.jobs)
     if jobs == 1:
         reports = [run_experiment(spec) for spec in specs]
@@ -261,14 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "robot-arm traces.")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(p, seed=True):
+    def add_common(p):
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--show-config", action="store_true",
                        help="print the effective merged config and exit")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the experiment/generation seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the experiment/generation seed")
 
     p = sub.add_parser("generate", help="write a synthetic trace dataset as CSVs")
     p.add_argument("--config", help="key=value generation recipe")
@@ -295,10 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True, help="standardization stats CSV")
     p.add_argument("--trace", required=True, help="trace CSV to classify")
     p.add_argument("--labels", help="class-name file (one per line)")
-    add_common(p, seed=False)
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface uniformity; prediction is "
-                        "deterministic")
 
     p = sub.add_parser("stream", help="classify a live frame stream per hop")
     p.add_argument("--model", required=True, help="trained model file")
@@ -310,10 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="hop length in frames")
     p.add_argument("--source", default="-",
                    help="'-' for standard input or tcp:HOST:PORT")
-    add_common(p, seed=False)
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface uniformity; streaming is "
-                        "deterministic")
     return parser
 
 
@@ -338,27 +324,13 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.subcommand](args)
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ConfigError):
-            return 2
-        if isinstance(exc.cause, DataError):
-            return 3
-        return 4
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         return 0                     # downstream consumer closed the pipe
-    except (IntentCnnError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:         # truly unexpected: still map to runtime
-        print(f"error: {exc!r}", file=sys.stderr)
-        return 4
+    except Exception as exc:         # every failure maps to an exit code
+        expected = isinstance(exc, (IntentCnnError, OSError, RuntimeError))
+        print(f"error: {exc}" if expected else f"error: {exc!r}", file=sys.stderr)
+        cause = exc.cause if isinstance(exc, ExperimentError) else exc
+        return 2 if isinstance(cause, ConfigError) else 3 if isinstance(cause, DataError) else 4
 
 
 def entrypoint() -> None:

@@ -1,10 +1,9 @@
-"""Flat ``key = value`` configuration files and override layering.
+"""Flat ``key = value`` configuration files and typed access to their values.
 
 Format: one pair per line, ``#`` starts a comment, blank lines ignored.
 Values are plain strings; the consumer converts them with the typed ``take_*``
 helpers below.  List-valued keys accept comma and/or whitespace separated
-items.  Precedence is handled by :func:`layer_configs`: built-in defaults are
-overridden by the config file, which is overridden by command-line pairs.
+items.
 """
 
 from __future__ import annotations
@@ -17,38 +16,34 @@ from .errors import ConfigError
 _KV_RE = re.compile(r"^([A-Za-z0-9_.]+)\s*=\s*(.*)$")
 
 
-def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Parse flat key=value text into an ordered dict of raw string values."""
+def read_utf8(path: str, error: type[Exception]) -> str:
+    """The text of a UTF-8 file.  A file that cannot be read or is not UTF-8
+    raises ``error``; the message gives the offending byte's offset, never the
+    file's bytes."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
+def parse_kv_file(path: str) -> dict[str, str]:
+    """Parse a flat key=value file into an ordered dict of raw string values."""
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _KV_RE.match(line)
         if m is None:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = m.group(1), m.group(2).strip()
         if key in pairs:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         pairs[key] = value
     return pairs
-
-
-def parse_kv_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_kv_text(text, origin=path)
-
-
-def layer_configs(*layers: dict[str, str]) -> dict[str, str]:
-    """Merge config dicts; later layers win.  Layer order: defaults, file, CLI."""
-    merged: dict[str, str] = {}
-    for layer in layers:
-        merged.update(layer)
-    return merged
 
 
 def split_list(value: str) -> list[str]:

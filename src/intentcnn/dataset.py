@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import KeyReader, parse_kv_file
+from .config import KeyReader, read_utf8
 from .errors import (
     ConfigError,
     DimensionError,
@@ -147,17 +147,8 @@ class LabeledDataset:
 # ---------------------------------------------------------------------------
 
 def _read_csv_rows(path: str) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file.  A file that cannot be read or is not
-    UTF-8 is a FormatError; the message gives the offending byte's offset,
-    never the file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
-    return list(csv.reader(io.StringIO(text, newline="")))
+    """Every row of a UTF-8 CSV file (:func:`read_utf8` with FormatError)."""
+    return list(csv.reader(io.StringIO(read_utf8(path, FormatError), newline="")))
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
@@ -698,10 +689,8 @@ _SYNTH_FIELDS = tuple(f.name for f in fields(SynthSpec) if f.name != "frame_rang
 SYNTH_KEYS = _SYNTH_FIELDS + ("frame_min", "frame_max")
 
 
-def parse_synth_spec(source: str | dict, origin: str = "<config>") -> SynthSpec:
-    """Build a SynthSpec from a flat key=value file path or an already-parsed dict."""
-    pairs = parse_kv_file(source) if isinstance(source, str) else dict(source)
-    origin = source if isinstance(source, str) else origin
+def parse_synth_spec(pairs: dict[str, str], origin: str = "<config>") -> SynthSpec:
+    """Build a SynthSpec from parsed key=value pairs; ``origin`` names them in errors."""
     reader = KeyReader(pairs, origin=origin)
     lo, hi = SynthSpec.frame_range
     frame_range = (reader.take_int("frame_min", lo), reader.take_int("frame_max", hi))

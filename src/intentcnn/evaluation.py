@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import KeyReader, parse_kv_file
+from .config import KeyReader
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
     SYNTH_KEYS,
@@ -310,8 +310,6 @@ def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, sta
 # ---------------------------------------------------------------------------
 
 def standard_experiment(name: str, seed: int = 0,
-                        ratios: tuple[tuple[float, float, float], ...] = DEFAULT_RATIOS,
-                        network: NetworkConfig | None = None,
                         train_spec: TrainSpec | None = None) -> ExperimentSpec:
     """The eight preset experiments over the two synthetic stand-in sources.
 
@@ -346,10 +344,8 @@ def standard_experiment(name: str, seed: int = 0,
     else:  # e8
         spec = dict(sources=(data2, data3), select=None,
                     relabel_positive=("gridsurvey",))
-    return ExperimentSpec(experiment_id=key, ratios=ratios, seed=seed,
-                          network=network if network is not None else NetworkConfig(),
-                          train=train_spec if train_spec is not None else TrainSpec(),
-                          **spec)
+    return ExperimentSpec(experiment_id=key, seed=seed,
+                          train=train_spec if train_spec is not None else TrainSpec(), **spec)
 
 
 # ---------------------------------------------------------------------------
@@ -359,53 +355,46 @@ def standard_experiment(name: str, seed: int = 0,
 _SOURCE_KEY_RE = re.compile(r"^source\.(\d+)\.(.+)$")
 
 
-def parse_experiment_config(source: str | dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from flat key=value pairs (file path or dict).
+def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>") -> ExperimentSpec:
+    """Build an ExperimentSpec from parsed key=value pairs; ``origin`` names them in errors.
 
     Recognized keys: ``experiment.id`` (required), ``experiment.seed``,
     ``experiment.ratios`` (comma list of a/b/c triples), ``experiment.select``,
     ``experiment.relabel_positive``, ``experiment.block_frames``,
-    ``experiment.standard`` (an e1..e8 preset name; explicit keys override its
-    choices), per-source ``source.N.*`` blocks (numbered from 1), and the
-    ``model.*`` / ``train.*`` blocks.  A generated source without an explicit
-    ``source.N.seed`` uses experiment seed + 101*N.
+    ``experiment.standard`` (an e1..e8 preset name supplying the id, sources,
+    select and relabel_positive that the explicit keys leave out), per-source
+    ``source.N.*`` blocks (numbered from 1), and the ``model.*`` / ``train.*``
+    blocks.  Every other field takes its ExperimentSpec default.  A generated
+    source without an explicit ``source.N.seed`` uses experiment seed + 101*N.
     """
-    pairs = parse_kv_file(source) if isinstance(source, str) else dict(source)
-    origin = source if isinstance(source, str) else "<config>"
     reader = KeyReader(pairs, origin=origin)
     standard = reader.take_str("experiment.standard")
     seed = reader.take_int("experiment.seed", 0)
-    base = standard_experiment(standard, seed=seed) if standard else None
+    preset = standard_experiment(standard, seed=seed) if standard else None
 
-    experiment_id = reader.take_str("experiment.id",
-                                    base.experiment_id if base else None)
+    experiment_id = reader.take_str("experiment.id", preset and preset.experiment_id)
     if experiment_id is None:
         raise ConfigError(f"{origin}: experiment.id is required")
     ratio_items = reader.take_list("experiment.ratios")
-    if ratio_items is not None:
-        ratios = tuple(_parse_ratio(item, origin) for item in ratio_items)
-    else:
-        ratios = base.ratios if base else DEFAULT_RATIOS
+    ratios = (tuple(_parse_ratio(item, origin) for item in ratio_items)
+              if ratio_items is not None else DEFAULT_RATIOS)
     select = reader.take_list("experiment.select")
     relabel = reader.take_list("experiment.relabel_positive")
-    block_frames = reader.take_int("experiment.block_frames",
-                                   base.block_frames if base else DEFAULT_BLOCK_FRAMES)
+    block_frames = reader.take_int("experiment.block_frames", DEFAULT_BLOCK_FRAMES)
 
-    sources = _parse_sources(pairs, reader, seed, origin)
+    sources = _parse_sources(pairs, reader, seed, origin) or (preset and preset.sources)
     if not sources:
-        if base is None:
-            raise ConfigError(f"{origin}: at least one source.N.kind block is required")
-        sources = base.sources
+        raise ConfigError(f"{origin}: at least one source.N.kind block is required")
 
-    network = parse_network_config(reader, defaults=base.network if base else None)
-    train_spec = parse_train_spec(reader, defaults=base.train if base else None)
+    network = parse_network_config(reader)
+    train_spec = parse_train_spec(reader)
     reader.reject_unknown()
     return ExperimentSpec(
         experiment_id=experiment_id,
         sources=sources,
-        select=tuple(select) if select is not None else (base.select if base else None),
+        select=tuple(select) if select is not None else preset and preset.select,
         relabel_positive=(tuple(relabel) if relabel is not None
-                          else (base.relabel_positive if base else None)),
+                          else preset and preset.relabel_positive),
         ratios=ratios,
         seed=seed,
         network=network,

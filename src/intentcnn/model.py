@@ -135,11 +135,9 @@ def plan_layers(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def parse_network_config(reader: KeyReader, defaults: NetworkConfig | None = None,
-                         prefix: str = "model.") -> NetworkConfig:
+def parse_network_config(reader: KeyReader) -> NetworkConfig:
     """Read ``model.*`` keys (one per NetworkConfig field) from a KeyReader."""
-    return reader.take_fields(defaults if defaults is not None else NetworkConfig(), prefix,
-                              [f.name for f in fields(NetworkConfig)])
+    return reader.take_fields(NetworkConfig(), "model.", [f.name for f in fields(NetworkConfig)])
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +496,9 @@ class TrainResult:
 TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "optimizer", "patience", "seed")
 
 
-def parse_train_spec(reader: KeyReader, defaults: TrainSpec | None = None,
-                     prefix: str = "train.") -> TrainSpec:
-    return reader.take_fields(defaults if defaults is not None else TrainSpec(), prefix,
-                              TRAIN_KEYS)
+def parse_train_spec(reader: KeyReader) -> TrainSpec:
+    """Read the ``train.*`` keys (one per name in TRAIN_KEYS) from a KeyReader."""
+    return reader.take_fields(TrainSpec(), "train.", TRAIN_KEYS)
 
 
 # Elements per Adam chunk: every pass over a chunk of a parameter, its grad,

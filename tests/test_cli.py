@@ -1,15 +1,19 @@
 """Command-line interface tests: subcommands, exit codes, override layering."""
 
+import argparse
 import io
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from intentcnn import errors
+from intentcnn import cli, errors
 from intentcnn.cli import main
-from intentcnn.dataset import StandardizationStats, load_csv_dir, save_stats
+from intentcnn.config import parse_kv_file
+from intentcnn.dataset import StandardizationStats, load_csv_dir, parse_synth_spec, save_stats
+from intentcnn.evaluation import parse_experiment_config
 from intentcnn.model import NetworkConfig, build_network, load_model, save_model, serialize
 
 TINY_EXPERIMENT = """
@@ -28,6 +32,8 @@ model.fc_sizes = 8
 train.epochs = 2
 train.batch_size = 4
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_GENERATE = """
 num_classes = 2
@@ -472,3 +478,85 @@ def test_predict_names_the_non_finite_cell_and_prints_nothing_else(tmp_path, cap
             warnings.simplefilter("error")
             assert main(argv) == 3
         assert capsys.readouterr() == ("", expected)
+
+
+def _config_argv(tmp_path, path):
+    return ["train", "--config", path, "--out", str(tmp_path / "out")]
+
+
+def _labels_argv(tmp_path, path):
+    model, stats = str(tmp_path / "m.intc"), str(tmp_path / "s.csv")
+    save_model(build_network(TINY_NETWORK), model)
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    return ["predict", "--model", model, "--stats", stats, "--labels", path,
+            "--trace", str(tmp_path / "t.csv")]
+
+
+@pytest.mark.parametrize("text, make_argv", [(TINY_EXPERIMENT, _config_argv),
+                                             ("task1\ntask2\ntask3\n", _labels_argv)],
+                         ids=["config", "labels"])
+def test_a_non_utf8_config_or_labels_file_exits_2_without_echoing_it(tmp_path, capsys,
+                                                                    text, make_argv):
+    path = str(tmp_path / "input.txt")
+    bad_at = len(text) // 2
+    with open(path, "wb") as fh:
+        fh.write(text[:bad_at].encode() + b"\xff" + text[bad_at:].encode())
+    assert main(make_argv(tmp_path, path)) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 at byte {bad_at}\n")
+
+
+def test_config_errors_name_their_file(tmp_path, capsys):
+    good = write_config(tmp_path, TINY_EXPERIMENT, "good.cfg")
+    bad = write_config(tmp_path, TINY_EXPERIMENT + "model.bogus = 1\n", "bad.cfg")
+    for argv in (["train", "--config", bad], ["eval", "--config", good, bad]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: unknown key(s): model.bogus\n")
+
+
+@pytest.mark.parametrize("command, config, parse", [("train", "e5.cfg", parse_experiment_config),
+                                                    ("generate", "synth6.cfg", parse_synth_spec)])
+def test_show_config_is_a_fixed_point(tmp_path, capsys, command, config, parse):
+    config = str(CONFIGS / config)
+    assert main([command, "--config", config, "--show-config"]) == 0
+    shown = capsys.readouterr().out
+    path = write_config(tmp_path, shown, "shown.cfg")
+    assert main([command, "--config", path, "--show-config"]) == 0
+    assert capsys.readouterr().out == shown
+    assert parse(parse_kv_file(path)) == parse(parse_kv_file(config))
+
+
+def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    data, model = tmp_path / "data", tmp_path / "model"
+    trace = data / "task1_trial01.csv"
+    train_config = write_config(tmp_path, TINY_EXPERIMENT, "train.cfg")
+    trained = ["--model", str(model / "model.intc"), "--stats", str(model / "stats.csv"),
+               "--labels", str(model / "labels.txt")]
+    runs = {
+        "generate": ["--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                     "--out", str(data)],
+        "train": ["--config", train_config, "--out", str(model)],
+        "eval": ["--config", train_config, "--out", str(tmp_path / "reports")],
+        "predict": trained + ["--trace", str(trace)],
+        "stream": trained + ["--window", "10", "--hop", "5"],
+    }
+    parser = cli._build_parser()
+    for command, argv in runs.items():
+        if command == "stream":
+            frames = [row.split(",", 1)[1] for row in trace.read_text().splitlines()[1:]]
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(frames) + "\n"))
+        args = parser.parse_args([command, *argv], namespace=Recording())
+        read.clear()
+        assert cli._COMMANDS[command](args) == 0
+        accepted = set(vars(args)) - {"subcommand"}
+        assert accepted <= read, f"{command} never reads {sorted(accepted - read)}"
+    capsys.readouterr()
+    assert main(["predict", *runs["predict"], "--show-config"]) == 2
+    assert main(["stream", *runs["stream"], "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments") == 2

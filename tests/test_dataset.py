@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 
+from intentcnn.config import parse_kv_file
 from intentcnn.dataset import (
     LabeledDataset,
     SplitSpec,
@@ -652,7 +653,7 @@ def test_parse_synth_spec_from_dict_and_unknown_keys():
 def test_parse_synth_spec_from_file(tmp_path):
     path = tmp_path / "synth.cfg"
     path.write_text("# comment\nnum_classes = 3\nseed = 9\n")
-    spec = parse_synth_spec(str(path))
+    spec = parse_synth_spec(parse_kv_file(str(path)), origin=str(path))
     assert spec.num_classes == 3
     assert spec.seed == 9
     assert spec.trials_per_class == 20  # default preserved

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from intentcnn.config import parse_kv_file
 from intentcnn.dataset import SynthSpec, load_stats
 from intentcnn.errors import ConfigError, ExperimentError, InputError
 from intentcnn.evaluation import (
@@ -375,7 +376,7 @@ def test_parse_experiment_config_file(tmp_path):
         "source.1.num_classes = 3\n"
         "train.epochs = 2\n"
     )
-    spec = parse_experiment_config(str(path))
+    spec = parse_experiment_config(parse_kv_file(str(path)), origin=str(path))
     assert spec.experiment_id == "filecfg"
     assert spec.ratios == ((0.8, 0.1, 0.1),)
     assert spec.train.epochs == 2
