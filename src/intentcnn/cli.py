@@ -3,9 +3,9 @@
 One binary, five subcommands.  ``generate``, ``train`` and ``eval`` share one
 configuration story: flat ``key = value`` files layered under command-line
 ``--set key=value`` overrides and ``--seed`` (command line beats file, file
-beats built-in defaults).  ``--show-config`` prints the effective merged
-configuration without running anything.  ``predict`` and ``stream`` take only
-their own options.
+beats built-in defaults).  ``--show-config`` parses the effective merged
+configuration and prints it without running anything.  ``predict`` and
+``stream`` take only their own options.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 data error, 4 training or other runtime error.  The ``INTENT_LOG``
@@ -138,10 +138,10 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_generate(args) -> int:
     pairs = _effective_pairs(args, _generate_defaults(), "seed", args.config)
+    spec = parse_synth_spec(pairs, origin=args.config or "<defaults>")
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
-    spec = parse_synth_spec(pairs, origin=args.config or "<defaults>")
     data = synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)
     manifest_rows = []
@@ -161,12 +161,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    pairs = _effective_pairs(args, _experiment_defaults(), "experiment.seed", args.config)
+    defaults = _experiment_defaults()
+    pairs = _effective_pairs(args, defaults, "experiment.seed", args.config)
+    # the bare defaults name no source; --show-config prints them as a template
+    spec = None if args.show_config and pairs == defaults else parse_experiment_config(
+        {"experiment.id": "train", **pairs}, origin=args.config or "<defaults>")
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
-    pairs.setdefault("experiment.id", "train")
-    spec = parse_experiment_config(pairs, origin=args.config or "<defaults>")
     spec = replace(spec, ratios=(spec.ratios[0],))
     report = run_experiment(spec)
     outcome = report.outcomes[0]
@@ -191,13 +193,13 @@ def _cmd_eval(args) -> int:
     defaults = _experiment_defaults()
     all_pairs = [_effective_pairs(args, defaults, "experiment.seed", path)
                  for path in args.config]
+    specs = [parse_experiment_config(pairs, origin=path)
+             for path, pairs in zip(args.config, all_pairs)]
     if args.show_config:
         for path, pairs in zip(args.config, all_pairs):
             print(f"# {path}")
             sys.stdout.write(render_kv(pairs))
         return 0
-    specs = [parse_experiment_config(pairs, origin=path)
-             for path, pairs in zip(args.config, all_pairs)]
     jobs = max(1, args.jobs)
     if jobs == 1:
         reports = [run_experiment(spec) for spec in specs]

@@ -17,20 +17,28 @@ Wire formats:
 Malformed input lines (the wrong value count, a value that breaks the number
 rule of trace cells: anything ``float()`` accepts whose float32 rounding is
 finite, or on a TCP source bytes that are not UTF-8) produce a structured
-error record and are skipped (the stream keeps running).
+error record and are skipped (the stream keeps running).  A hop whose
+standardized window does not fit float32, or whose logits are not finite (a
+frame far outside the training statistics), is an error record for the hop's
+last line; the frames stay in the window.
+
+The stream holds one fixed ``(channels, 2 * window_frames)`` float32 ring:
+frames are written from column ``window_frames`` on, the zero columns before
+it are the warm-up front-fill, and when the ring is full its last
+``window_frames`` columns move to the front, so every window is a contiguous
+view and a hop copies no frames.
 """
 
 from __future__ import annotations
 
 import socket
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import StandardizationStats, _read_numbers, prepare_input
-from .errors import ConfigError, StreamError
+from .errors import ConfigError, NumericError, StreamError
 from .model import Network
 
 DEFAULT_WINDOW_FRAMES = 1000
@@ -100,7 +108,8 @@ class StreamErrorRecord:
 
 @dataclass(frozen=True)
 class Window:
-    """A raw (unstandardized) window; zeros front-fill during warm-up."""
+    """A raw (unstandardized) window; zeros front-fill during warm-up.  In a
+    stream, ``values`` is a view of the frame ring, valid until the next frame."""
 
     frame_index: int
     values: np.ndarray          # (channels, window_frames) float32
@@ -115,7 +124,8 @@ def window_extract(frame_buffer, cfg: WindowConfig) -> list[Window]:
     """All hop-aligned windows over a recorded buffer of shape (channels, frames).
 
     A window ends at every hop boundary (frames hop-1, 2*hop-1, ...); windows
-    that start before frame 0 are front-filled with zeros.
+    that start before frame 0 are front-filled with zeros.  The windows are
+    views of one zero-front-filled copy of the buffer.
     """
     buffer = np.asarray(frame_buffer, dtype=np.float32)
     if buffer.ndim != 2:
@@ -124,28 +134,35 @@ def window_extract(frame_buffer, cfg: WindowConfig) -> list[Window]:
     if buffer.shape[0] != cfg.channels:
         raise StreamError(f"frame buffer has {buffer.shape[0]} channels but the "
                           f"model expects {cfg.channels}")
-    return [_window(buffer[:, max(0, end + 1 - cfg.window_frames):end + 1], end, cfg)
+    w = cfg.window_frames
+    columns = np.zeros((cfg.channels, w + buffer.shape[1]), dtype=np.float32)
+    columns[:, w:] = buffer
+    return [_window(columns, w + end + 1, end, cfg)
             for end in range(cfg.hop_frames - 1, buffer.shape[1], cfg.hop_frames)]
 
 
-def _window(frames: np.ndarray, end: int, cfg: WindowConfig) -> Window:
-    """The window ending at stream frame ``end`` whose last columns are ``frames``."""
-    real = frames.shape[1]
-    values = np.zeros((cfg.channels, cfg.window_frames), dtype=np.float32)
-    values[:, cfg.window_frames - real:] = frames
-    return Window(frame_index=end, values=values, real_frames=real)
+def _window(columns: np.ndarray, stop: int, end: int, cfg: WindowConfig) -> Window:
+    """The window ending at stream frame ``end``: a view of the ``window_frames``
+    columns before ``stop``, where ``columns`` is zero before the first frame."""
+    return Window(frame_index=end, values=columns[:, stop - cfg.window_frames:stop],
+                  real_frames=min(end + 1, cfg.window_frames))
 
 
 def classify_window(window: Window, cfg: WindowConfig) -> StreamPrediction:
     """Standardize, pad, and classify one window.
 
     Only the real (received) frames are standardized; warm-up front-fill and
-    the tail padding stay exactly zero, matching training-time padding.
+    the tail padding stay exactly zero, matching training-time padding.  A
+    standardized value outside float32, or non-finite logits, raise
+    NumericError; those two checks decide, so NumPy's overflow warnings are off.
     """
     lo = cfg.window_frames - window.real_frames
-    x = prepare_input(window.values[:, lo:], cfg.stats, cfg.network.config.input_frames,
-                      offset=lo)
-    probs = cfg.network.predict_proba(x[None, :, :])[0]
+    with np.errstate(all="ignore"):
+        x = prepare_input(window.values[:, lo:], cfg.stats,
+                          cfg.network.config.input_frames, offset=lo)
+        if not np.isfinite(x).all():
+            raise NumericError("standardized window overflows float32")
+        probs = cfg.network.predict_proba(x[None, :, :])[0]
     return StreamPrediction(frame_index=window.frame_index,
                             label=int(np.argmax(probs)),
                             probs=probs,
@@ -153,20 +170,26 @@ def classify_window(window: Window, cfg: WindowConfig) -> StreamPrediction:
 
 
 class _StreamState:
-    """Rolling frame buffer that fires a classification at each hop boundary."""
+    """Frame ring that fires a classification at each hop boundary."""
 
     def __init__(self, cfg: WindowConfig):
         self.cfg = cfg
-        self.frames: deque[np.ndarray] = deque(maxlen=cfg.window_frames)
+        self.ring = np.zeros((cfg.channels, 2 * cfg.window_frames), dtype=np.float32)
+        self.stop = cfg.window_frames      # next column to write
         self.count = 0
 
     def push(self, frame: np.ndarray) -> StreamPrediction | None:
-        self.frames.append(frame)
+        w = self.cfg.window_frames
+        if self.stop == 2 * w:
+            self.ring[:, :w] = self.ring[:, w:]
+            self.stop = w
+        self.ring[:, self.stop] = frame
+        self.stop += 1
         self.count += 1
         if self.count % self.cfg.hop_frames != 0:
             return None
-        window = _window(np.stack(self.frames, axis=1), self.count - 1, self.cfg)
-        return classify_window(window, self.cfg)
+        return classify_window(_window(self.ring, self.stop, self.count - 1, self.cfg),
+                               self.cfg)
 
 
 def parse_frame_line(text: str, channels: int) -> np.ndarray:
@@ -189,7 +212,8 @@ def stream_classify(lines, cfg: WindowConfig):
 
     Blank lines are ignored.  A malformed line yields an error record and the
     frame is skipped — the frame counter does not advance, so window positions
-    refer to frames actually accepted.
+    refer to frames actually accepted.  A hop that overflows (NumericError)
+    yields an error record for its last line instead of a prediction.
     """
     state = _StreamState(cfg)
     for line_number, raw in enumerate(lines, start=1):
@@ -197,11 +221,10 @@ def stream_classify(lines, cfg: WindowConfig):
         if not text:
             continue
         try:
-            frame = parse_frame_line(text, cfg.channels)
-        except StreamError as exc:
+            prediction = state.push(parse_frame_line(text, cfg.channels))
+        except (StreamError, NumericError) as exc:
             yield StreamErrorRecord(line_number=line_number, message=str(exc), raw=text)
             continue
-        prediction = state.push(frame)
         if prediction is not None:
             yield prediction
 
@@ -242,5 +265,7 @@ def open_line_source(source: str):
         except OSError as exc:
             raise StreamError(f"cannot connect to {host}:{port}: {exc}") from exc
         # undecodable bytes become U+FFFD, so the line is an error record
-        return conn.makefile("r", encoding="utf-8", errors="replace")
+        lines = conn.makefile("r", encoding="utf-8", errors="replace")
+        conn.close()                   # the file keeps the connection until it is closed
+        return lines
     raise ConfigError(f"stream source must be '-' or 'tcp:HOST:PORT', got {source!r}")

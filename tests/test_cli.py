@@ -525,6 +525,18 @@ def test_show_config_is_a_fixed_point(tmp_path, capsys, command, config, parse):
     assert parse(parse_kv_file(path)) == parse(parse_kv_file(config))
 
 
+def test_show_config_rejects_what_its_command_rejects(tmp_path, capsys):
+    synth6 = str(CONFIGS / "synth6.cfg")
+    for argv in (["train", "--config", synth6], ["eval", "--config", synth6],
+                 ["generate", "--set", "bogus=1"], ["train", "--set", "train.epochs=3"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        rejected = capsys.readouterr()
+        assert rejected.err.startswith("error: ")
+        assert main(argv + ["--show-config"]) == 2
+        assert capsys.readouterr() == rejected
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):
     read: set[str] = set()
 

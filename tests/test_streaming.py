@@ -1,16 +1,20 @@
 """Sliding-window streaming tests: geometry, batch equivalence, wire formats."""
 
 import socket
+import struct
 import threading
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from intentcnn.dataset import StandardizationStats
+from intentcnn import cli
+from intentcnn.cli import main
+from intentcnn.dataset import StandardizationStats, save_stats
 from intentcnn.errors import ConfigError, StreamError
-from intentcnn.model import NetworkConfig, build_network
+from intentcnn.model import NetworkConfig, build_network, save_model
 from intentcnn.streaming import (
     StreamErrorRecord,
     StreamPrediction,
@@ -153,6 +157,47 @@ def test_stream_classify_matches_window_extract():
         assert live.probs.tobytes() == batch.probs.tobytes()
 
 
+@pytest.mark.parametrize("window, hop", [(7, 3), (10, 10), (20, 1),
+                                         (NET_CONFIG.input_frames, NET_CONFIG.input_frames)])
+def test_stream_ring_wraps_like_window_extract(window, hop):
+    cfg = make_config(window=window, hop=hop)
+    frames = 3 * window + 2 * hop + 1
+    buffer = np.random.default_rng(window + hop).normal(size=(2, frames)).astype(np.float32)
+    lines = buffer_lines(buffer)
+    # the ring moves its last window to the front before accepting frame k*window
+    for wrap in (2 * window, window):
+        lines.insert(wrap + 1, "0.5,oops\n")
+        lines.insert(wrap, "1.0\n")
+    events = list(stream_classify(lines, cfg))
+    assert sum(isinstance(e, StreamErrorRecord) for e in events) == 4
+    streamed = [e for e in events if isinstance(e, StreamPrediction)]
+    offline = [classify_window(w, cfg) for w in window_extract(buffer, cfg)]
+    assert len(streamed) == len(offline) == frames // hop
+    for live, batch in zip(streamed, offline):
+        assert (live.frame_index, live.warm_up) == (batch.frame_index, batch.warm_up)
+        assert live.probs.tobytes() == batch.probs.tobytes()
+
+
+def test_stream_hop_that_overflows_is_an_error_record():
+    cfg = make_config(window=20, hop=5)
+    buffer = np.random.default_rng(5).normal(size=(2, 50)).astype(np.float32)
+    lines = buffer_lines(buffer)
+    lines.insert(10, "0,3e38\n")      # fits float32, but (3e38 + 0.25) / 0.5 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        events = list(stream_classify(lines, cfg))
+    errors = [e for e in events if isinstance(e, StreamErrorRecord)]
+    # the frame is accepted as frame 10; the four hops whose window holds it fail
+    assert [(e.line_number, e.message) for e in errors] == \
+        [(n, "standardized window overflows float32") for n in (15, 20, 25, 30)]
+    hops = [e for e in events if isinstance(e, StreamPrediction)]
+    assert [h.frame_index for h in hops] == [4, 9, 34, 39, 44, 49]
+    clean = buffer_lines(np.insert(buffer, 10, 0.0, axis=1))
+    want = {p.frame_index: p for p in stream_classify(clean, cfg)}
+    for hop in hops[2:]:
+        assert hop.probs.tobytes() == want[hop.frame_index].probs.tobytes()
+
+
 def test_stream_classify_skips_malformed_lines():
     cfg = make_config(window=20, hop=5)
     buffer = np.random.default_rng(3).normal(size=(2, 10)).astype(np.float32)
@@ -201,10 +246,11 @@ def test_stream_classify_deterministic_output():
 
 _NUMBER = st.floats(-1e6, 1e6).map(repr)
 _TOKENS = st.one_of(_NUMBER, st.floats().map(repr), st.sampled_from(
-    ["", " 1.5", "1e39", "-nan", "inf", "3.40282357e38", "\u0661\u0662", "1_000", "0x10",
-     "\ufffd", "\x00", "1\r", "oops"]))
+    ["", " 1.5", "1e39", "-nan", "inf", "3.40282357e38", "3e38", "-2e38", "\u0661\u0662",
+     "1_000", "0x10", "\ufffd", "\x00", "1\r", "oops"]))
 _LINES = st.one_of(st.text(max_size=12), st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
-                   st.tuples(_NUMBER, _NUMBER).map(",".join))
+                   st.tuples(_NUMBER, _NUMBER).map(",".join),
+                   st.tuples(_NUMBER, st.sampled_from(["3e38", "-2e38"])).map(",".join))
 _FUZZ_CONFIG = make_config(window=4, hop=2)
 
 
@@ -219,15 +265,25 @@ def test_stream_classify_survives_arbitrary_text(lines):
             consumed.append(line)
             yield line
 
-    errors = 0
-    for event in stream_classify(source(), cfg):
-        if isinstance(event, StreamErrorRecord):
-            errors += 1
-            assert event.line_number == len(consumed)
-        else:
-            assert isinstance(event, StreamPrediction)
-            accepted = sum(1 for line in consumed if line.strip()) - errors
-            assert event.frame_index + 1 == accepted and accepted % cfg.hop_frames == 0
+    def parses(line):
+        try:
+            parse_frame_line(line.strip(), cfg.channels)
+        except StreamError:
+            return False
+        return bool(line.strip())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for event in stream_classify(source(), cfg):
+            accepted = sum(map(parses, consumed))
+            if isinstance(event, StreamErrorRecord):
+                assert event.line_number == len(consumed)
+                if not parses(consumed[-1]):
+                    continue                # a skipped line; otherwise a failed hop
+            else:
+                assert isinstance(event, StreamPrediction)
+                assert event.frame_index + 1 == accepted
+            assert accepted % cfg.hop_frames == 0
 
 
 def test_prediction_probs_must_sum_to_one():
@@ -348,3 +404,58 @@ def test_tcp_stream_turns_undecodable_bytes_into_an_error_record():
 def test_open_line_source_tcp_refused():
     with pytest.raises(StreamError):
         open_line_source("tcp:127.0.0.1:1")      # nothing listens on port 1
+
+
+def _stream_from_peer(tmp_path, capsys, monkeypatch, payload, reset):
+    """``intentcnn stream`` over TCP from a peer that sends ``payload`` and then
+    closes (FIN) or resets (RST) the connection; returns (exit code, out, err)."""
+    cfg = make_config()
+    save_model(cfg.network, str(tmp_path / "model.intc"))
+    save_stats(cfg.stats, ("a", "b"), str(tmp_path / "stats.csv"))
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(30)
+    source = f"tcp:127.0.0.1:{server.getsockname()[1]}"
+    connected = threading.Event()
+
+    def serve():
+        conn, _ = server.accept()
+        # a reset that overtakes connect() would fail the connect instead
+        connected.wait(30)
+        conn.sendall(payload)
+        if reset:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        lines = open_line_source(source)
+        connected.set()
+        monkeypatch.setattr(cli, "open_line_source", lambda _: lines)
+        code = main(["stream", "--model", str(tmp_path / "model.intc"),
+                     "--stats", str(tmp_path / "stats.csv"), "--window", "20", "--hop", "5",
+                     "--source", source])
+        lines.close()
+    finally:
+        connected.set()
+        thread.join(timeout=30)
+        server.close()
+    assert not thread.is_alive()
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+def test_tcp_stream_dropped_by_its_peer(tmp_path, capsys, monkeypatch):
+    buffer = np.random.default_rng(11).normal(size=(2, 250)).astype(np.float32)
+    payload = "".join(buffer_lines(buffer)).encode() + b"0.25,"
+    code, out, err = _stream_from_peer(tmp_path, capsys, monkeypatch, payload,
+                                       reset=False)
+    assert (code, err) == (0, "")
+    assert len(out) == 250 // 5 + 1
+    assert [int(line.split(",")[0]) for line in out[:-1]] == list(range(4, 250, 5))
+    assert out[-1] == "error,line=251,message=non-numeric value in frame"
+
+    code, reset_out, err = _stream_from_peer(tmp_path, capsys, monkeypatch, payload,
+                                             reset=True)
+    assert (code, err) == (4, "error: [Errno 104] Connection reset by peer\n")
+    assert reset_out == out[:len(reset_out)]
