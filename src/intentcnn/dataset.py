@@ -147,8 +147,22 @@ class LabeledDataset:
 # ---------------------------------------------------------------------------
 
 def _read_csv_rows(path: str) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file (:func:`read_utf8` with FormatError)."""
-    return list(csv.reader(io.StringIO(read_utf8(path, FormatError), newline="")))
+    r"""Every row of a UTF-8 CSV file (:func:`read_utf8` with FormatError), as
+    ``csv.reader`` reads it.  Text without a ``"`` needs no quote handling, so
+    it is split directly: records end at ``\r\n``, ``\r`` or ``\n`` (not at
+    the other breaks ``str.splitlines`` knows), a final terminator adds no
+    record and a blank record is ``[]``.  A ``csv.Error`` is a FormatError."""
+    text = read_utf8(path, FormatError)
+    if '"' not in text:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        return [line.split(",") if line else [] for line in lines]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
@@ -236,13 +250,12 @@ def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write all frames of a trace; float32 values round-trip exactly via %.9g."""
+    cells = ",".join(["%.9g"] * trace.channels)       # numbers never need quoting
+    rate = trace.sample_rate_hz
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("t",) + trace.channel_names)
-        for f in range(trace.frames):
-            row = [f"{f / trace.sample_rate_hz:.4f}"]
-            row.extend(f"{v:.9g}" for v in trace.values[:, f])
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(("t",) + trace.channel_names)
+        fh.writelines([f"{f / rate:.4f},{cells % tuple(row)}\n"
+                       for f, row in enumerate(trace.values.T.tolist())])
 
 
 def label_from_filename(name: str) -> tuple[int, int]:

@@ -246,3 +246,16 @@ class AdamWholeArray:
             v += (1.0 - spec.beta2) * grad * grad
             update = (m / bias1) / (np.sqrt(v / bias2) + spec.adam_epsilon)
             value -= spec.learning_rate * update.astype(value.dtype, copy=False)
+
+
+def write_trace_csv(trace, path: str) -> None:
+    """The trace writer as one ``csv.writer.writerow`` per frame over
+    ``f"{v:.9g}"`` of each float32 scalar: the bytes ``dataset.write_trace_csv``
+    must reproduce."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("t",) + trace.channel_names)
+        for f in range(trace.frames):
+            row = [f"{f / trace.sample_rate_hz:.4f}"]
+            row.extend(f"{v:.9g}" for v in trace.values[:, f])
+            writer.writerow(row)

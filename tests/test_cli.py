@@ -452,6 +452,49 @@ def test_predict_on_a_non_utf8_trace_exits_3_without_echoing_it(tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: {trace}: not UTF-8 at byte {bad_at}\n")
 
 
+_HUGE = "1" * 140_000                   # longer than csv's field limit of 131,072
+
+
+@pytest.mark.parametrize("trace_text, stats_text, message", [
+    ('t,"c01",c02\n0.00,1,2\n0.01,' + _HUGE + ',2\n', None,
+     "{trace}: line 3: field larger than field limit (131072)"),
+    ("t,c01,c02\n0.00,1,2\n0.01,2,3\n",
+     'channel,mean,std\n"c01,0.0,1.0\n' + "c02,0.0,1.0\n" * 15_000,
+     # the open field passes 131,072 characters on line 1 + ceil(131,073 / 12)
+     "{stats}: line 10924: field larger than field limit (131072)"),
+    ("t,c01,c02\n0.00,1,2\n0.01," + _HUGE + ",2\n", None,
+     "{trace}: row 3, column 'c01': non-finite value '" + _HUGE + "'"),
+], ids=["quoted-trace", "unterminated-quote-in-stats", "quote-free-trace"])
+def test_predict_on_an_oversized_csv_field_exits_3_naming_where(tmp_path, capsys, trace_text,
+                                                                stats_text, message):
+    model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
+    save_model(build_network(TINY_NETWORK), model)
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    if stats_text is not None:
+        Path(stats).write_text(stats_text)
+    Path(trace).write_text(trace_text)
+    assert main(["predict", "--model", model, "--stats", stats, "--trace", trace]) == 3
+    assert capsys.readouterr() == ("", f"error: {message.format(trace=trace, stats=stats)}\n")
+
+
+def test_predict_reports_an_overflowing_standardized_value_without_warnings(tmp_path, capsys):
+    model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
+    save_model(build_network(TINY_NETWORK), model)
+    argv = ["predict", "--model", model, "--stats", stats, "--trace", trace]
+    cells = {(3, 2): "3e38", (4, 1): "-3e38"}       # (frame, column): rows 5 and 6 of the file
+    Path(trace).write_text("t,c01,c02\n" + "".join(
+        f"{i / 100:.2f},{cells.get((i, 1), '0.5')},{cells.get((i, 2), '0.5')}\n"
+        for i in range(30)))
+    for std, expected in ((0.5, f"{trace}: row 5, column 'c02': standardized value overflows "
+                                "float32"),
+                          (1.0, "logits contains NaN or Inf")):
+        save_stats(StandardizationStats(mean=[0.0, 0.0], std=[std, std]), ("c01", "c02"), stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
 def test_predict_names_the_non_finite_cell_and_prints_nothing_else(tmp_path, capsys):
     model_dir = tmp_path / "model"
     assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),

@@ -1,7 +1,10 @@
 """Tests for trace ingestion, preprocessing, splitting and synthesis."""
 
+import csv
+import io
 import math
 import warnings
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,6 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 
+from intentcnn import dataset
 from intentcnn.config import parse_kv_file
 from intentcnn.dataset import (
     LabeledDataset,
@@ -113,6 +117,50 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     back = parse_trace_csv(path)
     npt.assert_array_equal(back.values, values)
     assert back.channel_names == ("fx", "fy", "fz", "px")
+
+
+@pytest.mark.parametrize("rate", [100.0, 250.0, 33.3, 1.0])
+def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, rate):
+    rng = np.random.default_rng(int(rate * 10))
+    bits = rng.integers(0, 2 ** 32, size=(5, 400), dtype=np.uint64).astype(np.uint32)
+    values = bits.view(np.float32)                  # every exponent, subnormals included
+    values[~np.isfinite(values)] = 0.0
+    info = np.finfo(np.float32)
+    values[:, :8] = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                     info.tiny, -info.tiny, info.max, -info.max]
+    values[:, 8:40] = rng.normal(0.0, 5.0, size=(5, 32))
+    names = ("a,b", 'say "hi"', "two\nlines", " lead", "fx")
+    for channels in (1, 5):
+        trace = Trace(values=values[:channels], channel_names=names[:channels],
+                      sample_rate_hz=rate)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_csv(trace, str(got))
+        oracles.write_trace_csv(trace, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+
+# everything csv.reader or str.splitlines treats specially, except the quote
+_UNQUOTED_CHARS = ",\x00\x0b\x0c\x1c\x85\u2028 0123456789.e-"
+_UNQUOTED_RECORD = st.text(st.sampled_from(_UNQUOTED_CHARS), max_size=8)
+_TERMINATOR = st.sampled_from(["\n", "\r", "\r\n"])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_quote_free_text_is_split_as_csv_reader_splits_it_without_csv(tmp_path_factory, data):
+    draw = data.draw
+    if draw(st.booleans()):
+        records = draw(st.lists(_UNQUOTED_RECORD, max_size=6))     # blank ones included
+        text = "".join(record + draw(_TERMINATOR) for record in records)
+        if records and draw(st.booleans()):
+            text = text.rstrip("\r\n")                            # no final terminator
+    else:
+        text = draw(st.text(st.sampled_from(_UNQUOTED_CHARS + "\r\n"), max_size=40))
+    want = list(csv.reader(io.StringIO(text, newline="")))
+    path = tmp_path_factory.getbasetemp() / "unquoted.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
+        assert dataset._read_csv_rows(str(path)) == want
 
 
 def test_parse_trace_csv_rejects_malformed(tmp_path):
