@@ -38,7 +38,8 @@ from .dataset import (
     synth_generate,
     write_trace_csv,
 )
-from .errors import ConfigError, DataError, ExperimentError, InputError, IntentCnnError, NumericError
+from .errors import (ConfigError, DataError, ExperimentError, InputError, IntentCnnError,
+                     NumericError, excerpt)
 from .evaluation import (
     ExperimentSpec,
     parse_experiment_config,
@@ -223,14 +224,16 @@ def _cmd_predict(args) -> int:
     trace = parse_trace_csv(args.trace)
     for k, (got, want) in enumerate(zip_longest(trace.channel_names, channel_names), start=1):
         if got != want:
-            raise InputError(f"{args.trace}: channel {k} is {got!r} where {args.stats} has {want!r}")
+            raise InputError(f"{args.trace}: channel {k} is {excerpt(got)} where {args.stats} "
+                             f"has {excerpt(want)}")
     with np.errstate(all="ignore"):      # overflow is reported by the checks, not warned
         x = prepare_input(trace.values, stats, network.config.input_frames)
         overflowed = ~np.isfinite(x[:, :trace.frames].T)
         if overflowed.any():
             r, c = divmod(int(np.argmax(overflowed)), trace.channels)
-            raise NumericError(f"{args.trace}: row {r + 2}, column {trace.channel_names[c]!r}: "
-                               f"standardized value overflows float32")
+            raise NumericError(f"{args.trace}: row {r + 2}, column "
+                               f"{excerpt(trace.channel_names[c])}: standardized value "
+                               f"overflows float32")
         probs = network.predict_proba(x[None, :, :])[0]
     label = int(np.argmax(probs))
     name = class_names[label] if class_names is not None else f"class{label}"

@@ -35,6 +35,7 @@ from .errors import (
     LabelingError,
     NumericError,
     RelabelError,
+    excerpt,
 )
 
 log = logging.getLogger(__name__)
@@ -203,8 +204,8 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     fits[:, 0] = np.isfinite(times)
     if not fits.all():
         r, c = divmod(int(np.argmin(fits)), len(header))
-        raise FormatError(f"{path}: row {r + 2}, column {header[c]!r}: "
-                          f"non-finite value {data_rows[r][c]!r}")
+        raise FormatError(f"{path}: row {r + 2}, column {excerpt(header[c])}: "
+                          f"non-finite value {excerpt(data_rows[r][c])}")
     if len(times) > 1:
         with np.errstate(over="ignore"):        # finite times can still differ by inf
             deltas = np.diff(times)
@@ -244,8 +245,18 @@ def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
             try:
                 _read_numbers([cell])
             except ValueError:
-                return f"{path}: row {r}, column {name!r}: non-numeric value {cell!r}"
+                return (f"{path}: row {r}, column {excerpt(name)}: "
+                        f"non-numeric value {excerpt(cell)}")
     raise AssertionError(f"{path}: bulk conversion failed but every cell reads alone")
+
+
+def _csv_cell(text: str) -> str:
+    r"""text as a CSV cell that reads back: quoted, with ``"`` doubled, if it
+    holds a comma, a quote or a line break.  (``csv.writer`` with a ``\n``
+    terminator leaves a lone ``\r`` bare, which then ends the record.)"""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -253,7 +264,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     cells = ",".join(["%.9g"] * trace.channels)       # numbers never need quoting
     rate = trace.sample_rate_hz
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(("t",) + trace.channel_names)
+        fh.write(",".join(map(_csv_cell, ("t",) + trace.channel_names)) + "\n")
         fh.writelines([f"{f / rate:.4f},{cells % tuple(row)}\n"
                        for f, row in enumerate(trace.values.T.tolist())])
 
@@ -417,10 +428,9 @@ def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
     if len(channel_names) != stats.channels:
         raise DimensionError(f"{len(channel_names)} names for {stats.channels} channels")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("channel", "mean", "std"))
-        for name, mu, sigma in zip(channel_names, stats.mean, stats.std):
-            writer.writerow((name, repr(float(mu)), repr(float(sigma))))
+        fh.write("channel,mean,std\n")
+        fh.writelines(f"{_csv_cell(name)},{float(mu)!r},{float(sigma)!r}\n"
+                      for name, mu, sigma in zip(channel_names, stats.mean, stats.std))
 
 
 def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:

@@ -76,3 +76,12 @@ class ExperimentError(IntentCnnError):
         self.experiment_id = experiment_id
         self.stage = stage
         self.cause = cause
+
+
+def excerpt(text, limit: int = 40) -> str:
+    """repr(text) for a message; a str longer than ``limit`` characters is cut
+    to its first ``limit`` plus its length, so that one huge cell or name
+    cannot blow an error line up to the size of a file."""
+    if not isinstance(text, str) or len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"

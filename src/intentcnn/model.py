@@ -172,9 +172,11 @@ class PoolLayer:
     """relu of the temporal max pooling of a conv pre-activation; no parameters.
 
     relu commutes with max pooling, so relu runs on the pooled map, about
-    1/stride the size of the conv output.  The backward pass masks upstream
-    where the output is not positive and routes the rest to each window's
-    first maximum of the pre-activation: the same bits as pooling relu(pre)
+    1/stride the size of the conv output.  ``forward_train`` keeps only the
+    pooling's routes (one boolean mask per window tap: "this tap is its
+    window's first maximum, and that maximum is > 0"), so the conv output is
+    freed once the forward pass moves on, and the backward pass compares
+    nothing.  Values and gradients are the same bits as pooling relu(pre)
     and masking by pre > 0 afterwards.
     """
 
@@ -187,15 +189,15 @@ class PoolLayer:
         return []
 
     def forward_train(self, pre):
-        out = self.forward_infer(pre)
-        return out, (pre, out)
+        pooled, routes = maxpool1d_forward(pre, self.pool, self.stride, routes=True)
+        routes.masks &= pooled > 0                  # relu: no gradient where the max is <= 0
+        return relu_forward(pooled), routes
 
     def forward_infer(self, pre):
         return relu_forward(maxpool1d_forward(pre, self.pool, self.stride))
 
-    def backward(self, cache, upstream):
-        pre, out = cache
-        return maxpool1d_backward(pre, self.pool, self.stride, relu_backward(out, upstream)), {}
+    def backward(self, routes, upstream):
+        return maxpool1d_backward(routes, self.pool, self.stride, upstream), {}
 
 
 class BatchNormLayer:

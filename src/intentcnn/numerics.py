@@ -174,49 +174,83 @@ def _pool_input(x: np.ndarray, pool: int, stride: int) -> tuple[np.ndarray, bool
     return xb, batched
 
 
-def maxpool1d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
+@dataclass
+class PoolRoutes:
+    """What maxpool1d_backward needs of a pooled input: ``masks[k]`` marks the
+    windows whose first maximum is tap k (a window holding NaN routes
+    nothing), and dx takes the input's ``shape`` and ``dtype``."""
+    masks: np.ndarray          # (pool, B, C, out_frames) bool
+    shape: tuple[int, ...]
+    dtype: np.dtype
+
+
+def _first_max_routes(xb: np.ndarray, batched: bool, pool: int, stride: int
+                      ) -> tuple[np.ndarray, PoolRoutes]:
+    """The window maxima of xb and their routes.
+
+    The taps are first copied to contiguous rows: NumPy copies a strided view
+    and then reduces and compares the copy in less time than it takes to
+    reduce and compare the view.
+    """
+    taps = _taps(xb, pool, stride)
+    values = np.empty((pool,) + taps[0].shape, dtype=xb.dtype)
+    for row, tap in zip(values, taps):
+        np.copyto(row, tap)
+    out = functools.reduce(np.maximum, values)
+    masks = np.empty(values.shape, dtype=bool)
+    found = np.zeros(out.shape, dtype=bool)         # windows whose first max is routed
+    for row, first in zip(values, masks):
+        np.equal(row, out, out=first)
+        np.greater(first, found, out=first)         # a max, and no earlier one
+        found |= first
+    return out, PoolRoutes(masks, xb.shape if batched else xb.shape[1:], xb.dtype)
+
+
+def maxpool1d_forward(x: np.ndarray, pool: int, stride: int, *, routes: bool = False):
     """Window-wise maximum along frames; out_frames = (frames - pool)//stride + 1.
 
     Trailing frames that do not fill a window are dropped.  Ties take the
-    earliest frame (relevant only to the backward pass).
+    earliest frame (relevant only to the backward pass).  With ``routes``
+    the call returns ``(out, PoolRoutes)``, so that the backward pass needs
+    no x.
     """
     xb, batched = _pool_input(x, pool, stride)
+    if routes:
+        out, kept = _first_max_routes(xb, batched, pool, stride)
+        return (out if batched else out[0]), kept
     taps = _taps(xb, pool, stride)
     out = functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
     return out if batched else out[0]
 
 
-def maxpool1d_backward(x: np.ndarray, pool: int, stride: int, upstream: np.ndarray) -> np.ndarray:
+def maxpool1d_backward(x: np.ndarray | PoolRoutes, pool: int, stride: int,
+                       upstream: np.ndarray) -> np.ndarray:
     """Route upstream gradient to each window's first maximal frame; where
     windows overlap, a frame adds up its windows' shares in window order.
 
-    Each tap's share is masked without branches (``_masked``), bit for bit
-    equal to ``np.where(first_max, upstream, 0)``.  Each tap is copied to one
-    contiguous buffer before it is compared: NumPy copies a strided view and
-    compares the copy in about half the time it compares the view.
+    x is the pooled input, or the PoolRoutes that maxpool1d_forward kept of
+    it; an input map goes through the same route builder first.  Each tap's
+    share is masked without branches (``_masked``), bit for bit equal to
+    ``np.where(route, upstream, 0)``, and added into a zero dx.
     """
-    xb, batched = _pool_input(x, pool, stride)
-    taps = _taps(xb, pool, stride)
+    if isinstance(x, PoolRoutes):
+        routes = x
+    else:
+        _, routes = _first_max_routes(*_pool_input(x, pool, stride), pool, stride)
+    batched = len(routes.shape) == 3
+    shape = routes.shape if batched else (1,) + routes.shape
+    out_shape = routes.masks.shape[1:]
+    if routes.masks.shape[0] != pool or (shape[2] - pool) // stride + 1 != out_shape[2]:
+        raise DimensionError(f"routes do not match pool={pool} stride={stride}")
     upb, up_batched = _as_batched_map(upstream, "upstream")
     if up_batched != batched:
         raise DimensionError("upstream batchedness does not match input")
-    if upb.shape != taps[0].shape:
+    if upb.shape != out_shape:
         raise DimensionError(f"upstream shape {upb.shape} does not match pooled output "
-                             f"{taps[0].shape}")
-    out = functools.reduce(np.maximum, taps)
-    tap_values = np.empty(out.shape, dtype=xb.dtype)
-    first = np.empty(out.shape, dtype=bool)
-    found = np.zeros(out.shape, dtype=bool)         # windows whose first max is routed
-    shares = []
-    for tap in taps:
-        np.copyto(tap_values, tap)
-        np.equal(tap_values, out, out=first)
-        np.greater(first, found, out=first)         # a max, and no earlier one
-        found |= first
-        shares.append(_masked(upb, first))
-    dx = np.zeros_like(xb)
-    for dx_tap, share in zip(_taps(dx, pool, stride)[::-1], shares[::-1]):
-        dx_tap += share                             # windows in ascending order
+                             f"{out_shape}")
+    dx = np.zeros(shape, dtype=routes.dtype)
+    for dx_tap, mask in zip(_taps(dx, pool, stride)[::-1], routes.masks[::-1]):
+        dx_tap += _masked(upb, mask)                # windows in ascending order
     return dx if batched else dx[0]
 
 

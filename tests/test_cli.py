@@ -463,7 +463,8 @@ _HUGE = "1" * 140_000                   # longer than csv's field limit of 131,0
      # the open field passes 131,072 characters on line 1 + ceil(131,073 / 12)
      "{stats}: line 10924: field larger than field limit (131072)"),
     ("t,c01,c02\n0.00,1,2\n0.01," + _HUGE + ",2\n", None,
-     "{trace}: row 3, column 'c01': non-finite value '" + _HUGE + "'"),
+     "{trace}: row 3, column 'c01': non-finite value '" + _HUGE[:40] + "'... "
+     "(140000 characters)"),
 ], ids=["quoted-trace", "unterminated-quote-in-stats", "quote-free-trace"])
 def test_predict_on_an_oversized_csv_field_exits_3_naming_where(tmp_path, capsys, trace_text,
                                                                 stats_text, message):
@@ -475,6 +476,21 @@ def test_predict_on_an_oversized_csv_field_exits_3_naming_where(tmp_path, capsys
     Path(trace).write_text(trace_text)
     assert main(["predict", "--model", model, "--stats", stats, "--trace", trace]) == 3
     assert capsys.readouterr() == ("", f"error: {message.format(trace=trace, stats=stats)}\n")
+
+
+@pytest.mark.parametrize("header, cell", [("t,c01,c02", _HUGE), ("t,c01,c02", "x" * 140_000),
+                                          ("t,c01," + "c" * 140_000, "2")],
+                         ids=["non-finite", "non-numeric", "channel-name"])
+def test_predict_error_lines_stay_short_however_long_the_cell(tmp_path, monkeypatch, capsys,
+                                                              header, cell):
+    monkeypatch.chdir(tmp_path)
+    save_model(build_network(TINY_NETWORK), "m.intc")
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), "s.csv")
+    Path("t.csv").write_text(f"{header}\n0.00,1,2\n0.01,{cell},2\n")
+    assert main(["predict", "--model", "m.intc", "--stats", "s.csv", "--trace", "t.csv"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+    assert "140000 characters" in err
 
 
 def test_predict_reports_an_overflowing_standardized_value_without_warnings(tmp_path, capsys):

@@ -139,6 +139,29 @@ def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, r
         assert got.read_bytes() == want.read_bytes()
 
 
+# the trace reader strips whitespace around header names, so none sits at either end
+_CHANNEL_NAMES = st.lists(st.text(st.sampled_from('ab \r\n,"'), min_size=1, max_size=6)
+                          .filter(lambda name: name == name.strip()),
+                          min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(names=_CHANNEL_NAMES)
+def test_channel_names_with_quotes_commas_and_line_breaks_read_back(tmp_path_factory, names):
+    channels = len(names)
+    trace = Trace(values=np.arange(2 * channels, dtype=np.float32).reshape(channels, 2),
+                  channel_names=names)
+    trace_path = str(tmp_path_factory.getbasetemp() / "names.csv")
+    write_trace_csv(trace, trace_path)
+    back = parse_trace_csv(trace_path)
+    assert back.channel_names == tuple(names)
+    assert back.values.tobytes() == trace.values.tobytes()
+    stats_path = str(tmp_path_factory.getbasetemp() / "names_stats.csv")
+    save_stats(StandardizationStats(mean=np.zeros(channels), std=np.ones(channels)), names,
+               stats_path)
+    assert load_stats(stats_path)[1] == tuple(names)
+
+
 # everything csv.reader or str.splitlines treats specially, except the quote
 _UNQUOTED_CHARS = ",\x00\x0b\x0c\x1c\x85\u2028 0123456789.e-"
 _UNQUOTED_RECORD = st.text(st.sampled_from(_UNQUOTED_CHARS), max_size=8)

@@ -1,5 +1,6 @@
 """Tests for network construction, training, gradient flow and model files."""
 
+import dataclasses
 import struct
 import time
 import tracemalloc
@@ -15,10 +16,12 @@ from intentcnn.errors import (
     InputError,
     TrainingError,
 )
+from intentcnn import model as model_module
 from intentcnn.model import (
     ADAM_CHUNK,
     BatchNormLayer,
     NetworkConfig,
+    PoolLayer,
     TrainSpec,
     _Adam,
     _batch_plan,
@@ -229,6 +232,55 @@ def test_full_network_gradients_float64_bn_before_fc():
     result = check_network_gradients(net, x, np.array([0, 1, 0, 1]),
                                      epsilon=1e-5, target_rel_tol=1e-6)
     assert result.max_relative_error < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# pool layers: the calls a per-layer profile times, and what backward keeps
+# ---------------------------------------------------------------------------
+
+def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
+    # the per-layer profile names pool1..4 and costs them from the calls that
+    # intentcnn.model makes through its own namespace, by their positional
+    # arguments: something shaped like the conv output (B, C, F), pool, stride
+    calls = {"forward": [], "backward": []}
+    for kind, recorded in calls.items():
+        original = getattr(model_module, f"maxpool1d_{kind}")
+
+        def recorder(*args, _original=original, _recorded=recorded, **kwargs):
+            _recorded.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(model_module, f"maxpool1d_{kind}", recorder)
+    config = NetworkConfig()
+    x = make_batch(np.random.default_rng(0), config, 11)
+    y = np.arange(11) % config.num_classes
+    train(build_network(config, seed=0), x[:8], y[:8], x[8:], y[8:],
+          TrainSpec(epochs=1, batch_size=8))
+    conv_shapes = [(8,) + shape for name, shape in plan_layers(config) if name.startswith("conv")]
+    for kind, order in (("forward", conv_shapes), ("backward", conv_shapes[::-1])):
+        step = [args for args in calls[kind] if args[0].shape[0] == 8]   # not validation's 3
+        assert [tuple(args[0].shape) for args in step] == order
+        assert [args[1:3] for args in step] == [(config.pool, config.pool_stride)] * len(order)
+
+
+def _kept_arrays(obj) -> list[np.ndarray]:
+    """The arrays a layer cache keeps alive: for a view, the array it views."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (tuple, list)):
+        return list({id(a): a for item in obj for a in _kept_arrays(item)}.values())
+    return []
+
+
+def test_pool_layer_cache_frees_the_conv_output():
+    pre = np.random.default_rng(1).normal(size=(8, 16, 1996)).astype(np.float32)
+    _, cache = PoolLayer("pool1", 2, 2).forward_train(pre)
+    kept = _kept_arrays(cache)
+    assert kept and all(a.shape != pre.shape for a in kept)
+    assert sum(a.nbytes for a in kept) <= pre.nbytes / 4
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,18 @@ def test_maxpool_backward_overlapping_windows_accumulate():
     npt.assert_array_equal(dx, np.array([[0.0, 2.0, 0.0, 1.0]], np.float32))
 
 
+def test_maxpool_backward_adds_overlapping_shares_in_window_order():
+    # frame 2 is the maximum of all three windows; in float32 (1 + 1e8) - 1e8 is 0
+    # while (-1e8 + 1e8) + 1 is 1, so only ascending window order gives 0
+    x = np.array([[[0.0, 0.0, 5.0, 0.0, 0.0]]], np.float32)
+    up = np.array([[[1.0, 1e8, -1e8]]], np.float32)
+    want = np.array([[[0.0, 0.0, 0.0, 0.0, 0.0]]], np.float32)
+    _, routes = nm.maxpool1d_forward(x, 3, 1, routes=True)
+    for source in (x, routes):
+        npt.assert_array_equal(nm.maxpool1d_backward(source, 3, 1, up), want)
+    npt.assert_array_equal(oracles.maxpool1d_backward_loops(x[0], 3, 1, up[0]), want[0])
+
+
 def test_maxpool_backward_matches_loop_oracle():
     # dyadic values from a 5-point grid: many ties, and sums exact in any order
     rng = np.random.default_rng(17)
@@ -375,6 +387,60 @@ def test_relu_folded_into_pooling_is_bitwise_relu_then_pool(data, dtype, batch, 
     for got, want in ((out, want_out), (infer, want_out), (dx, want_dx)):
         assert got.dtype == want.dtype == dtype
         npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
+
+
+def _first_max_loops(x, pool, stride, up, relu):
+    """maxpool1d_backward_loops that routes nothing from a window holding NaN
+    (it has no first maximum) or, with relu, from one whose maximum is not > 0."""
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    for b, c in np.ndindex(x.shape[:2]):
+        for t in range(up.shape[2]):
+            window = x[b, c, t * stride:t * stride + pool]
+            if np.isnan(window).any() or (relu and not window.max() > 0):
+                continue
+            dx[b, c, t * stride + int(np.argmax(window == window.max()))] += up[b, c, t]
+    return dx
+
+
+@_MASK_SETTINGS
+@given(data=st.data(), dtype=_FLOAT_DTYPES, batch=st.integers(1, 3), channels=st.integers(1, 3),
+       window=st.one_of(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
+                        st.tuples(st.integers(1, 3), st.integers(1, 4))),
+       extra=st.integers(0, 8))
+def test_maxpool_backward_from_forward_routes_is_bitwise_backward_from_input(
+        data, dtype, batch, channels, window, extra):
+    # x and upstream both draw ties, +-0, +-inf, subnormals and NaN
+    pool, stride = window
+    x = data.draw(hnp.arrays(dtype, (batch, channels, pool + extra),
+                             elements=_special_floats(dtype)))
+    pooled = nm.maxpool1d_forward(x, pool, stride)
+    up = _upstream(data.draw, dtype, pooled.shape)
+    out, routes = nm.maxpool1d_forward(x, pool, stride, routes=True)
+    from_routes = nm.maxpool1d_backward(routes, pool, stride, up)
+    from_input = nm.maxpool1d_backward(x, pool, stride, up)
+    assert out.tobytes() == pooled.tobytes()
+    # the pool layer folds relu into the routes it keeps
+    layer = PoolLayer("pool1", pool, stride)
+    layer_dx, _ = layer.backward(layer.forward_train(x)[1], up)
+    relu_from_input = nm.maxpool1d_backward(x, pool, stride, nm.relu_backward(pooled, up))
+    for got, want, relu in ((from_routes, from_input, False), (layer_dx, relu_from_input, True)):
+        oracle = _first_max_loops(x, pool, stride, up, relu)
+        assert got.dtype == want.dtype == oracle.dtype == dtype
+        npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
+        npt.assert_array_equal(got.view(_UINT[dtype]), oracle.view(_UINT[dtype]))
+    # without a batch axis the routes give the same bits
+    out, routes = nm.maxpool1d_forward(x[0], pool, stride, routes=True)
+    assert nm.maxpool1d_backward(routes, pool, stride, up[0]).tobytes() == from_input[0].tobytes()
+
+
+def test_maxpool_routes_errors():
+    _, routes = nm.maxpool1d_forward(np.zeros((1, 2, 8), np.float32), 2, 2, routes=True)
+    for pool, stride, up in ((3, 2, np.zeros((1, 2, 4), np.float32)),
+                             (2, 1, np.zeros((1, 2, 4), np.float32)),
+                             (2, 2, np.zeros((1, 2, 3), np.float32)),
+                             (2, 2, np.zeros((2, 4), np.float32))):
+        with pytest.raises(DimensionError):
+            nm.maxpool1d_backward(routes, pool, stride, up)
 
 
 # ---------------------------------------------------------------------------
