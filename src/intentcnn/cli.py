@@ -56,7 +56,7 @@ from .streaming import (
     format_error_record,
     format_prediction,
     open_line_source,
-    stream_classify,
+    stream_classify_batches,
 )
 
 log = logging.getLogger(__name__)
@@ -247,8 +247,8 @@ def _cmd_stream(args) -> int:
     stats, _ = load_stats(args.stats)
     cfg = WindowConfig(network=network, stats=stats, window_frames=args.window,
                        hop_frames=args.hop, class_names=_read_labels(args.labels))
-    lines = open_line_source(args.source)
-    for event in stream_classify(lines, cfg):
+    batches = open_line_source(args.source)
+    for event in stream_classify_batches(batches, cfg):
         if isinstance(event, StreamPrediction):
             print(format_prediction(event, cfg), flush=True)
         else:

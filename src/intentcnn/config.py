@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 
-from .errors import ConfigError
+from .errors import ConfigError, excerpt
 
 _KV_RE = re.compile(r"^([A-Za-z0-9_.]+)\s*=\s*(.*)$")
 
@@ -38,7 +38,7 @@ def parse_kv_file(path: str) -> dict[str, str]:
             continue
         m = _KV_RE.match(line)
         if m is None:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {excerpt(raw.strip())}")
         key, value = m.group(1), m.group(2).strip()
         if key in pairs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -73,7 +73,8 @@ class KeyReader:
         try:
             return int(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects an integer, got {raw!r}") from exc
+            raise ConfigError(f"{self.origin}: key {key!r} expects an integer, "
+                              f"got {excerpt(raw)}") from exc
 
     def take_float(self, key: str, default: float | None = None) -> float | None:
         raw = self._raw(key)
@@ -82,7 +83,8 @@ class KeyReader:
         try:
             return float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects a number, got {raw!r}") from exc
+            raise ConfigError(f"{self.origin}: key {key!r} expects a number, "
+                              f"got {excerpt(raw)}") from exc
 
     def take_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
         raw = self._raw(key)
@@ -97,7 +99,8 @@ class KeyReader:
         try:
             return [int(item) for item in items]
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects integers, got {items!r}") from exc
+            raise ConfigError(f"{self.origin}: key {key!r} expects integers, "
+                              f"got {excerpt(self.pairs[key])}") from exc
 
     def take_fields(self, base, prefix: str, keys, **given):
         """``base`` (a dataclass) with each field in ``keys`` read from

@@ -1,4 +1,4 @@
-"""Sliding-window online classification over a live frame stream.
+r"""Sliding-window online classification over a live frame stream.
 
 A stream of per-frame channel readings is classified at every hop boundary:
 the last ``window_frames`` frames (zero-front-filled while the stream is still
@@ -10,27 +10,37 @@ predictor's row for the same standardized, padded window.
 
 Wire formats:
 
-* input — one line per frame, ``channels`` comma-separated decimal floats;
+* input — one line per frame, ``channels`` comma-separated decimal floats.
+  Standard input and ``tcp:HOST:PORT`` are read alike: bytes are UTF-8, with
+  undecodable bytes read as U+FFFD, and lines end at ``\n``, ``\r\n`` or
+  ``\r``;
 * output — one line per hop,
   ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
 
 Malformed input lines (the wrong value count, a value that breaks the number
 rule of trace cells: anything ``float()`` accepts whose float32 rounding is
-finite, or on a TCP source bytes that are not UTF-8) produce a structured
-error record and are skipped (the stream keeps running).  A hop whose
-standardized window does not fit float32, or whose logits are not finite (a
-frame far outside the training statistics), is an error record for the hop's
-last line; the frames stay in the window.
+finite, or bytes that are not UTF-8) produce a structured error record and
+are skipped (the stream keeps running).  A hop whose standardized window does
+not fit float32, or whose logits are not finite (a frame far outside the
+training statistics), is an error record for the hop's last line; the frames
+stay in the window.
+
+The stream is ingested per read of its source, not per line: the lines a read
+completed go through one conversion and one write into the ring per hop
+boundary they reach (:func:`stream_classify_batches`).  Only lines that have
+arrived are converted, so no hop waits for lines it does not need.
 
 The stream holds one fixed ``(channels, 2 * window_frames)`` float32 ring:
 frames are written from column ``window_frames`` on, the zero columns before
-it are the warm-up front-fill, and when the ring is full its last
-``window_frames`` columns move to the front, so every window is a contiguous
-view and a hop copies no frames.
+it are the warm-up front-fill, and when a block would pass the ring's end the
+last ``window_frames`` columns move to the front, so every window is a
+contiguous view and a hop copies no frames.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import socket
 import sys
 from dataclasses import dataclass
@@ -43,6 +53,7 @@ from .model import Network
 
 DEFAULT_WINDOW_FRAMES = 1000
 DEFAULT_HOP_FRAMES = 100
+READ_BYTES = 65536              # one read of a stream source
 
 
 @dataclass(frozen=True)
@@ -178,55 +189,103 @@ class _StreamState:
         self.stop = cfg.window_frames      # next column to write
         self.count = 0
 
-    def push(self, frame: np.ndarray) -> StreamPrediction | None:
-        w = self.cfg.window_frames
-        if self.stop == 2 * w:
-            self.ring[:, :w] = self.ring[:, w:]
+    @property
+    def due(self) -> int:
+        """Frames still to come before the next hop boundary."""
+        return self.cfg.hop_frames - self.count % self.cfg.hop_frames
+
+    def push(self, frames: np.ndarray) -> StreamPrediction | None:
+        """Write a ``(k, channels)`` block of ``k <= due`` frames into the ring;
+        the hop's prediction if the block completes one, else None."""
+        w, k = self.cfg.window_frames, len(frames)
+        if self.stop + k > 2 * w:
+            self.ring[:, :w] = self.ring[:, self.stop - w:self.stop]
             self.stop = w
-        self.ring[:, self.stop] = frame
-        self.stop += 1
-        self.count += 1
+        self.ring[:, self.stop:self.stop + k] = frames.T
+        self.stop += k
+        self.count += k
         if self.count % self.cfg.hop_frames != 0:
             return None
         return classify_window(_window(self.ring, self.stop, self.count - 1, self.cfg),
                                self.cfg)
 
 
-def parse_frame_line(text: str, channels: int) -> np.ndarray:
-    """One wire-format line -> float32 channel vector; raises StreamError."""
-    tokens = text.split(",")
-    if len(tokens) != channels:
-        raise StreamError(f"expected {channels} comma-separated values, got "
-                          f"{len(tokens)}")
+def _ingest(state: _StreamState, numbers: list, rows: list):
+    """Push one segment into the ring: ``rows`` holds the token lists of lines
+    ``numbers``, at most ``state.due`` of them.  Yields error records and a
+    completed hop's prediction in line order.
+
+    The segment is read in one conversion and written as one block.  If a line
+    in it is not a frame, each half is ingested on its own, so one bad line
+    costs about one more conversion of the segment, not one per line.
+    """
+    if not rows:
+        return
     try:
-        values, fits = _read_numbers(tokens)
+        values, fits = _read_numbers(rows)
+        message = None if fits.all() else "non-finite value in frame"
     except ValueError:
-        raise StreamError("non-numeric value in frame") from None
-    if not fits.all():
-        raise StreamError("non-finite value in frame")
-    return values.astype(np.float32)
+        message = "non-numeric value in frame"
+    if message is None:
+        try:
+            event = state.push(values)
+        except NumericError as exc:
+            event = _record(numbers[-1], str(exc), rows[-1])
+        if event is not None:
+            yield event
+    elif len(rows) == 1:
+        yield _record(numbers[0], message, rows[0])
+    else:
+        mid = len(rows) // 2
+        yield from _ingest(state, numbers[:mid], rows[:mid])
+        yield from _ingest(state, numbers[mid:], rows[mid:])
+
+
+def _record(line_number: int, message: str, tokens: list) -> StreamErrorRecord:
+    return StreamErrorRecord(line_number=line_number, message=message, raw=",".join(tokens))
+
+
+def stream_classify_batches(batches, cfg: WindowConfig):
+    """Classify a stream of line batches; yields StreamPrediction and
+    StreamErrorRecord in line order, numbering lines from 1 across batches.
+
+    Blank lines are ignored, and a line with the wrong value count first
+    flushes the lines before it.  The other lines gather into segments that
+    end at the next hop boundary or at the end of their batch, each ingested
+    at once (:func:`_ingest`).  A malformed line yields an error record and is
+    skipped: the frame counter does not advance, so window positions refer to
+    frames actually accepted.  A hop that overflows (NumericError) yields an
+    error record for its last line instead of a prediction.
+    """
+    state = _StreamState(cfg)
+    channels = cfg.channels
+    line_number = 0
+    for batch in batches:
+        numbers, rows = [], []
+        for raw in batch:
+            line_number += 1
+            text = raw.strip()
+            if not text:
+                continue
+            tokens = text.split(",")
+            if len(tokens) != channels:
+                yield from _ingest(state, numbers, rows)
+                numbers, rows = [], []
+                yield _record(line_number, f"expected {channels} comma-separated values, "
+                                           f"got {len(tokens)}", tokens)
+                continue
+            numbers.append(line_number)
+            rows.append(tokens)
+            if len(rows) == state.due:
+                yield from _ingest(state, numbers, rows)
+                numbers, rows = [], []
+        yield from _ingest(state, numbers, rows)
 
 
 def stream_classify(lines, cfg: WindowConfig):
-    """Classify a text line stream; yields StreamPrediction and StreamErrorRecord.
-
-    Blank lines are ignored.  A malformed line yields an error record and the
-    frame is skipped — the frame counter does not advance, so window positions
-    refer to frames actually accepted.  A hop that overflows (NumericError)
-    yields an error record for its last line instead of a prediction.
-    """
-    state = _StreamState(cfg)
-    for line_number, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            prediction = state.push(parse_frame_line(text, cfg.channels))
-        except (StreamError, NumericError) as exc:
-            yield StreamErrorRecord(line_number=line_number, message=str(exc), raw=text)
-            continue
-        if prediction is not None:
-            yield prediction
+    """Classify a text line stream: :func:`stream_classify_batches` with each
+    line a batch of its own, so each event comes as soon as its line is read."""
+    yield from stream_classify_batches(([line] for line in lines), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +307,14 @@ def format_error_record(record: StreamErrorRecord) -> str:
 
 
 def open_line_source(source: str):
-    """Line iterator for '-' (standard input) or 'tcp:HOST:PORT'."""
+    """Line batches from '-' (standard input) or 'tcp:HOST:PORT'.
+
+    Connects (and raises) at call time.  The returned iterator yields, per
+    ``read1(READ_BYTES)`` on the binary source, the list of lines that read
+    completed (see :func:`_line_batches`); closing it closes a TCP connection.
+    """
     if source == "-":
-        return sys.stdin
+        return _line_batches(sys.stdin.buffer, close=False)
     if source.startswith("tcp:"):
         parts = source.split(":")
         if len(parts) != 3:
@@ -264,8 +328,39 @@ def open_line_source(source: str):
             conn = socket.create_connection((host, port))
         except OSError as exc:
             raise StreamError(f"cannot connect to {host}:{port}: {exc}") from exc
-        # undecodable bytes become U+FFFD, so the line is an error record
-        lines = conn.makefile("r", encoding="utf-8", errors="replace")
+        stream = conn.makefile("rb")
         conn.close()                   # the file keeps the connection until it is closed
-        return lines
+        return _line_batches(stream, close=True)
     raise ConfigError(f"stream source must be '-' or 'tcp:HOST:PORT', got {source!r}")
+
+
+def _line_batches(stream, close: bool):
+    r"""The lines of a binary stream, one list per ``read1(READ_BYTES)`` that
+    completes any.  Bytes are decoded as UTF-8 with undecodable bytes turned
+    into U+FFFD (so such a line is an error record); a character split across
+    two reads decodes whole.  Lines end at ``\n``, ``\r\n`` or ``\r``, also
+    when a ``\r\n`` pair is split across two reads; the ends are dropped.  A
+    partial last line waits for the next read, and a final line with no end is
+    still a line."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(errors="replace"), translate=True)
+    partial = []                       # pieces of a line whose end has not come
+    try:
+        while True:
+            data = stream.read1(READ_BYTES)
+            lines = decoder.decode(data, final=not data).split("\n")
+            rest = lines.pop()
+            if lines:
+                partial.append(lines[0])
+                lines[0] = "".join(partial)
+                partial.clear()
+                yield lines
+            partial.append(rest)
+            if not data:
+                last = "".join(partial)
+                if last:
+                    yield [last]
+                return
+    finally:
+        if close:
+            stream.close()

@@ -45,6 +45,14 @@ noise_std = 0.05
 """
 
 
+def _set_stdin(monkeypatch, text):
+    """Standard input as the interpreter makes it: a strict UTF-8 text file
+    over a byte buffer."""
+    data = text if isinstance(text, bytes) else text.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                      errors="strict", newline="\n"))
+
+
 def write_config(tmp_path, text, name="config.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -285,7 +293,7 @@ train.batch_size = 4
     # stream the same trace over stdin, hop 5: floor(frames/5) predictions
     rows = trace_path.read_text().splitlines()[1:]          # drop header
     frames = [",".join(row.split(",")[1:]) for row in rows]  # drop time column
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(frames) + "\n"))
+    _set_stdin(monkeypatch, "\n".join(frames) + "\n")
     assert main(["stream",
                  "--model", str(model_dir / "model.intc"),
                  "--stats", str(model_dir / "stats.csv"),
@@ -306,7 +314,7 @@ def test_stream_reports_bad_lines(tmp_path, capsys, monkeypatch):
     assert main(["train", "--config", train_config, "--out", str(model_dir)]) == 0
     capsys.readouterr()
     lines = ["0.1,0.2"] * 4 + ["oops"] + ["0.1,0.2"] * 6
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    _set_stdin(monkeypatch, "\n".join(lines) + "\n")
     assert main(["stream",
                  "--model", str(model_dir / "model.intc"),
                  "--stats", str(model_dir / "stats.csv"),
@@ -319,6 +327,28 @@ def test_stream_reports_bad_lines(tmp_path, capsys, monkeypatch):
     assert len(predictions) == 2                 # 10 valid frames, hop 5
     fields = predictions[0].split(",")
     assert fields[2] == f"class{fields[1]}"      # fallback names: no labels file
+
+
+def test_stream_turns_non_utf8_stdin_bytes_into_an_error_record(tmp_path, capsys,
+                                                                 monkeypatch):
+    net_config = NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2),
+                               kernel_width=3, pool=2, pool_stride=2, fc_sizes=(8,),
+                               num_classes=3)
+    save_model(build_network(net_config, seed=4), str(tmp_path / "model.intc"))
+    save_stats(StandardizationStats(mean=np.array([0.5, -0.25]), std=np.array([2.0, 0.5])),
+               ("a", "b"), str(tmp_path / "stats.csv"))
+    argv = ["stream", "--model", str(tmp_path / "model.intc"),
+            "--stats", str(tmp_path / "stats.csv"), "--window", "10", "--hop", "5"]
+    frames = [f"{0.1 * i:.3f},{-0.2 * i:.3f}\n".encode() for i in range(20)]
+    _set_stdin(monkeypatch, b"".join(frames))
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    _set_stdin(monkeypatch, b"".join(frames[:12]) + b"\xff\xfe,1\n" + b"".join(frames[12:]))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == clean[:2] + ["error,line=13,message=non-numeric value in frame"] \
+        + clean[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +594,20 @@ def test_a_non_utf8_config_or_labels_file_exits_2_without_echoing_it(tmp_path, c
     assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 at byte {bad_at}\n")
 
 
+@pytest.mark.parametrize("config", [TINY_EXPERIMENT + "x" * 140_000,
+                                    TINY_EXPERIMENT + "train.patience = " + "1" * 140_000,
+                                    TINY_EXPERIMENT + "train.learning_rate = " + "1x" * 70_000,
+                                    TINY_EXPERIMENT.replace("fc_sizes = 8", "fc_sizes = 8" * 20_000
+                                                            + ", x")],
+                         ids=["no-equals", "integer", "number", "integer-list"])
+def test_config_error_lines_stay_short_however_long_the_line(tmp_path, capsys, config):
+    path = write_config(tmp_path, config)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 300
+    assert re.search(r"\.\.\. \(\d{5,} characters\)\n$", err)
+
+
 def test_config_errors_name_their_file(tmp_path, capsys):
     good = write_config(tmp_path, TINY_EXPERIMENT, "good.cfg")
     bad = write_config(tmp_path, TINY_EXPERIMENT + "model.bogus = 1\n", "bad.cfg")
@@ -621,7 +665,7 @@ def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch
     for command, argv in runs.items():
         if command == "stream":
             frames = [row.split(",", 1)[1] for row in trace.read_text().splitlines()[1:]]
-            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(frames) + "\n"))
+            _set_stdin(monkeypatch, "\n".join(frames) + "\n")
         args = parser.parse_args([command, *argv], namespace=Recording())
         read.clear()
         assert cli._COMMANDS[command](args) == 0

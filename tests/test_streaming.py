@@ -1,9 +1,13 @@
 """Sliding-window streaming tests: geometry, batch equivalence, wire formats."""
 
+import io
+import re
 import socket
 import struct
+import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -24,8 +28,8 @@ from intentcnn.streaming import (
     format_error_record,
     format_prediction,
     open_line_source,
-    parse_frame_line,
     stream_classify,
+    stream_classify_batches,
     window_extract,
 )
 
@@ -46,6 +50,22 @@ def buffer_lines(buffer):
     """Render a (channels, frames) buffer in the frame wire format."""
     return [",".join(f"{v:.9g}" for v in buffer[:, t]) + "\n"
             for t in range(buffer.shape[1])]
+
+
+def frame_of(line, channels):
+    """The frame rule, independently: the float32 frame of a line with
+    ``channels`` values that ``float()`` reads and whose float32 roundings are
+    finite, else None."""
+    tokens = line.strip().split(",")
+    if len(tokens) != channels:
+        return None
+    try:
+        values = np.array([float(token) for token in tokens])
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):
+        frame = values.astype(np.float32)
+    return frame if np.isfinite(frame).all() else None
 
 
 def reference_probs(cfg, buffer, end):
@@ -157,9 +177,15 @@ def test_stream_classify_matches_window_extract():
         assert live.probs.tobytes() == batch.probs.tobytes()
 
 
-@pytest.mark.parametrize("window, hop", [(7, 3), (10, 10), (20, 1),
-                                         (NET_CONFIG.input_frames, NET_CONFIG.input_frames)])
-def test_stream_ring_wraps_like_window_extract(window, hop):
+_RING_SHAPES = [(7, 3), (5, 2), (10, 10), (20, 1),
+                (NET_CONFIG.input_frames, NET_CONFIG.input_frames)]
+
+
+@pytest.mark.parametrize(
+    "window, hop, batched",
+    [pytest.param(w, h, False, id=f"{w}-{h}") for w, h in _RING_SHAPES]
+    + [pytest.param(w, h, True, id=f"{w}-{h}-one-batch") for w, h in _RING_SHAPES])
+def test_stream_ring_wraps_like_window_extract(window, hop, batched):
     cfg = make_config(window=window, hop=hop)
     frames = 3 * window + 2 * hop + 1
     buffer = np.random.default_rng(window + hop).normal(size=(2, frames)).astype(np.float32)
@@ -168,7 +194,10 @@ def test_stream_ring_wraps_like_window_extract(window, hop):
     for wrap in (2 * window, window):
         lines.insert(wrap + 1, "0.5,oops\n")
         lines.insert(wrap, "1.0\n")
-    events = list(stream_classify(lines, cfg))
+    if batched:          # then blocks of up to a hop of frames meet the ring's end
+        events = list(stream_classify_batches([lines], cfg))
+    else:
+        events = list(stream_classify(lines, cfg))
     assert sum(isinstance(e, StreamErrorRecord) for e in events) == 4
     streamed = [e for e in events if isinstance(e, StreamPrediction)]
     offline = [classify_window(w, cfg) for w in window_extract(buffer, cfg)]
@@ -266,11 +295,7 @@ def test_stream_classify_survives_arbitrary_text(lines):
             yield line
 
     def parses(line):
-        try:
-            parse_frame_line(line.strip(), cfg.channels)
-        except StreamError:
-            return False
-        return bool(line.strip())
+        return frame_of(line, cfg.channels) is not None
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -286,6 +311,44 @@ def test_stream_classify_survives_arbitrary_text(lines):
             assert accepted % cfg.hop_frames == 0
 
 
+_SMALL = st.floats(-4, 4).map(repr)     # large frames saturate the softmax alike
+_FEED_LINES = st.one_of(
+    st.tuples(_SMALL, _SMALL).map(",".join),                      # valid
+    st.sampled_from(["1.5", "1,2,3", "0.5,oops", "\u00e9,1", "\u20ac,2", "\U0001d7d9,2",
+                     "nan,0.5", "0.5,1e39", "", "  ", "3e38,3e38", "\xff\xfe,1"]))
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_BATCH_CONFIGS = [make_config(window=w, hop=h) for w, h in ((7, 3), (5, 2), (4, 4), (5, 1))]
+
+
+def _event_key(event):
+    if isinstance(event, StreamErrorRecord):
+        return ("error", event.line_number, event.message, event.raw)
+    return ("hop", event.frame_index, event.label, event.warm_up, event.probs.tobytes())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(feed=st.lists(st.tuples(_FEED_LINES, _LINE_ENDS), max_size=60),
+       last_end=st.booleans(), sizes=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+       config=st.sampled_from(_BATCH_CONFIGS))
+def test_stream_batches_equal_the_line_path(feed, last_end, sizes, config):
+    text = "".join(line + end for line, end in feed)
+    if feed and not last_end:
+        text = text[:-len(feed[-1][1])]
+    # "\xff\xfe" stands for two bytes that are not UTF-8
+    data = text.encode("utf-8").replace("\xff\xfe".encode("utf-8"), b"\xff\xfe")
+    chunks, at = [], 0
+    while at < len(data):                 # reads of the sizes in turn, 1 byte and up
+        chunks.append(data[at:at + sizes[len(chunks) % len(sizes)]])
+        at += len(chunks[-1])
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(sys, "stdin", SimpleNamespace(buffer=Reads(chunks)))
+        got = list(stream_classify_batches(open_line_source("-"), config))
+        lines = re.split("\r\n|\r|\n", data.decode("utf-8", errors="replace"))
+        want = list(stream_classify(lines, config))
+    assert list(map(_event_key, got)) == list(map(_event_key, want))
+
+
 def test_prediction_probs_must_sum_to_one():
     with pytest.raises(StreamError):
         StreamPrediction(frame_index=0, label=0,
@@ -297,22 +360,32 @@ def test_prediction_probs_must_sum_to_one():
 # wire formats
 # ---------------------------------------------------------------------------
 
-def test_parse_frame_line():
-    frame = parse_frame_line("1.5,-2.25", channels=2)
-    np.testing.assert_array_equal(frame, np.array([1.5, -2.25], dtype=np.float32))
-    with pytest.raises(StreamError):
-        parse_frame_line("1.5", channels=2)
-    with pytest.raises(StreamError):
-        parse_frame_line("1.5,x", channels=2)
+def _only_event(line):
+    """The one event of a one-line stream at window 1, hop 1."""
+    events = list(stream_classify([line], make_config(window=1, hop=1)))
+    assert len(events) == 1
+    return events[0]
 
 
-def test_parse_frame_line_float32_range():
+def test_stream_frame_line_rule():
+    cfg = make_config(window=1, hop=1)
+    want = reference_probs(cfg, np.array([[1.5], [-2.25]], dtype=np.float32), 0)
+    assert _only_event("1.5,-2.25\n").probs.tobytes() == want.tobytes()
+    assert _only_event("1.5\n") == StreamErrorRecord(
+        1, "expected 2 comma-separated values, got 1", "1.5")
+    assert _only_event(" 1.5,x \r\n") == StreamErrorRecord(
+        1, "non-numeric value in frame", "1.5,x")
+
+
+def test_stream_frame_line_float32_range():
     largest = np.finfo(np.float32).max
-    frame = parse_frame_line("3.40282347e+38,-3.40282347e+38", channels=2)
-    np.testing.assert_array_equal(frame, np.array([largest, -largest], dtype=np.float32))
-    for text in ("3.4028236e38,0", "0,-1e39", "inf,0", "0,nan"):
-        with pytest.raises(StreamError, match="non-finite"):
-            parse_frame_line(text, channels=2)
+    assert frame_of("3.40282347e+38,-3.40282347e+38", 2).tolist() == [largest, -largest]
+    cfg = make_config(window=1, hop=1)
+    lines = ["3.40282347e+38,-3.40282347e+38", "3.4028236e38,0", "0,-1e39", "inf,0", "0,nan"]
+    events = list(stream_classify(lines, cfg))
+    assert [(e.line_number, e.message) for e in events] == \
+        [(1, "standardized window overflows float32")] + \
+        [(n, "non-finite value in frame") for n in (2, 3, 4, 5)]
 
 
 def test_format_prediction_fields():
@@ -343,9 +416,25 @@ def test_format_error_record():
 # line sources
 # ---------------------------------------------------------------------------
 
-def test_open_line_source_stdin_and_rejects():
-    import sys
-    assert open_line_source("-") is sys.stdin
+class Reads:
+    """A binary stream whose ``read1`` returns the given chunks, then b''."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.sizes = []
+
+    def read1(self, size):
+        self.sizes.append(size)
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def test_open_line_source_stdin_and_rejects(monkeypatch):
+    reads = Reads([b"1,2\n3,", b"4\r", b"\n5,6\r7,8", b"\n\n9,"])
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=reads))
+    batches = open_line_source("-")
+    # a read ending in \r waits for the next to tell \r from \r\n
+    assert list(batches) == [["1,2"], ["3,4", "5,6"], ["7,8", ""], ["9,"]]
+    assert set(reads.sizes) == {65536}
     with pytest.raises(ConfigError):
         open_line_source("udp:1:2")
     with pytest.raises(ConfigError):
@@ -354,44 +443,67 @@ def test_open_line_source_stdin_and_rejects():
         open_line_source("tcp:localhost:notaport")
 
 
-def test_open_line_source_tcp_roundtrip():
+def _serve_once(payload):
+    """A TCP server that sends ``payload`` to its first client and closes;
+    returns (source, join)."""
     server = socket.create_server(("127.0.0.1", 0))
-    port = server.getsockname()[1]
+    server.settimeout(30)
 
     def serve():
         conn, _ = server.accept()
-        conn.sendall(b"1.0,2.0\n3.0,4.0\n")
+        conn.sendall(payload)
         conn.close()
 
     thread = threading.Thread(target=serve)
     thread.start()
-    fh = open_line_source(f"tcp:127.0.0.1:{port}")
-    lines = list(fh)
-    fh.close()
-    thread.join()
-    server.close()
-    assert lines == ["1.0,2.0\n", "3.0,4.0\n"]
+
+    def join():
+        thread.join(timeout=30)
+        server.close()
+        assert not thread.is_alive()
+    return f"tcp:127.0.0.1:{server.getsockname()[1]}", join
+
+
+def test_open_line_source_tcp_roundtrip():
+    source, join = _serve_once(b"1.0,2.0\n3.0,4.0\r\n5.0,6.0\r7.0,8.0")
+    batches = open_line_source(source)
+    lines = [line for batch in batches for line in batch]
+    batches.close()
+    join()
+    assert lines == ["1.0,2.0", "3.0,4.0", "5.0,6.0", "7.0,8.0"]
+
+
+@pytest.mark.parametrize("tcp", [False, True])
+def test_both_sources_break_lines_at_cr_lf_and_crlf(monkeypatch, tcp):
+    cfg = make_config(window=20, hop=5)
+    buffer = np.random.default_rng(12).normal(size=(2, 30)).astype(np.float32)
+    texts = [line.rstrip("\n") for line in buffer_lines(buffer)]
+    ends = ["\r", "\n", "\r\n"]
+    payload = "".join(text + ends[i % 3] for i, text in enumerate(texts)).encode()
+    if tcp:
+        source, join = _serve_once(payload)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    batches = open_line_source(source if tcp else "-")
+    events = list(stream_classify_batches(batches, cfg))
+    batches.close()
+    if tcp:
+        join()
+    want = list(stream_classify(texts, cfg))
+    assert [e.frame_index for e in events] == [e.frame_index for e in want] == \
+        [4, 9, 14, 19, 24, 29]
+    assert [e.probs.tobytes() for e in events] == [e.probs.tobytes() for e in want]
 
 
 def test_tcp_stream_turns_undecodable_bytes_into_an_error_record():
     cfg = make_config()
     buffer = np.random.default_rng(9).normal(size=(2, 20)).astype(np.float32)
     good = [line.encode() for line in buffer_lines(buffer)]
-    server = socket.create_server(("127.0.0.1", 0))
-    port = server.getsockname()[1]
-
-    def serve():
-        conn, _ = server.accept()
-        conn.sendall(b"".join(good[:7]) + b"\xff\xfe,0.3\n" + b"".join(good[7:]))
-        conn.close()
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    fh = open_line_source(f"tcp:127.0.0.1:{port}")
-    out = list(stream_classify(fh, cfg))
-    fh.close()
-    thread.join()
-    server.close()
+    source, join = _serve_once(b"".join(good[:7]) + b"\xff\xfe,0.3\n" + b"".join(good[7:]))
+    batches = open_line_source(source)
+    out = list(stream_classify_batches(batches, cfg))
+    batches.close()
+    join()
     errors = [r for r in out if isinstance(r, StreamErrorRecord)]
     hops = [r for r in out if isinstance(r, StreamPrediction)]
     assert [(r.line_number, r.message) for r in errors] == [(8, "non-numeric value in frame")]
