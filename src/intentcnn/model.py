@@ -297,9 +297,13 @@ class Network:
         self.conv_stack = list(conv_stack)
         self.fc_stack = list(fc_stack)
         self.dtype = np.dtype(dtype)
-        plan = plan_layers(config)
-        pooled = [shape for name, shape in plan if name.startswith("pool")][-1]
-        self.conv_out_shape = pooled  # (channels, frames) entering flatten
+        # (channels, frames) entering flatten; its column j reads the input
+        # frames [j * step, j * step + field)
+        self.conv_out_shape = [s for n, s in plan_layers(config) if n.startswith("pool")][-1]
+        self.step, self.field = 1, 1
+        for _ in config.conv_filters:
+            self.field += (config.kernel_width + config.pool - 2) * self.step
+            self.step *= config.pool_stride
 
     # -- structure ----------------------------------------------------------
 
@@ -350,10 +354,27 @@ class Network:
         return a, caches
 
     def forward_infer(self, x):
-        a = self._check_input(x)
-        for layer in self.conv_stack:
-            a = layer.forward_infer(a)
-        a = a.reshape(a.shape[0], -1)
+        """Logits; the conv stack runs over each sample's live prefix only.
+
+        A sample is live up to one past its last column holding a non-zero
+        (NaN and inf count).  Pooled columns from ``ceil(live / step)`` on read
+        only zeros, so the stack runs over ``ceil(live / step) * step + field``
+        frames (clamped to the input) and copies its last column into the rest.
+        """
+        x = self._check_input(x)
+        groups: dict[int, list[int]] = {}               # prefix width -> its samples
+        for i, live in enumerate(x.any(axis=1)):        # NaN and inf count as non-zero
+            cols = np.flatnonzero(live)
+            end = int(cols[-1]) + 1 if cols.size else 0
+            groups.setdefault(-(-end // self.step) * self.step + self.field, []).append(i)
+        pooled = np.empty((len(x), *self.conv_out_shape), self.dtype)
+        for width, rows in groups.items():
+            a = x[rows, :, :width]
+            for layer in self.conv_stack:
+                a = layer.forward_infer(a)
+            pooled[rows, :, :a.shape[2]] = a
+            pooled[rows, :, a.shape[2]:] = a[:, :, -1:]
+        a = pooled.reshape(len(x), -1)
         for layer in self.fc_stack:
             a = layer.forward_infer(a)
         return a
@@ -386,10 +407,12 @@ class Network:
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities from one batched inference-mode forward pass.
 
-        No kernel lets a sample's arithmetic depend on the rest of its batch
-        (pooling and batchnorm are elementwise, convs run one GEMM per tap and
-        sample, dense layers run one matmul per row), so online single-window
-        use and offline batch evaluation agree bit for bit.
+        No sample's arithmetic depends on the rest of its batch: its conv
+        prefix (see :meth:`forward_infer`) comes from its own input, pooling
+        and batchnorm are elementwise, convs run one GEMM per tap and sample,
+        and dense layers one matmul per row, so online single-window use and
+        offline batch evaluation agree bit for bit.  Copied tail columns may
+        differ from the training forward's in their last bits.
         """
         return softmax(self.forward_infer(x))
 

@@ -4,8 +4,9 @@ A stream of per-frame channel readings is classified at every hop boundary:
 the last ``window_frames`` frames (zero-front-filled while the stream is still
 warming up) are standardized with the training-time statistics, zero-padded at
 the tail up to the model's input length, and pushed through an inference-mode
-forward pass.  The network's kernels compute every row the same way whatever
-the batch, so the emitted probabilities are bit-identical to the batch
+forward pass, whose conv stack covers the window's live prefix (fixed by the
+window alone) and whose kernels compute every row the same way whatever the
+batch, so the emitted probabilities are bit-identical to the batch
 predictor's row for the same standardized, padded window.
 
 Wire formats:

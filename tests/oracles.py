@@ -110,6 +110,19 @@ def dense_loops(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndar
     return out
 
 
+def forward_full_width(network, x: np.ndarray) -> np.ndarray:
+    """Inference logits with every layer's ``forward_infer`` run over the whole
+    input, tail padding included: the reference for ``Network.forward_infer``,
+    which runs the conv stack over each sample's live prefix only."""
+    a = np.asarray(x, dtype=network.dtype)
+    for layer in network.conv_stack:
+        a = layer.forward_infer(a)
+    a = a.reshape(len(a), -1)
+    for layer in network.fc_stack:
+        a = layer.forward_infer(a)
+    return a
+
+
 def pairwise_metrics(truths, preds, num_classes):
     """Per-class precision/recall/F1 and macro F1 computed directly from label pairs."""
     per_class = []

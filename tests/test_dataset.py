@@ -56,6 +56,9 @@ from intentcnn.errors import (
 
 import oracles
 
+# shared by the property tests; a failure prints its @reproduce_failure blob
+_SETTINGS = settings(max_examples=200, deadline=None, database=None, print_blob=True)
+
 
 def make_dataset(class_sizes, channels=2, frames=10, vocab=None, seed=0):
     """Small handmade dataset: class k gets values offset by k for separability."""
@@ -145,7 +148,7 @@ _CHANNEL_NAMES = st.lists(st.text(st.sampled_from('ab \r\n,"'), min_size=1, max_
                           min_size=1, max_size=3, unique=True)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@_SETTINGS
 @given(names=_CHANNEL_NAMES)
 def test_channel_names_with_quotes_commas_and_line_breaks_read_back(tmp_path_factory, names):
     channels = len(names)
@@ -168,7 +171,7 @@ _UNQUOTED_RECORD = st.text(st.sampled_from(_UNQUOTED_CHARS), max_size=8)
 _TERMINATOR = st.sampled_from(["\n", "\r", "\r\n"])
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@_SETTINGS
 @given(data=st.data())
 def test_quote_free_text_is_split_as_csv_reader_splits_it_without_csv(tmp_path_factory, data):
     draw = data.draw
@@ -235,7 +238,7 @@ def _csv_field(cell: str, quote: bool) -> str:
     return cell
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@_SETTINGS
 @given(data=st.data(), channels=st.integers(1, 3), frames=st.integers(1, 5),
        newline=st.sampled_from(["\n", "\r\n"]))
 def test_parse_trace_csv_matches_per_cell_oracle(tmp_path_factory, data, channels, frames,

@@ -38,7 +38,7 @@ from intentcnn.model import (
 )
 from intentcnn.config import KeyReader
 
-from oracles import AdamWholeArray, simulate_shapes
+from oracles import AdamWholeArray, dyadic, forward_full_width, simulate_shapes
 
 SMALL = NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
                       pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3)
@@ -192,6 +192,90 @@ def test_predict_rows_are_batch_size_invariant_on_full_size_networks(overrides):
     singles = np.concatenate([net.predict_proba(x[i:i + 1]) for i in range(13)])
     for b in (1, 2, 3, 5, 7, 8, 13):
         assert net.predict_proba(x[:b]).tobytes() == singles[:b].tobytes(), b
+
+
+# small stacks whose pooled columns each read `field` frames, `step` apart
+_PREFIX_CONFIGS = {
+    "pool-eq-stride": dict(conv_filters=(2, 3, 2), kernel_width=3, pool=2, pool_stride=2),
+    "pool3-stride2": dict(conv_filters=(2, 2), kernel_width=3, pool=3, pool_stride=2),
+    "pool2-stride3": dict(conv_filters=(3, 2), kernel_width=2, pool=2, pool_stride=3),
+    "kernel1": dict(conv_filters=(2, 2), kernel_width=1, pool=2, pool_stride=2),
+    "before_first_fc": dict(conv_filters=(2, 2), kernel_width=3, pool=2, pool_stride=2,
+                            batchnorm_position="before_first_fc"),
+    "no_fc": dict(conv_filters=(2, 2), kernel_width=3, pool=2, pool_stride=2, fc_sizes=()),
+}
+
+
+def _prefix_config(name):
+    return NetworkConfig(**{"channels": 3, "input_frames": 45, "fc_sizes": (6,),
+                            "num_classes": 3, **_PREFIX_CONFIGS[name]})
+
+
+def _dyadic_network(config, seed):
+    """A network whose conv stack computes exactly: dyadic weights and biases, and
+    batchnorm running statistics away from their identity defaults."""
+    net = build_network(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for key, value in net.param_items():
+        if key.startswith("conv"):
+            value[...] = dyadic(rng, value.shape, span=4)
+    for layer in net.layers():
+        if isinstance(layer, BatchNormLayer):
+            layer.running_mean = rng.normal(size=layer.running_mean.shape).astype(np.float32)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.running_var.shape).astype(np.float32)
+    return net
+
+
+def _live_prefix_batch(rng, config):
+    """Sample L is non-zero exactly on its first L frames, for L = 0..input_frames."""
+    frames = config.input_frames
+    x = dyadic(rng, (frames + 1, config.channels, frames))
+    x[x == 0] = 0.25
+    x *= np.arange(frames) < np.arange(frames + 1)[:, None, None]
+    return x
+
+
+@pytest.mark.parametrize("name", list(_PREFIX_CONFIGS))
+def test_forward_infer_over_live_prefixes_equals_the_full_width_forward(name):
+    # dyadic values keep the conv stack exact, so skipping the zero tail and
+    # copying its pooled column must not move a bit at any live width
+    config = _prefix_config(name)
+    net = _dyadic_network(config, seed=7)
+    x = _live_prefix_batch(np.random.default_rng(8), config)
+    assert net.step > 1 and net.field < config.input_frames
+    expected = forward_full_width(net, x)
+    assert net.forward_infer(x).tobytes() == expected.tobytes()
+    for live in range(config.input_frames + 1):
+        assert net.forward_infer(x[live:live + 1]).tobytes() == expected[live].tobytes(), live
+
+
+@pytest.mark.parametrize("config", [SMALL, _prefix_config("pool2-stride3"), NetworkConfig()],
+                         ids=["small", "pool2-stride3", "default"])
+def test_forward_infer_without_tail_padding_is_the_full_width_forward(config):
+    net = build_network(config, seed=9)
+    x = make_batch(np.random.default_rng(10), config, 3)
+    assert (x[:, :, -1] != 0).all()
+    assert net.forward_infer(x).tobytes() == forward_full_width(net, x).tobytes()
+
+
+def test_forward_infer_rows_ignore_their_batchmates_live_widths():
+    config = _prefix_config("pool-eq-stride")
+    net = build_network(config, seed=13)
+    x = make_batch(np.random.default_rng(14), config, 8)
+    for i, live in enumerate((45, 30, 17, 16, 1, 0)):   # 0: an all-zero sample
+        x[i, :, live:] = 0.0
+    x[6, :, 5:] = 0.0
+    x[6, 1, 33] = np.nan                    # a non-finite tail frame is live
+    x[7, :, 3:] = 0.0
+    x[7, 0, 37] = np.inf                    # the last frame any pooled column reads
+    with np.errstate(invalid="ignore"):
+        whole = net.forward_infer(x)
+        assert np.isnan(whole[6:]).all() and np.isfinite(whole[:6]).all()
+        assert np.isnan(forward_full_width(net, x[6:])).all()
+        singles = [net.forward_infer(x[i:i + 1]) for i in range(8)]
+        assert whole.tobytes() == np.concatenate(singles).tobytes()
+        for order in (np.arange(8)[::-1], np.array([4, 0, 7, 2, 6, 1, 5, 3])):
+            assert net.forward_infer(x[order]).tobytes() == whole[order].tobytes()
 
 
 def test_batchnorm_per_channel_normalizes_channels():

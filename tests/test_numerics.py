@@ -312,7 +312,7 @@ def test_relu_finite_differences_away_from_kink():
 # branch-free gradient masks
 # ---------------------------------------------------------------------------
 
-_MASK_SETTINGS = settings(max_examples=200, deadline=None, database=None)
+_MASK_SETTINGS = settings(max_examples=200, deadline=None, database=None, print_blob=True)
 _FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
 _UINT = {np.float32: np.uint32, np.float64: np.uint64}
 

@@ -19,6 +19,7 @@ from intentcnn.cli import main
 from intentcnn.dataset import StandardizationStats, save_stats
 from intentcnn.errors import ConfigError, StreamError
 from intentcnn.model import NetworkConfig, build_network, save_model
+from intentcnn.numerics import softmax
 from intentcnn.streaming import (
     StreamErrorRecord,
     StreamPrediction,
@@ -32,6 +33,11 @@ from intentcnn.streaming import (
     stream_classify_batches,
     window_extract,
 )
+
+from oracles import forward_full_width
+
+# shared by the property tests; a failure prints its @reproduce_failure blob
+_SETTINGS = settings(max_examples=200, deadline=None, database=None, print_blob=True)
 
 NET_CONFIG = NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2),
                            kernel_width=3, pool=2, pool_stride=2, fc_sizes=(8,),
@@ -68,7 +74,7 @@ def frame_of(line, channels):
     return frame if np.isfinite(frame).all() else None
 
 
-def reference_probs(cfg, buffer, end):
+def reference_input(cfg, buffer, end):
     """Independent construction of the standardized padded window at frame end."""
     window, input_frames = cfg.window_frames, cfg.network.config.input_frames
     real = min(end + 1, window)
@@ -76,7 +82,11 @@ def reference_probs(cfg, buffer, end):
     chunk = buffer[:, end + 1 - real: end + 1].astype(np.float64)
     standardized = (chunk - cfg.stats.mean[:, None]) / cfg.stats.std[:, None]
     padded[:, window - real:window] = standardized.astype(np.float32)
-    return cfg.network.predict_proba(padded[None, :, :])[0]
+    return padded
+
+
+def reference_probs(cfg, buffer, end):
+    return cfg.network.predict_proba(reference_input(cfg, buffer, end)[None, :, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +217,24 @@ def test_stream_ring_wraps_like_window_extract(window, hop, batched):
         assert live.probs.tobytes() == batch.probs.tobytes()
 
 
+@pytest.mark.parametrize("window, hop", [(NET_CONFIG.input_frames, 7), (6, 2)],
+                         ids=["window-is-the-input", "window-shorter-than-field"])
+def test_stream_equals_predict_proba_at_both_ends_of_the_live_prefix(window, hop):
+    # a full window leaves no tail padding, so the forward runs over the whole
+    # input; a window shorter than one pooled column's field is all tail copy
+    cfg = make_config(window=window, hop=hop)
+    assert (window == cfg.network.config.input_frames) != (window < cfg.network.field)
+    buffer = np.random.default_rng(window).normal(size=(2, 2 * window + 3)).astype(np.float32)
+    streamed = list(stream_classify(buffer_lines(buffer), cfg))
+    assert len(streamed) == buffer.shape[1] // hop
+    for prediction in streamed:
+        x = reference_input(cfg, buffer, prediction.frame_index)[None]
+        assert prediction.probs.tobytes() == cfg.network.predict_proba(x)[0].tobytes()
+        if window == cfg.network.config.input_frames:
+            full = softmax(forward_full_width(cfg.network, x))[0]
+            assert prediction.probs.tobytes() == full.tobytes()
+
+
 def test_stream_hop_that_overflows_is_an_error_record():
     cfg = make_config(window=20, hop=5)
     buffer = np.random.default_rng(5).normal(size=(2, 50)).astype(np.float32)
@@ -283,7 +311,7 @@ _LINES = st.one_of(st.text(max_size=12), st.lists(_TOKENS, min_size=1, max_size=
 _FUZZ_CONFIG = make_config(window=4, hop=2)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@_SETTINGS
 @given(lines=st.lists(_LINES, max_size=30))
 def test_stream_classify_survives_arbitrary_text(lines):
     cfg = _FUZZ_CONFIG
@@ -326,7 +354,7 @@ def _event_key(event):
     return ("hop", event.frame_index, event.label, event.warm_up, event.probs.tobytes())
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@_SETTINGS
 @given(feed=st.lists(st.tuples(_FEED_LINES, _LINE_ENDS), max_size=60),
        last_end=st.booleans(), sizes=st.lists(st.integers(1, 200), min_size=1, max_size=6),
        config=st.sampled_from(_BATCH_CONFIGS))
