@@ -6,7 +6,10 @@ the pooling, where it gives the same values on fewer frames), one batch
 normalization, flatten, a stack of relu dense layers, and a final dense
 classifier read through softmax.  Batch normalization sits either directly
 after the last pooling stage (normalizing each conv channel, the default) or
-after flattening (normalizing each flattened entry).
+after flattening (normalizing each flattened entry).  Neither forward pass
+convolves a sample's zero tail padding: its pooled columns all equal one
+column, computed once and copied.  Training packs the batch's live prefixes
+into one sequence and folds the tail's gradient into that column.
 
 All learnable parameters are float32; an alternative dtype can be requested
 at build time for high-precision gradient verification.  Model files use the
@@ -203,8 +206,10 @@ class PoolLayer:
 class BatchNormLayer:
     """Batch normalization over conv channels (per_channel) or flat entries.
 
-    ``forward_train`` is side-effect free; the running statistics only move
-    when the owner explicitly calls :meth:`update_running` with the cache.
+    It runs on the flattened map in either position; a per-channel layer
+    reads its (B, C * F) input as (B, C, F).  ``forward_train`` is side-effect
+    free; the running statistics only move when the owner explicitly calls
+    :meth:`update_running` with the cache.
     """
 
     def __init__(self, name: str, gamma: np.ndarray, beta: np.ndarray,
@@ -221,38 +226,33 @@ class BatchNormLayer:
 
     def _to_rows(self, x):
         if not self.per_channel:
-            return x, None
-        # (B, C, F) -> (B*F, C): every frame of every sample is one row
-        batch, channels, frames = x.shape
-        return x.transpose(0, 2, 1).reshape(batch * frames, channels), (batch, channels, frames)
+            return x
+        # (B, C * F) -> (B * F, C): every frame of every sample is one row
+        channels = len(self.gamma)
+        return x.reshape(len(x), channels, -1).transpose(0, 2, 1).reshape(-1, channels)
 
-    def _from_rows(self, rows, shape):
-        if shape is None:
+    def _from_rows(self, rows, batch):
+        if not self.per_channel:
             return rows
-        batch, channels, frames = shape
-        return rows.reshape(batch, frames, channels).transpose(0, 2, 1)
+        return rows.reshape(batch, -1, len(self.gamma)).transpose(0, 2, 1).reshape(batch, -1)
 
     def forward_train(self, x):
-        rows, shape = self._to_rows(x)
-        out, cache = batchnorm_forward_train(rows, self.gamma, self.beta)
-        return self._from_rows(out, shape), (cache, shape)
+        out, cache = batchnorm_forward_train(self._to_rows(x), self.gamma, self.beta)
+        return self._from_rows(out, len(x)), cache
 
     def forward_infer(self, x):
-        rows, shape = self._to_rows(x)
-        out = batchnorm_forward_infer(rows, self.gamma, self.beta,
+        out = batchnorm_forward_infer(self._to_rows(x), self.gamma, self.beta,
                                       self.running_mean, self.running_var)
-        return self._from_rows(out, shape)
+        return self._from_rows(out, len(x))
 
     def backward(self, cache, upstream):
-        bn_cache, shape = cache
-        rows, _ = self._to_rows(upstream)
-        dx, dgamma, dbeta = batchnorm_backward(bn_cache, rows)
-        return self._from_rows(dx, shape), {f"{self.name}.gamma": dgamma.astype(self.gamma.dtype),
-                                            f"{self.name}.beta": dbeta.astype(self.beta.dtype)}
+        dx, dgamma, dbeta = batchnorm_backward(cache, self._to_rows(upstream))
+        return self._from_rows(dx, len(upstream)), {
+            f"{self.name}.gamma": dgamma.astype(self.gamma.dtype),
+            f"{self.name}.beta": dbeta.astype(self.beta.dtype)}
 
     def update_running(self, cache):
-        bn_cache, _ = cache
-        new_mean, new_var = batchnorm_update_running(bn_cache, self.running_mean.astype(np.float64),
+        new_mean, new_var = batchnorm_update_running(cache, self.running_mean.astype(np.float64),
                                                      self.running_var.astype(np.float64))
         self.running_mean = new_mean.astype(self.running_mean.dtype)
         self.running_var = new_var.astype(self.running_var.dtype)
@@ -290,7 +290,7 @@ class DenseLayer:
 # ---------------------------------------------------------------------------
 
 class Network:
-    """Composed layer stacks plus the flatten point between them."""
+    """The conv stack (conv, pool), the flatten point, the fc stack (batchnorm, dense)."""
 
     def __init__(self, config: NetworkConfig, conv_stack, fc_stack, dtype=np.float32):
         self.config = config
@@ -340,33 +340,64 @@ class Network:
                                  f"got {x.shape[1:]}")
         return x.astype(self.dtype, copy=False)
 
+    def _prefix_widths(self, x) -> np.ndarray:
+        """The input frames that each sample's pooled columns need.
+
+        A sample is live up to one past its last column holding a non-zero
+        (NaN and inf count).  Pooled columns from ``ceil(live / step)`` on read
+        only zeros and so equal that one: the conv stack needs the first
+        ``ceil(live / step) * step + field`` frames, at most the whole input.
+        Over ``w`` such frames it computes columns ``0..(w - field) // step``.
+        """
+        live = (x != 0).any(axis=1)             # NaN and inf count
+        ends = np.where(live.any(axis=1), live.shape[1] - live[:, ::-1].argmax(axis=1), 0)
+        return np.minimum(-(-ends // self.step) * self.step + self.field, live.shape[1])
+
     def forward_train(self, x):
-        """Logits plus the cache list needed by :meth:`backward`.  No side effects."""
-        a = self._check_input(x)
+        """Logits plus one cache per layer for :meth:`backward`.  No side effects.
+
+        The conv stack runs once over the batch packed into one sequence:
+        each sample's prefix (:meth:`_prefix_widths`), zero-padded to a
+        multiple of ``step``, so every segment starts on a pooled column and
+        conv and pool compute its columns as for the sample alone.  The
+        pooled map gathers each sample's columns and copies its last one into
+        the tail, as :meth:`forward_infer` does; packed columns whose windows
+        cross into the next segment are never read.  conv1's cache, the
+        packed input, also keeps the gather index.
+        """
+        x = self._check_input(x)
+        widths = self._prefix_widths(x)
+        segments = -(-widths // self.step) * self.step
+        starts = np.cumsum(segments) - segments
+        a = np.zeros((1, x.shape[1], segments.sum()), self.dtype)
+        for sample, start, width in zip(x, starts, widths):
+            a[0, :, start:start + width] = sample[:, :width]
+        # pooled column j of sample i is packed column start_i / step + min(j, last_i)
+        columns = (starts // self.step)[:, None] + np.minimum(
+            np.arange(self.conv_out_shape[1]), (widths[:, None] - self.field) // self.step)
         caches = []
         for layer in self.conv_stack:
             a, cache = layer.forward_train(a)
             caches.append(cache)
-        a = a.reshape(a.shape[0], -1)
+        caches[0] = (caches[0], columns)
+        a = a[0][:, columns].transpose(1, 0, 2).reshape(len(x), -1)
         for layer in self.fc_stack:
             a, cache = layer.forward_train(a)
             caches.append(cache)
         return a, caches
 
     def forward_infer(self, x):
-        """Logits; the conv stack runs over each sample's live prefix only.
+        """Logits; the conv stack runs over each sample's prefix only.
 
-        A sample is live up to one past its last column holding a non-zero
-        (NaN and inf count).  Pooled columns from ``ceil(live / step)`` on read
-        only zeros, so the stack runs over ``ceil(live / step) * step + field``
-        frames (clamped to the input) and copies its last column into the rest.
+        Samples with equal prefix widths (:meth:`_prefix_widths`) share one
+        pass, and the last pooled column is copied into the rest.  Samples are
+        never packed together: a column's bits could then depend on where its
+        sample sits in the GEMM.
         """
         x = self._check_input(x)
         groups: dict[int, list[int]] = {}               # prefix width -> its samples
-        for i, live in enumerate(x.any(axis=1)):        # NaN and inf count as non-zero
-            cols = np.flatnonzero(live)
-            end = int(cols[-1]) + 1 if cols.size else 0
-            groups.setdefault(-(-end // self.step) * self.step + self.field, []).append(i)
+        for i, width in enumerate(self._prefix_widths(x).tolist()):
+            groups.setdefault(width, []).append(i)
         pooled = np.empty((len(x), *self.conv_out_shape), self.dtype)
         for width, rows in groups.items():
             a = x[rows, :, :width]
@@ -380,20 +411,30 @@ class Network:
         return a
 
     def backward(self, caches, dlogits):
-        """Gradients for every parameter, keyed like the param_items names."""
+        """Gradients for every parameter, keyed like the param_items names.
+
+        A copied tail column is the same function of the parameters as the
+        column it copies, so that packed column takes the upstream summed
+        over itself and the tail; the columns no sample reads take 0.
+        """
         grads: dict[str, np.ndarray] = {}
         upstream = dlogits
         split = len(self.conv_stack)
         for layer, cache in zip(reversed(self.fc_stack), reversed(caches[split:])):
             upstream, layer_grads = layer.backward(cache, upstream)
             grads.update(layer_grads)
-        channels, frames = self.conv_out_shape
-        upstream = upstream.reshape(upstream.shape[0], channels, frames)
+        packed, columns = caches[0]
+        pooled = upstream.reshape(len(columns), *self.conv_out_shape)
+        upstream = np.zeros((1, pooled.shape[1], (packed.shape[2] - self.field) // self.step + 1),
+                            pooled.dtype)
+        for sample, (first, last) in zip(pooled, columns[:, [0, -1]]):
+            upstream[0, :, first:last] = sample[:, :last - first]
+            sample[:, last - first:].sum(axis=1, out=upstream[0, :, last])
         for layer, cache in zip(reversed(self.conv_stack[1:]), reversed(caches[1:split])):
             upstream, layer_grads = layer.backward(cache, upstream)
             grads.update(layer_grads)
         # the stack opens with conv1, whose input (the network input) needs no gradient
-        _, layer_grads = self.conv_stack[0].backward(caches[0], upstream, input_grad=False)
+        _, layer_grads = self.conv_stack[0].backward(packed, upstream, input_grad=False)
         grads.update(layer_grads)
         return grads
 
@@ -411,8 +452,8 @@ class Network:
         prefix (see :meth:`forward_infer`) comes from its own input, pooling
         and batchnorm are elementwise, convs run one GEMM per tap and sample,
         and dense layers one matmul per row, so online single-window use and
-        offline batch evaluation agree bit for bit.  Copied tail columns may
-        differ from the training forward's in their last bits.
+        offline batch evaluation agree bit for bit.  Values may differ from
+        the packed training forward's in their last bits.
         """
         return softmax(self.forward_infer(x))
 
@@ -446,23 +487,19 @@ def _network_from_records(config: NetworkConfig, records, dtype) -> Network:
     """Layers for ``(tag, dims, arrays)`` records that follow ``_record_layout(config)``."""
     conv_stack: list = []
     fc_stack: list = []
-    stack = conv_stack
     convs = denses = 0
     for tag, dims, arrays in records:
         if tag == b"CONV":
             convs += 1
-            stack.append(ConvLayer(f"conv{convs}", *arrays))
+            conv_stack.append(ConvLayer(f"conv{convs}", *arrays))
         elif tag == b"POOL":
-            stack.append(PoolLayer(f"pool{convs}", *dims))
+            conv_stack.append(PoolLayer(f"pool{convs}", *dims))
         elif tag == b"BNRM":
-            if dims[1] == 1:
-                stack = fc_stack
-            stack.append(BatchNormLayer("batchnorm", *arrays, per_channel=dims[1] == 0))
+            fc_stack.append(BatchNormLayer("batchnorm", *arrays, per_channel=dims[1] == 0))
         elif tag == b"DENS":
-            stack = fc_stack
             denses += 1
             head = denses > len(config.fc_sizes)
-            stack.append(DenseLayer("output" if head else f"fc{denses}", *arrays, relu=not head))
+            fc_stack.append(DenseLayer("output" if head else f"fc{denses}", *arrays, relu=not head))
     return Network(config, conv_stack, fc_stack, dtype=dtype)
 
 

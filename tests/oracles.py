@@ -123,6 +123,35 @@ def forward_full_width(network, x: np.ndarray) -> np.ndarray:
     return a
 
 
+def train_full_width(network, x: np.ndarray, dlogits_of):
+    """Logits, pooled map and parameter gradients with every layer's
+    ``forward_train`` and ``backward`` run over the whole input, tail padding
+    included: the reference for ``Network.forward_train`` and
+    ``Network.backward``, which pack each sample's live prefix into one
+    sequence.  ``dlogits_of(logits)`` gives the upstream gradient."""
+    a = np.asarray(x, dtype=network.dtype)
+    conv_caches, fc_caches = [], []
+    for layer in network.conv_stack:
+        a, cache = layer.forward_train(a)
+        conv_caches.append(cache)
+    pooled = a
+    a = a.reshape(len(a), -1)
+    for layer in network.fc_stack:
+        a, cache = layer.forward_train(a)
+        fc_caches.append(cache)
+    logits = a
+    grads = {}
+    upstream = dlogits_of(logits)
+    for layer, cache in zip(network.fc_stack[::-1], fc_caches[::-1]):
+        upstream, layer_grads = layer.backward(cache, upstream)
+        grads.update(layer_grads)
+    upstream = upstream.reshape(pooled.shape)
+    for layer, cache in zip(network.conv_stack[::-1], conv_caches[::-1]):
+        upstream, layer_grads = layer.backward(cache, upstream)
+        grads.update(layer_grads)
+    return logits, pooled, grads
+
+
 def pairwise_metrics(truths, preds, num_classes):
     """Per-class precision/recall/F1 and macro F1 computed directly from label pairs."""
     per_class = []

@@ -20,6 +20,7 @@ from intentcnn import model as model_module
 from intentcnn.model import (
     ADAM_CHUNK,
     BatchNormLayer,
+    ConvLayer,
     NetworkConfig,
     PoolLayer,
     TrainSpec,
@@ -38,7 +39,8 @@ from intentcnn.model import (
 )
 from intentcnn.config import KeyReader
 
-from oracles import AdamWholeArray, dyadic, forward_full_width, simulate_shapes
+from intentcnn.numerics import one_hot, softmax, softmax_cce_logit_grad
+from oracles import AdamWholeArray, dyadic, forward_full_width, simulate_shapes, train_full_width
 
 SMALL = NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
                       pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3)
@@ -278,9 +280,94 @@ def test_forward_infer_rows_ignore_their_batchmates_live_widths():
             assert net.forward_infer(x[order]).tobytes() == whole[order].tobytes()
 
 
+def _live_tails(net, rng, unit=0.25):
+    """Conv biases (multiples of unit) that keep every channel of an all-zero
+    input above 0 after each relu, so the zero tail's pooled columns carry a
+    value and a gradient."""
+    a = np.zeros((1, net.config.channels, net.config.input_frames), net.dtype)
+    for layer in net.conv_stack:
+        if isinstance(layer, ConvLayer):
+            layer.bias[...] = 0.0
+            pre = layer.forward_infer(a)[0, :, -1]
+            layer.bias[...] = rng.integers(1, 4, layer.bias.shape) * unit - np.minimum(pre, 0.0)
+        a = layer.forward_infer(a)
+    assert (a > 0).all()
+    return net
+
+
+def _dlogits_of(labels, num_classes):
+    targets = one_hot(labels, num_classes)
+    return lambda logits: softmax_cce_logit_grad(softmax(logits), targets)
+
+
+def _packed_step(net, x, dlogits_of):
+    """Logits, the pooled map entering the fc stack, and gradients of one packed step."""
+    seen = []
+    first = net.fc_stack[0]
+    original = first.forward_train
+    first.forward_train = lambda a: seen.append(a.copy()) or original(a)
+    try:
+        logits, caches = net.forward_train(x)
+    finally:
+        del first.forward_train
+    return logits, seen[0].reshape(len(x), *net.conv_out_shape), net.backward(caches, dlogits_of(logits))
+
+
+@pytest.mark.parametrize("name", list(_PREFIX_CONFIGS))
+def test_packed_training_matches_the_full_width_reference(name):
+    # every live width 0..input_frames in a shuffled batch: all-zero samples,
+    # unpadded ones, widths below step, and tails whose gradient is folded
+    config = _prefix_config(name)
+    rng = np.random.default_rng(21)
+    net = _live_tails(build_network(config, seed=20, dtype=np.float64), rng)
+    x = _live_prefix_batch(rng, config).astype(np.float64)
+    x = x[rng.permutation(len(x))] * rng.uniform(0.5, 1.5, x.shape)
+    dlogits_of = _dlogits_of(rng.integers(0, config.num_classes, len(x)), config.num_classes)
+    want_logits, want_pooled, want = train_full_width(net, x, dlogits_of)
+    logits, pooled, grads = _packed_step(net, x, dlogits_of)
+    assert sorted(grads) == sorted(want)
+    # gradients relative to their largest entry: some, such as the bias of a
+    # conv whose channel batchnorm then centers, are rounding noise around 0
+    scale = max(np.abs(ref).max() for ref in want.values())
+    for got, ref, top in [(logits, want_logits, np.abs(want_logits).max()),
+                          (pooled, want_pooled, np.abs(want_pooled).max())] + [
+            (grads[key], want[key], scale) for key in want]:
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert np.abs(got - ref).max() <= 1e-12 * top
+
+
+@pytest.mark.parametrize("name", list(_PREFIX_CONFIGS))
+def test_packed_training_pooled_map_is_bitwise_the_full_width_map(name):
+    # dyadic conv weights and inputs keep the conv stack exact, so packing
+    # must not move a bit of the map the fc stack reads
+    config = _prefix_config(name)
+    net = _live_tails(_dyadic_network(config, seed=22), np.random.default_rng(27))
+    x = _live_prefix_batch(np.random.default_rng(23), config)
+    x = x[np.random.default_rng(24).permutation(len(x))]
+    dlogits_of = _dlogits_of(np.arange(len(x)) % config.num_classes, config.num_classes)
+    want_logits, want_pooled, _ = train_full_width(net, x, dlogits_of)
+    logits, pooled, _ = _packed_step(net, x, dlogits_of)
+    assert pooled.tobytes() == want_pooled.tobytes()
+    assert logits.tobytes() == want_logits.tobytes()
+
+
+def test_packed_training_gradients_float64_on_zero_padded_inputs():
+    # step 4 on SMALL: an all-zero sample, an unpadded one, widths below step
+    assert build_network(SMALL).step == 4
+    rng = np.random.default_rng(25)
+    net = _live_tails(build_network(SMALL, seed=26, dtype=np.float64), rng)
+    lives = (0, 32, 3, 17, 1, 9, 25, 30)
+    x = rng.normal(0.0, 1.0, size=(len(lives), 3, 32))
+    x *= np.arange(32) < np.array(lives)[:, None, None]
+    result = check_network_gradients(net, x, np.arange(len(lives)) % 3,
+                                     epsilon=1e-5, target_rel_tol=1e-6)
+    assert result.max_relative_error < 1e-6
+    assert result.checked > 0.8 * (result.checked + result.skipped)
+
+
 def test_batchnorm_per_channel_normalizes_channels():
     net = build_network(SMALL, seed=6)
-    bn = [l for l in net.conv_stack if isinstance(l, BatchNormLayer)]
+    bn = [l for l in net.layers() if isinstance(l, BatchNormLayer)]
     assert len(bn) == 1 and bn[0].per_channel
     fc_net = build_network(
         NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
@@ -325,7 +412,7 @@ def test_full_network_gradients_float64_bn_before_fc():
 def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
     # the per-layer profile names pool1..4 and costs them from the calls that
     # intentcnn.model makes through its own namespace, by their positional
-    # arguments: something shaped like the conv output (B, C, F), pool, stride
+    # arguments: the packed conv output (1, C, F), pool, stride
     calls = {"forward": [], "backward": []}
     for kind, recorded in calls.items():
         original = getattr(model_module, f"maxpool1d_{kind}")
@@ -336,12 +423,21 @@ def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
         monkeypatch.setattr(model_module, f"maxpool1d_{kind}", recorder)
     config = NetworkConfig()
     x = make_batch(np.random.default_rng(0), config, 11)
+    lives = np.array([2000, 1600, 1201, 802, 900, 1000, 1100, 1985])
+    x[:8] *= np.arange(2000) < lives[:, None, None]
     y = np.arange(11) % config.num_classes
     train(build_network(config, seed=0), x[:8], y[:8], x[8:], y[8:],
           TrainSpec(epochs=1, batch_size=8))
-    conv_shapes = [(8,) + shape for name, shape in plan_layers(config) if name.startswith("conv")]
-    for kind, order in (("forward", conv_shapes), ("backward", conv_shapes[::-1])):
-        step = [args for args in calls[kind] if args[0].shape[0] == 8]   # not validation's 3
+    # the default network's pooled columns are 16 frames apart and read 76
+    widths = np.minimum(-(-lives // 16) * 16 + 76, 2000)
+    frames = int((-(-widths // 16) * 16).sum())
+    shapes = []
+    for filters in config.conv_filters:
+        frames -= config.kernel_width - 1
+        shapes.append((1, filters, frames))
+        frames = (frames - config.pool) // config.pool_stride + 1
+    for kind, order in (("forward", shapes), ("backward", shapes[::-1])):
+        step = [args for args in calls[kind] if args[0].shape[0] == 1]   # not validation's 3
         assert [tuple(args[0].shape) for args in step] == order
         assert [args[1:3] for args in step] == [(config.pool, config.pool_stride)] * len(order)
 
@@ -498,13 +594,13 @@ def test_train_raises_on_nonfinite():
 
 def test_running_stats_move_during_training():
     net = build_network(SMALL, seed=2)
-    bn = next(l for l in net.conv_stack if isinstance(l, BatchNormLayer))
+    bn = next(l for l in net.layers() if isinstance(l, BatchNormLayer))
     before = bn.running_mean.copy()
     rng = np.random.default_rng(3)
     x = make_batch(rng, SMALL, 8) + 5.0
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     train(net, x, y, x, y, TrainSpec(epochs=1, batch_size=4, seed=0))
-    bn_after = next(l for l in net.conv_stack if isinstance(l, BatchNormLayer))
+    bn_after = next(l for l in net.layers() if isinstance(l, BatchNormLayer))
     assert not np.array_equal(bn_after.running_mean, before)
 
 
@@ -591,8 +687,8 @@ def test_bn_running_stats_survive_round_trip():
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     train(net, x, y, x, y, TrainSpec(epochs=1, batch_size=4, seed=0))
     clone = deserialize(serialize(net))
-    bn = next(l for l in net.conv_stack if isinstance(l, BatchNormLayer))
-    bn_clone = next(l for l in clone.conv_stack if isinstance(l, BatchNormLayer))
+    bn = next(l for l in net.layers() if isinstance(l, BatchNormLayer))
+    bn_clone = next(l for l in clone.layers() if isinstance(l, BatchNormLayer))
     npt.assert_array_equal(bn.running_mean, bn_clone.running_mean)
     npt.assert_array_equal(bn.running_var, bn_clone.running_var)
     assert not np.array_equal(bn.running_mean, np.zeros_like(bn.running_mean))
