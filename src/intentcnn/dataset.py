@@ -405,9 +405,9 @@ def prepare_input(raw, stats: StandardizationStats, input_frames: int,
     """Standardize raw ``(channels, frames)`` values into a zero ``(channels,
     input_frames)`` float32 array, starting at column ``offset``.
 
-    The one input preparation of training, prediction and streaming: the
-    arithmetic runs in float64 and every frame outside the raw ones is exactly
-    zero, so the same raw frames give the same network input on every path.
+    The one input preparation of training, prediction and streaming: a float64
+    copy is standardized in place and rounded to float32 as it is written, and
+    every other frame is exactly zero, so equal raw frames give equal inputs.
     """
     raw = np.asarray(raw)
     channels, frames = raw.shape
@@ -417,9 +417,11 @@ def prepare_input(raw, stats: StandardizationStats, input_frames: int,
     if offset + frames > input_frames:
         raise InputError(f"{frames} frames at offset {offset} do not fit an input of "
                          f"{input_frames} frames")
+    z = raw.astype(np.float64)
+    z -= stats.mean[:, None]
+    z /= stats.std[:, None]
     out = np.zeros((channels, input_frames), dtype=np.float32)
-    out[:, offset:offset + frames] = ((raw.astype(np.float64) - stats.mean[:, None]) /
-                                      stats.std[:, None]).astype(np.float32)
+    out[:, offset:offset + frames] = z
     return out
 
 
@@ -437,22 +439,24 @@ def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
     rows = _read_csv_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
         raise FormatError(f"{path}: expected header 'channel,mean,std'")
-    names, means, stds = [], [], []
-    for r, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    try:
+        if body and all(len(row) == 3 for row in body):
+            return (StandardizationStats(mean=[float(row[1]) for row in body],
+                                         std=[float(row[2]) for row in body]),
+                    tuple(row[0] for row in body))
+    except (ValueError, InputError):
+        pass                                    # the row loop names the first bad row
+    for r, row in enumerate(body, start=2):
         if len(row) != 3:
             raise FormatError(f"{path}: row {r} has {len(row)} cells, expected 3")
-        names.append(row[0])
         try:
-            means.append(float(row[1]))
-            stds.append(float(row[2]))
-            StandardizationStats(mean=means[-1:], std=stds[-1:])
+            StandardizationStats(mean=[float(row[1])], std=[float(row[2])])
         except ValueError:
             raise FormatError(f"{path}: row {r}: non-numeric statistic") from None
         except InputError as exc:
             raise FormatError(f"{path}: row {r}: {exc}") from None
-    if not names:
-        raise FormatError(f"{path}: no channel rows")
-    return StandardizationStats(mean=np.array(means), std=np.array(stds)), tuple(names)
+    raise FormatError(f"{path}: no channel rows")      # only an empty body gets here
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +621,9 @@ class SynthSpec:
 
     Each (class, channel) pair gets one deterministic template
     ``A*sin(2*pi*f*t + phi) + drift*t`` with parameters drawn once from the
-    seeded generator; every trial adds fresh Gaussian noise and draws its
-    frame count uniformly from ``frame_range`` (inclusive).  The same seed
-    always produces bit-identical datasets.
+    seeded generator; every trial draws its frame count uniformly from
+    ``frame_range`` (inclusive), takes that many leading frames of its class
+    template plus fresh Gaussian noise.  The same seed gives the same bits.
     """
 
     num_classes: int = 6
@@ -667,11 +671,6 @@ def _draw_templates(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     return params
 
 
-def template_parameters(spec: SynthSpec) -> np.ndarray:
-    """(num_classes, channels, 4) array of the per-template (A, f, phi, drift) draws."""
-    return _draw_templates(np.random.default_rng(spec.seed), spec)
-
-
 def template_waveform(params_kc: np.ndarray, frames: int, sample_rate_hz: float) -> np.ndarray:
     """Noise-free template for one class: params (channels, 4) -> (channels, frames) float64."""
     t = np.arange(frames, dtype=np.float64) / sample_rate_hz
@@ -680,30 +679,31 @@ def template_waveform(params_kc: np.ndarray, frames: int, sample_rate_hz: float)
 
 
 def synth_generate(spec: SynthSpec) -> LabeledDataset:
-    """Generate trials_per_class traces per class; deterministic per seed.
-
-    Draw order (fixed for reproducibility): all template parameters first,
-    then per class, per trial: frame count, then the noise matrix.
+    """Generate trials_per_class traces per class from one template per class,
+    computed at ``frame_range[1]`` frames: a trial is its first ``frames``
+    columns plus fresh noise.  Draw order (fixed for reproducibility): all
+    template parameters, then per class, per trial: frame count, then noise.
     """
     rng = np.random.default_rng(spec.seed)
     params = _draw_templates(rng, spec)
     channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
     traces: list[Trace] = []
-    labels: list[int] = []
     lo, hi = spec.frame_range
+    templates = [template_waveform(p, hi, spec.sample_rate_hz) for p in params]
     for k in range(spec.num_classes):
         for _ in range(spec.trials_per_class):
             frames = int(rng.integers(lo, hi + 1))
-            clean = template_waveform(params[k], frames, spec.sample_rate_hz)
+            clean = templates[k][:, :frames]
             noise = rng.normal(0.0, spec.noise_std, size=clean.shape) if spec.noise_std > 0 \
-                else np.zeros_like(clean)
-            traces.append(Trace(values=(clean + noise).astype(np.float32),
+                else np.zeros(clean.shape)
+            np.add(noise, clean, out=noise)
+            traces.append(Trace(values=noise.astype(np.float32),
                                 channel_names=channel_names,
                                 sample_rate_hz=spec.sample_rate_hz))
-            labels.append(k)
     log.info("generated %d synthetic traces (%d classes x %d trials, %d channels)",
              len(traces), spec.num_classes, spec.trials_per_class, spec.channels)
-    return LabeledDataset(traces=traces, labels=np.array(labels), vocab=spec.class_names())
+    labels = np.repeat(np.arange(spec.num_classes), spec.trials_per_class)
+    return LabeledDataset(traces=traces, labels=labels, vocab=spec.class_names())
 
 
 # the generation config keys: the SynthSpec fields, with frame_range read as

@@ -5,6 +5,10 @@ it shares no code (and no vectorization strategy) with the library.  Where a
 test demands bit-exact agreement the inputs are drawn from a dyadic grid (see
 ``dyadic``) so every product and partial sum is exactly representable and the
 result is independent of accumulation order.
+
+The exceptions are ``synth_generate_per_trial`` and ``load_stats_per_row``:
+the earlier, simpler form of a library function, built from the library's
+own pieces, kept as the behaviour its faster form must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ import struct
 
 import numpy as np
 
-from intentcnn.errors import FormatError
+from intentcnn.dataset import (
+    LabeledDataset,
+    StandardizationStats,
+    Trace,
+    _draw_templates,
+    _read_csv_rows,
+    template_waveform,
+)
+from intentcnn.errors import FormatError, InputError
 
 
 def dyadic(rng: np.random.Generator, shape, step: float = 0.25, span: int = 8) -> np.ndarray:
@@ -301,3 +313,50 @@ def write_trace_csv(trace, path: str) -> None:
             row = [f"{f / trace.sample_rate_hz:.4f}"]
             row.extend(f"{v:.9g}" for v in trace.values[:, f])
             writer.writerow(row)
+
+
+def synth_generate_per_trial(spec):
+    """``dataset.synth_generate`` with the template recomputed for every trial at
+    the trial's own length: the reference that computing each class template
+    once and slicing it must reproduce bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    params = _draw_templates(rng, spec)
+    channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
+    traces, labels = [], []
+    lo, hi = spec.frame_range
+    for k in range(spec.num_classes):
+        for _ in range(spec.trials_per_class):
+            frames = int(rng.integers(lo, hi + 1))
+            clean = template_waveform(params[k], frames, spec.sample_rate_hz)
+            noise = rng.normal(0.0, spec.noise_std, size=clean.shape) if spec.noise_std > 0 \
+                else np.zeros_like(clean)
+            traces.append(Trace(values=(clean + noise).astype(np.float32),
+                                channel_names=channel_names,
+                                sample_rate_hz=spec.sample_rate_hz))
+            labels.append(k)
+    return LabeledDataset(traces=traces, labels=np.array(labels), vocab=spec.class_names())
+
+
+def load_stats_per_row(path: str):
+    """A stats file read and checked one row at a time, stopping at the first
+    bad row: the values, names and error messages ``dataset.load_stats`` must
+    reproduce."""
+    rows = _read_csv_rows(path)
+    if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
+        raise FormatError(f"{path}: expected header 'channel,mean,std'")
+    names, means, stds = [], [], []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise FormatError(f"{path}: row {r} has {len(row)} cells, expected 3")
+        names.append(row[0])
+        try:
+            means.append(float(row[1]))
+            stds.append(float(row[2]))
+            StandardizationStats(mean=means[-1:], std=stds[-1:])
+        except ValueError:
+            raise FormatError(f"{path}: row {r}: non-numeric statistic") from None
+        except InputError as exc:
+            raise FormatError(f"{path}: row {r}: {exc}") from None
+    if not names:
+        raise FormatError(f"{path}: no channel rows")
+    return StandardizationStats(mean=np.array(means), std=np.array(stds)), tuple(names)

@@ -38,7 +38,6 @@ from intentcnn.dataset import (
     standardize_fit,
     stratified_split,
     synth_generate,
-    template_parameters,
     template_waveform,
     write_trace_csv,
 )
@@ -453,6 +452,14 @@ def test_prepare_input_standardizes_into_zero_frame():
         prepare_input(raw[:1], stats, input_frames=5)
 
 
+def _per_step_formula(raw, stats, input_frames, offset=0):
+    """The criterion 8 recipe, allocating a float64 temporary per step."""
+    out = np.zeros((raw.shape[0], input_frames), dtype=np.float32)
+    out[:, offset:offset + raw.shape[1]] = (
+        (raw.astype(np.float64) - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
+    return out
+
+
 def test_prepare_input_is_the_criterion_8_recipe_bit_for_bit():
     rng = np.random.default_rng(8)
     stats = StandardizationStats(mean=np.array([0.1, -0.2, 0.3, 0.05]),
@@ -461,13 +468,40 @@ def test_prepare_input_is_the_criterion_8_recipe_bit_for_bit():
     window, input_frames = 1000, 2000
     for end in (0, 99, 499, 998, 999, 1299):                # warm-up, then full windows
         real = min(end + 1, window)
-        recipe = np.zeros((4, input_frames), dtype=np.float32)
-        chunk = buffer[:, end + 1 - real: end + 1].astype(np.float64)
-        recipe[:, window - real: window] = (
-            (chunk - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
-        got = prepare_input(buffer[:, end + 1 - real: end + 1], stats, input_frames,
-                            offset=window - real)
+        chunk = buffer[:, end + 1 - real: end + 1]
+        recipe = _per_step_formula(chunk, stats, input_frames, window - real)
+        got = prepare_input(chunk, stats, input_frames, offset=window - real)
         assert got.dtype == np.float32 and got.tobytes() == recipe.tobytes()
+
+
+def test_prepare_input_is_the_per_step_formula_bit_for_bit():
+    rng = np.random.default_rng(15)
+    stats = StandardizationStats(mean=rng.normal(0.0, 2.0, 6), std=rng.uniform(0.1, 3.0, 6))
+    trace = rng.normal(0.0, 3.0, size=(6, 1200)).astype(np.float32)
+    ring = np.zeros((6, 2000), dtype=np.float32)
+    ring[:, 300:1300] = trace[:, :1000]
+    cases = [(trace, 2000, 0),                            # contiguous trace
+             (trace.astype(np.float64), 1200, 0),         # float64 input, no padding
+             (ring[:, 700:1300], 1000, 400),              # strided ring view at an offset
+             (np.asfortranarray(trace)[:, ::3], 500, 50)]  # column-major, every third frame
+    for raw, input_frames, offset in cases:
+        got = prepare_input(raw, stats, input_frames, offset=offset)
+        want = _per_step_formula(raw, stats, input_frames, offset)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert ring[:, 300:1300].tobytes() == trace[:, :1000].tobytes()      # input untouched
+
+
+def test_prepare_input_overflow_is_inf_without_a_warning_when_silenced():
+    stats = StandardizationStats(mean=np.array([-3e38, 0.0]), std=np.array([0.5, 1.0]))
+    raw = np.array([[3e38, -3e38, 1.0], [1.0, 2.0, 3.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            got = prepare_input(raw, stats, input_frames=4, offset=1)
+            want = _per_step_formula(raw, stats, 4, 1)
+    assert got.tobytes() == want.tobytes()
+    assert np.isposinf(got[0, [1, 3]]).all() and np.isfinite(got[0, 2])
+    npt.assert_array_equal(got[1], [0.0, 1.0, 2.0, 3.0])
 
 
 def test_stats_csv_round_trip_is_exact(tmp_path):
@@ -502,6 +536,45 @@ def test_load_stats_rejects_unusable_values_with_row(tmp_path, mean, std):
     path.write_text(f"channel,mean,std\na,0.0,1.0\nb,{mean},{std}\n")
     with pytest.raises(FormatError, match=r"stats\.csv: row 3"):
         load_stats(str(path))
+
+
+def test_load_stats_names_the_first_bad_row_in_file_order(tmp_path):
+    rows = [f"c{r:02d},{0.1 * r!r},{1.0 + r!r}" for r in range(2, 12)]
+    rows[1] = "c03,0.5,-2.0"            # row 3: non-positive std
+    rows[8] = "c10,oops,1.0"            # row 10: non-numeric
+    path = tmp_path / "stats.csv"
+    path.write_text("channel,mean,std\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_stats(str(path))
+    assert str(info.value) == f"{path}: row 3: standard deviations must be positive"
+
+
+_STATS_ROWS = st.one_of(
+    st.tuples(st.sampled_from(["a", "fx", "c 01", '"q,uoted"']),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.floats(min_value=1e-300, allow_infinity=False).map(repr)).map(",".join),
+    st.sampled_from(["b,nan,1.0", "b,0.5,inf", "b,0.5,0", "b,0.5,-1e-3", "b,zz,1.0",
+                     "b,0.5,", "b,0.5", "b,0.5,1.0,2.0", ""]))
+
+
+@_SETTINGS
+@given(rows=st.lists(_STATS_ROWS, max_size=8))
+def test_load_stats_is_the_per_row_reader(tmp_path_factory, rows):
+    path = str(tmp_path_factory.getbasetemp() / "stats_rows.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("channel,mean,std\n" + "".join(row + "\n" for row in rows))
+    try:
+        want = oracles.load_stats_per_row(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            load_stats(path)
+        assert str(info.value) == str(exc)
+        return
+    got = load_stats(path)
+    assert got[1] == want[1]
+    assert got[0].mean.tobytes() == want[0].mean.tobytes()
+    assert got[0].std.tobytes() == want[0].std.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # splitting
@@ -684,11 +757,38 @@ def test_synth_generate_is_bit_deterministic():
                    for ta, tc in zip(a.traces, c.traces))
 
 
+def _template_parameters(spec):
+    """The (num_classes, channels, 4) template parameters a spec's seed draws first."""
+    return dataset._draw_templates(np.random.default_rng(spec.seed), spec)
+
+
+_E5_DATA2 = dict(num_classes=6, trials_per_class=20, channels=24)
+
+
+@pytest.mark.parametrize("spec", [
+    *(SynthSpec(**_E5_DATA2, seed=seed + 101) for seed in range(5)),      # e5 "data2"
+    SynthSpec(num_classes=2, trials_per_class=24, channels=24, seed=202),  # "data3"
+    SynthSpec(num_classes=3, trials_per_class=3, channels=4, frame_range=(37, 37), seed=4),
+    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_range=(10, 4000), seed=9),
+    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_range=(10, 4000),
+              noise_std=0.0, seed=11),
+], ids=lambda spec: f"{spec.num_classes}x{spec.trials_per_class}-{spec.frame_range}-"
+                    f"noise{spec.noise_std:g}-seed{spec.seed}")
+def test_synth_generate_is_the_per_trial_template_bit_for_bit(spec):
+    got, want = synth_generate(spec), oracles.synth_generate_per_trial(spec)
+    assert got.vocab == want.vocab
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert len(got.traces) == len(want.traces)
+    for g, w in zip(got.traces, want.traces):
+        assert g.values.shape == w.values.shape and g.source_frames == w.source_frames
+        assert g.values.dtype == np.float32 and g.values.tobytes() == w.values.tobytes()
+
+
 def test_synth_noise_free_matches_template():
-    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3,
-                     frame_range=(25, 25), noise_std=0.0, seed=3)
+    spec = SynthSpec(num_classes=2, trials_per_class=4, channels=3,
+                     frame_range=(25, 60), noise_std=0.0, seed=3)
     data = synth_generate(spec)
-    params = template_parameters(spec)
+    params = _template_parameters(spec)
     for trace, label in zip(data.traces, data.labels):
         expected = template_waveform(params[label], trace.frames, spec.sample_rate_hz)
         npt.assert_array_equal(trace.values, expected.astype(np.float32))
@@ -697,7 +797,7 @@ def test_synth_noise_free_matches_template():
 def test_synth_templates_separate_classes():
     # class templates must differ far beyond the trial noise level
     spec = SynthSpec(num_classes=6, trials_per_class=1, channels=24, seed=0)
-    params = template_parameters(spec)
+    params = _template_parameters(spec)
     frames = 400
     waves = [template_waveform(params[k], frames, spec.sample_rate_hz)
              for k in range(spec.num_classes)]
