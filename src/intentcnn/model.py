@@ -9,7 +9,9 @@ after the last pooling stage (normalizing each conv channel, the default) or
 after flattening (normalizing each flattened entry).  Neither forward pass
 convolves a sample's zero tail padding: its pooled columns all equal one
 column, computed once and copied.  Training packs the batch's live prefixes
-into one sequence and folds the tail's gradient into that column.
+into one sequence and folds the tail's gradient into that column; it runs
+each dense layer as one GEMM over the batch, where inference keeps one
+product per row so that no sample depends on its batch.
 
 All learnable parameters are float32; an alternative dtype can be requested
 at build time for high-precision gradient verification.  Model files use the
@@ -204,50 +206,44 @@ class PoolLayer:
 
 
 class BatchNormLayer:
-    """Batch normalization over conv channels (per_channel) or flat entries.
+    """Batch normalization over conv channels or flattened entries, one
+    gamma, beta and running statistic each.
 
-    It runs on the flattened map in either position; a per-channel layer
-    reads its (B, C * F) input as (B, C, F).  ``forward_train`` is side-effect
-    free; the running statistics only move when the owner explicitly calls
-    :meth:`update_running` with the cache.
+    It runs on the flattened map in either position, read as a (B, C, F)
+    view: per channel, the (B, C * F) map is (B, C, F); per entry, it is
+    (B, C * F, 1).  The kernels reduce over the batch and frame axes, so
+    neither position copies or transposes the map.  Training may reorder
+    those reductions; inference is elementwise and keeps its bits.
+    ``forward_train`` is side-effect free; the running statistics only move
+    when the owner explicitly calls :meth:`update_running` with the cache.
     """
 
     def __init__(self, name: str, gamma: np.ndarray, beta: np.ndarray,
-                 running_mean: np.ndarray, running_var: np.ndarray, per_channel: bool):
+                 running_mean: np.ndarray, running_var: np.ndarray):
         self.name = name
         self.gamma = gamma
         self.beta = beta
         self.running_mean = running_mean
         self.running_var = running_var
-        self.per_channel = per_channel
 
     def param_items(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
 
-    def _to_rows(self, x):
-        if not self.per_channel:
-            return x
-        # (B, C * F) -> (B * F, C): every frame of every sample is one row
-        channels = len(self.gamma)
-        return x.reshape(len(x), channels, -1).transpose(0, 2, 1).reshape(-1, channels)
-
-    def _from_rows(self, rows, batch):
-        if not self.per_channel:
-            return rows
-        return rows.reshape(batch, -1, len(self.gamma)).transpose(0, 2, 1).reshape(batch, -1)
+    def _view(self, x):
+        return x.reshape(len(x), len(self.gamma), -1)
 
     def forward_train(self, x):
-        out, cache = batchnorm_forward_train(self._to_rows(x), self.gamma, self.beta)
-        return self._from_rows(out, len(x)), cache
+        out, cache = batchnorm_forward_train(self._view(x), self.gamma, self.beta)
+        return out.reshape(x.shape), cache
 
     def forward_infer(self, x):
-        out = batchnorm_forward_infer(self._to_rows(x), self.gamma, self.beta,
+        out = batchnorm_forward_infer(self._view(x), self.gamma, self.beta,
                                       self.running_mean, self.running_var)
-        return self._from_rows(out, len(x))
+        return out.reshape(x.shape)
 
     def backward(self, cache, upstream):
-        dx, dgamma, dbeta = batchnorm_backward(cache, self._to_rows(upstream))
-        return self._from_rows(dx, len(upstream)), {
+        dx, dgamma, dbeta = batchnorm_backward(cache, self._view(upstream))
+        return dx.reshape(upstream.shape), {
             f"{self.name}.gamma": dgamma.astype(self.gamma.dtype),
             f"{self.name}.beta": dbeta.astype(self.beta.dtype)}
 
@@ -259,7 +255,11 @@ class BatchNormLayer:
 
 
 class DenseLayer:
-    """Affine map, optionally followed by relu (the classifier head omits it)."""
+    """Affine map, optionally followed by relu (the classifier head omits it).
+
+    Training runs the batch as one GEMM; inference keeps one product per
+    row, so that no sample depends on its batch (see :func:`dense_forward`).
+    """
 
     def __init__(self, name: str, weights: np.ndarray, bias: np.ndarray, relu: bool):
         self.name = name
@@ -271,7 +271,7 @@ class DenseLayer:
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
     def forward_train(self, x):
-        pre = dense_forward(x, self.weights, self.bias)
+        pre = dense_forward(x, self.weights, self.bias, per_row=False)
         return (relu_forward(pre) if self.relu else pre), (x, pre)
 
     def forward_infer(self, x):
@@ -452,8 +452,10 @@ class Network:
         prefix (see :meth:`forward_infer`) comes from its own input, pooling
         and batchnorm are elementwise, convs run one GEMM per tap and sample,
         and dense layers one matmul per row, so online single-window use and
-        offline batch evaluation agree bit for bit.  Values may differ from
-        the packed training forward's in their last bits.
+        offline batch evaluation agree bit for bit.  Values may differ in
+        their last bits from the training forward's, which packs the batch,
+        runs each dense layer as one GEMM over the batch and normalizes with
+        batch statistics.
         """
         return softmax(self.forward_infer(x))
 
@@ -495,7 +497,7 @@ def _network_from_records(config: NetworkConfig, records, dtype) -> Network:
         elif tag == b"POOL":
             conv_stack.append(PoolLayer(f"pool{convs}", *dims))
         elif tag == b"BNRM":
-            fc_stack.append(BatchNormLayer("batchnorm", *arrays, per_channel=dims[1] == 0))
+            fc_stack.append(BatchNormLayer("batchnorm", *arrays))
         elif tag == b"DENS":
             denses += 1
             head = denses > len(config.fc_sizes)

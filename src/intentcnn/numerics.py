@@ -135,9 +135,9 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
 
     upstream has the forward output's shape.  Returns (dx, dweights, dbias)
     with the shapes of x, weights and bias respectively.  Per tap k,
-    dweights[:, :, k] sums upstream @ tap_k^T over the batch, and
-    weights[:, :, k]^T @ upstream is added into tap k's frames of dx, in
-    ascending k.
+    dweights[:, :, k] sums upstream @ tap_k^T over the batch.  dx takes one
+    stacked (C*K, O) @ (O, T) GEMM per sample, whose rows c*K + k form
+    weights[:, :, k]^T @ upstream, added into tap k's frames in ascending k.
 
     With ``input_grad=False`` dx is not computed and comes back as None;
     dweights and dbias are the same bits as in the full call.  A network's
@@ -155,9 +155,11 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     dweights = np.stack([(upb @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
     if not input_grad:
         return None, dweights, dbias
-    dx = np.zeros(xb.shape, dtype=np.result_type(upb, w_taps))
-    for dx_tap, w_tap in zip(_taps(dx, len(w_taps), 1), w_taps):
-        dx_tap += w_tap.T @ upb
+    shares = np.asarray(weights).reshape(len(weights), -1).T @ upb       # (B, C*K, T)
+    shares = shares.reshape(len(upb), xb.shape[1], len(w_taps), -1)
+    dx = np.zeros(xb.shape, dtype=shares.dtype)
+    for k, dx_tap in enumerate(_taps(dx, len(w_taps), 1)):
+        dx_tap += shares[:, :, k]
     return (dx if batched else dx[0]), dweights, dbias
 
 
@@ -258,8 +260,13 @@ def maxpool1d_backward(x: np.ndarray | PoolRoutes, pool: int, stride: int,
 # dense / relu
 # ---------------------------------------------------------------------------
 
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map y = W x + b.  weights: (out, in); bias: (out,)."""
+def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, *,
+                  per_row: bool = True) -> np.ndarray:
+    """Affine map y = W x + b.  weights: (out, in); bias: (out,).
+
+    Each row is one (1, in) @ (in, out) product, so no row depends on its
+    batch.  With ``per_row=False`` (training) the batch is one (out, in) @
+    (in, batch) GEMM, which reads the weights once; its bits differ."""
     xb, batched = _as_batched_vec(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
@@ -269,8 +276,7 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
         raise DimensionError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
     if xb.shape[1] != weights.shape[1]:
         raise DimensionError(f"input has {xb.shape[1]} features but weights expect {weights.shape[1]}")
-    # one (1, in) @ (in, out) product per row: no row depends on its batch
-    out = (xb[:, None, :] @ weights.T)[:, 0] + bias
+    out = ((xb[:, None, :] @ weights.T)[:, 0] if per_row else (weights @ xb.T).T) + bias
     return out if batched else out[0]
 
 
@@ -311,51 +317,66 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 # batch normalization
 # ---------------------------------------------------------------------------
 
+def _channel_view(x: np.ndarray) -> np.ndarray:
+    """x as (batch, channels, frames); (batch, features) has one frame per feature."""
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"batchnorm expects (batch, features) or (batch, channels, "
+                             f"frames), got shape {x.shape}")
+    return x if x.ndim == 3 else x[:, :, None]
+
+
 @dataclass
 class BatchNormCache:
     """Intermediate values needed by batchnorm_backward."""
-    x_hat: np.ndarray          # normalized input, same shape/dtype as forward input
-    inv_std: np.ndarray        # float64 (features,)
+    x_hat: np.ndarray          # float64 normalized input, (batch, channels, frames)
+    inv_std: np.ndarray        # float64 (channels,)
     gamma: np.ndarray
-    batch_mean: np.ndarray     # float64 (features,)
-    batch_var: np.ndarray      # float64 (features,) population variance
+    batch_mean: np.ndarray     # float64 (channels,)
+    batch_var: np.ndarray      # float64 (channels,) population variance
 
 
 def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                             eps: float = BN_EPSILON) -> tuple[np.ndarray, BatchNormCache]:
-    """Normalize each feature by the batch mean and population variance.
+    """Normalize each channel by its batch mean and population variance.
 
-    x: (batch, features), batch >= 2.  Returns (gamma * x_hat + beta, cache).
-    Statistics are accumulated in float64; the output keeps x's dtype.
+    x: (batch, features), one channel per feature, or (batch, channels,
+    frames), reduced over batch and frames; >= 2 values per channel.  Returns
+    (gamma * x_hat + beta, cache) in x's shape and dtype; the statistics and
+    x_hat are float64, computed in place on one copy of x.
     """
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise DimensionError(f"batchnorm expects (batch, features), got shape {x.shape}")
-    if x.shape[0] < 2:
-        raise DegenerateInputError(f"batchnorm train mode needs a batch of >= 2 rows, got {x.shape[0]}")
+    xv = _channel_view(x)
+    count = xv.shape[0] * xv.shape[2]
+    if count < 2:
+        raise DegenerateInputError(f"batchnorm train mode needs >= 2 values per channel, got {count}")
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise DimensionError(f"gamma/beta must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
-    mean = x.mean(axis=0, dtype=np.float64)
-    var = x.var(axis=0, dtype=np.float64)
+    if gamma.shape != (xv.shape[1],) or beta.shape != (xv.shape[1],):
+        raise DimensionError(f"gamma/beta must be ({xv.shape[1]},), got {gamma.shape} and {beta.shape}")
+    x_hat = xv.astype(np.float64)
+    mean = x_hat.sum(axis=(0, 2)) / count
+    x_hat -= mean[:, None]
+    var = np.einsum("bcf,bcf->c", x_hat, x_hat) / count
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = ((x - mean) * inv_std).astype(x.dtype, copy=False)
-    out = (gamma * x_hat + beta).astype(x.dtype, copy=False)
-    return out, BatchNormCache(x_hat=x_hat, inv_std=inv_std, gamma=gamma,
-                               batch_mean=mean, batch_var=var)
+    x_hat *= inv_std[:, None]
+    out = np.multiply(x_hat, gamma[:, None], out=np.empty(xv.shape, x.dtype))
+    out += beta[:, None]
+    return out.reshape(x.shape), BatchNormCache(x_hat=x_hat, inv_std=inv_std, gamma=gamma,
+                                                batch_mean=mean, batch_var=var)
 
 
 def batchnorm_forward_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                             running_mean: np.ndarray, running_var: np.ndarray,
                             eps: float = BN_EPSILON) -> np.ndarray:
-    """Normalize with stored running statistics; rows are independent."""
+    """Normalize with stored running statistics, per feature or channel as in
+    batchnorm_forward_train.  Elementwise: no value depends on its batch."""
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise DimensionError(f"batchnorm expects (batch, features), got shape {x.shape}")
+    xv = _channel_view(x)
     inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
-    out = np.asarray(gamma) * ((x - np.asarray(running_mean)) * inv_std) + np.asarray(beta)
-    return out.astype(x.dtype, copy=False)
+    out = (xv - np.asarray(running_mean)[:, None]) * inv_std[:, None]
+    out *= np.asarray(gamma)[:, None]
+    out += np.asarray(beta)[:, None]
+    return out.astype(x.dtype, copy=False).reshape(x.shape)
 
 
 def batchnorm_update_running(cache: BatchNormCache, running_mean: np.ndarray,
@@ -372,23 +393,23 @@ def batchnorm_update_running(cache: BatchNormCache, running_mean: np.ndarray,
 
 def batchnorm_backward(cache: BatchNormCache, upstream: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients through train-mode batchnorm: (dx, dgamma, dbeta)."""
+    """Gradients through train-mode batchnorm: (dx, dgamma, dbeta) in
+    upstream's dtype, dx in its shape.  Per channel of n values, in float64,
+    dx = gamma * inv_std * (up - dbeta / n - x_hat * dgamma / n)."""
     upstream = np.asarray(upstream)
+    up = _channel_view(upstream)
     x_hat = cache.x_hat
-    if upstream.shape != x_hat.shape:
+    if up.shape != x_hat.shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match input {x_hat.shape}")
-    rows = x_hat.shape[0]
-    dbeta = upstream.sum(axis=0, dtype=np.float64)
-    dgamma = (upstream * x_hat).sum(axis=0, dtype=np.float64)
-    dxhat = upstream * cache.gamma
-    # classic population-variance batchnorm input gradient
-    dx = (cache.inv_std / rows) * (
-        rows * dxhat
-        - dxhat.sum(axis=0, dtype=np.float64)
-        - x_hat * (dxhat * x_hat).sum(axis=0, dtype=np.float64)
-    )
-    dtype = x_hat.dtype
-    return dx.astype(dtype, copy=False), dgamma.astype(dtype, copy=False), dbeta.astype(dtype, copy=False)
+    count = up.shape[0] * up.shape[2]
+    dx = up.astype(np.float64)
+    dbeta = dx.sum(axis=(0, 2))
+    dgamma = np.einsum("bcf,bcf->c", dx, x_hat)
+    dx -= (dbeta / count)[:, None]
+    dx -= x_hat * (dgamma / count)[:, None]
+    dx *= (cache.gamma * cache.inv_std)[:, None]
+    dtype = upstream.dtype
+    return dx.astype(dtype).reshape(upstream.shape), dgamma.astype(dtype), dbeta.astype(dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ Wire formats:
 * input — one line per frame, ``channels`` comma-separated decimal floats.
   Standard input and ``tcp:HOST:PORT`` are read alike: bytes are UTF-8, with
   undecodable bytes read as U+FFFD, and lines end at ``\n``, ``\r\n`` or
-  ``\r``;
+  ``\r``.  A line longer than ``LINE_CHARS`` characters is not kept: it
+  becomes one error record that holds its first characters;
 * output — one line per hop,
   ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
 
-Malformed input lines (the wrong value count, a value that breaks the number
+Malformed input lines (too long, the wrong value count, a value that breaks the number
 rule of trace cells: anything ``float()`` accepts whose float32 rounding is
 finite, or bytes that are not UTF-8) produce a structured error record and
 are skipped (the stream keeps running).  A hop whose standardized window does
@@ -55,6 +56,8 @@ from .model import Network
 DEFAULT_WINDOW_FRAMES = 1000
 DEFAULT_HOP_FRAMES = 100
 READ_BYTES = 65536              # one read of a stream source
+LINE_CHARS = 2 * READ_BYTES     # longest stream line kept; a longer one is an error record
+EXCERPT_CHARS = 40              # what an error record keeps of its line
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,8 @@ class StreamPrediction:
 
 @dataclass(frozen=True)
 class StreamErrorRecord:
-    """A skipped input line: position, reason, and the offending text."""
+    """A skipped input line: position, reason, and the first EXCERPT_CHARS
+    characters of the offending text."""
 
     line_number: int
     message: str
@@ -243,20 +247,22 @@ def _ingest(state: _StreamState, numbers: list, rows: list):
 
 
 def _record(line_number: int, message: str, tokens: list) -> StreamErrorRecord:
-    return StreamErrorRecord(line_number=line_number, message=message, raw=",".join(tokens))
+    return StreamErrorRecord(line_number=line_number, message=message,
+                             raw=",".join(tokens)[:EXCERPT_CHARS])
 
 
 def stream_classify_batches(batches, cfg: WindowConfig):
     """Classify a stream of line batches; yields StreamPrediction and
     StreamErrorRecord in line order, numbering lines from 1 across batches.
 
-    Blank lines are ignored, and a line with the wrong value count first
-    flushes the lines before it.  The other lines gather into segments that
-    end at the next hop boundary or at the end of their batch, each ingested
-    at once (:func:`_ingest`).  A malformed line yields an error record and is
-    skipped: the frame counter does not advance, so window positions refer to
-    frames actually accepted.  A hop that overflows (NumericError) yields an
-    error record for its last line instead of a prediction.
+    Blank lines are ignored, and a line too long (a _LongLine) or with the
+    wrong value count first flushes the lines before it.  The other lines
+    gather into segments that end at the next hop boundary or at the end of
+    their batch, each ingested at once (:func:`_ingest`).  A malformed line
+    yields an error record and is skipped: the frame counter does not advance,
+    so window positions refer to frames actually accepted.  A hop that
+    overflows (NumericError) yields an error record for its last line instead
+    of a prediction.
     """
     state = _StreamState(cfg)
     channels = cfg.channels
@@ -265,15 +271,19 @@ def stream_classify_batches(batches, cfg: WindowConfig):
         numbers, rows = [], []
         for raw in batch:
             line_number += 1
-            text = raw.strip()
-            if not text:
-                continue
-            tokens = text.split(",")
-            if len(tokens) != channels:
+            if isinstance(raw, _LongLine):
+                tokens, message = [raw], f"line longer than {LINE_CHARS} characters"
+            else:
+                text = raw.strip()
+                if not text:
+                    continue
+                tokens = text.split(",")
+                message = (None if len(tokens) == channels else
+                           f"expected {channels} comma-separated values, got {len(tokens)}")
+            if message is not None:
                 yield from _ingest(state, numbers, rows)
                 numbers, rows = [], []
-                yield _record(line_number, f"expected {channels} comma-separated values, "
-                                           f"got {len(tokens)}", tokens)
+                yield _record(line_number, message, tokens)
                 continue
             numbers.append(line_number)
             rows.append(tokens)
@@ -335,6 +345,33 @@ def open_line_source(source: str):
     raise ConfigError(f"stream source must be '-' or 'tcp:HOST:PORT', got {source!r}")
 
 
+class _LongLine(str):
+    """The first EXCERPT_CHARS characters of a line longer than LINE_CHARS, standing for it."""
+
+
+class _PendingLine:
+    """The pieces of a line whose end has not come.  Past LINE_CHARS characters
+    only its head is kept, as a _LongLine, and later pieces are dropped."""
+
+    def __init__(self):
+        self.pieces, self.size = [], 0
+
+    def add(self, piece: str) -> None:
+        if self.size <= LINE_CHARS:
+            self.pieces.append(piece)
+            self.size += len(piece)
+            if self.size > LINE_CHARS:
+                head = "".join(p[:EXCERPT_CHARS] for p in self.pieces)
+                self.pieces = [_LongLine(head[:EXCERPT_CHARS])]
+
+    def pop(self, end: str = "") -> str:
+        """The line that ``end`` completes; the next one starts empty."""
+        self.add(end)
+        line = self.pieces[0] if self.size > LINE_CHARS else "".join(self.pieces)
+        self.pieces, self.size = [], 0
+        return line
+
+
 def _line_batches(stream, close: bool):
     r"""The lines of a binary stream, one list per ``read1(READ_BYTES)`` that
     completes any.  Bytes are decoded as UTF-8 with undecodable bytes turned
@@ -342,23 +379,21 @@ def _line_batches(stream, close: bool):
     two reads decodes whole.  Lines end at ``\n``, ``\r\n`` or ``\r``, also
     when a ``\r\n`` pair is split across two reads; the ends are dropped.  A
     partial last line waits for the next read, and a final line with no end is
-    still a line."""
+    still a line; one longer than ``LINE_CHARS`` comes as a _LongLine."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(errors="replace"), translate=True)
-    partial = []                       # pieces of a line whose end has not come
+    pending = _PendingLine()
     try:
         while True:
             data = stream.read1(READ_BYTES)
             lines = decoder.decode(data, final=not data).split("\n")
             rest = lines.pop()
             if lines:
-                partial.append(lines[0])
-                lines[0] = "".join(partial)
-                partial.clear()
+                lines[0] = pending.pop(lines[0])
                 yield lines
-            partial.append(rest)
+            pending.add(rest)
             if not data:
-                last = "".join(partial)
+                last = pending.pop()
                 if last:
                     yield [last]
                 return

@@ -6,9 +6,11 @@ test demands bit-exact agreement the inputs are drawn from a dyadic grid (see
 ``dyadic``) so every product and partial sum is exactly representable and the
 result is independent of accumulation order.
 
-The exceptions are ``synth_generate_per_trial`` and ``load_stats_per_row``:
-the earlier, simpler form of a library function, built from the library's
-own pieces, kept as the behaviour its faster form must reproduce exactly.
+The exceptions are ``synth_generate_per_trial``, ``load_stats_per_row``,
+``conv1d_input_grad_per_tap`` and ``batchnorm_rows_*``: the earlier, simpler
+form of a library function, built from NumPy or the library's own pieces,
+kept as the behaviour its faster form must reproduce, exactly or (where the
+faster form may reorder sums) within a tolerance.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from intentcnn.dataset import (
     template_waveform,
 )
 from intentcnn.errors import FormatError, InputError
+from intentcnn.numerics import BN_EPSILON
 
 
 def dyadic(rng: np.random.Generator, shape, step: float = 0.25, span: int = 8) -> np.ndarray:
@@ -109,6 +112,59 @@ def maxpool1d_backward_loops(x: np.ndarray, pool: int, stride: int,
                     best = f
             dx[c, best] += upstream[c, t]
     return dx
+
+
+def conv1d_input_grad_per_tap(x_shape, weights: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """dx of conv1d_backward as one (C, O) @ (O, T) product per tap k, added
+    into tap k's frames in ascending k: the form before the stacked GEMM.
+    x_shape and upstream carry a batch axis."""
+    kernel_width = weights.shape[2]
+    frames = upstream.shape[2]
+    dx = np.zeros(x_shape, dtype=np.result_type(weights, upstream))
+    for k in range(kernel_width):
+        dx[:, :, k:k + frames] += np.ascontiguousarray(weights[:, :, k]).T @ upstream
+    return dx
+
+
+def _rows(x: np.ndarray, channels: int) -> np.ndarray:
+    """(B, C * F) -> (B * F, C): every frame of every sample is one row."""
+    return x.reshape(len(x), channels, -1).transpose(0, 2, 1).reshape(-1, channels)
+
+
+def _from_rows(rows: np.ndarray, batch: int, channels: int) -> np.ndarray:
+    return rows.reshape(batch, -1, channels).transpose(0, 2, 1).reshape(batch, -1)
+
+
+def batchnorm_rows_infer(layer, x: np.ndarray) -> np.ndarray:
+    """BatchNormLayer.forward_infer on a flattened (B, C * F) map as it was
+    written before the channel view: per channel, the map transposed to one
+    row per frame; per entry (C * F statistics), the map as it is."""
+    channels = len(layer.gamma)
+    rows = _rows(x, channels)
+    inv_std = 1.0 / np.sqrt(layer.running_var.astype(np.float64) + BN_EPSILON)
+    out = layer.gamma * ((rows - layer.running_mean) * inv_std) + layer.beta
+    return _from_rows(out.astype(x.dtype), len(x), channels)
+
+
+def batchnorm_rows_train(layer, x: np.ndarray, upstream: np.ndarray):
+    """(out, dx, dgamma, dbeta, batch_mean, batch_var) of train-mode
+    batchnorm on a flattened (B, C * F) map, in the row form of
+    ``batchnorm_rows_infer`` with the earlier mixed-precision formulas."""
+    channels = len(layer.gamma)
+    rows, up = _rows(x, channels), _rows(upstream, channels)
+    n = len(rows)
+    mean = rows.mean(axis=0, dtype=np.float64)
+    var = rows.var(axis=0, dtype=np.float64)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    x_hat = ((rows - mean) * inv_std).astype(x.dtype)
+    out = (layer.gamma * x_hat + layer.beta).astype(x.dtype)
+    dxhat = up * layer.gamma
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, dtype=np.float64)
+                          - x_hat * (dxhat * x_hat).sum(axis=0, dtype=np.float64))
+    dgamma = (up * x_hat).sum(axis=0, dtype=np.float64)
+    dbeta = up.sum(axis=0, dtype=np.float64)
+    return (_from_rows(out, len(x), channels), _from_rows(dx.astype(x.dtype), len(x), channels),
+            dgamma, dbeta, mean, var)
 
 
 def dense_loops(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

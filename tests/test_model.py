@@ -19,6 +19,7 @@ from intentcnn.errors import (
 from intentcnn import model as model_module
 from intentcnn.model import (
     ADAM_CHUNK,
+    BATCHNORM_POSITIONS,
     BatchNormLayer,
     ConvLayer,
     NetworkConfig,
@@ -40,7 +41,8 @@ from intentcnn.model import (
 from intentcnn.config import KeyReader
 
 from intentcnn.numerics import one_hot, softmax, softmax_cce_logit_grad
-from oracles import AdamWholeArray, dyadic, forward_full_width, simulate_shapes, train_full_width
+from oracles import (AdamWholeArray, batchnorm_rows_infer, batchnorm_rows_train, dyadic,
+                     forward_full_width, simulate_shapes, train_full_width)
 
 SMALL = NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
                       pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3)
@@ -368,14 +370,57 @@ def test_packed_training_gradients_float64_on_zero_padded_inputs():
 def test_batchnorm_per_channel_normalizes_channels():
     net = build_network(SMALL, seed=6)
     bn = [l for l in net.layers() if isinstance(l, BatchNormLayer)]
-    assert len(bn) == 1 and bn[0].per_channel
+    assert len(bn) == 1 and bn[0].gamma.shape == (SMALL.conv_filters[-1],)
+    x = np.random.default_rng(6).normal(3.0, 2.0, size=(4, 2 * 6)).astype(np.float32)
+    out = bn[0].forward_train(x)[0].reshape(4, 2, 6)    # (batch, channels, frames)
+    npt.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
+    npt.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-3)
     fc_net = build_network(
         NetworkConfig(channels=3, input_frames=32, conv_filters=(2, 2), kernel_width=3,
                       pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3,
                       batchnorm_position="before_first_fc"), seed=6)
     bn2 = [l for l in fc_net.fc_stack if isinstance(l, BatchNormLayer)]
-    assert len(bn2) == 1 and not bn2[0].per_channel
+    assert len(bn2) == 1
     assert bn2[0].gamma.shape == (12,)
+
+
+def _batchnorm_layer(position, seed):
+    """The batchnorm layer of an e5-shaped stack's head in ``position``, with
+    non-trivial parameters and running statistics, and its input width."""
+    rng = np.random.default_rng(seed)
+    config = NetworkConfig(channels=3, input_frames=64, conv_filters=(4, 6), kernel_width=3,
+                           pool=2, pool_stride=2, fc_sizes=(8,), num_classes=3,
+                           batchnorm_position=position)
+    bn = next(l for l in build_network(config, seed=seed).fc_stack if isinstance(l, BatchNormLayer))
+    for name in ("gamma", "beta", "running_mean"):
+        setattr(bn, name, rng.normal(size=bn.gamma.shape).astype(np.float32))
+    bn.running_var = rng.uniform(0.2, 3.0, size=bn.gamma.shape).astype(np.float32)
+    return bn, 6 * 14, rng
+
+
+@pytest.mark.parametrize("position", BATCHNORM_POSITIONS)
+def test_batchnorm_view_kernel_infer_is_bitwise_row_formula(position):
+    bn, width, rng = _batchnorm_layer(position, 41)
+    for batch in (1, 8):
+        x = rng.normal(1.0, 2.0, size=(batch, width)).astype(np.float32)
+        assert bn.forward_infer(x).tobytes() == batchnorm_rows_infer(bn, x).tobytes()
+
+
+@pytest.mark.parametrize("position", BATCHNORM_POSITIONS)
+def test_batchnorm_view_kernel_train_matches_row_formula(position):
+    bn, width, rng = _batchnorm_layer(position, 43)
+    x = rng.normal(1.0, 2.0, size=(8, width)).astype(np.float32)
+    up = rng.normal(size=(8, width)).astype(np.float32)
+    out, cache = bn.forward_train(x)
+    dx, grads = bn.backward(cache, up)
+    want_out, want_dx, dgamma, dbeta, mean, var = batchnorm_rows_train(bn, x, up)
+    assert out.shape == dx.shape == x.shape and out.dtype == dx.dtype == np.float32
+    npt.assert_allclose(out, want_out, rtol=1e-5, atol=1e-5)
+    npt.assert_allclose(dx, want_dx, rtol=1e-4, atol=1e-5)
+    npt.assert_allclose(grads["batchnorm.gamma"], dgamma, rtol=1e-5, atol=1e-4)
+    npt.assert_allclose(grads["batchnorm.beta"], dbeta, rtol=1e-5, atol=1e-4)
+    npt.assert_allclose(cache.batch_mean, mean, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(cache.batch_var, var, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,35 @@ def test_conv_backward_without_input_grad_keeps_parameter_grads_bit_exact():
                     assert db_only.tobytes() == db.tobytes(), case
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+def test_stacked_conv_input_grad_kernel_is_bitwise_per_tap(batch):
+    # float32 normal values on packed-like shapes (one long sequence per
+    # sample): equality needs the same products summed in the same order
+    rng = np.random.default_rng(31)
+    for out_channels, channels, frames, kernel_width in (
+            (16, 24, 1500, 5), (32, 16, 700, 5), (64, 32, 350, 5), (64, 64, 180, 5),
+            (8, 4, 40, 3), (5, 3, 9, 1)):
+        x = rng.normal(size=(batch, channels, frames)).astype(np.float32)
+        w = rng.normal(size=(out_channels, channels, kernel_width)).astype(np.float32)
+        up = rng.normal(size=(batch, out_channels, frames - kernel_width + 1)).astype(np.float32)
+        dx, _, _ = nm.conv1d_backward(x, w, up)
+        want = oracles.conv1d_input_grad_per_tap(x.shape, w, up)
+        assert dx.tobytes() == want.tobytes(), (out_channels, channels, frames, kernel_width)
+
+
+def test_stacked_conv_input_grad_kernel_at_one_output_frame_is_close_to_per_tap():
+    # with one output frame the stacked product is a matrix-vector product,
+    # whose sums BLAS may order differently
+    rng = np.random.default_rng(37)
+    for batch in (1, 2):
+        x = rng.normal(size=(batch, 64, 5)).astype(np.float32)
+        w = rng.normal(size=(64, 64, 5)).astype(np.float32)
+        up = rng.normal(size=(batch, 64, 1)).astype(np.float32)
+        dx, _, _ = nm.conv1d_backward(x, w, up)
+        npt.assert_allclose(dx, oracles.conv1d_input_grad_per_tap(x.shape, w, up),
+                            rtol=1e-5, atol=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------
@@ -270,6 +299,21 @@ def test_dense_matches_loop_oracle():
     w = oracles.dyadic(rng, (4, 6))
     b = oracles.dyadic(rng, (4,))
     npt.assert_array_equal(nm.dense_forward(x, w, b), oracles.dense_loops(x, w, b))
+
+
+def test_dense_gemm_kernel_matches_loops_within_float32_tolerance():
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(40, 300)).astype(np.float32)
+    b = rng.normal(size=40).astype(np.float32)
+    for batch in (1, 2, 8):
+        x = rng.normal(size=(batch, 300)).astype(np.float32)
+        got = nm.dense_forward(x, w, b, per_row=False)
+        assert got.shape == (batch, 40) and got.dtype == np.float32
+        want = np.stack([oracles.dense_loops(row, w, b) for row in x])
+        npt.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
+    x = oracles.dyadic(rng, (6,))
+    w, b = oracles.dyadic(rng, (4, 6)), oracles.dyadic(rng, (4,))
+    npt.assert_array_equal(nm.dense_forward(x, w, b, per_row=False), oracles.dense_loops(x, w, b))
 
 
 def test_dense_backward_finite_differences():

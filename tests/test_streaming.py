@@ -6,6 +6,7 @@ import socket
 import struct
 import sys
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -21,6 +22,9 @@ from intentcnn.errors import ConfigError, StreamError
 from intentcnn.model import NetworkConfig, build_network, save_model
 from intentcnn.numerics import softmax
 from intentcnn.streaming import (
+    EXCERPT_CHARS,
+    LINE_CHARS,
+    READ_BYTES,
     StreamErrorRecord,
     StreamPrediction,
     WindowConfig,
@@ -471,15 +475,16 @@ def test_open_line_source_stdin_and_rejects(monkeypatch):
         open_line_source("tcp:localhost:notaport")
 
 
-def _serve_once(payload):
-    """A TCP server that sends ``payload`` to its first client and closes;
-    returns (source, join)."""
+def _serve_once(*chunks):
+    """A TCP server that sends ``chunks`` in turn to its first client and
+    closes; returns (source, join)."""
     server = socket.create_server(("127.0.0.1", 0))
     server.settimeout(30)
 
     def serve():
         conn, _ = server.accept()
-        conn.sendall(payload)
+        for chunk in chunks:
+            conn.sendall(chunk)
         conn.close()
 
     thread = threading.Thread(target=serve)
@@ -539,6 +544,61 @@ def test_tcp_stream_turns_undecodable_bytes_into_an_error_record():
     assert [h.frame_index for h in hops] == [h.frame_index for h in want] == [4, 9, 14, 19]
     for got, ref in zip(hops, want):
         assert got.probs.tobytes() == ref.probs.tobytes()
+
+
+def _long_line_events(monkeypatch, tcp, chunks, cfg):
+    """The events of a stream of ``chunks`` from stdin or TCP, and the peak
+    of traced memory while it is read and classified."""
+    if tcp:
+        source, join = _serve_once(*chunks)
+    else:
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=Reads(chunks)))
+    tracemalloc.start()
+    try:
+        batches = open_line_source(source if tcp else "-")
+        events = list(stream_classify_batches(batches, cfg))
+        batches.close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if tcp:
+        join()
+    return events, peak
+
+
+@pytest.mark.parametrize("tcp", [False, True])
+def test_line_past_the_cap_is_one_error_record_in_bounded_memory(monkeypatch, tcp):
+    cfg = make_config(window=20, hop=5)
+    lines = buffer_lines(np.random.default_rng(14).normal(size=(2, 30)).astype(np.float32))
+    junk = b"7" * READ_BYTES
+    chunks = [junk] * 1024 + [b"\n" + "".join(lines).encode()]    # 64 MiB with no line end
+    events, peak = _long_line_events(monkeypatch, tcp, chunks, cfg)
+    errors = [e for e in events if isinstance(e, StreamErrorRecord)]
+    assert [(e.line_number, e.message, e.raw) for e in errors] == \
+        [(1, f"line longer than {LINE_CHARS} characters", "7" * EXCERPT_CHARS)]
+    hops = [(e.frame_index, e.probs.tobytes()) for e in events if isinstance(e, StreamPrediction)]
+    want = [(e.frame_index, e.probs.tobytes()) for e in stream_classify(lines, cfg)]
+    assert hops == want and len(hops) == 6
+    # the line is never held whole: LINE_CHARS plus a few reads' buffers at
+    # most (about 3 reads on stdin, 6 on TCP, whose socket file adds its own)
+    assert LINE_CHARS < 3 * READ_BYTES and peak < 8 * READ_BYTES
+
+
+def test_line_at_the_cap_still_parses(monkeypatch):
+    cfg = make_config(window=20, hop=5)
+    texts = [line.rstrip("\n") for line in
+             buffer_lines(np.random.default_rng(15).normal(size=(2, 10)).astype(np.float32))]
+    at_cap = texts[0].rjust(LINE_CHARS)             # leading blanks: the same frame
+    past_cap = texts[1].rjust(LINE_CHARS + 1)
+    data = "\n".join([at_cap, past_cap] + texts[1:]).encode()
+    chunks = [data[at:at + READ_BYTES] for at in range(0, len(data), READ_BYTES)]
+    events, _ = _long_line_events(monkeypatch, False, chunks, cfg)
+    errors = [e for e in events if isinstance(e, StreamErrorRecord)]
+    assert [(e.line_number, e.message, e.raw) for e in errors] == \
+        [(2, f"line longer than {LINE_CHARS} characters", " " * EXCERPT_CHARS)]
+    hops = [(e.frame_index, e.probs.tobytes()) for e in events if isinstance(e, StreamPrediction)]
+    want = [(e.frame_index, e.probs.tobytes()) for e in stream_classify(texts, cfg)]
+    assert hops == want and len(hops) == 2
 
 
 def test_open_line_source_tcp_refused():
