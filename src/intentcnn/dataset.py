@@ -147,23 +147,35 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path: str) -> list[list[str]]:
-    r"""Every row of a UTF-8 CSV file (:func:`read_utf8` with FormatError), as
-    ``csv.reader`` reads it.  Text without a ``"`` needs no quote handling, so
-    it is split directly: records end at ``\r\n``, ``\r`` or ``\n`` (not at
-    the other breaks ``str.splitlines`` knows), a final terminator adds no
-    record and a blank record is ``[]``.  A ``csv.Error`` is a FormatError."""
+def _read_csv(path: str):
+    r"""The records of a UTF-8 CSV file (:func:`read_utf8` with FormatError) and
+    the function giving a record's cells as ``csv.reader`` reads them.  Text
+    without a ``"`` needs no quote handling: its records are its lines, which
+    end at ``\r\n``, ``\r`` or ``\n`` (not at the other breaks ``str.splitlines``
+    knows; a final one adds no record), and :func:`_cells` splits them.  Other
+    text goes through ``csv.reader``; a ``csv.Error`` is a FormatError."""
     text = read_utf8(path, FormatError)
     if '"' not in text:
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
-        return [line.split(",") if line else [] for line in lines]
+        return lines, _cells
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return list(reader)
+        return list(reader), list
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _cells(line: str) -> list[str]:
+    return line.split(",") if line else []      # a blank line has no cells
+
+
+def _read_csv_rows(path: str) -> list[list[str]]:
+    records, cells = _read_csv(path)
+    return [cells(record) for record in records]
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
@@ -174,14 +186,14 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     and that the sample rate inferred from the median time delta lies within
     1% of ``expected_rate_hz``.
     """
-    rows = _read_csv_rows(path)
-    if not rows:
+    records, cells = _read_csv(path)
+    if not records:
         raise FormatError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in cells(records[0])]
     if len(header) < 2:
         raise FormatError(f"{path}: header needs a time column plus at least one channel")
     try:
-        _read_numbers(header)
+        _cell_numbers(header)
     except ValueError:
         pass
     else:
@@ -190,22 +202,22 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
         raise FormatError(f"{path}: blank column name in header")
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: duplicate column names in header")
-    data_rows = rows[1:]
-    if not data_rows:
+    data = records[1:]
+    if not data:
         raise FormatError(f"{path}: no data rows after the header")
 
     try:
-        numbers, fits = _read_numbers(data_rows)
+        numbers, fits = _read_numbers(data) if cells is _cells else _cell_numbers(data)
         if numbers.shape[1] != len(header):
             raise ValueError("rows differ from the header in width")
     except ValueError:
-        raise FormatError(_first_unreadable_cell(path, header, data_rows)) from None
+        raise FormatError(_first_unreadable_cell(path, header, map(cells, data))) from None
     times = numbers[:, 0]
     fits[:, 0] = np.isfinite(times)
     if not fits.all():
         r, c = divmod(int(np.argmin(fits)), len(header))
         raise FormatError(f"{path}: row {r + 2}, column {excerpt(header[c])}: "
-                          f"non-finite value {excerpt(data_rows[r][c])}")
+                          f"non-finite value {excerpt(cells(data[r])[c])}")
     if len(times) > 1:
         with np.errstate(over="ignore"):        # finite times can still differ by inf
             deltas = np.diff(times)
@@ -224,15 +236,40 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
 # between the largest finite float32 and 2**128
 _FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
+# NumPy's text reader strips these around a value as whitespace, float() does not
+_NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f\r"      # (and a "\r" would end a line in it)
 
-def _read_numbers(tokens: list) -> tuple[np.ndarray, np.ndarray]:
-    """The number rule for trace cells and stream frames: every token (in a
-    list, or in equal-length rows) read in one conversion exactly as
-    ``float()`` reads it (``ValueError`` if any is not a number, or rows are
-    ragged), as float64 values plus a mask of those whose float32 rounding is
-    finite (false for NaN and for magnitudes rounding to inf)."""
-    values = np.array(tokens, dtype=np.float64)
+
+def _cell_numbers(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """The number rule for trace cells and stream frames: every cell (in a
+    list, or in equal-length rows) read exactly as ``float()`` reads it
+    (``ValueError`` if any is not a number, or rows are ragged), as float64
+    values plus a mask of those whose float32 rounding is finite (false for
+    NaN and for magnitudes rounding to inf)."""
+    values = np.array(cells, dtype=np.float64)
     return values, np.abs(values) < _FLOAT32_OVERFLOW
+
+
+def _read_numbers(lines: list[str], fallback: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cell_numbers` of the comma-separated cells of ``lines``, one row per
+    line.  Several lines go to NumPy's C text reader first: every value it reads
+    is ``float()``'s, but it strips U+001C-U+001F around a value, skips blank
+    lines and rejects some text ``float()`` reads (``1_000``, non-ASCII digits).
+    So its result counts only for text free of those characters, with one row
+    per line; other text goes to ``float()``, or raises ValueError if
+    ``fallback`` is false.  NumPy never sees a blank first line (it warns when
+    no line holds data), nor a single line, where ``float()`` is faster."""
+    text = "\n".join(lines)
+    if len(lines) > 1 and lines[0].rstrip("\n") and not any(c in text for c in _NOT_FOR_NUMPY):
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            if len(values) == len(lines):
+                return values, np.abs(values) < _FLOAT32_OVERFLOW
+        except ValueError:
+            pass
+    if not fallback:
+        raise ValueError("NumPy's text reader does not read these lines as float() does")
+    return _cell_numbers([line.split(",") for line in lines])
 
 
 def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
@@ -243,7 +280,7 @@ def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
             return f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
         for name, cell in zip(header, row):
             try:
-                _read_numbers([cell])
+                _cell_numbers([cell])
             except ValueError:
                 return (f"{path}: row {r}, column {excerpt(name)}: "
                         f"non-numeric value {excerpt(cell)}")

@@ -4,39 +4,24 @@ A stream of per-frame channel readings is classified at every hop boundary:
 the last ``window_frames`` frames (zero-front-filled while the stream is still
 warming up) are standardized with the training-time statistics, zero-padded at
 the tail up to the model's input length, and pushed through an inference-mode
-forward pass, whose conv stack covers the window's live prefix (fixed by the
-window alone) and whose kernels compute every row the same way whatever the
-batch, so the emitted probabilities are bit-identical to the batch
-predictor's row for the same standardized, padded window.
+forward pass whose kernels compute every row the same way whatever the batch,
+so the emitted probabilities are bit-identical to the batch predictor's row
+for the same standardized, padded window.
 
-Wire formats:
+The wire formats and the error records are the README's "Streaming protocol":
+one line of ``channels`` comma-separated values per frame in (UTF-8, lines
+ending at ``\n``, ``\r\n`` or ``\r``, at most ``LINE_CHARS`` characters), one
+``frame_index,label,class_name,p_0,...,p_{K-1},warm_up`` line per hop out.  A
+malformed line (too long, the wrong value count, a value that breaks the
+number rule of trace cells) is an error record and is skipped; a hop whose
+window overflows float32, or whose logits are not finite, is an error record
+for its last line.
 
-* input — one line per frame, ``channels`` comma-separated decimal floats.
-  Standard input and ``tcp:HOST:PORT`` are read alike: bytes are UTF-8, with
-  undecodable bytes read as U+FFFD, and lines end at ``\n``, ``\r\n`` or
-  ``\r``.  A line longer than ``LINE_CHARS`` characters is not kept: it
-  becomes one error record that holds its first characters;
-* output — one line per hop,
-  ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
-
-Malformed input lines (too long, the wrong value count, a value that breaks the number
-rule of trace cells: anything ``float()`` accepts whose float32 rounding is
-finite, or bytes that are not UTF-8) produce a structured error record and
-are skipped (the stream keeps running).  A hop whose standardized window does
-not fit float32, or whose logits are not finite (a frame far outside the
-training statistics), is an error record for the hop's last line; the frames
-stay in the window.
-
-The stream is ingested per read of its source, not per line: the lines a read
-completed go through one conversion and one write into the ring per hop
-boundary they reach (:func:`stream_classify_batches`).  Only lines that have
-arrived are converted, so no hop waits for lines it does not need.
-
-The stream holds one fixed ``(channels, 2 * window_frames)`` float32 ring:
-frames are written from column ``window_frames`` on, the zero columns before
-it are the warm-up front-fill, and when a block would pass the ring's end the
-last ``window_frames`` columns move to the front, so every window is a
-contiguous view and a hop copies no frames.
+The stream is ingested per read of its source: the lines a read completed go
+through one conversion and one write per hop boundary they reach
+(:func:`stream_classify_batches`), into one fixed ``(channels, 2 *
+window_frames)`` float32 ring whose zero columns before ``window_frames`` are
+the warm-up front-fill, so every window is a contiguous view.
 """
 
 from __future__ import annotations
@@ -82,8 +67,7 @@ class WindowConfig:
         if self.window_frames > self.network.config.input_frames:
             raise ConfigError(f"window of {self.window_frames} frames cannot fit the "
                               f"model input of {self.network.config.input_frames}")
-        if self.class_names is not None and \
-                len(self.class_names) != self.network.num_classes:
+        if self.class_names is not None and len(self.class_names) != self.network.num_classes:
             raise ConfigError(f"{len(self.class_names)} class names for "
                               f"{self.network.num_classes} classes")
 
@@ -92,9 +76,7 @@ class WindowConfig:
         return self.network.config.channels
 
     def class_name(self, label: int) -> str:
-        if self.class_names is not None:
-            return self.class_names[label]
-        return f"class{label}"
+        return f"class{label}" if self.class_names is None else self.class_names[label]
 
 
 @dataclass(frozen=True)
@@ -215,19 +197,18 @@ class _StreamState:
                                self.cfg)
 
 
-def _ingest(state: _StreamState, numbers: list, rows: list):
-    """Push one segment into the ring: ``rows`` holds the token lists of lines
+def _ingest(state: _StreamState, numbers: list, lines: list):
+    """Push one segment into the ring: ``lines`` are the stripped lines
     ``numbers``, at most ``state.due`` of them.  Yields error records and a
-    completed hop's prediction in line order.
-
-    The segment is read in one conversion and written as one block.  If a line
-    in it is not a frame, each half is ingested on its own, so one bad line
-    costs about one more conversion of the segment, not one per line.
-    """
-    if not rows:
+    completed hop's prediction in line order.  The segment goes through one
+    conversion (:func:`~intentcnn.dataset._read_numbers`) and one block write.
+    If a line in it is not a frame, or NumPy's reader does not read it, each
+    half is ingested on its own and only single lines go on to ``float()``,
+    so one bad line costs about one more conversion of the segment."""
+    if not lines:
         return
     try:
-        values, fits = _read_numbers(rows)
+        values, fits = _read_numbers(lines, fallback=len(lines) == 1)
         message = None if fits.all() else "non-finite value in frame"
     except ValueError:
         message = "non-numeric value in frame"
@@ -235,20 +216,20 @@ def _ingest(state: _StreamState, numbers: list, rows: list):
         try:
             event = state.push(values)
         except NumericError as exc:
-            event = _record(numbers[-1], str(exc), rows[-1])
+            event = _record(numbers[-1], str(exc), lines[-1])
         if event is not None:
             yield event
-    elif len(rows) == 1:
-        yield _record(numbers[0], message, rows[0])
+    elif len(lines) == 1:
+        yield _record(numbers[0], message, lines[0])
     else:
-        mid = len(rows) // 2
-        yield from _ingest(state, numbers[:mid], rows[:mid])
-        yield from _ingest(state, numbers[mid:], rows[mid:])
+        mid = len(lines) // 2
+        yield from _ingest(state, numbers[:mid], lines[:mid])
+        yield from _ingest(state, numbers[mid:], lines[mid:])
 
 
-def _record(line_number: int, message: str, tokens: list) -> StreamErrorRecord:
+def _record(line_number: int, message: str, line: str) -> StreamErrorRecord:
     return StreamErrorRecord(line_number=line_number, message=message,
-                             raw=",".join(tokens)[:EXCERPT_CHARS])
+                             raw=line[:EXCERPT_CHARS])
 
 
 def stream_classify_batches(batches, cfg: WindowConfig):
@@ -268,29 +249,29 @@ def stream_classify_batches(batches, cfg: WindowConfig):
     channels = cfg.channels
     line_number = 0
     for batch in batches:
-        numbers, rows = [], []
+        numbers, lines = [], []
         for raw in batch:
             line_number += 1
             if isinstance(raw, _LongLine):
-                tokens, message = [raw], f"line longer than {LINE_CHARS} characters"
+                line, message = raw, f"line longer than {LINE_CHARS} characters"
             else:
-                text = raw.strip()
-                if not text:
+                line = raw.strip()
+                if not line:
                     continue
-                tokens = text.split(",")
-                message = (None if len(tokens) == channels else
-                           f"expected {channels} comma-separated values, got {len(tokens)}")
+                values = line.count(",") + 1
+                message = (None if values == channels else
+                           f"expected {channels} comma-separated values, got {values}")
             if message is not None:
-                yield from _ingest(state, numbers, rows)
-                numbers, rows = [], []
-                yield _record(line_number, message, tokens)
+                yield from _ingest(state, numbers, lines)
+                numbers, lines = [], []
+                yield _record(line_number, message, line)
                 continue
             numbers.append(line_number)
-            rows.append(tokens)
-            if len(rows) == state.due:
-                yield from _ingest(state, numbers, rows)
-                numbers, rows = [], []
-        yield from _ingest(state, numbers, rows)
+            lines.append(line)
+            if len(lines) == state.due:
+                yield from _ingest(state, numbers, lines)
+                numbers, lines = [], []
+        yield from _ingest(state, numbers, lines)
 
 
 def stream_classify(lines, cfg: WindowConfig):

@@ -216,11 +216,13 @@ def test_parse_trace_csv_checks_sample_rate(tmp_path):
 
 
 # cells that probe the number rule: blanks, non-finite and float32-overflowing
-# values, the float32 boundary, spellings float() accepts or rejects, and text
-# that needs CSV quoting
+# values, the float32 boundary, spellings float() accepts or rejects, U+001C-U+001F
+# (which NumPy's text reader strips and float() does not) inside and around a
+# value, other Unicode whitespace as padding, and text that needs CSV quoting
 _ODD_CELLS = ("", " ", "nan", "-nan", "inf", "-Infinity", "1e39", "-1e39", "3.40282357e38",
-              "3.4028235e38", "\u0661\u0662", "1_000", "0x10", " 1.5 ", "1e-50", "oops",
-              "1,5", "2\n5", '"')
+              "3.4028235e38", "\u0661\u0662", "\u0663.5", "1_000", "0x10", " 1.5 ", "1e-50",
+              "oops", "1,5", "2\n5", '"', "1\x1c", "\x1d1", "1\x1e5", "\x1f", "\x851.5",
+              "2\xa0", "\u20033\u2003")
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.floats(width=32, allow_nan=False, allow_infinity=False)
                      .map(lambda v: f"{v:.9g}"),
@@ -251,6 +253,8 @@ def test_parse_trace_csv_matches_per_cell_oracle(tmp_path_factory, data, channel
         time = f"{i / 100:.4f}" if draw(st.integers(0, 7)) else _draw_cell(draw)
         row = [time] + [_draw_cell(draw) for _ in range(channels)]
         ragged = draw(st.integers(0, 19))
+        if ragged == 2:
+            row = [draw(st.sampled_from(["", " ", "\t \x0b"]))]     # a blank line
         rows.append(row[:-1] if ragged == 0 else row + ["0"] if ragged == 1 else row)
     text = newline.join(",".join(_csv_field(cell, draw(st.integers(0, 3)) == 0) for cell in row)
                         for row in rows)
@@ -271,6 +275,69 @@ def test_parse_trace_csv_matches_per_cell_oracle(tmp_path_factory, data, channel
             assert trace.values.shape == want_values.shape
             assert trace.values.tobytes() == want_values.tobytes()
             assert trace.channel_names == want_names
+
+
+# text where NumPy's text reader and float() could part: signs, exponents,
+# underscores, non-ASCII digits, NUL, and every kind of whitespace and line end
+_READER_TEXT = st.text(st.sampled_from("0123456789.eE+-_ \t\x0b\x0c\r\n\x00\x1c\x1d\x1e"
+                                       "\x1f\x85\xa0\u2003\u0661infatyINF"), max_size=10)
+_READER_CELL = st.one_of(_NUMBERS, st.sampled_from(_ODD_CELLS), _READER_TEXT,
+                         st.tuples(_READER_TEXT, _NUMBERS, _READER_TEXT).map("".join))
+
+
+def _float_rows(lines):
+    """Per-cell float() of comma-separated lines, or None if a cell is not a
+    number or the rows differ in length."""
+    try:
+        rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    except ValueError:
+        return None
+    return np.array(rows) if len(set(map(len, rows))) == 1 else None
+
+
+@_SETTINGS
+@given(data=st.data(), width=st.integers(1, 3))
+def test_read_numbers_is_float_per_cell(data, width):
+    draw = data.draw
+    lines = draw(st.lists(st.one_of(
+        st.lists(_READER_CELL, min_size=width, max_size=width).map(",".join),
+        _READER_TEXT), min_size=1, max_size=6))
+    want = _float_rows(lines)
+    with warnings.catch_warnings(), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(ValueError):
+                dataset._read_numbers(lines)
+        else:
+            values, fits = dataset._read_numbers(lines)
+            assert values.shape == want.shape
+            assert values.tobytes() == want.tobytes()
+    if want is not None:
+        with np.errstate(over="ignore"):
+            npt.assert_array_equal(fits, np.isfinite(want.astype(np.float32)))
+    assert all(len(call.args[0]) > 1 for call in loadtxt.call_args_list)
+
+
+def test_read_numbers_leaves_what_numpy_misreads_to_float():
+    lines = ["1.5,2", "-3e2,4"]
+    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow:
+        values, _ = dataset._read_numbers(lines)
+        npt.assert_array_equal(values, [[1.5, 2], [-300, 4]])
+        assert slow.call_count == 0                # NumPy read both lines
+        for odd in ("1_000", "\u0661", "1\x1c", "\x1f1"):
+            with pytest.raises(ValueError):
+                dataset._read_numbers(lines + [f"{odd},5"], fallback=False)
+        assert slow.call_count == 0
+    assert dataset._read_numbers(lines + ["1_000,\u0661"])[0][2].tolist() == [1000, 1]
+    for odd in ("1\x1c", "\x1f1", "1\x1d5"):
+        with pytest.raises(ValueError):
+            dataset._read_numbers(lines + [f"{odd},5"])
+    for blank in ("", " "):
+        with pytest.raises(ValueError):
+            dataset._read_numbers([blank] + lines)
+        with pytest.raises(ValueError):
+            dataset._read_numbers(lines + [blank])
 
 
 def test_parse_trace_csv_names_the_first_non_finite_cell(tmp_path):

@@ -9,13 +9,14 @@ import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from intentcnn import cli
+from intentcnn import cli, dataset
 from intentcnn.cli import main
 from intentcnn.dataset import StandardizationStats, save_stats
 from intentcnn.errors import ConfigError, StreamError
@@ -308,7 +309,8 @@ def test_stream_classify_deterministic_output():
 _NUMBER = st.floats(-1e6, 1e6).map(repr)
 _TOKENS = st.one_of(_NUMBER, st.floats().map(repr), st.sampled_from(
     ["", " 1.5", "1e39", "-nan", "inf", "3.40282357e38", "3e38", "-2e38", "\u0661\u0662",
-     "1_000", "0x10", "\ufffd", "\x00", "1\r", "oops"]))
+     "1_000", "0x10", "\ufffd", "\x00", "1\r", "oops", "1\x1c", "\x1d1", "1\x1e5", "\x1f",
+     "\x851", "1\xa0", "\u20031\u2003", "\u0663"]))
 _LINES = st.one_of(st.text(max_size=12), st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
                    st.tuples(_NUMBER, _NUMBER).map(",".join),
                    st.tuples(_NUMBER, st.sampled_from(["3e38", "-2e38"])).map(",".join))
@@ -347,7 +349,11 @@ _SMALL = st.floats(-4, 4).map(repr)     # large frames saturate the softmax alik
 _FEED_LINES = st.one_of(
     st.tuples(_SMALL, _SMALL).map(",".join),                      # valid
     st.sampled_from(["1.5", "1,2,3", "0.5,oops", "\u00e9,1", "\u20ac,2", "\U0001d7d9,2",
-                     "nan,0.5", "0.5,1e39", "", "  ", "3e38,3e38", "\xff\xfe,1"]))
+                     "nan,0.5", "0.5,1e39", "", "  ", "3e38,3e38", "\xff\xfe,1",
+                     # U+001C-U+001F, which NumPy's reader strips and float() does
+                     # not, other Unicode whitespace, and spellings only float() reads
+                     "\x1c1,2", "1\x1f,2", "1,\x1d2", "1\x1e5,2", "\x1e", "\x851,\xa02",
+                     "\u20031,2\u2003", "1_000,2", "\u0661,2", " \t "]))
 _LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 _BATCH_CONFIGS = [make_config(window=w, hop=h) for w, h in ((7, 3), (5, 2), (4, 4), (5, 1))]
 
@@ -379,6 +385,48 @@ def test_stream_batches_equal_the_line_path(feed, last_end, sizes, config):
         lines = re.split("\r\n|\r|\n", data.decode("utf-8", errors="replace"))
         want = list(stream_classify(lines, config))
     assert list(map(_event_key, got)) == list(map(_event_key, want))
+
+
+def test_stream_reads_odd_spellings_in_a_segment_as_float_does():
+    """Odd lines among valid ones, in one batch (so segments go to NumPy's
+    reader whole), give the hops of their float() readings and an error
+    record where float() rejects a value; blank lines are skipped."""
+    cfg = make_config(window=8, hop=4)
+    odd = ["\x1c1.5,2", "1.5\x1c,2", "1.5,2\x1f", "1\x1d5,2", "1,\x1e2", "\x851.5,\xa02",
+           "\u20031.5\u2003,2", "1_000,2", "\u0661,\u0662.5", "", " \t ", "\x1f"]
+    base = buffer_lines(np.random.default_rng(5).normal(size=(2, 3 * len(odd)))
+                        .astype(np.float32))
+    lines, plain = [], []
+    for i, line in enumerate(odd):
+        frame = frame_of(line, cfg.channels)
+        lines += base[3 * i:3 * i + 3] + [line]
+        plain += base[3 * i:3 * i + 3] + [
+            line if not line.strip() else "x" if frame is None else
+            ",".join(map(repr, frame.tolist()))]
+
+    def key(event):
+        return ("error", event.line_number) if isinstance(event, StreamErrorRecord) \
+            else _event_key(event)
+
+    got = list(stream_classify_batches([lines], cfg))
+    assert list(map(key, got)) == list(map(key, stream_classify_batches([plain], cfg)))
+    assert [(e.line_number, e.message, e.raw) for e in got
+            if isinstance(e, StreamErrorRecord)] == [
+        (8, "non-numeric value in frame", "1.5\x1c,2"),
+        (16, "non-numeric value in frame", "1\x1d5,2"),
+        (20, "non-numeric value in frame", "1,\x1e2")]
+
+
+def test_stream_sends_only_single_lines_to_float():
+    cfg = make_config(window=20, hop=10)
+    lines = buffer_lines(np.random.default_rng(6).normal(size=(2, 20)).astype(np.float32))
+    want = list(stream_classify_batches([lines[:13] + ["1000,2"] + lines[14:]], cfg))
+    lines[13] = "1_000,\u0662"              # float() reads it, NumPy's reader does not
+    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow:
+        got = list(stream_classify_batches([lines], cfg))
+    assert list(map(_event_key, got)) == list(map(_event_key, want))
+    assert slow.call_count >= 1
+    assert all(len(call.args[0]) == 1 for call in slow.call_args_list)
 
 
 def test_prediction_probs_must_sum_to_one():
