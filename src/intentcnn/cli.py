@@ -65,7 +65,10 @@ _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "error": logging.ER
 
 
 def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("INTENT_LOG", "error").lower(), logging.ERROR)
+    name = os.environ.get("INTENT_LOG", "error").lower()
+    level = _LOG_LEVELS.get(name)
+    if level is None:
+        level = logging.ERROR
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
 

@@ -62,33 +62,45 @@ class KeyReader:
         self._seen.add(key)
         return self.pairs.get(key)
 
-    def _take(self, key: str, default, convert, expects: str):
-        """``convert`` of the key's value, ``default`` when it is absent; a
-        ValueError there is a ConfigError saying what the key ``expects``."""
+    def take_str(self, key: str, default: str | None = None) -> str | None:
+        raw = self._raw(key)
+        return default if raw is None else raw
+
+    def take_int(self, key: str, default: int | None = None) -> int | None:
         raw = self._raw(key)
         if raw is None:
             return default
         try:
-            return convert(raw)
+            return int(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects {expects}, "
+            raise ConfigError(f"{self.origin}: key {key!r} expects an integer, "
                               f"got {excerpt(raw)}") from exc
 
-    def take_str(self, key: str, default: str | None = None) -> str | None:
-        return self._take(key, default, str, "text")
-
-    def take_int(self, key: str, default: int | None = None) -> int | None:
-        return self._take(key, default, int, "an integer")
-
     def take_float(self, key: str, default: float | None = None) -> float | None:
-        return self._take(key, default, float, "a number")
+        raw = self._raw(key)
+        if raw is None:
+            return default
+        try:
+            return float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.origin}: key {key!r} expects a number, "
+                              f"got {excerpt(raw)}") from exc
 
     def take_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
-        return self._take(key, default, split_list, "a list")
+        raw = self._raw(key)
+        if raw is None:
+            return default
+        return split_list(raw)
 
     def take_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:
-        return self._take(key, default, lambda raw: [int(item) for item in split_list(raw)],
-                          "integers")
+        items = self.take_list(key)
+        if items is None:
+            return default
+        try:
+            return [int(item) for item in items]
+        except ValueError as exc:
+            raise ConfigError(f"{self.origin}: key {key!r} expects integers, "
+                              f"got {excerpt(self.pairs[key])}") from exc
 
     def take_fields(self, base, prefix: str, keys, **given):
         """``base`` (a dataclass) with each field in ``keys`` read from

@@ -147,13 +147,13 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv(path: str):
+def _read_csv(path: str) -> tuple[list, bool]:
     r"""The records of a UTF-8 CSV file (:func:`read_utf8` with FormatError) and
-    the function giving a record's cells as ``csv.reader`` reads them.  Text
-    without a ``"`` needs no quote handling: its records are its lines, which
-    end at ``\r\n``, ``\r`` or ``\n`` (not at the other breaks ``str.splitlines``
-    knows; a final one adds no record), and :func:`_cells` splits them.  Other
-    text goes through ``csv.reader``; a ``csv.Error`` is a FormatError."""
+    whether its text holds a ``"``.  Such text goes through ``csv.reader``, whose
+    records are cell lists; a ``csv.Error`` is a FormatError.  Other text needs
+    no quote handling: its records are its lines, which end at ``\r\n``, ``\r``
+    or ``\n`` (not at the other breaks ``str.splitlines`` knows; a final one
+    adds no record), and :func:`_cells` splits them as ``csv.reader`` would."""
     text = read_utf8(path, FormatError)
     if '"' not in text:
         if "\r" in text:
@@ -161,10 +161,10 @@ def _read_csv(path: str):
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
-        return lines, _cells
+        return lines, False
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return list(reader), list
+        return list(reader), True
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -174,8 +174,8 @@ def _cells(line: str) -> list[str]:
 
 
 def _read_csv_rows(path: str) -> list[list[str]]:
-    records, cells = _read_csv(path)
-    return [cells(record) for record in records]
+    records, quoted = _read_csv(path)
+    return records if quoted else [_cells(line) for line in records]
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
@@ -186,7 +186,8 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     and that the sample rate inferred from the median time delta lies within
     1% of ``expected_rate_hz``.
     """
-    records, cells = _read_csv(path)
+    records, quoted = _read_csv(path)
+    cells = list if quoted else _cells
     if not records:
         raise FormatError(f"{path}: empty file")
     header = [name.strip() for name in cells(records[0])]
@@ -207,7 +208,7 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
         raise FormatError(f"{path}: no data rows after the header")
 
     try:
-        numbers, fits = _read_numbers(data) if cells is _cells else _cell_numbers(data)
+        numbers, fits = _cell_numbers(data) if quoted else _read_numbers(data)
         if numbers.shape[1] != len(header):
             raise ValueError("rows differ from the header in width")
     except ValueError:
@@ -259,14 +260,16 @@ def _read_numbers(lines: list[str], fallback: bool = True) -> tuple[np.ndarray, 
     per line; other text goes to ``float()``, or raises ValueError if
     ``fallback`` is false.  NumPy never sees a blank first line (it warns when
     no line holds data), nor a single line, where ``float()`` is faster."""
-    text = "\n".join(lines)
-    if len(lines) > 1 and lines[0].rstrip("\n") and not any(c in text for c in _NOT_FOR_NUMPY):
-        try:
-            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-            if len(values) == len(lines):
-                return values, np.abs(values) < _FLOAT32_OVERFLOW
-        except ValueError:
-            pass
+    if len(lines) > 1 and lines[0]:
+        text = "\n".join(lines)
+        if not any(c in text for c in _NOT_FOR_NUMPY):
+            try:
+                values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
+                                    ndmin=2)
+                if len(values) == len(lines):
+                    return values, np.abs(values) < _FLOAT32_OVERFLOW
+            except ValueError:
+                pass
     if not fallback:
         raise ValueError("NumPy's text reader does not read these lines as float() does")
     return _cell_numbers([line.split(",") for line in lines])

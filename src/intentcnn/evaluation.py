@@ -194,7 +194,10 @@ class EvaluationReport:
 
 def load_source(source: SourceSpec) -> LabeledDataset:
     """Materialize one source, applying its take/rename shaping."""
-    data = synth_generate(source.synth) if source.kind == "synth" else load_csv_dir(source.path)
+    if source.kind == "synth":
+        data = synth_generate(source.synth)
+    else:
+        data = load_csv_dir(source.path)
     if source.take is not None:
         data = select_classes(data, source.take)
     if source.rename is not None:

@@ -4,24 +4,39 @@ A stream of per-frame channel readings is classified at every hop boundary:
 the last ``window_frames`` frames (zero-front-filled while the stream is still
 warming up) are standardized with the training-time statistics, zero-padded at
 the tail up to the model's input length, and pushed through an inference-mode
-forward pass whose kernels compute every row the same way whatever the batch,
-so the emitted probabilities are bit-identical to the batch predictor's row
-for the same standardized, padded window.
+forward pass, whose conv stack covers the window's live prefix (fixed by the
+window alone) and whose kernels compute every row the same way whatever the
+batch, so the emitted probabilities are bit-identical to the batch
+predictor's row for the same standardized, padded window.
 
-The wire formats and the error records are the README's "Streaming protocol":
-one line of ``channels`` comma-separated values per frame in (UTF-8, lines
-ending at ``\n``, ``\r\n`` or ``\r``, at most ``LINE_CHARS`` characters), one
-``frame_index,label,class_name,p_0,...,p_{K-1},warm_up`` line per hop out.  A
-malformed line (too long, the wrong value count, a value that breaks the
-number rule of trace cells) is an error record and is skipped; a hop whose
-window overflows float32, or whose logits are not finite, is an error record
-for its last line.
+Wire formats:
 
-The stream is ingested per read of its source: the lines a read completed go
-through one conversion and one write per hop boundary they reach
-(:func:`stream_classify_batches`), into one fixed ``(channels, 2 *
-window_frames)`` float32 ring whose zero columns before ``window_frames`` are
-the warm-up front-fill, so every window is a contiguous view.
+* input — one line per frame, ``channels`` comma-separated decimal floats.
+  Standard input and ``tcp:HOST:PORT`` are read alike: bytes are UTF-8, with
+  undecodable bytes read as U+FFFD, and lines end at ``\n``, ``\r\n`` or
+  ``\r``.  A line longer than ``LINE_CHARS`` characters is not kept: it
+  becomes one error record that holds its first characters;
+* output — one line per hop,
+  ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
+
+Malformed input lines (too long, the wrong value count, a value that breaks the number
+rule of trace cells: anything ``float()`` accepts whose float32 rounding is
+finite, or bytes that are not UTF-8) produce a structured error record and
+are skipped (the stream keeps running).  A hop whose standardized window does
+not fit float32, or whose logits are not finite (a frame far outside the
+training statistics), is an error record for the hop's last line; the frames
+stay in the window.
+
+The stream is ingested per read of its source, not per line: the lines a read
+completed go through one conversion and one write into the ring per hop
+boundary they reach (:func:`stream_classify_batches`).  Only lines that have
+arrived are converted, so no hop waits for lines it does not need.
+
+The stream holds one fixed ``(channels, 2 * window_frames)`` float32 ring:
+frames are written from column ``window_frames`` on, the zero columns before
+it are the warm-up front-fill, and when a block would pass the ring's end the
+last ``window_frames`` columns move to the front, so every window is a
+contiguous view and a hop copies no frames.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StandardizationStats, _read_numbers, prepare_input
+from .dataset import StandardizationStats, _cell_numbers, _read_numbers, prepare_input
 from .errors import ConfigError, NumericError, StreamError
 from .model import Network
 
@@ -67,7 +82,8 @@ class WindowConfig:
         if self.window_frames > self.network.config.input_frames:
             raise ConfigError(f"window of {self.window_frames} frames cannot fit the "
                               f"model input of {self.network.config.input_frames}")
-        if self.class_names is not None and len(self.class_names) != self.network.num_classes:
+        if self.class_names is not None and \
+                len(self.class_names) != self.network.num_classes:
             raise ConfigError(f"{len(self.class_names)} class names for "
                               f"{self.network.num_classes} classes")
 
@@ -76,7 +92,9 @@ class WindowConfig:
         return self.network.config.channels
 
     def class_name(self, label: int) -> str:
-        return f"class{label}" if self.class_names is None else self.class_names[label]
+        if self.class_names is not None:
+            return self.class_names[label]
+        return f"class{label}"
 
 
 @dataclass(frozen=True)
@@ -175,11 +193,7 @@ class _StreamState:
         self.ring = np.zeros((cfg.channels, 2 * cfg.window_frames), dtype=np.float32)
         self.stop = cfg.window_frames      # next column to write
         self.count = 0
-
-    @property
-    def due(self) -> int:
-        """Frames still to come before the next hop boundary."""
-        return self.cfg.hop_frames - self.count % self.cfg.hop_frames
+        self.due = cfg.hop_frames          # frames still to come before the next hop boundary
 
     def push(self, frames: np.ndarray) -> StreamPrediction | None:
         """Write a ``(k, channels)`` block of ``k <= due`` frames into the ring;
@@ -191,8 +205,10 @@ class _StreamState:
         self.ring[:, self.stop:self.stop + k] = frames.T
         self.stop += k
         self.count += k
-        if self.count % self.cfg.hop_frames != 0:
+        self.due -= k
+        if self.due:
             return None
+        self.due = self.cfg.hop_frames
         return classify_window(_window(self.ring, self.stop, self.count - 1, self.cfg),
                                self.cfg)
 
@@ -200,15 +216,24 @@ class _StreamState:
 def _ingest(state: _StreamState, numbers: list, lines: list):
     """Push one segment into the ring: ``lines`` are the stripped lines
     ``numbers``, at most ``state.due`` of them.  Yields error records and a
-    completed hop's prediction in line order.  The segment goes through one
-    conversion (:func:`~intentcnn.dataset._read_numbers`) and one block write.
-    If a line in it is not a frame, or NumPy's reader does not read it, each
-    half is ingested on its own and only single lines go on to ``float()``,
-    so one bad line costs about one more conversion of the segment."""
+    completed hop's prediction in line order.
+
+    The segment is read in one conversion and written as one block: several
+    lines by NumPy's reader (:func:`~intentcnn.dataset._read_numbers`), one
+    line by ``float()``.  Value counts are checked only if that fails: lines
+    with the wrong count become error records and the lines between them are
+    ingested again; if every count is right, each half is ingested on its own.
+    So a good line costs no check of its own, and one bad line costs about
+    one more conversion of the segment, not one per line.
+    """
     if not lines:
         return
+    channels = state.cfg.channels
     try:
-        values, fits = _read_numbers(lines, fallback=len(lines) == 1)
+        values, fits = (_cell_numbers([lines[0].split(",")]) if len(lines) == 1 else
+                        _read_numbers(lines, fallback=False))
+        if values.shape[1] != channels:
+            raise ValueError("wrong value count")
         message = None if fits.all() else "non-finite value in frame"
     except ValueError:
         message = "non-numeric value in frame"
@@ -219,6 +244,17 @@ def _ingest(state: _StreamState, numbers: list, lines: list):
             event = _record(numbers[-1], str(exc), lines[-1])
         if event is not None:
             yield event
+        return
+    counts = [line.count(",") + 1 for line in lines]
+    if counts.count(channels) < len(lines):
+        start = 0
+        for i, count in enumerate(counts):
+            if count != channels:
+                yield from _ingest(state, numbers[start:i], lines[start:i])
+                yield _record(numbers[i], f"expected {channels} comma-separated values, "
+                                          f"got {count}", lines[i])
+                start = i + 1
+        yield from _ingest(state, numbers[start:], lines[start:])
     elif len(lines) == 1:
         yield _record(numbers[0], message, lines[0])
     else:
@@ -236,9 +272,9 @@ def stream_classify_batches(batches, cfg: WindowConfig):
     """Classify a stream of line batches; yields StreamPrediction and
     StreamErrorRecord in line order, numbering lines from 1 across batches.
 
-    Blank lines are ignored, and a line too long (a _LongLine) or with the
-    wrong value count first flushes the lines before it.  The other lines
-    gather into segments that end at the next hop boundary or at the end of
+    Blank lines are ignored, and a line too long (a _LongLine) first flushes
+    the lines before it.  The other lines gather into segments of at most the
+    frames due before the next hop boundary, ending there or at the end of
     their batch, each ingested at once (:func:`_ingest`).  A malformed line
     yields an error record and is skipped: the frame counter does not advance,
     so window positions refer to frames actually accepted.  A hop that
@@ -246,25 +282,18 @@ def stream_classify_batches(batches, cfg: WindowConfig):
     of a prediction.
     """
     state = _StreamState(cfg)
-    channels = cfg.channels
     line_number = 0
     for batch in batches:
         numbers, lines = [], []
         for raw in batch:
             line_number += 1
             if isinstance(raw, _LongLine):
-                line, message = raw, f"line longer than {LINE_CHARS} characters"
-            else:
-                line = raw.strip()
-                if not line:
-                    continue
-                values = line.count(",") + 1
-                message = (None if values == channels else
-                           f"expected {channels} comma-separated values, got {values}")
-            if message is not None:
                 yield from _ingest(state, numbers, lines)
                 numbers, lines = [], []
-                yield _record(line_number, message, line)
+                yield _record(line_number, f"line longer than {LINE_CHARS} characters", raw)
+                continue
+            line = raw.strip()
+            if not line:
                 continue
             numbers.append(line_number)
             lines.append(line)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from intentcnn import cli, dataset
+from intentcnn import cli, dataset, streaming
 from intentcnn.cli import main
 from intentcnn.dataset import StandardizationStats, save_stats
 from intentcnn.errors import ConfigError, StreamError
@@ -422,12 +422,36 @@ def test_stream_sends_only_single_lines_to_float():
     lines = buffer_lines(np.random.default_rng(6).normal(size=(2, 20)).astype(np.float32))
     want = list(stream_classify_batches([lines[:13] + ["1000,2"] + lines[14:]], cfg))
     lines[13] = "1_000,\u0662"              # float() reads it, NumPy's reader does not
-    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow:
+    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow, \
+            mock.patch.object(streaming, "_cell_numbers", slow):
         got = list(stream_classify_batches([lines], cfg))
     assert list(map(_event_key, got)) == list(map(_event_key, want))
     assert slow.call_count >= 1
     assert all(len(call.args[0]) == 1 for call in slow.call_args_list)
 
+
+
+def test_stream_reads_one_line_segments_without_numpys_reader():
+    cfg = make_config(window=20, hop=10)
+    lines = buffer_lines(np.random.default_rng(7).normal(size=(2, 30)).astype(np.float32))
+    want = list(stream_classify_batches([lines], cfg))
+    with mock.patch.object(streaming, "_read_numbers") as numpy_reader:
+        got = list(stream_classify_batches([[line] for line in lines], cfg))
+    numpy_reader.assert_not_called()
+    assert list(map(_event_key, got)) == list(map(_event_key, want))
+
+
+def test_stream_names_a_wrong_value_count_before_a_bad_value():
+    cfg = make_config(window=4, hop=2)
+    odd = ["1,2,3", "4,5,6", "x,1,2", "1", "1,nan,2", "1e39"]
+    want = [StreamErrorRecord(i + 1, "expected 2 comma-separated values, got "
+                              f"{line.count(',') + 1}", line) for i, line in enumerate(odd)]
+    assert list(stream_classify(odd, cfg)) == want
+    with mock.patch.object(streaming, "_read_numbers", wraps=streaming._read_numbers) as read, \
+            mock.patch.object(streaming, "_cell_numbers", wraps=streaming._cell_numbers) as one:
+        assert list(stream_classify_batches([odd], cfg)) == want
+        assert list(stream_classify_batches([odd[:2]], cfg)) == want[:2]
+    assert read.call_count == 4 and one.call_count == 0     # once per two-line segment
 
 def test_prediction_probs_must_sum_to_one():
     with pytest.raises(StreamError):
