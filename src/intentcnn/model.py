@@ -6,12 +6,12 @@ the pooling, where it gives the same values on fewer frames), one batch
 normalization, flatten, a stack of relu dense layers, and a final dense
 classifier read through softmax.  Batch normalization sits either directly
 after the last pooling stage (normalizing each conv channel, the default) or
-after flattening (normalizing each flattened entry).  Neither forward pass
-convolves a sample's zero tail padding: its pooled columns all equal one
-column, computed once and copied.  Training packs the batch's live prefixes
-into one sequence and folds the tail's gradient into that column; it runs
-each dense layer as one GEMM over the batch, where inference keeps one
-product per row so that no sample depends on its batch.
+after flattening (normalizing each flattened entry).  Training and inference
+share one forward runner, which never convolves a sample's zero tail
+padding: its pooled columns all equal one column, computed once and copied.
+Training packs the batch's live prefixes into one sequence, folds the tail's
+gradient into that column and runs each dense layer as one GEMM; inference
+keeps one product per dense row, so that no sample depends on its batch.
 
 All learnable parameters are float32; an alternative dtype can be requested
 at build time for high-precision gradient verification.  Model files use the
@@ -161,11 +161,8 @@ class ConvLayer:
     def param_items(self):
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
-    def forward_train(self, x):
-        return conv1d_forward(x, self.weights, self.bias), x
-
-    def forward_infer(self, x):
-        return conv1d_forward(x, self.weights, self.bias)
+    def forward(self, x, train):
+        return conv1d_forward(x, self.weights, self.bias), (x if train else None)
 
     def backward(self, cache, upstream, input_grad=True):
         """(dx, parameter gradients); dx is None when input_grad is false."""
@@ -177,7 +174,7 @@ class PoolLayer:
     """relu of the temporal max pooling of a conv pre-activation; no parameters.
 
     relu commutes with max pooling, so relu runs on the pooled map, about
-    1/stride the size of the conv output.  ``forward_train`` keeps only the
+    1/stride the size of the conv output.  A training forward keeps only the
     pooling's routes (one boolean mask per window tap: "this tap is its
     window's first maximum, and that maximum is > 0"), so the conv output is
     freed once the forward pass moves on, and the backward pass compares
@@ -193,13 +190,12 @@ class PoolLayer:
     def param_items(self):
         return []
 
-    def forward_train(self, pre):
+    def forward(self, pre, train):
+        if not train:
+            return relu_forward(maxpool1d_forward(pre, self.pool, self.stride)), None
         pooled, routes = maxpool1d_forward(pre, self.pool, self.stride, routes=True)
         routes.masks &= pooled > 0                  # relu: no gradient where the max is <= 0
         return relu_forward(pooled), routes
-
-    def forward_infer(self, pre):
-        return relu_forward(maxpool1d_forward(pre, self.pool, self.stride))
 
     def backward(self, routes, upstream):
         return maxpool1d_backward(routes, self.pool, self.stride, upstream), {}
@@ -214,7 +210,7 @@ class BatchNormLayer:
     (B, C * F, 1).  The kernels reduce over the batch and frame axes, so
     neither position copies or transposes the map.  Training may reorder
     those reductions; inference is elementwise and keeps its bits.
-    ``forward_train`` is side-effect free; the running statistics only move
+    ``forward`` is side-effect free; the running statistics only move
     when the owner explicitly calls :meth:`update_running` with the cache.
     """
 
@@ -232,14 +228,13 @@ class BatchNormLayer:
     def _view(self, x):
         return x.reshape(len(x), len(self.gamma), -1)
 
-    def forward_train(self, x):
-        out, cache = batchnorm_forward_train(self._view(x), self.gamma, self.beta)
+    def forward(self, x, train):
+        if train:
+            out, cache = batchnorm_forward_train(self._view(x), self.gamma, self.beta)
+        else:
+            out, cache = batchnorm_forward_infer(self._view(x), self.gamma, self.beta,
+                                                 self.running_mean, self.running_var), None
         return out.reshape(x.shape), cache
-
-    def forward_infer(self, x):
-        out = batchnorm_forward_infer(self._view(x), self.gamma, self.beta,
-                                      self.running_mean, self.running_var)
-        return out.reshape(x.shape)
 
     def backward(self, cache, upstream):
         dx, dgamma, dbeta = batchnorm_backward(cache, self._view(upstream))
@@ -270,13 +265,9 @@ class DenseLayer:
     def param_items(self):
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
-    def forward_train(self, x):
-        pre = dense_forward(x, self.weights, self.bias, per_row=False)
-        return (relu_forward(pre) if self.relu else pre), (x, pre)
-
-    def forward_infer(self, x):
-        pre = dense_forward(x, self.weights, self.bias)
-        return relu_forward(pre) if self.relu else pre
+    def forward(self, x, train):
+        pre = dense_forward(x, self.weights, self.bias, per_row=not train)
+        return (relu_forward(pre) if self.relu else pre), ((x, pre) if train else None)
 
     def backward(self, cache, upstream):
         x, pre = cache
@@ -353,62 +344,63 @@ class Network:
         ends = np.where(live.any(axis=1), live.shape[1] - live[:, ::-1].argmax(axis=1), 0)
         return np.minimum(-(-ends // self.step) * self.step + self.field, live.shape[1])
 
-    def forward_train(self, x):
-        """Logits plus one cache per layer for :meth:`backward`.  No side effects.
+    def _forward(self, x, train):
+        """Logits and one cache per layer call (each None unless ``train``).
 
-        The conv stack runs once over the batch packed into one sequence:
-        each sample's prefix (:meth:`_prefix_widths`), zero-padded to a
-        multiple of ``step``, so every segment starts on a pooled column and
-        conv and pool compute its columns as for the sample alone.  The
-        pooled map gathers each sample's columns and copies its last one into
-        the tail, as :meth:`forward_infer` does; packed columns whose windows
-        cross into the next segment are never read.  conv1's cache, the
-        packed input, also keeps the gather index.
+        The conv stack runs over blocks of sample prefixes
+        (:meth:`_prefix_widths`).  Training packs the batch into one
+        ``(1, C, frames)`` block, each prefix zero-padded to a multiple of
+        ``step``: every segment starts on a pooled column, so conv and pool
+        compute its columns as for the sample alone.  Inference runs one
+        ``(n, C, width)`` block per prefix width and never packs samples
+        together: a column's bits could then depend on where it sits in the
+        GEMM.  Sample i's pooled column j is its block's column
+        ``first_i + min(j, last_i)``: the tail copies the last column its
+        prefix computes, and no packed column whose windows cross into the
+        next segment is read.  conv1's cache adds each sample's (first, last).
         """
         x = self._check_input(x)
         widths = self._prefix_widths(x)
-        segments = -(-widths // self.step) * self.step
-        starts = np.cumsum(segments) - segments
-        a = np.zeros((1, x.shape[1], segments.sum()), self.dtype)
-        for sample, start, width in zip(x, starts, widths):
-            a[0, :, start:start + width] = sample[:, :width]
-        # pooled column j of sample i is packed column start_i / step + min(j, last_i)
-        columns = (starts // self.step)[:, None] + np.minimum(
-            np.arange(self.conv_out_shape[1]), (widths[:, None] - self.field) // self.step)
+        lasts = ((widths - self.field) // self.step).tolist()   # last column each prefix computes
+        if train:
+            segments = -(-widths // self.step) * self.step
+            starts = np.cumsum(segments) - segments
+            packed = np.zeros((1, x.shape[1], segments.sum()), self.dtype)
+            for sample, start, width in zip(x, starts, widths):
+                packed[0, :, start:start + width] = sample[:, :width]
+            firsts = (starts // self.step).tolist()
+            blocks = [(packed, [(i, 0, first) for i, first in enumerate(firsts)])]
+        else:
+            groups: dict[int, list[int]] = {}           # prefix width -> its samples
+            for i, width in enumerate(widths.tolist()):
+                groups.setdefault(width, []).append(i)
+            blocks = ((x[rows, :, :width], [(i, row, 0) for row, i in enumerate(rows)])
+                      for width, rows in groups.items())      # one prefix copy alive at a time
+        pooled = np.empty((len(x), *self.conv_out_shape), self.dtype)
         caches = []
-        for layer in self.conv_stack:
-            a, cache = layer.forward_train(a)
-            caches.append(cache)
-        caches[0] = (caches[0], columns)
-        a = a[0][:, columns].transpose(1, 0, 2).reshape(len(x), -1)
+        for a, members in blocks:                       # members: (sample, block row, first)
+            for layer in self.conv_stack:
+                a, cache = layer.forward(a, train)
+                caches.append(cache)
+            for i, row, first in members:
+                last = first + lasts[i]
+                pooled[i, :, :lasts[i]] = a[row, :, first:last]
+                pooled[i, :, lasts[i]:] = a[row, :, last:last + 1]
+        if train:
+            caches[0] = (caches[0], list(zip(firsts, lasts)))
+        a = pooled.reshape(len(x), -1)
         for layer in self.fc_stack:
-            a, cache = layer.forward_train(a)
+            a, cache = layer.forward(a, train)
             caches.append(cache)
         return a, caches
 
-    def forward_infer(self, x):
-        """Logits; the conv stack runs over each sample's prefix only.
+    def forward_train(self, x):
+        """Logits plus one cache per layer for :meth:`backward`.  No side effects."""
+        return self._forward(x, True)
 
-        Samples with equal prefix widths (:meth:`_prefix_widths`) share one
-        pass, and the last pooled column is copied into the rest.  Samples are
-        never packed together: a column's bits could then depend on where its
-        sample sits in the GEMM.
-        """
-        x = self._check_input(x)
-        groups: dict[int, list[int]] = {}               # prefix width -> its samples
-        for i, width in enumerate(self._prefix_widths(x).tolist()):
-            groups.setdefault(width, []).append(i)
-        pooled = np.empty((len(x), *self.conv_out_shape), self.dtype)
-        for width, rows in groups.items():
-            a = x[rows, :, :width]
-            for layer in self.conv_stack:
-                a = layer.forward_infer(a)
-            pooled[rows, :, :a.shape[2]] = a
-            pooled[rows, :, a.shape[2]:] = a[:, :, -1:]
-        a = pooled.reshape(len(x), -1)
-        for layer in self.fc_stack:
-            a = layer.forward_infer(a)
-        return a
+    def forward_infer(self, x):
+        """Logits; no sample's bits depend on its batchmates."""
+        return self._forward(x, False)[0]
 
     def backward(self, caches, dlogits):
         """Gradients for every parameter, keyed like the param_items names.
@@ -427,9 +419,9 @@ class Network:
         pooled = upstream.reshape(len(columns), *self.conv_out_shape)
         upstream = np.zeros((1, pooled.shape[1], (packed.shape[2] - self.field) // self.step + 1),
                             pooled.dtype)
-        for sample, (first, last) in zip(pooled, columns[:, [0, -1]]):
-            upstream[0, :, first:last] = sample[:, :last - first]
-            sample[:, last - first:].sum(axis=1, out=upstream[0, :, last])
+        for sample, (first, last) in zip(pooled, columns):
+            upstream[0, :, first:first + last] = sample[:, :last]
+            sample[:, last:].sum(axis=1, out=upstream[0, :, first + last])
         for layer, cache in zip(reversed(self.conv_stack[1:]), reversed(caches[1:split])):
             upstream, layer_grads = layer.backward(cache, upstream)
             grads.update(layer_grads)
@@ -449,7 +441,7 @@ class Network:
         """Class probabilities from one batched inference-mode forward pass.
 
         No sample's arithmetic depends on the rest of its batch: its conv
-        prefix (see :meth:`forward_infer`) comes from its own input, pooling
+        prefix (see :meth:`_forward`) comes from its own input, pooling
         and batchnorm are elementwise, convs run one GEMM per tap and sample,
         and dense layers one matmul per row, so online single-window use and
         offline batch evaluation agree bit for bit.  Values may differ in

@@ -136,7 +136,7 @@ def _from_rows(rows: np.ndarray, batch: int, channels: int) -> np.ndarray:
 
 
 def batchnorm_rows_infer(layer, x: np.ndarray) -> np.ndarray:
-    """BatchNormLayer.forward_infer on a flattened (B, C * F) map as it was
+    """Inference BatchNormLayer.forward on a flattened (B, C * F) map as it was
     written before the channel view: per channel, the map transposed to one
     row per frame; per entry (C * F statistics), the map as it is."""
     channels = len(layer.gamma)
@@ -179,33 +179,33 @@ def dense_loops(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndar
 
 
 def forward_full_width(network, x: np.ndarray) -> np.ndarray:
-    """Inference logits with every layer's ``forward_infer`` run over the whole
+    """Inference logits with every layer's ``forward`` run over the whole
     input, tail padding included: the reference for ``Network.forward_infer``,
     which runs the conv stack over each sample's live prefix only."""
     a = np.asarray(x, dtype=network.dtype)
     for layer in network.conv_stack:
-        a = layer.forward_infer(a)
+        a, _ = layer.forward(a, False)
     a = a.reshape(len(a), -1)
     for layer in network.fc_stack:
-        a = layer.forward_infer(a)
+        a, _ = layer.forward(a, False)
     return a
 
 
 def train_full_width(network, x: np.ndarray, dlogits_of):
     """Logits, pooled map and parameter gradients with every layer's
-    ``forward_train`` and ``backward`` run over the whole input, tail padding
+    training ``forward`` and ``backward`` run over the whole input, tail padding
     included: the reference for ``Network.forward_train`` and
     ``Network.backward``, which pack each sample's live prefix into one
     sequence.  ``dlogits_of(logits)`` gives the upstream gradient."""
     a = np.asarray(x, dtype=network.dtype)
     conv_caches, fc_caches = [], []
     for layer in network.conv_stack:
-        a, cache = layer.forward_train(a)
+        a, cache = layer.forward(a, True)
         conv_caches.append(cache)
     pooled = a
     a = a.reshape(len(a), -1)
     for layer in network.fc_stack:
-        a, cache = layer.forward_train(a)
+        a, cache = layer.forward(a, True)
         fc_caches.append(cache)
     logits = a
     grads = {}

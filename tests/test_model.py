@@ -22,6 +22,7 @@ from intentcnn.model import (
     BATCHNORM_POSITIONS,
     BatchNormLayer,
     ConvLayer,
+    Network,
     NetworkConfig,
     PoolLayer,
     TrainSpec,
@@ -290,9 +291,9 @@ def _live_tails(net, rng, unit=0.25):
     for layer in net.conv_stack:
         if isinstance(layer, ConvLayer):
             layer.bias[...] = 0.0
-            pre = layer.forward_infer(a)[0, :, -1]
+            pre = layer.forward(a, False)[0][0, :, -1]
             layer.bias[...] = rng.integers(1, 4, layer.bias.shape) * unit - np.minimum(pre, 0.0)
-        a = layer.forward_infer(a)
+        a, _ = layer.forward(a, False)
     assert (a > 0).all()
     return net
 
@@ -306,12 +307,12 @@ def _packed_step(net, x, dlogits_of):
     """Logits, the pooled map entering the fc stack, and gradients of one packed step."""
     seen = []
     first = net.fc_stack[0]
-    original = first.forward_train
-    first.forward_train = lambda a: seen.append(a.copy()) or original(a)
+    original = first.forward
+    first.forward = lambda a, train: seen.append(a.copy()) or original(a, train)
     try:
         logits, caches = net.forward_train(x)
     finally:
-        del first.forward_train
+        del first.forward
     return logits, seen[0].reshape(len(x), *net.conv_out_shape), net.backward(caches, dlogits_of(logits))
 
 
@@ -372,7 +373,7 @@ def test_batchnorm_per_channel_normalizes_channels():
     bn = [l for l in net.layers() if isinstance(l, BatchNormLayer)]
     assert len(bn) == 1 and bn[0].gamma.shape == (SMALL.conv_filters[-1],)
     x = np.random.default_rng(6).normal(3.0, 2.0, size=(4, 2 * 6)).astype(np.float32)
-    out = bn[0].forward_train(x)[0].reshape(4, 2, 6)    # (batch, channels, frames)
+    out = bn[0].forward(x, True)[0].reshape(4, 2, 6)    # (batch, channels, frames)
     npt.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
     npt.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-3)
     fc_net = build_network(
@@ -403,7 +404,7 @@ def test_batchnorm_view_kernel_infer_is_bitwise_row_formula(position):
     bn, width, rng = _batchnorm_layer(position, 41)
     for batch in (1, 8):
         x = rng.normal(1.0, 2.0, size=(batch, width)).astype(np.float32)
-        assert bn.forward_infer(x).tobytes() == batchnorm_rows_infer(bn, x).tobytes()
+        assert bn.forward(x, False)[0].tobytes() == batchnorm_rows_infer(bn, x).tobytes()
 
 
 @pytest.mark.parametrize("position", BATCHNORM_POSITIONS)
@@ -411,7 +412,7 @@ def test_batchnorm_view_kernel_train_matches_row_formula(position):
     bn, width, rng = _batchnorm_layer(position, 43)
     x = rng.normal(1.0, 2.0, size=(8, width)).astype(np.float32)
     up = rng.normal(size=(8, width)).astype(np.float32)
-    out, cache = bn.forward_train(x)
+    out, cache = bn.forward(x, True)
     dx, grads = bn.backward(cache, up)
     want_out, want_dx, dgamma, dbeta, mean, var = batchnorm_rows_train(bn, x, up)
     assert out.shape == dx.shape == x.shape and out.dtype == dx.dtype == np.float32
@@ -487,6 +488,35 @@ def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
         assert [args[1:3] for args in step] == [(config.pool, config.pool_stride)] * len(order)
 
 
+def test_train_calls_the_forward_methods_a_step_clock_wraps(monkeypatch):
+    # perfbench times a training step from one Network.forward_train call to
+    # the next call of forward_train or forward_infer (the epoch's validation),
+    # both looked up in vars(Network), and per layer from the kernels that
+    # intentcnn.model calls through its own namespace
+    assert {"forward_train", "forward_infer"} <= set(vars(Network))
+    calls = {"forward_train": 0, "forward_infer": 0}
+    current, conv_modes = [None], set()
+    for method in calls:
+        def recorder(self, x, _original=vars(Network)[method], _method=method):
+            calls[_method] += 1
+            current[0] = _method
+            try:
+                return _original(self, x)
+            finally:
+                current[0] = None
+        monkeypatch.setattr(Network, method, recorder)
+    conv = model_module.conv1d_forward
+    monkeypatch.setattr(model_module, "conv1d_forward",
+                        lambda *args: conv_modes.add(current[0]) or conv(*args))
+    x, y = separable_data(SMALL, per_class=5)
+    epochs, batch_size = 3, 4
+    train(build_network(SMALL, seed=4), x[:8], y[:8] % 3, x[8:], y[8:] % 3,
+          TrainSpec(epochs=epochs, batch_size=batch_size, patience=epochs))
+    assert calls == {"forward_train": epochs * len(_batch_plan(8, batch_size)),
+                     "forward_infer": epochs}
+    assert conv_modes == {"forward_train", "forward_infer"}
+
+
 def _kept_arrays(obj) -> list[np.ndarray]:
     """The arrays a layer cache keeps alive: for a view, the array it views."""
     if isinstance(obj, np.ndarray):
@@ -502,7 +532,7 @@ def _kept_arrays(obj) -> list[np.ndarray]:
 
 def test_pool_layer_cache_frees_the_conv_output():
     pre = np.random.default_rng(1).normal(size=(8, 16, 1996)).astype(np.float32)
-    _, cache = PoolLayer("pool1", 2, 2).forward_train(pre)
+    _, cache = PoolLayer("pool1", 2, 2).forward(pre, True)
     kept = _kept_arrays(cache)
     assert kept and all(a.shape != pre.shape for a in kept)
     assert sum(a.nbytes for a in kept) <= pre.nbytes / 4

@@ -448,10 +448,10 @@ def test_relu_folded_into_pooling_is_bitwise_relu_then_pool(data, dtype, batch, 
     up = _upstream(data.draw, dtype, want_out.shape)
     want_dx = nm.relu_backward(pre, nm.maxpool1d_backward(activated, pool, stride, up))
     layer = PoolLayer("pool1", pool, stride)
-    out, cache = layer.forward_train(pre)
+    out, cache = layer.forward(pre, True)
     dx, grads = layer.backward(cache, up)
-    infer = layer.forward_infer(pre)
-    assert grads == {}
+    infer, infer_cache = layer.forward(pre, False)
+    assert grads == {} and infer_cache is None
     for got, want in ((out, want_out), (infer, want_out), (dx, want_dx)):
         assert got.dtype == want.dtype == dtype
         npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
@@ -489,7 +489,7 @@ def test_maxpool_backward_from_forward_routes_is_bitwise_backward_from_input(
     assert out.tobytes() == pooled.tobytes()
     # the pool layer folds relu into the routes it keeps
     layer = PoolLayer("pool1", pool, stride)
-    layer_dx, _ = layer.backward(layer.forward_train(x)[1], up)
+    layer_dx, _ = layer.backward(layer.forward(x, True)[1], up)
     relu_from_input = nm.maxpool1d_backward(x, pool, stride, nm.relu_backward(pooled, up))
     for got, want, relu in ((from_routes, from_input, False), (layer_dx, relu_from_input, True)):
         oracle = _first_max_loops(x, pool, stride, up, relu)
