@@ -8,6 +8,7 @@ items.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
 
@@ -81,10 +82,14 @@ class KeyReader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{self.origin}: key {key!r} expects a number, "
                               f"got {excerpt(raw)}") from exc
+        if not math.isfinite(value):    # nan would pass every range check
+            raise ConfigError(f"{self.origin}: key {key!r} expects a finite number, "
+                              f"got {excerpt(raw)}")
+        return value
 
     def take_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
         raw = self._raw(key)

@@ -300,13 +300,17 @@ def _csv_cell(text: str) -> str:
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """Write all frames of a trace; float32 values round-trip exactly via %.9g."""
-    cells = ",".join(["%.9g"] * trace.channels)       # numbers never need quoting
+    """Write all frames of a trace; float32 values round-trip exactly via %.9g.
+
+    Time stamps are f / rate to 4 decimals where that reads back at the rate
+    (up to 100 Hz, or a step of whole 1e-4 s), and repr's shortest round-trip
+    digits elsewhere, whose rounding would break the reader's rate check."""
     rate = trace.sample_rate_hz
+    stamp = "%.4f" if rate <= 100 or (1e4 / rate).is_integer() else "%r"
+    line = ",".join([stamp] + ["%.9g"] * trace.channels) + "\n"   # numbers never need quoting
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_cell, ("t",) + trace.channel_names)) + "\n")
-        fh.writelines([f"{f / rate:.4f},{cells % tuple(row)}\n"
-                       for f, row in enumerate(trace.values.T.tolist())])
+        fh.writelines([line % (f / rate, *row) for f, row in enumerate(trace.values.T.tolist())])
 
 
 def label_from_filename(name: str) -> tuple[int, int]:

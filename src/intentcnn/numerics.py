@@ -3,9 +3,9 @@
 Every layer here is written against plain numpy with explicit forward and
 backward passes -- no autodiff framework.  Conventions:
 
-* A feature map is ``(channels, frames)``; a leading batch axis is optional,
-  so ``(batch, channels, frames)`` is accepted everywhere a map is.
-* Dense layers operate on vectors ``(features,)`` or batches ``(batch, features)``.
+* Every kernel takes one batched form, batch axis first: a feature map is
+  ``(batch, channels, frames)`` and a dense input is ``(batch, features)``.
+  A single sample is a batch of one (``x[None]``).
 * Convolution is the *valid* sliding dot product (cross-correlation): the
   kernel is applied un-flipped.  Callers that hold textbook flipped-convolution
   kernels reverse them along the tap axis first.
@@ -31,29 +31,20 @@ from .errors import (
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] inside losses
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
+KINK_TOL = 0.2      # gradient_check: one-sided slopes this far apart (relative) mark a kink
+NOISE_COEFF = 8.0   # gradient_check: finite-difference noise, in machine epsilons of the loss
 
 
 # ---------------------------------------------------------------------------
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _as_batched_map(x: np.ndarray, name: str = "input") -> tuple[np.ndarray, bool]:
-    """Promote a (C, F) map to (1, C, F); return (array, had_batch_axis)."""
+def _batched(x: np.ndarray, ndim: int) -> np.ndarray:
+    """x as an array, or DimensionError unless it has ndim axes, batch first."""
     x = np.asarray(x)
-    if x.ndim == 2:
-        return x[None], False
-    if x.ndim == 3:
-        return x, True
-    raise DimensionError(f"{name} must be (channels, frames) or (batch, channels, frames), got shape {x.shape}")
-
-
-def _as_batched_vec(x: np.ndarray, name: str = "input") -> tuple[np.ndarray, bool]:
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[None], False
-    if x.ndim == 2:
-        return x, True
-    raise DimensionError(f"{name} must be (features,) or (batch, features), got shape {x.shape}")
+    if x.ndim != ndim:
+        raise DimensionError(f"input must have {ndim} axes, batch first, got shape {x.shape}")
+    return x
 
 
 def _require_finite(x: np.ndarray, name: str) -> None:
@@ -90,42 +81,42 @@ def _masked(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Check x against weights; return (batched x, had_batch_axis, weights as (K, O, C))."""
-    xb, batched = _as_batched_map(x)
+def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check x against weights; return (x, weights as (K, O, C))."""
+    x = _batched(x, 3)
     weights = np.asarray(weights)
     if weights.ndim != 3 or weights.shape[2] < 1:
         raise DimensionError(f"weights must be (out_channels, in_channels, kernel_width), got shape {weights.shape}")
     _, in_channels, kernel_width = weights.shape
-    if xb.shape[1] != in_channels:
-        raise DimensionError(f"input has {xb.shape[1]} channels but kernels expect {in_channels}")
-    if xb.shape[2] < kernel_width:
-        raise DegenerateInputError(f"{xb.shape[2]} frames is shorter than kernel width {kernel_width}")
+    if x.shape[1] != in_channels:
+        raise DimensionError(f"input has {x.shape[1]} channels but kernels expect {in_channels}")
+    if x.shape[2] < kernel_width:
+        raise DegenerateInputError(f"{x.shape[2]} frames is shorter than kernel width {kernel_width}")
     # one contiguous (O, C) matrix per tap, so every tap product is a plain GEMM
-    return xb, batched, np.ascontiguousarray(weights.transpose(2, 0, 1))
+    return x, np.ascontiguousarray(weights.transpose(2, 0, 1))
 
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid sliding dot product over the frame axis.
 
-    x: (C, F) or (B, C, F); weights: (out_channels, C, kernel_width); bias: (out_channels,).
-    Returns (out_channels, F-K+1) or (B, out_channels, F-K+1).
+    x: (B, C, F); weights: (out_channels, C, kernel_width); bias: (out_channels,).
+    Returns (B, out_channels, F-K+1).
 
-    out[o, t] = sum_c sum_k x[c, t + k] * weights[o, c, k] + bias[o]
+    out[b, o, t] = sum_c sum_k x[b, c, t + k] * weights[o, c, k] + bias[o]
 
     Taps accumulate in ascending k, one (O, C) @ (C, T) GEMM per tap and
     sample, and the bias comes last, so no sample depends on its batch.
     """
-    xb, batched, w_taps = _conv_operands(x, weights)
+    x, w_taps = _conv_operands(x, weights)
     bias = np.asarray(bias)
     if bias.shape != (w_taps.shape[1],):
         raise DimensionError(f"bias shape {bias.shape} does not match {w_taps.shape[1]} output channels")
-    taps = _taps(xb, len(w_taps), 1)
+    taps = _taps(x, len(w_taps), 1)
     out = w_taps[0] @ taps[0]
     for w_tap, tap in zip(w_taps[1:], taps[1:]):
         out += w_tap @ tap
     out += bias[:, None]
-    return out if batched else out[0]
+    return out
 
 
 def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
@@ -143,38 +134,27 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     dweights and dbias are the same bits as in the full call.  A network's
     first layer needs no gradient for its input.
     """
-    xb, batched, w_taps = _conv_operands(x, weights)
-    upb, up_batched = _as_batched_map(upstream, "upstream")
-    if up_batched != batched:
-        raise DimensionError("upstream batchedness does not match input")
-    taps = _taps(xb, len(w_taps), 1)
-    out_shape = (xb.shape[0], w_taps.shape[1], taps[0].shape[2])
-    if upb.shape != out_shape:
-        raise DimensionError(f"upstream shape {upb.shape} does not match forward output {out_shape}")
-    dbias = upb.sum(axis=(0, 2))
-    dweights = np.stack([(upb @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
+    x, w_taps = _conv_operands(x, weights)
+    upstream = np.asarray(upstream)
+    taps = _taps(x, len(w_taps), 1)
+    out_shape = (x.shape[0], w_taps.shape[1], taps[0].shape[2])
+    if upstream.shape != out_shape:
+        raise DimensionError(f"upstream shape {upstream.shape} does not match forward output {out_shape}")
+    dbias = upstream.sum(axis=(0, 2))
+    dweights = np.stack([(upstream @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
     if not input_grad:
         return None, dweights, dbias
-    shares = np.asarray(weights).reshape(len(weights), -1).T @ upb       # (B, C*K, T)
-    shares = shares.reshape(len(upb), xb.shape[1], len(w_taps), -1)
-    dx = np.zeros(xb.shape, dtype=shares.dtype)
+    shares = np.asarray(weights).reshape(len(weights), -1).T @ upstream   # (B, C*K, T)
+    shares = shares.reshape(len(upstream), x.shape[1], len(w_taps), -1)
+    dx = np.zeros(x.shape, dtype=shares.dtype)
     for k, dx_tap in enumerate(_taps(dx, len(w_taps), 1)):
         dx_tap += shares[:, :, k]
-    return (dx if batched else dx[0]), dweights, dbias
+    return dx, dweights, dbias
 
 
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------
-
-def _pool_input(x: np.ndarray, pool: int, stride: int) -> tuple[np.ndarray, bool]:
-    xb, batched = _as_batched_map(x)
-    if pool < 1 or stride < 1:
-        raise InputError(f"pool and stride must be >= 1, got pool={pool} stride={stride}")
-    if xb.shape[2] < pool:
-        raise DegenerateInputError(f"{xb.shape[2]} frames is shorter than pool size {pool}")
-    return xb, batched
-
 
 @dataclass
 class PoolRoutes:
@@ -182,20 +162,31 @@ class PoolRoutes:
     windows whose first maximum is tap k (a window holding NaN routes
     nothing), and dx takes the input's ``shape`` and ``dtype``."""
     masks: np.ndarray          # (pool, B, C, out_frames) bool
-    shape: tuple[int, ...]
+    shape: tuple[int, int, int]
     dtype: np.dtype
 
 
-def _first_max_routes(xb: np.ndarray, batched: bool, pool: int, stride: int
-                      ) -> tuple[np.ndarray, PoolRoutes]:
-    """The window maxima of xb and their routes.
+def maxpool1d_forward(x: np.ndarray, pool: int, stride: int, *, routes: bool = False):
+    """Window-wise maximum along frames of x: (B, C, F); out_frames =
+    (F - pool)//stride + 1.
 
-    The taps are first copied to contiguous rows: NumPy copies a strided view
-    and then reduces and compares the copy in less time than it takes to
-    reduce and compare the view.
+    Trailing frames that do not fill a window are dropped.  Ties take the
+    earliest frame (relevant only to the backward pass).  With ``routes``
+    the call returns ``(out, PoolRoutes)``, so that the backward pass needs
+    no x.
     """
-    taps = _taps(xb, pool, stride)
-    values = np.empty((pool,) + taps[0].shape, dtype=xb.dtype)
+    x = _batched(x, 3)
+    if pool < 1 or stride < 1:
+        raise InputError(f"pool and stride must be >= 1, got pool={pool} stride={stride}")
+    if x.shape[2] < pool:
+        raise DegenerateInputError(f"{x.shape[2]} frames is shorter than pool size {pool}")
+    taps = _taps(x, pool, stride)
+    if not routes:
+        return functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
+    # The taps are first copied to contiguous rows: NumPy copies a strided
+    # view and then reduces and compares the copy in less time than it takes
+    # to reduce and compare the view.
+    values = np.empty((pool,) + taps[0].shape, dtype=x.dtype)
     for row, tap in zip(values, taps):
         np.copyto(row, tap)
     out = functools.reduce(np.maximum, values)
@@ -205,55 +196,29 @@ def _first_max_routes(xb: np.ndarray, batched: bool, pool: int, stride: int
         np.equal(row, out, out=first)
         np.greater(first, found, out=first)         # a max, and no earlier one
         found |= first
-    return out, PoolRoutes(masks, xb.shape if batched else xb.shape[1:], xb.dtype)
+    return out, PoolRoutes(masks, x.shape, x.dtype)
 
 
-def maxpool1d_forward(x: np.ndarray, pool: int, stride: int, *, routes: bool = False):
-    """Window-wise maximum along frames; out_frames = (frames - pool)//stride + 1.
-
-    Trailing frames that do not fill a window are dropped.  Ties take the
-    earliest frame (relevant only to the backward pass).  With ``routes``
-    the call returns ``(out, PoolRoutes)``, so that the backward pass needs
-    no x.
-    """
-    xb, batched = _pool_input(x, pool, stride)
-    if routes:
-        out, kept = _first_max_routes(xb, batched, pool, stride)
-        return (out if batched else out[0]), kept
-    taps = _taps(xb, pool, stride)
-    out = functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
-    return out if batched else out[0]
-
-
-def maxpool1d_backward(x: np.ndarray | PoolRoutes, pool: int, stride: int,
+def maxpool1d_backward(routes: PoolRoutes, pool: int, stride: int,
                        upstream: np.ndarray) -> np.ndarray:
     """Route upstream gradient to each window's first maximal frame; where
     windows overlap, a frame adds up its windows' shares in window order.
 
-    x is the pooled input, or the PoolRoutes that maxpool1d_forward kept of
-    it; an input map goes through the same route builder first.  Each tap's
-    share is masked without branches (``_masked``), bit for bit equal to
-    ``np.where(route, upstream, 0)``, and added into a zero dx.
+    routes are what maxpool1d_forward(..., routes=True) kept of the pooled
+    input.  Each tap's share is masked without branches (``_masked``), bit
+    for bit equal to ``np.where(route, upstream, 0)``, and added into a zero dx.
     """
-    if isinstance(x, PoolRoutes):
-        routes = x
-    else:
-        _, routes = _first_max_routes(*_pool_input(x, pool, stride), pool, stride)
-    batched = len(routes.shape) == 3
-    shape = routes.shape if batched else (1,) + routes.shape
     out_shape = routes.masks.shape[1:]
-    if routes.masks.shape[0] != pool or (shape[2] - pool) // stride + 1 != out_shape[2]:
+    if routes.masks.shape[0] != pool or (routes.shape[2] - pool) // stride + 1 != out_shape[2]:
         raise DimensionError(f"routes do not match pool={pool} stride={stride}")
-    upb, up_batched = _as_batched_map(upstream, "upstream")
-    if up_batched != batched:
-        raise DimensionError("upstream batchedness does not match input")
-    if upb.shape != out_shape:
-        raise DimensionError(f"upstream shape {upb.shape} does not match pooled output "
+    upstream = np.asarray(upstream)
+    if upstream.shape != out_shape:
+        raise DimensionError(f"upstream shape {upstream.shape} does not match pooled output "
                              f"{out_shape}")
-    dx = np.zeros(shape, dtype=routes.dtype)
+    dx = np.zeros(routes.shape, dtype=routes.dtype)
     for dx_tap, mask in zip(_taps(dx, pool, stride)[::-1], routes.masks[::-1]):
-        dx_tap += _masked(upb, mask)                # windows in ascending order
-    return dx if batched else dx[0]
+        dx_tap += _masked(upstream, mask)           # windows in ascending order
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +227,35 @@ def maxpool1d_backward(x: np.ndarray | PoolRoutes, pool: int, stride: int,
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, *,
                   per_row: bool = True) -> np.ndarray:
-    """Affine map y = W x + b.  weights: (out, in); bias: (out,).
+    """Affine map y = x W^T + b.  x: (B, in); weights: (out, in); bias: (out,).
 
     Each row is one (1, in) @ (in, out) product, so no row depends on its
     batch.  With ``per_row=False`` (training) the batch is one (out, in) @
     (in, batch) GEMM, which reads the weights once; its bits differ."""
-    xb, batched = _as_batched_vec(x)
+    x = _batched(x, 2)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 2:
         raise DimensionError(f"weights must be (out, in), got shape {weights.shape}")
     if bias.shape != (weights.shape[0],):
         raise DimensionError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
-    if xb.shape[1] != weights.shape[1]:
-        raise DimensionError(f"input has {xb.shape[1]} features but weights expect {weights.shape[1]}")
-    out = ((xb[:, None, :] @ weights.T)[:, 0] if per_row else (weights @ xb.T).T) + bias
-    return out if batched else out[0]
+    if x.shape[1] != weights.shape[1]:
+        raise DimensionError(f"input has {x.shape[1]} features but weights expect {weights.shape[1]}")
+    return ((x[:, None, :] @ weights.T)[:, 0] if per_row else (weights @ x.T).T) + bias
 
 
 def dense_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xb, batched = _as_batched_vec(x)
-    upb, up_batched = _as_batched_vec(upstream, "upstream")
-    if up_batched != batched:
-        raise DimensionError("upstream batchedness does not match input")
+    x = _batched(x, 2)
+    upstream = np.asarray(upstream)
     weights = np.asarray(weights)
-    if upb.shape != (xb.shape[0], weights.shape[0]):
-        raise DimensionError(f"upstream shape {upb.shape} does not match output "
-                             f"{(xb.shape[0], weights.shape[0])}")
-    dx = upb @ weights
-    dweights = upb.T @ xb
-    dbias = upb.sum(axis=0)
-    return (dx if batched else dx[0]), dweights, dbias
+    if upstream.shape != (x.shape[0], weights.shape[0]):
+        raise DimensionError(f"upstream shape {upstream.shape} does not match output "
+                             f"{(x.shape[0], weights.shape[0])}")
+    dx = upstream @ weights
+    dweights = upstream.T @ x
+    dbias = upstream.sum(axis=0)
+    return dx, dweights, dbias
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -317,14 +279,6 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def _channel_view(x: np.ndarray) -> np.ndarray:
-    """x as (batch, channels, frames); (batch, features) has one frame per feature."""
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"batchnorm expects (batch, features) or (batch, channels, "
-                             f"frames), got shape {x.shape}")
-    return x if x.ndim == 3 else x[:, :, None]
-
-
 @dataclass
 class BatchNormCache:
     """Intermediate values needed by batchnorm_backward."""
@@ -335,58 +289,55 @@ class BatchNormCache:
     batch_var: np.ndarray      # float64 (channels,) population variance
 
 
-def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                            eps: float = BN_EPSILON) -> tuple[np.ndarray, BatchNormCache]:
+def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+                            ) -> tuple[np.ndarray, BatchNormCache]:
     """Normalize each channel by its batch mean and population variance.
 
-    x: (batch, features), one channel per feature, or (batch, channels,
-    frames), reduced over batch and frames; >= 2 values per channel.  Returns
-    (gamma * x_hat + beta, cache) in x's shape and dtype; the statistics and
-    x_hat are float64, computed in place on one copy of x.
+    x: (batch, channels, frames), reduced over batch and frames; >= 2 values
+    per channel.  Returns (gamma * x_hat + beta, cache) in x's shape and
+    dtype; the statistics and x_hat are float64, computed in place on one
+    copy of x.
     """
-    x = np.asarray(x)
-    xv = _channel_view(x)
-    count = xv.shape[0] * xv.shape[2]
+    x = _batched(x, 3)
+    count = x.shape[0] * x.shape[2]
     if count < 2:
         raise DegenerateInputError(f"batchnorm train mode needs >= 2 values per channel, got {count}")
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
-    if gamma.shape != (xv.shape[1],) or beta.shape != (xv.shape[1],):
-        raise DimensionError(f"gamma/beta must be ({xv.shape[1]},), got {gamma.shape} and {beta.shape}")
-    x_hat = xv.astype(np.float64)
+    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+        raise DimensionError(f"gamma/beta must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
+    x_hat = x.astype(np.float64)
     mean = x_hat.sum(axis=(0, 2)) / count
     x_hat -= mean[:, None]
     var = np.einsum("bcf,bcf->c", x_hat, x_hat) / count
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     x_hat *= inv_std[:, None]
-    out = np.multiply(x_hat, gamma[:, None], out=np.empty(xv.shape, x.dtype))
+    out = np.multiply(x_hat, gamma[:, None], out=np.empty(x.shape, x.dtype))
     out += beta[:, None]
-    return out.reshape(x.shape), BatchNormCache(x_hat=x_hat, inv_std=inv_std, gamma=gamma,
-                                                batch_mean=mean, batch_var=var)
+    return out, BatchNormCache(x_hat=x_hat, inv_std=inv_std, gamma=gamma,
+                               batch_mean=mean, batch_var=var)
 
 
 def batchnorm_forward_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                            running_mean: np.ndarray, running_var: np.ndarray,
-                            eps: float = BN_EPSILON) -> np.ndarray:
-    """Normalize with stored running statistics, per feature or channel as in
-    batchnorm_forward_train.  Elementwise: no value depends on its batch."""
-    x = np.asarray(x)
-    xv = _channel_view(x)
-    inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
-    out = (xv - np.asarray(running_mean)[:, None]) * inv_std[:, None]
+                            running_mean: np.ndarray, running_var: np.ndarray) -> np.ndarray:
+    """Normalize x: (batch, channels, frames) per channel with stored running
+    statistics.  Elementwise: no value depends on its batch."""
+    x = _batched(x, 3)
+    inv_std = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + BN_EPSILON)
+    out = (x - np.asarray(running_mean)[:, None]) * inv_std[:, None]
     out *= np.asarray(gamma)[:, None]
     out += np.asarray(beta)[:, None]
-    return out.astype(x.dtype, copy=False).reshape(x.shape)
+    return out.astype(x.dtype, copy=False)
 
 
 def batchnorm_update_running(cache: BatchNormCache, running_mean: np.ndarray,
-                             running_var: np.ndarray, momentum: float = BN_MOMENTUM
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential moving average update; returns new (running_mean, running_var)."""
+                             running_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential moving average update with BN_MOMENTUM; returns new
+    (running_mean, running_var)."""
     running_mean = np.asarray(running_mean)
     running_var = np.asarray(running_var)
-    new_mean = momentum * running_mean + (1.0 - momentum) * cache.batch_mean
-    new_var = momentum * running_var + (1.0 - momentum) * cache.batch_var
+    new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * cache.batch_mean
+    new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * cache.batch_var
     return (new_mean.astype(running_mean.dtype, copy=False),
             new_var.astype(running_var.dtype, copy=False))
 
@@ -394,22 +345,22 @@ def batchnorm_update_running(cache: BatchNormCache, running_mean: np.ndarray,
 def batchnorm_backward(cache: BatchNormCache, upstream: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients through train-mode batchnorm: (dx, dgamma, dbeta) in
-    upstream's dtype, dx in its shape.  Per channel of n values, in float64,
+    upstream's dtype, dx in its (batch, channels, frames) shape.  Per channel
+    of n values, in float64,
     dx = gamma * inv_std * (up - dbeta / n - x_hat * dgamma / n)."""
     upstream = np.asarray(upstream)
-    up = _channel_view(upstream)
     x_hat = cache.x_hat
-    if up.shape != x_hat.shape:
+    if upstream.shape != x_hat.shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match input {x_hat.shape}")
-    count = up.shape[0] * up.shape[2]
-    dx = up.astype(np.float64)
+    count = upstream.shape[0] * upstream.shape[2]
+    dx = upstream.astype(np.float64)
     dbeta = dx.sum(axis=(0, 2))
     dgamma = np.einsum("bcf,bcf->c", dx, x_hat)
     dx -= (dbeta / count)[:, None]
     dx -= x_hat * (dgamma / count)[:, None]
     dx *= (cache.gamma * cache.inv_std)[:, None]
     dtype = upstream.dtype
-    return dx.astype(dtype).reshape(upstream.shape), dgamma.astype(dtype), dbeta.astype(dtype)
+    return dx.astype(dtype), dgamma.astype(dtype), dbeta.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +471,6 @@ class GradCheckResult:
 
 
 def gradient_check(loss_fn, arrays, analytic_grads, epsilon: float = 1e-5,
-                   kink_tol: float = 0.2, noise_coeff: float = 8.0,
                    target_rel_tol: float | None = None,
                    loss_eps: float | None = None) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
@@ -571,18 +521,14 @@ def gradient_check(loss_fn, arrays, analytic_grads, epsilon: float = 1e-5,
         grad = np.asarray(grad)
         if loss_eps is not None:
             eps_mach = float(loss_eps)
-        elif np.issubdtype(arr.dtype, np.floating):
-            eps_mach = float(np.finfo(arr.dtype).eps)
         else:
-            eps_mach = float(np.finfo(np.float64).eps)
-        sigma = noise_coeff * eps_mach * max(abs(f0), 1.0) / epsilon
+            eps_mach = float(np.finfo(arr.dtype).eps)
+        sigma = NOISE_COEFF * eps_mach * max(abs(f0), 1.0) / epsilon
         # a derivative this small is indistinguishable from zero: below both the
         # finite-difference resolution and what the analytic pass's own dtype
         # can accumulate without the result being pure rounding residue
-        grad_eps = (float(np.finfo(grad.dtype).eps)
-                    if np.issubdtype(grad.dtype, np.floating)
-                    else float(np.finfo(np.float64).eps))
-        zero_atol = 4.0 * sigma + noise_coeff * grad_eps * max(abs(f0), 1.0)
+        grad_eps = float(np.finfo(grad.dtype).eps)
+        zero_atol = 4.0 * sigma + NOISE_COEFF * grad_eps * max(abs(f0), 1.0)
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + epsilon
@@ -595,7 +541,7 @@ def gradient_check(loss_fn, arrays, analytic_grads, epsilon: float = 1e-5,
             central = (f_plus - f_minus) / (h_plus + h_minus)
             fwd = (f_plus - f0) / h_plus
             bwd = (f0 - f_minus) / h_minus
-            if abs(fwd - bwd) > kink_tol * max(abs(fwd), abs(bwd)) + 4.0 * sigma:
+            if abs(fwd - bwd) > KINK_TOL * max(abs(fwd), abs(bwd)) + 4.0 * sigma:
                 skipped_kink += 1
                 continue
             a = float(grad[idx])

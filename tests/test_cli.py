@@ -133,6 +133,21 @@ def test_exit_codes_follow_the_documented_map(tmp_path, capsys, failure, make_ar
     assert err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", [("generate", "noise_std"), ("generate", "sample_rate_hz"),
+                                          ("train", "train.learning_rate")])
+def test_a_non_finite_float_key_exits_2_and_writes_nothing(tmp_path, capsys, command, key, value):
+    # NaN passes every "<= 0" range check, so a non-finite value is refused where it is read
+    config = TINY_GENERATE if command == "generate" else TINY_EXPERIMENT
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(out),
+            "--set", f"{key}={value}"]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and f"key '{key}' expects a finite number, got '{value}'" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------

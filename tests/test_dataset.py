@@ -141,6 +141,17 @@ def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, r
         assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("rate", [0.5, 7.0, 100.0, 300.0, 999.0, 3000.0, 20_000.0])
+def test_trace_csv_round_trips_at_its_sample_rate(tmp_path, rate):
+    # time to 4 decimals alone reads back as 303 Hz at 300 Hz, and as
+    # repeated stamps at 20 kHz
+    values = np.random.default_rng(3).normal(size=(2, 400)).astype(np.float32)
+    path = str(tmp_path / "task1_trial01.csv")
+    write_trace_csv(Trace(values=values, channel_names=("fx", "fy"), sample_rate_hz=rate), path)
+    back = parse_trace_csv(path, expected_rate_hz=rate)
+    assert back.values.tobytes() == values.tobytes() and back.sample_rate_hz == rate
+
+
 # the trace reader strips whitespace around header names, so none sits at either end
 _CHANNEL_NAMES = st.lists(st.text(st.sampled_from('ab \r\n,"'), min_size=1, max_size=6)
                           .filter(lambda name: name == name.strip()),

@@ -31,7 +31,7 @@ def test_conv_identity_kernel_single_channel():
     x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]], dtype=np.float32)
     w = np.array([[[1.0]]], dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    npt.assert_array_equal(nm.conv1d_forward(x, w, b), x)
+    npt.assert_array_equal(nm.conv1d_forward(x[None], w, b)[0], x)
 
 
 def test_conv_matches_textbook_flipped_convolution():
@@ -42,22 +42,22 @@ def test_conv_matches_textbook_flipped_convolution():
     kernel = np.array([1.0, 2.0], dtype=np.float32)
     expected = oracles.flipped_conv1d_loops(x, kernel)
     npt.assert_array_equal(expected, np.array([4.0, 7.0], dtype=np.float32))
-    got = nm.conv1d_forward(x[None, :], kernel[::-1].copy()[None, None, :], np.zeros(1, np.float32))
-    npt.assert_array_equal(got[0], expected)
+    got = nm.conv1d_forward(x[None, None, :], kernel[::-1].copy()[None, None, :], np.zeros(1, np.float32))
+    npt.assert_array_equal(got[0, 0], expected)
 
 
 def test_conv_two_channels_sum():
     x = np.array([[1.0, 1.0], [2.0, 2.0]], dtype=np.float32)
     w = np.ones((1, 2, 1), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    npt.assert_array_equal(nm.conv1d_forward(x, w, b), np.array([[3.0, 3.0]], dtype=np.float32))
+    npt.assert_array_equal(nm.conv1d_forward(x[None], w, b)[0], np.array([[3.0, 3.0]], dtype=np.float32))
 
 
 def test_conv_bias_is_added_per_output_channel():
     x = np.zeros((1, 4), dtype=np.float32)
     w = np.zeros((2, 1, 2), dtype=np.float32)
     b = np.array([1.5, -2.0], dtype=np.float32)
-    out = nm.conv1d_forward(x, w, b)
+    out = nm.conv1d_forward(x[None], w, b)[0]
     npt.assert_array_equal(out, np.array([[1.5] * 3, [-2.0] * 3], dtype=np.float32))
 
 
@@ -71,47 +71,68 @@ def test_conv_matches_loop_oracle_bit_exact_on_dyadic_grid():
                 x = oracles.dyadic(rng, (channels, frames))
                 w = oracles.dyadic(rng, (3, channels, kernel_width))
                 b = oracles.dyadic(rng, (3,))
-                got = nm.conv1d_forward(x, w, b)
+                got = nm.conv1d_forward(x[None], w, b)[0]
                 want = oracles.conv1d_loops(x, w, b)
                 assert got.dtype == np.float32
                 npt.assert_array_equal(got, want)
 
 
-def test_conv_batched_matches_per_sample():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(4, 3, 10)).astype(np.float32)
-    w = rng.normal(size=(2, 3, 3)).astype(np.float32)
-    b = rng.normal(size=2).astype(np.float32)
-    batched = nm.conv1d_forward(x, w, b)
-    assert batched.shape == (4, 2, 8)
-    for i in range(4):
-        npt.assert_array_equal(batched[i], nm.conv1d_forward(x[i], w, b))
+def _per_sample_case(kernel, rng):
+    """(x, call, output shape): a float32 batch of 4 and one call of a kernel
+    that keeps each sample's bits whatever its batch."""
+    def normal(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+    x = normal(4, 7) if kernel == "dense" else normal(4, 3, 10)
+    if kernel == "conv":
+        w, b = normal(2, 3, 3), normal(2)
+        return x, lambda x: nm.conv1d_forward(x, w, b), (4, 2, 8)
+    if kernel == "pool":
+        return x, lambda x: nm.maxpool1d_forward(x, 3, 2), (4, 3, 4)
+    if kernel == "dense":
+        w, b = normal(5, 7), normal(5)
+        return x, lambda x: nm.dense_forward(x, w, b), (4, 5)
+    gamma, beta, mean = normal(3), normal(3), normal(3)
+    var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
+    return x, lambda x: nm.batchnorm_forward_infer(x, gamma, beta, mean, var), (4, 3, 10)
+
+
+@pytest.mark.parametrize("kernel", ["conv", "pool", "dense", "batchnorm"])
+def test_kernel_batched_matches_per_sample(kernel):
+    x, call, shape = _per_sample_case(kernel, np.random.default_rng(5))
+    batched = call(x)
+    assert batched.shape == shape
+    for i in range(len(x)):
+        npt.assert_array_equal(batched[i:i + 1], call(x[i:i + 1]))
 
 
 def test_conv_errors():
     w = np.zeros((1, 2, 3), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
     with pytest.raises(DimensionError):
-        nm.conv1d_forward(np.zeros((3, 10), np.float32), w, b)   # channel mismatch
+        nm.conv1d_forward(np.zeros((1, 3, 10), np.float32), w, b)   # channel mismatch
     with pytest.raises(DegenerateInputError):
-        nm.conv1d_forward(np.zeros((2, 2), np.float32), w, b)    # frames < kernel width
-    up = np.zeros((1, 8), np.float32)
+        nm.conv1d_forward(np.zeros((1, 2, 2), np.float32), w, b)    # frames < kernel width
+    up = np.zeros((1, 1, 8), np.float32)
     with pytest.raises(DimensionError):
-        nm.conv1d_backward(np.zeros((2, 10), np.float32), w[0], up)   # weights with 2 dims
+        nm.conv1d_backward(np.zeros((1, 2, 10), np.float32), w[0], up)   # weights with 2 dims
     with pytest.raises(DimensionError):
-        nm.conv1d_backward(np.zeros((3, 10), np.float32), w, up)      # channel mismatch
+        nm.conv1d_backward(np.zeros((1, 3, 10), np.float32), w, up)      # channel mismatch
     with pytest.raises(DegenerateInputError):
-        nm.conv1d_backward(np.zeros((2, 2), np.float32), w, up[:, :0])   # frames < kernel width
+        nm.conv1d_backward(np.zeros((1, 2, 2), np.float32), w, up[:, :, :0])   # frames < kernel width
     with pytest.raises(DimensionError):
-        nm.conv1d_forward(np.zeros((2, 10), np.float32), w[:, :, :0], b)   # kernel width 0
+        nm.conv1d_forward(np.zeros((1, 2, 10), np.float32), w[:, :, :0], b)   # kernel width 0
+    with pytest.raises(DimensionError):
+        nm.conv1d_forward(np.zeros((2, 10), np.float32), w, b)      # no batch axis
+    with pytest.raises(DimensionError):
+        nm.conv1d_backward(np.zeros((1, 2, 10), np.float32), w, up[0])   # upstream without batch axis
 
 
 def test_conv_backward_finite_differences():
     rng = np.random.default_rng(7)
-    x = rng.uniform(0.5, 1.5, size=(3, 8)).astype(np.float64) * rng.choice([-1, 1], size=(3, 8))
+    x = rng.uniform(0.5, 1.5, size=(1, 3, 8)).astype(np.float64) * rng.choice([-1, 1], size=(1, 3, 8))
     w = rng.uniform(0.3, 1.0, size=(2, 3, 3)) * rng.choice([-1, 1], size=(2, 3, 3))
     b = rng.uniform(-0.5, 0.5, size=2)
-    up = rng.uniform(0.5, 1.5, size=(2, 6)) * rng.choice([-1, 1], size=(2, 6))
+    up = rng.uniform(0.5, 1.5, size=(1, 2, 6)) * rng.choice([-1, 1], size=(1, 2, 6))
     dx, dw, db = nm.conv1d_backward(x, w, up)
 
     def loss():
@@ -192,15 +213,15 @@ def test_stacked_conv_input_grad_kernel_at_one_output_frame_is_close_to_per_tap(
 
 def test_maxpool_constant_and_examples():
     npt.assert_array_equal(
-        nm.maxpool1d_forward(np.array([[5.0, 5.0, 5.0, 5.0]], np.float32), 2, 2),
-        np.array([[5.0, 5.0]], np.float32))
+        nm.maxpool1d_forward(np.array([[[5.0, 5.0, 5.0, 5.0]]], np.float32), 2, 2),
+        np.array([[[5.0, 5.0]]], np.float32))
     npt.assert_array_equal(
-        nm.maxpool1d_forward(np.array([[1.0, 3.0, 2.0, 8.0]], np.float32), 2, 2),
-        np.array([[3.0, 8.0]], np.float32))
+        nm.maxpool1d_forward(np.array([[[1.0, 3.0, 2.0, 8.0]]], np.float32), 2, 2),
+        np.array([[[3.0, 8.0]]], np.float32))
     # trailing frame that does not fill a window is dropped
     npt.assert_array_equal(
-        nm.maxpool1d_forward(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]], np.float32), 2, 2),
-        np.array([[2.0, 4.0]], np.float32))
+        nm.maxpool1d_forward(np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]], np.float32), 2, 2),
+        np.array([[[2.0, 4.0]]], np.float32))
 
 
 def test_maxpool_matches_loop_oracle():
@@ -213,22 +234,28 @@ def test_maxpool_matches_loop_oracle():
                         continue
                     x = rng.normal(size=(channels, frames)).astype(np.float32)
                     npt.assert_array_equal(
-                        nm.maxpool1d_forward(x, pool, stride),
+                        nm.maxpool1d_forward(x[None], pool, stride)[0],
                         oracles.maxpool1d_loops(x, pool, stride))
 
 
+def _pool_backward(x, pool, stride, up):
+    """maxpool1d_backward on the routes that maxpool1d_forward keeps of x."""
+    _, routes = nm.maxpool1d_forward(x, pool, stride, routes=True)
+    return nm.maxpool1d_backward(routes, pool, stride, up)
+
+
 def test_maxpool_backward_routes_to_first_max():
-    x = np.array([[2.0, 2.0, 1.0, 5.0]], dtype=np.float32)
-    up = np.array([[10.0, 20.0]], dtype=np.float32)
-    dx = nm.maxpool1d_backward(x, 2, 2, up)
-    npt.assert_array_equal(dx, np.array([[10.0, 0.0, 0.0, 20.0]], np.float32))
+    x = np.array([[[2.0, 2.0, 1.0, 5.0]]], dtype=np.float32)
+    up = np.array([[[10.0, 20.0]]], dtype=np.float32)
+    dx = _pool_backward(x, 2, 2, up)
+    npt.assert_array_equal(dx, np.array([[[10.0, 0.0, 0.0, 20.0]]], np.float32))
 
 
 def test_maxpool_backward_overlapping_windows_accumulate():
-    x = np.array([[1.0, 9.0, 2.0, 3.0]], dtype=np.float32)
-    up = np.array([[1.0, 1.0, 1.0]], dtype=np.float32)   # pool 2, stride 1 -> 3 windows
-    dx = nm.maxpool1d_backward(x, 2, 1, up)
-    npt.assert_array_equal(dx, np.array([[0.0, 2.0, 0.0, 1.0]], np.float32))
+    x = np.array([[[1.0, 9.0, 2.0, 3.0]]], dtype=np.float32)
+    up = np.array([[[1.0, 1.0, 1.0]]], dtype=np.float32)   # pool 2, stride 1 -> 3 windows
+    dx = _pool_backward(x, 2, 1, up)
+    npt.assert_array_equal(dx, np.array([[[0.0, 2.0, 0.0, 1.0]]], np.float32))
 
 
 def test_maxpool_backward_adds_overlapping_shares_in_window_order():
@@ -237,9 +264,7 @@ def test_maxpool_backward_adds_overlapping_shares_in_window_order():
     x = np.array([[[0.0, 0.0, 5.0, 0.0, 0.0]]], np.float32)
     up = np.array([[[1.0, 1e8, -1e8]]], np.float32)
     want = np.array([[[0.0, 0.0, 0.0, 0.0, 0.0]]], np.float32)
-    _, routes = nm.maxpool1d_forward(x, 3, 1, routes=True)
-    for source in (x, routes):
-        npt.assert_array_equal(nm.maxpool1d_backward(source, 3, 1, up), want)
+    npt.assert_array_equal(_pool_backward(x, 3, 1, up), want)
     npt.assert_array_equal(oracles.maxpool1d_backward_loops(x[0], 3, 1, up[0]), want[0])
 
 
@@ -252,32 +277,34 @@ def test_maxpool_backward_matches_loop_oracle():
                 out_frames = (frames - pool) // stride + 1
                 x = oracles.dyadic(rng, (3, 2, frames), step=0.5, span=2)
                 up = oracles.dyadic(rng, (3, 2, out_frames))
-                dx = nm.maxpool1d_backward(x, pool, stride, up)
+                dx = _pool_backward(x, pool, stride, up)
                 want = np.stack([oracles.maxpool1d_backward_loops(x[b], pool, stride, up[b])
                                  for b in range(3)])
                 assert dx.tobytes() == want.tobytes(), (pool, stride, frames)
-                assert nm.maxpool1d_backward(x[0], pool, stride, up[0]).tobytes() == \
-                    want[0].tobytes()
+                assert _pool_backward(x[:1], pool, stride, up[:1]).tobytes() == \
+                    want[:1].tobytes()
 
 
 def test_maxpool_backward_finite_differences():
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(2, 11)).astype(np.float64)
-    up = rng.normal(size=(2, 5))
+    x = rng.normal(size=(1, 2, 11)).astype(np.float64)
+    up = rng.normal(size=(1, 2, 5))
 
     def loss():
         return float(np.sum(nm.maxpool1d_forward(x, 3, 2) * up))
 
-    dx = nm.maxpool1d_backward(x, 3, 2, up)
+    dx = _pool_backward(x, 3, 2, up)
     res = nm.gradient_check(loss, [x], [dx], epsilon=1e-5)
     assert res.max_relative_error < 1e-6
 
 
 def test_maxpool_errors():
     with pytest.raises(DegenerateInputError):
-        nm.maxpool1d_forward(np.zeros((1, 1), np.float32), 2, 2)
+        nm.maxpool1d_forward(np.zeros((1, 1, 1), np.float32), 2, 2)
     with pytest.raises(InputError):
-        nm.maxpool1d_forward(np.zeros((1, 4), np.float32), 0, 2)
+        nm.maxpool1d_forward(np.zeros((1, 1, 4), np.float32), 0, 2)
+    with pytest.raises(DimensionError):
+        nm.maxpool1d_forward(np.zeros((1, 4), np.float32), 2, 2)   # no batch axis
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +313,10 @@ def test_maxpool_errors():
 
 def test_dense_worked_example_and_identity():
     w = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-    out = nm.dense_forward(np.array([1.0, 1.0], np.float32), w, np.zeros(2, np.float32))
-    npt.assert_array_equal(out, np.array([3.0, 7.0], np.float32))
+    out = nm.dense_forward(np.array([[1.0, 1.0]], np.float32), w, np.zeros(2, np.float32))
+    npt.assert_array_equal(out, np.array([[3.0, 7.0]], np.float32))
     eye = np.eye(3, dtype=np.float32)
-    x = np.array([4.0, -1.0, 2.5], np.float32)
+    x = np.array([[4.0, -1.0, 2.5]], np.float32)
     npt.assert_array_equal(nm.dense_forward(x, eye, np.zeros(3, np.float32)), x)
 
 
@@ -298,7 +325,7 @@ def test_dense_matches_loop_oracle():
     x = oracles.dyadic(rng, (6,))
     w = oracles.dyadic(rng, (4, 6))
     b = oracles.dyadic(rng, (4,))
-    npt.assert_array_equal(nm.dense_forward(x, w, b), oracles.dense_loops(x, w, b))
+    npt.assert_array_equal(nm.dense_forward(x[None], w, b)[0], oracles.dense_loops(x, w, b))
 
 
 def test_dense_gemm_kernel_matches_loops_within_float32_tolerance():
@@ -313,7 +340,8 @@ def test_dense_gemm_kernel_matches_loops_within_float32_tolerance():
         npt.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
     x = oracles.dyadic(rng, (6,))
     w, b = oracles.dyadic(rng, (4, 6)), oracles.dyadic(rng, (4,))
-    npt.assert_array_equal(nm.dense_forward(x, w, b, per_row=False), oracles.dense_loops(x, w, b))
+    npt.assert_array_equal(nm.dense_forward(x[None], w, b, per_row=False)[0],
+                           oracles.dense_loops(x, w, b))
 
 
 def test_dense_backward_finite_differences():
@@ -330,6 +358,22 @@ def test_dense_backward_finite_differences():
     res = nm.gradient_check(loss, [x, w, b], [dx, dw, db], epsilon=1e-5)
     assert res.max_relative_error < 1e-6
     assert res.checked >= x.size + w.size + b.size - 2
+
+
+def test_dense_errors():
+    x, w, b = np.zeros((2, 4), np.float32), np.zeros((3, 4), np.float32), np.zeros(3, np.float32)
+    with pytest.raises(DimensionError):
+        nm.dense_forward(x, w[0], b)                        # weights with 1 dim
+    with pytest.raises(DimensionError):
+        nm.dense_forward(x, w, b[:2])                       # bias mismatch
+    with pytest.raises(DimensionError):
+        nm.dense_forward(x[:, :3], w, b)                    # feature mismatch
+    with pytest.raises(DimensionError):
+        nm.dense_backward(x, w, np.zeros((2, 2), np.float32))   # upstream mismatch
+    with pytest.raises(DimensionError):
+        nm.dense_forward(x[0], w, b)                        # no batch axis
+    with pytest.raises(DimensionError):
+        nm.dense_backward(x, w, np.zeros(3, np.float32))    # upstream without batch axis
 
 
 def test_relu_forward_and_backward():
@@ -400,7 +444,7 @@ def test_maxpool_backward_is_bitwise_loop_oracle(data, dtype, batch, channels, p
     x = data.draw(hnp.arrays(dtype, (batch, channels, frames),
                              elements=_special_floats(dtype, allow_nan=False)))
     up = _upstream(data.draw, dtype, (batch, channels, (frames - pool) // stride + 1))
-    got = nm.maxpool1d_backward(x, pool, stride, up)
+    got = _pool_backward(x, pool, stride, up)
     want = np.stack([oracles.maxpool1d_backward_loops(x[b], pool, stride, up[b])
                      for b in range(batch)])
     assert got.dtype == want.dtype == dtype
@@ -424,37 +468,11 @@ def test_maxpool_backward_nan_sum_is_compared_as_nan():
     # different sign; the loop oracle and the library may keep either's bits
     x = np.array([[[0.0, 5.0, 0.0]]], np.float32)
     up = np.array([[[0x7fc00000, 0xffc00000]]], np.uint32).view(np.float32)
-    got = nm.maxpool1d_backward(x, 2, 1, up)
+    got = _pool_backward(x, 2, 1, up)
     oracle = oracles.maxpool1d_backward_loops(x[0], 2, 1, up[0])[None]
     assert np.isnan(got[0, 0, 1]) and np.isnan(oracle[0, 0, 1])
     assert got[0, 0, ::2].view(np.uint32).tolist() == [0, 0]
     _assert_bits_or_nan(got, oracle)
-
-
-@_MASK_SETTINGS
-@given(data=st.data(), dtype=_FLOAT_DTYPES, batch=st.integers(1, 3), channels=st.integers(1, 3),
-       window=st.one_of(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
-                        st.tuples(st.integers(1, 3), st.integers(1, 4))),
-       extra=st.integers(0, 8))
-def test_relu_folded_into_pooling_is_bitwise_relu_then_pool(data, dtype, batch, channels,
-                                                            window, extra):
-    # the reference runs relu on the whole map, pools, and backpropagates both;
-    # NaN may sit in pre too, as np.maximum propagates it in either order
-    pool, stride = window
-    pre = data.draw(hnp.arrays(dtype, (batch, channels, pool + extra),
-                               elements=_special_floats(dtype)))
-    activated = nm.relu_forward(pre)
-    want_out = nm.maxpool1d_forward(activated, pool, stride)
-    up = _upstream(data.draw, dtype, want_out.shape)
-    want_dx = nm.relu_backward(pre, nm.maxpool1d_backward(activated, pool, stride, up))
-    layer = PoolLayer("pool1", pool, stride)
-    out, cache = layer.forward(pre, True)
-    dx, grads = layer.backward(cache, up)
-    infer, infer_cache = layer.forward(pre, False)
-    assert grads == {} and infer_cache is None
-    for got, want in ((out, want_out), (infer, want_out), (dx, want_dx)):
-        assert got.dtype == want.dtype == dtype
-        npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
 
 
 def _first_max_loops(x, pool, stride, up, relu):
@@ -475,30 +493,31 @@ def _first_max_loops(x, pool, stride, up, relu):
        window=st.one_of(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
                         st.tuples(st.integers(1, 3), st.integers(1, 4))),
        extra=st.integers(0, 8))
-def test_maxpool_backward_from_forward_routes_is_bitwise_backward_from_input(
-        data, dtype, batch, channels, window, extra):
-    # x and upstream both draw ties, +-0, +-inf, subnormals and NaN
+def test_relu_folded_into_pooling_is_bitwise_relu_then_pool(data, dtype, batch, channels,
+                                                            window, extra):
+    # the reference runs relu on the whole map, pools, and backpropagates both;
+    # NaN may sit in pre too, as np.maximum propagates it in either order
     pool, stride = window
-    x = data.draw(hnp.arrays(dtype, (batch, channels, pool + extra),
-                             elements=_special_floats(dtype)))
-    pooled = nm.maxpool1d_forward(x, pool, stride)
-    up = _upstream(data.draw, dtype, pooled.shape)
-    out, routes = nm.maxpool1d_forward(x, pool, stride, routes=True)
-    from_routes = nm.maxpool1d_backward(routes, pool, stride, up)
-    from_input = nm.maxpool1d_backward(x, pool, stride, up)
-    assert out.tobytes() == pooled.tobytes()
-    # the pool layer folds relu into the routes it keeps
+    pre = data.draw(hnp.arrays(dtype, (batch, channels, pool + extra),
+                               elements=_special_floats(dtype)))
+    activated = nm.relu_forward(pre)
+    want_out = nm.maxpool1d_forward(activated, pool, stride)
+    up = _upstream(data.draw, dtype, want_out.shape)
+    want_dx = nm.relu_backward(pre, _pool_backward(activated, pool, stride, up))
     layer = PoolLayer("pool1", pool, stride)
-    layer_dx, _ = layer.backward(layer.forward(x, True)[1], up)
-    relu_from_input = nm.maxpool1d_backward(x, pool, stride, nm.relu_backward(pooled, up))
-    for got, want, relu in ((from_routes, from_input, False), (layer_dx, relu_from_input, True)):
-        oracle = _first_max_loops(x, pool, stride, up, relu)
-        assert got.dtype == want.dtype == oracle.dtype == dtype
+    out, cache = layer.forward(pre, True)
+    dx, grads = layer.backward(cache, up)
+    infer, infer_cache = layer.forward(pre, False)
+    assert grads == {} and infer_cache is None
+    for got, want in ((out, want_out), (infer, want_out), (dx, want_dx)):
+        assert got.dtype == want.dtype == dtype
         npt.assert_array_equal(got.view(_UINT[dtype]), want.view(_UINT[dtype]))
+    # pool routes and the layer's relu-folded routes against first-max loops,
+    # NaN in the pooled map included
+    for got, relu in ((_pool_backward(pre, pool, stride, up), False), (dx, True)):
+        oracle = _first_max_loops(pre, pool, stride, up, relu)
+        assert got.dtype == oracle.dtype == dtype
         _assert_bits_or_nan(got, oracle)
-    # without a batch axis the routes give the same bits
-    out, routes = nm.maxpool1d_forward(x[0], pool, stride, routes=True)
-    assert nm.maxpool1d_backward(routes, pool, stride, up[0]).tobytes() == from_input[0].tobytes()
 
 
 def test_maxpool_routes_errors():
@@ -515,27 +534,30 @@ def test_maxpool_routes_errors():
 # batch normalization
 # ---------------------------------------------------------------------------
 
+# A (batch, features) input is passed as the (batch, features, 1) view that
+# BatchNormLayer builds for per-entry normalization.
+
 def test_batchnorm_train_normalizes_each_feature():
     x = np.array([[1.0], [3.0]], dtype=np.float32)
-    out, _ = nm.batchnorm_forward_train(x, np.ones(1, np.float32), np.zeros(1, np.float32))
-    npt.assert_allclose(out, np.array([[-1.0], [1.0]], np.float32), atol=1e-4)
+    out, _ = nm.batchnorm_forward_train(x[:, :, None], np.ones(1, np.float32), np.zeros(1, np.float32))
+    npt.assert_allclose(out[:, :, 0], np.array([[-1.0], [1.0]], np.float32), atol=1e-4)
 
     rng = np.random.default_rng(19)
     x = rng.normal(2.0, 3.0, size=(16, 5)).astype(np.float32)
-    out, _ = nm.batchnorm_forward_train(x, np.ones(5, np.float32), np.zeros(5, np.float32))
-    npt.assert_allclose(out.mean(axis=0), np.zeros(5), atol=1e-6)
-    npt.assert_allclose(out.std(axis=0), np.ones(5), atol=1e-3)
+    out, _ = nm.batchnorm_forward_train(x[:, :, None], np.ones(5, np.float32), np.zeros(5, np.float32))
+    npt.assert_allclose(out[:, :, 0].mean(axis=0), np.zeros(5), atol=1e-6)
+    npt.assert_allclose(out[:, :, 0].std(axis=0), np.ones(5), atol=1e-3)
 
 
 def test_batchnorm_infer_identity_with_unit_stats():
     x = np.array([[0.5, -1.0], [2.0, 3.0]], dtype=np.float32)
-    out = nm.batchnorm_forward_infer(x, np.ones(2, np.float32), np.zeros(2, np.float32),
+    out = nm.batchnorm_forward_infer(x[:, :, None], np.ones(2, np.float32), np.zeros(2, np.float32),
                                      np.zeros(2, np.float32), np.ones(2, np.float32))
-    npt.assert_allclose(out, x, rtol=1e-4)
+    npt.assert_allclose(out[:, :, 0], x, rtol=1e-4)
 
 
 def test_batchnorm_running_update():
-    x = np.array([[0.0], [2.0]], dtype=np.float32)    # batch mean 1, population var 1
+    x = np.array([[[0.0]], [[2.0]]], dtype=np.float32)    # batch mean 1, population var 1
     _, cache = nm.batchnorm_forward_train(x, np.ones(1, np.float32), np.zeros(1, np.float32))
     mean, var = nm.batchnorm_update_running(cache, np.zeros(1, np.float32), np.ones(1, np.float32))
     npt.assert_allclose(mean, [0.1], atol=1e-7)
@@ -543,17 +565,24 @@ def test_batchnorm_running_update():
 
 
 def test_batchnorm_requires_two_rows():
+    ones, zeros = np.ones(3, np.float32), np.zeros(3, np.float32)
     with pytest.raises(DegenerateInputError):
-        nm.batchnorm_forward_train(np.zeros((1, 3), np.float32),
-                                   np.ones(3, np.float32), np.zeros(3, np.float32))
+        nm.batchnorm_forward_train(np.zeros((1, 3, 1), np.float32), ones, zeros)
+    with pytest.raises(DimensionError):
+        nm.batchnorm_forward_train(np.zeros((4, 3), np.float32), ones, zeros)   # 2-D input
+    with pytest.raises(DimensionError):
+        nm.batchnorm_forward_infer(np.zeros((4, 3), np.float32), ones, zeros, zeros, ones)
+    _, cache = nm.batchnorm_forward_train(np.ones((4, 3, 1), np.float32), ones, zeros)
+    with pytest.raises(DimensionError):
+        nm.batchnorm_backward(cache, np.zeros((4, 3), np.float32))   # 2-D upstream
 
 
 def test_batchnorm_backward_finite_differences():
     rng = np.random.default_rng(23)
-    x = rng.normal(size=(6, 4))
+    x = rng.normal(size=(6, 4, 1))
     gamma = rng.uniform(0.5, 1.5, size=4)
     beta = rng.normal(size=4)
-    up = rng.normal(size=(6, 4))
+    up = rng.normal(size=(6, 4, 1))
 
     def loss():
         out, _ = nm.batchnorm_forward_train(x, gamma, beta)
