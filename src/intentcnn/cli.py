@@ -10,13 +10,15 @@ configuration and prints it without running anything.  ``predict`` and
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 data error, 4 training or other runtime error.  The ``INTENT_LOG``
 environment variable (``debug`` | ``info`` | ``error``) sets log verbosity;
-logs go to stderr so machine-readable stdout stays clean.
+logs go to stderr so machine-readable stdout stays clean.  :func:`main` may be
+called any number of times in one process; it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -65,10 +67,7 @@ _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "error": logging.ER
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("INTENT_LOG", "error").lower()
-    level = _LOG_LEVELS.get(name)
-    if level is None:
-        level = logging.ERROR
+    level = _LOG_LEVELS.get(os.environ.get("INTENT_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
 
@@ -101,22 +100,21 @@ def _experiment_defaults() -> dict[str, str]:
     }
 
 
-def _parse_set_items(items) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for item in items or ():
+def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
+                     path: str | None) -> tuple[dict[str, str], dict[str, str]]:
+    """defaults < config file ``path`` < --set < --seed, and for each key the
+    command line sets, the option that set it ("--set" or "--seed")."""
+    given: dict[str, str] = {}
+    for item in args.set or ():
         key, sep, value = item.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        pairs[key] = value
-    return pairs
-
-
-def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
-                     path: str | None) -> dict[str, str]:
-    """defaults < config file ``path`` < --set < --seed."""
-    return {**defaults, **(parse_kv_file(path) if path else {}), **_parse_set_items(args.set),
-            **({} if args.seed is None else {seed_key: str(args.seed)})}
+        given[key] = value
+    origins = dict.fromkeys(given, "--set")
+    if args.seed is not None:
+        given[seed_key], origins[seed_key] = str(args.seed), "--seed"
+    return {**defaults, **(parse_kv_file(path) if path else {}), **given}, origins
 
 
 def _read_labels(path: str | None) -> tuple[str, ...] | None:
@@ -138,8 +136,8 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    pairs = _effective_pairs(args, _generate_defaults(), "seed", args.config)
-    spec = parse_synth_spec(pairs, origin=args.config or "<defaults>")
+    pairs, origins = _effective_pairs(args, _generate_defaults(), "seed", args.config)
+    spec = parse_synth_spec(pairs, args.config or "<defaults>", origins)
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
@@ -163,10 +161,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     defaults = _experiment_defaults()
-    pairs = _effective_pairs(args, defaults, "experiment.seed", args.config)
+    pairs, origins = _effective_pairs(args, defaults, "experiment.seed", args.config)
     # the bare defaults name no source; --show-config prints them as a template
     spec = None if args.show_config and pairs == defaults else parse_experiment_config(
-        {"experiment.id": "train", **pairs}, origin=args.config or "<defaults>")
+        {"experiment.id": "train", **pairs}, args.config or "<defaults>", origins)
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
@@ -194,10 +192,10 @@ def _cmd_eval(args) -> int:
     defaults = _experiment_defaults()
     all_pairs = [_effective_pairs(args, defaults, "experiment.seed", path)
                  for path in args.config]
-    specs = [parse_experiment_config(pairs, origin=path)
-             for path, pairs in zip(args.config, all_pairs)]
+    specs = [parse_experiment_config(pairs, path, origins)
+             for path, (pairs, origins) in zip(args.config, all_pairs)]
     if args.show_config:
-        for path, pairs in zip(args.config, all_pairs):
+        for path, (pairs, _) in zip(args.config, all_pairs):
             print(f"# {path}")
             sys.stdout.write(render_kv(pairs))
         return 0
@@ -260,6 +258,7 @@ def _cmd_stream(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache                 # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intentcnn",

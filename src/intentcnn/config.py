@@ -52,12 +52,18 @@ def split_list(value: str) -> list[str]:
 
 
 class KeyReader:
-    """Typed, typo-checked access to a parsed key=value dict."""
+    """Typed, typo-checked access to a parsed key=value dict.  Errors name where
+    a key's value came from: ``origins[key]`` if given, else ``origin``."""
 
-    def __init__(self, pairs: dict[str, str], origin: str = "<config>"):
+    def __init__(self, pairs: dict[str, str], origin: str = "<config>",
+                 origins: dict[str, str] | None = None):
         self.pairs = dict(pairs)
         self.origin = origin
+        self.origins = origins or {}
         self._seen: set[str] = set()
+
+    def origin_of(self, key: str) -> str:
+        return self.origins.get(key, self.origin)
 
     def _raw(self, key: str):
         self._seen.add(key)
@@ -74,7 +80,7 @@ class KeyReader:
         try:
             return int(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects an integer, "
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects an integer, "
                               f"got {excerpt(raw)}") from exc
 
     def take_float(self, key: str, default: float | None = None) -> float | None:
@@ -84,10 +90,10 @@ class KeyReader:
         try:
             value = float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects a number, "
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects a number, "
                               f"got {excerpt(raw)}") from exc
         if not math.isfinite(value):    # nan would pass every range check
-            raise ConfigError(f"{self.origin}: key {key!r} expects a finite number, "
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects a finite number, "
                               f"got {excerpt(raw)}")
         return value
 
@@ -104,7 +110,7 @@ class KeyReader:
         try:
             return [int(item) for item in items]
         except ValueError as exc:
-            raise ConfigError(f"{self.origin}: key {key!r} expects integers, "
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects integers, "
                               f"got {excerpt(self.pairs[key])}") from exc
 
     def take_fields(self, base, prefix: str, keys, **given):
@@ -119,10 +125,12 @@ class KeyReader:
                           for key in keys})
 
     def reject_unknown(self) -> None:
-        """Raise if any key was never consumed."""
-        leftover = [key for key in self.pairs if key not in self._seen]
+        """Raise if any key was never consumed, naming those from the first one's origin."""
+        leftover = sorted(key for key in self.pairs if key not in self._seen)
         if leftover:
-            raise ConfigError(f"{self.origin}: unknown key(s): {', '.join(sorted(leftover))}")
+            origin = self.origin_of(leftover[0])
+            raise ConfigError(f"{origin}: unknown key(s): "
+                              f"{', '.join(k for k in leftover if self.origin_of(k) == origin)}")
 
 
 def render_kv(pairs: dict[str, str]) -> str:

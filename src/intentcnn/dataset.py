@@ -147,24 +147,31 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv(path: str) -> tuple[list, bool]:
-    r"""The records of a UTF-8 CSV file (:func:`read_utf8` with FormatError) and
-    whether its text holds a ``"``.  Such text goes through ``csv.reader``, whose
-    records are cell lists; a ``csv.Error`` is a FormatError.  Other text needs
-    no quote handling: its records are its lines, which end at ``\r\n``, ``\r``
-    or ``\n`` (not at the other breaks ``str.splitlines`` knows; a final one
-    adds no record), and :func:`_cells` splits them as ``csv.reader`` would."""
+def _read_csv(path: str) -> tuple[list | None, list, bool]:
+    r"""The header cells (None if there are no records) and the data records of a
+    UTF-8 CSV file (:func:`read_utf8` with FormatError), and whether the data
+    records are cell lists: ``csv.reader`` reads the header of text holding a
+    ``"``, and the rest too if it holds one or a line longer than csv's field
+    limit (an error); a ``csv.Error`` is a FormatError.  Other records are lines,
+    which end at ``\r\n``, ``\r`` or ``\n`` (not at the other breaks
+    ``str.splitlines`` knows; a final one adds no record), and :func:`_cells`
+    splits them as ``csv.reader`` would."""
     text = read_utf8(path, FormatError)
-    if '"' not in text:
+    reader = None
+    try:
+        if '"' in text:
+            reader = csv.reader(stream := io.StringIO(text, newline=""))
+            header, text = next(reader), text[stream.tell():]
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
-        return lines, False
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        return list(reader), True
+        if reader is None:
+            return (_cells(lines.pop(0)) if lines else None), lines, False
+        if '"' in text or max(map(len, lines), default=0) > csv.field_size_limit():
+            return header, list(reader), True
+        return header, lines, False
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -174,8 +181,8 @@ def _cells(line: str) -> list[str]:
 
 
 def _read_csv_rows(path: str) -> list[list[str]]:
-    records, quoted = _read_csv(path)
-    return records if quoted else [_cells(line) for line in records]
+    header, data, quoted = _read_csv(path)
+    return [] if header is None else [header] + (data if quoted else list(map(_cells, data)))
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
@@ -186,11 +193,11 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     and that the sample rate inferred from the median time delta lies within
     1% of ``expected_rate_hz``.
     """
-    records, quoted = _read_csv(path)
+    header, data, quoted = _read_csv(path)
     cells = list if quoted else _cells
-    if not records:
+    if header is None:
         raise FormatError(f"{path}: empty file")
-    header = [name.strip() for name in cells(records[0])]
+    header = [name.strip() for name in header]
     if len(header) < 2:
         raise FormatError(f"{path}: header needs a time column plus at least one channel")
     try:
@@ -203,7 +210,6 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
         raise FormatError(f"{path}: blank column name in header")
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: duplicate column names in header")
-    data = records[1:]
     if not data:
         raise FormatError(f"{path}: no data rows after the header")
 
@@ -756,9 +762,10 @@ _SYNTH_FIELDS = tuple(f.name for f in fields(SynthSpec) if f.name != "frame_rang
 SYNTH_KEYS = _SYNTH_FIELDS + ("frame_min", "frame_max")
 
 
-def parse_synth_spec(pairs: dict[str, str], origin: str = "<config>") -> SynthSpec:
-    """Build a SynthSpec from parsed key=value pairs; ``origin`` names them in errors."""
-    reader = KeyReader(pairs, origin=origin)
+def parse_synth_spec(pairs: dict[str, str], origin: str = "<config>",
+                     origins: dict[str, str] | None = None) -> SynthSpec:
+    """Build a SynthSpec from key=value pairs; errors name ``origins[key]`` or ``origin``."""
+    reader = KeyReader(pairs, origin, origins)
     lo, hi = SynthSpec.frame_range
     frame_range = (reader.take_int("frame_min", lo), reader.take_int("frame_max", hi))
     spec = reader.take_fields(SynthSpec(), "", _SYNTH_FIELDS, frame_range=frame_range)

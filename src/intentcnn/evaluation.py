@@ -355,8 +355,9 @@ def standard_experiment(name: str, seed: int = 0,
 _SOURCE_KEY_RE = re.compile(r"^source\.(\d+)\.(.+)$")
 
 
-def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>") -> ExperimentSpec:
-    """Build an ExperimentSpec from parsed key=value pairs; ``origin`` names them in errors.
+def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
+                            origins: dict[str, str] | None = None) -> ExperimentSpec:
+    """Build an ExperimentSpec from key=value pairs; errors name ``origins[key]`` or ``origin``.
 
     Recognized keys: ``experiment.id`` (required), ``experiment.seed``,
     ``experiment.ratios`` (comma list of a/b/c triples), ``experiment.select``,
@@ -367,7 +368,7 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>") -> 
     blocks.  Every other field takes its ExperimentSpec default.  A generated
     source without an explicit ``source.N.seed`` uses experiment seed + 101*N.
     """
-    reader = KeyReader(pairs, origin=origin)
+    reader = KeyReader(pairs, origin, origins)
     standard = reader.take_str("experiment.standard")
     seed = reader.take_int("experiment.seed", 0)
     preset = standard_experiment(standard, seed=seed) if standard else None
@@ -376,7 +377,8 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>") -> 
     if experiment_id is None:
         raise ConfigError(f"{origin}: experiment.id is required")
     ratio_items = reader.take_list("experiment.ratios")
-    ratios = (tuple(_parse_ratio(item, origin) for item in ratio_items)
+    ratios = (tuple(_parse_ratio(item, reader.origin_of("experiment.ratios"))
+                    for item in ratio_items)
               if ratio_items is not None else DEFAULT_RATIOS)
     select = reader.take_list("experiment.select")
     relabel = reader.take_list("experiment.relabel_positive")
@@ -430,8 +432,8 @@ def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
             raise ConfigError(f"{origin}: {prefix}kind is required")
         take = reader.take_list(prefix + "take")
         rename_items = reader.take_list(prefix + "rename")
-        rename = tuple(_parse_rename(item, origin) for item in rename_items) \
-            if rename_items is not None else None
+        rename = None if rename_items is None else tuple(
+            _parse_rename(item, reader.origin_of(prefix + "rename")) for item in rename_items)
         if kind == "csv":
             path = reader.take_str(prefix + "path")
             sources.append(SourceSpec(kind="csv", path=path,
@@ -441,7 +443,8 @@ def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
                        if prefix + key in pairs}
         synth_pairs.setdefault("seed", str(experiment_seed + SOURCE_SEED_STRIDE * n))
         sources.append(SourceSpec(kind="synth",
-                                  synth=parse_synth_spec(synth_pairs, origin=origin),
+                                  synth=parse_synth_spec(synth_pairs, origin, {
+                                      key: reader.origin_of(prefix + key) for key in synth_pairs}),
                                   take=tuple(take) if take else None, rename=rename))
     return tuple(sources)
 

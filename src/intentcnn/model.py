@@ -856,10 +856,10 @@ class _Cursor:
 def deserialize(data: bytes) -> Network:
     """Rebuild a network from INTC bytes in one pass; any defect is a FormatError.
 
-    Payloads stay views of ``data`` until every record has been checked
-    against the layout and found finite, so a corrupt size costs no memory.
+    The loaded arrays are views of ``data`` (of one writable copy if it is
+    read-only): a corrupt size costs no memory, and no weight is copied.
     """
-    cursor = _Cursor(data)
+    cursor = _Cursor(bytearray(data) if memoryview(data).readonly else data)
     magic = bytes(cursor.take(4, "magic"))
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
@@ -880,7 +880,7 @@ def deserialize(data: bytes) -> Network:
                               f"dimensions")
         dims = cursor.u32s(ndims, f"dimensions of {name}")
         arrays = [np.frombuffer(cursor.take(4 * math.prod(shape), f"{name} payload"),
-                                dtype="<f4").reshape(shape)
+                                dtype="<f4").reshape(shape).astype(np.float32, copy=False)
                   for shape in _payload_shapes(tag, dims)]
         records.append((tag, dims, arrays))
     if cursor.offset != len(data):
@@ -903,8 +903,6 @@ def deserialize(data: bytes) -> Network:
         if not all(np.isfinite(a).all() for a in arrays):
             raise FormatError(f"record {index} at byte {offsets[index]} "
                               f"({tag.decode('ascii')}) holds a NaN or Inf value")
-    records = [(tag, dims, [a.astype(np.float32) for a in arrays])
-               for tag, dims, arrays in records]
     return _network_from_records(config, records, np.float32)
 
 
@@ -933,8 +931,8 @@ def _config_of(records) -> NetworkConfig:
 
 def load_model(path: str) -> Network:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, "rb") as fh:    # NumPy's reader seeks, which a pipe cannot
+            data = np.fromfile(fh, np.uint8) if fh.seekable() else fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read model file {path!r}: {exc}") from exc
     return deserialize(data)

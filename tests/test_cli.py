@@ -12,7 +12,8 @@ import pytest
 from intentcnn import cli, errors
 from intentcnn.cli import main
 from intentcnn.config import parse_kv_file
-from intentcnn.dataset import StandardizationStats, load_csv_dir, parse_synth_spec, save_stats
+from intentcnn.dataset import (StandardizationStats, Trace, load_csv_dir, parse_synth_spec,
+                               save_stats, write_trace_csv)
 from intentcnn.evaluation import parse_experiment_config
 from intentcnn.model import NetworkConfig, build_network, load_model, save_model, serialize
 
@@ -629,6 +630,76 @@ def test_config_errors_name_their_file(tmp_path, capsys):
     for argv in (["train", "--config", bad], ["eval", "--config", good, bad]):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: unknown key(s): model.bogus\n")
+
+
+_SOURCE_BLOCK = "experiment.id = x\nsource.1.kind = synth\n"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["generate", "--set", "channels=abc"], None,
+     "--set: key 'channels' expects an integer, got 'abc'"),
+    (["train", "--set", "train.epochs=abc"], "e5.cfg",
+     "--set: key 'train.epochs' expects an integer, got 'abc'"),
+    (["eval", "--set", "train.learning_rate=fast"], "e5.cfg",
+     "--set: key 'train.learning_rate' expects a number, got 'fast'"),
+    (["train", "--set", "experiment.ratios=1/2"], "e5.cfg",
+     "--set: ratio '1/2' must look like 0.8/0.1/0.1"),
+    (["eval", "--set", "source.1.channels=two"], _SOURCE_BLOCK,
+     "--set: key 'channels' expects an integer, got 'two'"),
+    (["train", "--set", "bogus=1", "--set", "zz=2"], "e5.cfg", "--set: unknown key(s): bogus, zz"),
+    (["train", "--set", "zz=2"], _SOURCE_BLOCK + "model.bogus = 1\n",
+     "{config}: unknown key(s): model.bogus"),
+    (["generate", "--set", "noise_std=0.1"], "channels = abc\n",
+     "{config}: key 'channels' expects an integer, got 'abc'"),
+], ids=["generate", "train", "eval", "train-ratio", "eval-source-key", "train-unknown",
+        "file-key-first", "file-value"])
+def test_a_config_error_names_the_origin_of_the_value(tmp_path, capsys, argv, config, message):
+    if config is None:
+        path = None
+    elif config.endswith(".cfg"):
+        path = str(CONFIGS / config)
+    else:
+        path = write_config(tmp_path, config)
+    argv = argv + (["--config", path] if path else []) + ["--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(config=path)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [("generate", None, "channels"),
+                                                  ("train", "e5.cfg", "train.epochs"),
+                                                  ("eval", "e5.cfg", "train.epochs")])
+def test_repeated_main_calls_carry_no_overrides_over(capsys, command, config, key):
+    show = [command, "--show-config"] + (["--config", str(CONFIGS / config)] if config else [])
+    cli._build_parser.cache_clear()
+    assert main(show) == 0
+    fresh = capsys.readouterr()
+    parser = cli._build_parser()
+    assert main(show + ["--set", f"{key}=3", "--seed", "5"]) == 0
+    overridden = capsys.readouterr().out
+    assert f"{key} = 3\n" in overridden and "seed = 5\n" in overridden
+    assert main(show) == 0
+    assert capsys.readouterr() == fresh
+    assert cli._build_parser() is parser
+
+
+def test_a_usage_error_leaves_the_next_predict_as_a_predict_alone(tmp_path, capsys):
+    model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
+    save_model(build_network(TINY_NETWORK, seed=3), model)
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    values = np.random.default_rng(4).normal(size=(2, 30))
+    write_trace_csv(Trace(values=values, channel_names=("c01", "c02")), trace)
+    argv = ["predict", "--model", model, "--stats", stats, "--trace", trace]
+    cli._build_parser.cache_clear()
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    assert alone.out.count("\n") == 1 and alone.err == ""
+    for bad in (["predict", "--model", model], argv + ["--bogus"], ["predict", "--trace"],
+                ["generate", "--set", "channels=3", "--seed", "x"], ["stream", "--hop", "1"]):
+        assert main(bad) == 2
+        assert "usage" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr() == alone
 
 
 @pytest.mark.parametrize("command, config, parse", [("train", "e5.cfg", parse_experiment_config),

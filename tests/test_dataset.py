@@ -351,6 +351,40 @@ def test_read_numbers_leaves_what_numpy_misreads_to_float():
             dataset._read_numbers(lines + [blank])
 
 
+_ROWS = "".join(f"{i / 100:.4f},{i * 0.37!r},{-i}\n" for i in range(6))
+
+
+@pytest.mark.parametrize("header", ['t,"c,01",c02\n', '"t","c01",c02\r\n', 't,"c\r\n01",c02\r'],
+                         ids=["comma", "quoted-names", "line-break"])
+def test_a_quoted_header_leaves_quote_free_rows_to_the_number_reader(tmp_path, header):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    names = next(csv.reader(io.StringIO(header, newline="")))
+
+    def write(rows):
+        plain.write_text("t,c01,c02\n" + rows, newline="")
+        quoted.write_text(header + rows, newline="")
+
+    write(_ROWS)
+    with mock.patch.object(dataset, "_read_numbers", wraps=dataset._read_numbers) as fast:
+        want, got = parse_trace_csv(str(plain)), parse_trace_csv(str(quoted))
+    assert fast.call_count == 2
+    assert got.channel_names == tuple(names[1:])
+    assert got.values.tobytes() == want.values.tobytes()
+    for bad_row, message in (("0.0600,1\n", "row 8 has 2 cells, expected 3"),
+                             ("0.0600,1,x\n", "row 8, column 'c02': non-numeric value 'x'"),
+                             ("0.0600,1,1e39\n", "row 8, column 'c02': non-finite value '1e39'")):
+        write(_ROWS + bad_row)
+        for path in (plain, quoted):
+            with pytest.raises(FormatError) as info:
+                parse_trace_csv(str(path))
+            assert str(info.value) == f"{path}: {message}"
+    write(_ROWS + '0.0600,"2.5",3\n')                 # a quote in a data row: csv reads it
+    with mock.patch.object(dataset, "_read_numbers") as fast:
+        trace = parse_trace_csv(str(quoted))
+    fast.assert_not_called()
+    assert trace.values[:, -1].tolist() == [2.5, 3.0]
+
+
 def test_parse_trace_csv_names_the_first_non_finite_cell(tmp_path):
     path = tmp_path / "trace.csv"
     for text, message in (

@@ -1,6 +1,7 @@
 """Tests for network construction, training, gradient flow and model files."""
 
 import dataclasses
+import itertools
 import struct
 import time
 import tracemalloc
@@ -717,6 +718,68 @@ def test_save_and_load_model_file(tmp_path):
     clone = load_model(path)
     npt.assert_array_equal(clone.conv_stack[0].weights, net.conv_stack[0].weights)
     assert clone.config == net.config
+
+
+def _trained_small_network(seed):
+    """A SMALL network after one epoch, so its running statistics are not 0 and 1."""
+    net = build_network(SMALL, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = make_batch(rng, SMALL, 8) + 1.5
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    train(net, x, y, x, y, TrainSpec(epochs=1, batch_size=4, seed=0))
+    return net
+
+
+def _state_arrays(net):
+    """Every parameter and running statistic of a network, named."""
+    items = list(net.param_items())
+    for layer in net.layers():
+        if isinstance(layer, BatchNormLayer):
+            items += [(f"{layer.name}.running_mean", layer.running_mean),
+                      (f"{layer.name}.running_var", layer.running_var)]
+    return items
+
+
+_LOADERS = {"file": lambda path: load_model(str(path)),
+            "bytes": lambda path: deserialize(path.read_bytes()),
+            "bytearray": lambda path: deserialize(bytearray(path.read_bytes()))}
+
+
+@pytest.mark.parametrize("source", list(_LOADERS))
+def test_load_model_arrays_are_writable_float32_and_share_no_memory(tmp_path, source):
+    path = tmp_path / "model.intc"
+    save_model(_trained_small_network(43), str(path))
+    arrays = _state_arrays(_LOADERS[source](path))
+    assert len(arrays) == 12                      # 2 convs, batchnorm (4), 2 denses
+    for name, arr in arrays:
+        assert arr.dtype == np.float32, name
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+    for (name_a, a), (name_b, b) in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+def test_deserialize_of_bytes_bytearray_and_load_model_serialize_alike(tmp_path):
+    path = tmp_path / "model.intc"
+    blob = serialize(_trained_small_network(44))
+    path.write_bytes(blob)
+    for source, load in _LOADERS.items():
+        assert serialize(load(path)) == blob, source
+
+
+def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clone(tmp_path):
+    net = _trained_small_network(45)
+    path = str(tmp_path / "model.intc")
+    save_model(net, path)
+    x = make_batch(np.random.default_rng(46), SMALL, 8)
+    targets = one_hot(np.array([0, 1, 2, 0, 1, 2, 0, 1]), SMALL.num_classes)
+    stepped = []
+    for copy in (load_model(path), deserialize(serialize(net)), net):
+        logits, caches = copy.forward_train(x)
+        grads = copy.backward(caches, softmax_cce_logit_grad(softmax(logits), targets))
+        copy.update_running_stats(caches)
+        _Adam(TrainSpec()).apply(copy.param_items(), grads)
+        stepped.append(serialize(copy))
+    assert stepped[0] == stepped[1] == stepped[2] != open(path, "rb").read()
 
 
 def test_deserialize_rejects_bad_magic_and_version():
