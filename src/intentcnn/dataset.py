@@ -147,15 +147,14 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv(path: str) -> tuple[list | None, list, bool]:
+def _read_csv(path: str) -> tuple[list | None, list]:
     r"""The header cells (None if there are no records) and the data records of a
-    UTF-8 CSV file (:func:`read_utf8` with FormatError), and whether the data
-    records are cell lists: ``csv.reader`` reads the header of text holding a
-    ``"``, and the rest too if it holds one or a line longer than csv's field
-    limit (an error); a ``csv.Error`` is a FormatError.  Other records are lines,
-    which end at ``\r\n``, ``\r`` or ``\n`` (not at the other breaks
-    ``str.splitlines`` knows; a final one adds no record), and :func:`_cells`
-    splits them as ``csv.reader`` would."""
+    UTF-8 CSV file (:func:`read_utf8` with FormatError).  ``csv.reader`` reads
+    the header of text holding a ``"``, and the rest too, as cell lists, if it
+    holds one or a line longer than csv's field limit (an error); a
+    ``csv.Error`` is a FormatError.  Other records are lines, which end at
+    ``\r\n``, ``\r`` or ``\n`` (not at the other breaks ``str.splitlines``
+    knows; a final one adds no record), split by :func:`_cells`."""
     text = read_utf8(path, FormatError)
     reader = None
     try:
@@ -168,43 +167,43 @@ def _read_csv(path: str) -> tuple[list | None, list, bool]:
         if not lines[-1]:
             lines.pop()
         if reader is None:
-            return (_cells(lines.pop(0)) if lines else None), lines, False
+            return (_cells(lines.pop(0)) if lines else None), lines
         if '"' in text or max(map(len, lines), default=0) > csv.field_size_limit():
-            return header, list(reader), True
-        return header, lines, False
+            return header, list(reader)
+        return header, lines
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _cells(line: str) -> list[str]:
-    return line.split(",") if line else []      # a blank line has no cells
+def _cells(record) -> list[str]:
+    """A record's cells: a cell list as it is, a line split at its commas (a
+    blank line has none)."""
+    if not isinstance(record, str):
+        return record
+    return record.split(",") if record else []
 
 
 def _read_csv_rows(path: str) -> list[list[str]]:
-    header, data, quoted = _read_csv(path)
-    return [] if header is None else [header] + (data if quoted else list(map(_cells, data)))
+    header, data = _read_csv(path)
+    return [] if header is None else [header, *map(_cells, data)]
 
 
 def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
     """Read a trace CSV: header ``t,<ch1>,...``, one row per frame.
 
-    Validates the header (present, non-empty, unique names), numeric cells
-    (:func:`_read_numbers`; times must be finite), strictly increasing time,
-    and that the sample rate inferred from the median time delta lies within
-    1% of ``expected_rate_hz``.
+    Validates the header (present, non-empty, unique names), the rows
+    (:func:`_read_rows`: the first ragged row or non-numeric cell in file
+    order, then the first non-finite value; times need only be finite),
+    strictly increasing time, and that the sample rate inferred from the
+    median time delta lies within 1% of ``expected_rate_hz``.
     """
-    header, data, quoted = _read_csv(path)
-    cells = list if quoted else _cells
+    header, data = _read_csv(path)
     if header is None:
         raise FormatError(f"{path}: empty file")
     header = [name.strip() for name in header]
     if len(header) < 2:
         raise FormatError(f"{path}: header needs a time column plus at least one channel")
-    try:
-        _cell_numbers(header)
-    except ValueError:
-        pass
-    else:
+    if not _read_rows([header], len(header))[2]:
         raise FormatError(f"{path}: missing header row (first line is numeric)")
     if any(name == "" for name in header):
         raise FormatError(f"{path}: blank column name in header")
@@ -213,18 +212,18 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
     if not data:
         raise FormatError(f"{path}: no data rows after the header")
 
-    try:
-        numbers, fits = _cell_numbers(data) if quoted else _read_numbers(data)
-        if numbers.shape[1] != len(header):
-            raise ValueError("rows differ from the header in width")
-    except ValueError:
-        raise FormatError(_first_unreadable_cell(path, header, map(cells, data))) from None
+    numbers, fits, faults = _read_rows(data, len(header))
+    if faults:                                  # the first in file order
+        r, (cells, c) = next(iter(faults.items()))
+        raise FormatError(f"{path}: row {r + 2} has {len(cells)} cells, expected {len(header)}"
+                          if c is None else f"{path}: row {r + 2}, column {excerpt(header[c])}: "
+                                            f"non-numeric value {excerpt(cells[c])}")
     times = numbers[:, 0]
     fits[:, 0] = np.isfinite(times)
     if not fits.all():
         r, c = divmod(int(np.argmin(fits)), len(header))
         raise FormatError(f"{path}: row {r + 2}, column {excerpt(header[c])}: "
-                          f"non-finite value {excerpt(cells(data[r])[c])}")
+                          f"non-finite value {excerpt(_cells(data[r])[c])}")
     if len(times) > 1:
         with np.errstate(over="ignore"):        # finite times can still differ by inf
             deltas = np.diff(times)
@@ -247,53 +246,44 @@ _FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 _NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f\r"      # (and a "\r" would end a line in it)
 
 
-def _cell_numbers(cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """The number rule for trace cells and stream frames: every cell (in a
-    list, or in equal-length rows) read exactly as ``float()`` reads it
-    (``ValueError`` if any is not a number, or rows are ragged), as float64
-    values plus a mask of those whose float32 rounding is finite (false for
-    NaN and for magnitudes rounding to inf)."""
-    values = np.array(cells, dtype=np.float64)
-    return values, np.abs(values) < _FLOAT32_OVERFLOW
+def _read_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The number rule for trace rows and stream lines: a row (a line or a
+    cell list; :func:`_cells`) holds ``width`` cells, each read as ``float()``
+    reads it.  Returns the float64 ``(len(rows), width)`` values, the mask of
+    those whose float32 rounding is finite (false for NaN, for magnitudes
+    rounding to inf and across a failing row), and each failing row's first
+    fault, in row order: ``{row: (cells, None)}`` for the wrong cell count,
+    else ``{row: (cells, column)}`` of its first non-numeric cell.
 
-
-def _read_numbers(lines: list[str], fallback: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_cell_numbers` of the comma-separated cells of ``lines``, one row per
-    line.  Several lines go to NumPy's C text reader first: every value it reads
-    is ``float()``'s, but it strips U+001C-U+001F around a value, skips blank
-    lines and rejects some text ``float()`` reads (``1_000``, non-ASCII digits).
-    So its result counts only for text free of those characters, with one row
-    per line; other text goes to ``float()``, or raises ValueError if
-    ``fallback`` is false.  NumPy never sees a blank first line (it warns when
-    no line holds data), nor a single line, where ``float()`` is faster."""
-    if len(lines) > 1 and lines[0]:
-        text = "\n".join(lines)
+    Several lines go to NumPy's C text reader first.  Every value it reads is
+    ``float()``'s, but it strips U+001C-U+001F around a value (so it never
+    sees them, nor a blank first line, where it warns) and skips blank lines,
+    so its result counts only as ``width`` values on every line.  Other rows,
+    and text it rejects (``1_000`` and non-ASCII digits too), are read one
+    by one; so is a single line, where ``float()`` is faster."""
+    if len(rows) > 1 and isinstance(rows[0], str) and rows[0]:
+        text = "\n".join(rows)
         if not any(c in text for c in _NOT_FOR_NUMPY):
             try:
-                values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
+                values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64,
                                     ndmin=2)
-                if len(values) == len(lines):
-                    return values, np.abs(values) < _FLOAT32_OVERFLOW
+                if values.shape == (len(rows), width):
+                    return values, np.abs(values) < _FLOAT32_OVERFLOW, {}
             except ValueError:
                 pass
-    if not fallback:
-        raise ValueError("NumPy's text reader does not read these lines as float() does")
-    return _cell_numbers([line.split(",") for line in lines])
-
-
-def _first_unreadable_cell(path: str, header: list[str], data_rows) -> str:
-    """Name the first ragged row or non-numeric cell in file order, once the
-    bulk conversion in :func:`parse_trace_csv` has failed; it makes no values."""
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            return f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-        for name, cell in zip(header, row):
-            try:
-                _cell_numbers([cell])
-            except ValueError:
-                return (f"{path}: row {r}, column {excerpt(name)}: "
-                        f"non-numeric value {excerpt(cell)}")
-    raise AssertionError(f"{path}: bulk conversion failed but every cell reads alone")
+    values, faults = np.full((len(rows), width), np.nan), {}
+    for r, row in enumerate(rows):
+        cells, numbers = _cells(row), []
+        if len(cells) != width:
+            faults[r] = cells, None
+            continue
+        try:
+            for cell in cells:
+                numbers.append(float(cell))
+            values[r] = numbers
+        except ValueError:
+            faults[r] = cells, len(numbers)
+    return values, np.abs(values) < _FLOAT32_OVERFLOW, faults
 
 
 def _csv_cell(text: str) -> str:
@@ -699,6 +689,8 @@ class SynthSpec:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def class_names(self) -> tuple[str, ...]:
         return tuple(f"{self.class_prefix}{k + 1}" for k in range(self.num_classes))

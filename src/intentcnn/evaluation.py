@@ -371,6 +371,9 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     reader = KeyReader(pairs, origin, origins)
     standard = reader.take_str("experiment.standard")
     seed = reader.take_int("experiment.seed", 0)
+    if seed < 0:
+        raise ConfigError(f"{reader.origin_of('experiment.seed')}: experiment.seed must be >= 0, "
+                          f"got {seed}")
     preset = standard_experiment(standard, seed=seed) if standard else None
 
     experiment_id = reader.take_str("experiment.id", preset and preset.experiment_id)

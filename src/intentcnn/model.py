@@ -527,6 +527,8 @@ class TrainSpec:
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

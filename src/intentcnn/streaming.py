@@ -28,9 +28,11 @@ training statistics), is an error record for the hop's last line; the frames
 stay in the window.
 
 The stream is ingested per read of its source, not per line: the lines a read
-completed go through one conversion and one write into the ring per hop
-boundary they reach (:func:`stream_classify_batches`).  Only lines that have
-arrived are converted, so no hop waits for lines it does not need.
+completed go through the one number rule of trace rows and stream lines and
+one write into the ring per hop boundary they reach
+(:func:`stream_classify_batches`); a segment holding a bad line costs one more
+``float()`` pass of it.  Only lines that have arrived are converted, so no hop
+waits for lines it does not need.
 
 The stream holds one fixed ``(channels, 2 * window_frames)`` float32 ring:
 frames are written from column ``window_frames`` on, the zero columns before
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StandardizationStats, _cell_numbers, _read_numbers, prepare_input
+from .dataset import StandardizationStats, _read_rows, prepare_input
 from .errors import ConfigError, NumericError, StreamError
 from .model import Network
 
@@ -215,52 +217,32 @@ class _StreamState:
 
 def _ingest(state: _StreamState, numbers: list, lines: list):
     """Push one segment into the ring: ``lines`` are the stripped lines
-    ``numbers``, at most ``state.due`` of them.  Yields error records and a
-    completed hop's prediction in line order.
-
-    The segment is read in one conversion and written as one block: several
-    lines by NumPy's reader (:func:`~intentcnn.dataset._read_numbers`), one
-    line by ``float()``.  Value counts are checked only if that fails: lines
-    with the wrong count become error records and the lines between them are
-    ingested again; if every count is right, each half is ingested on its own.
-    So a good line costs no check of its own, and one bad line costs about
-    one more conversion of the segment, not one per line.
+    ``numbers``, at most ``state.due`` of them, so a hop fires only if every
+    line is good.  Yields error records and a completed hop's prediction in
+    line order.  The segment is read by the number rule of trace rows
+    (:func:`~intentcnn.dataset._read_rows`); each bad line becomes its record
+    (the wrong value count first, then a non-numeric, then a non-finite value)
+    and the good lines are written as one block.
     """
     if not lines:
         return
     channels = state.cfg.channels
+    values, fits, faults = _read_rows(lines, channels)
+    if not fits.all():
+        good = fits.all(axis=1)
+        for i in np.flatnonzero(~good).tolist():
+            cells, column = faults.get(i, (None, None))
+            message = ("non-finite value in frame" if cells is None else
+                       "non-numeric value in frame" if column is not None else
+                       f"expected {channels} comma-separated values, got {len(cells)}")
+            yield _record(numbers[i], message, lines[i])
+        values = values[good]
     try:
-        values, fits = (_cell_numbers([lines[0].split(",")]) if len(lines) == 1 else
-                        _read_numbers(lines, fallback=False))
-        if values.shape[1] != channels:
-            raise ValueError("wrong value count")
-        message = None if fits.all() else "non-finite value in frame"
-    except ValueError:
-        message = "non-numeric value in frame"
-    if message is None:
-        try:
-            event = state.push(values)
-        except NumericError as exc:
-            event = _record(numbers[-1], str(exc), lines[-1])
-        if event is not None:
-            yield event
-        return
-    counts = [line.count(",") + 1 for line in lines]
-    if counts.count(channels) < len(lines):
-        start = 0
-        for i, count in enumerate(counts):
-            if count != channels:
-                yield from _ingest(state, numbers[start:i], lines[start:i])
-                yield _record(numbers[i], f"expected {channels} comma-separated values, "
-                                          f"got {count}", lines[i])
-                start = i + 1
-        yield from _ingest(state, numbers[start:], lines[start:])
-    elif len(lines) == 1:
-        yield _record(numbers[0], message, lines[0])
-    else:
-        mid = len(lines) // 2
-        yield from _ingest(state, numbers[:mid], lines[:mid])
-        yield from _ingest(state, numbers[mid:], lines[mid:])
+        event = state.push(values)
+    except NumericError as exc:
+        event = _record(numbers[-1], str(exc), lines[-1])
+    if event is not None:
+        yield event
 
 
 def _record(line_number: int, message: str, line: str) -> StreamErrorRecord:
@@ -272,14 +254,14 @@ def stream_classify_batches(batches, cfg: WindowConfig):
     """Classify a stream of line batches; yields StreamPrediction and
     StreamErrorRecord in line order, numbering lines from 1 across batches.
 
-    Blank lines are ignored, and a line too long (a _LongLine) first flushes
-    the lines before it.  The other lines gather into segments of at most the
-    frames due before the next hop boundary, ending there or at the end of
-    their batch, each ingested at once (:func:`_ingest`).  A malformed line
-    yields an error record and is skipped: the frame counter does not advance,
-    so window positions refer to frames actually accepted.  A hop that
-    overflows (NumericError) yields an error record for its last line instead
-    of a prediction.
+    Blank lines are ignored, and a line longer than ``LINE_CHARS`` characters
+    is an error record, after the lines before it are ingested.  The other
+    lines gather into segments of at most the frames due before the next hop
+    boundary, ending there or at the end of their batch, each ingested at
+    once (:func:`_ingest`).  A malformed line yields an error record and is
+    skipped: the frame counter does not advance, so window positions refer to
+    frames actually accepted.  A hop that overflows (NumericError) yields an
+    error record for its last line instead of a prediction.
     """
     state = _StreamState(cfg)
     line_number = 0
@@ -287,7 +269,7 @@ def stream_classify_batches(batches, cfg: WindowConfig):
         numbers, lines = [], []
         for raw in batch:
             line_number += 1
-            if isinstance(raw, _LongLine):
+            if len(raw) > LINE_CHARS:
                 yield from _ingest(state, numbers, lines)
                 numbers, lines = [], []
                 yield _record(line_number, f"line longer than {LINE_CHARS} characters", raw)
@@ -355,33 +337,6 @@ def open_line_source(source: str):
     raise ConfigError(f"stream source must be '-' or 'tcp:HOST:PORT', got {source!r}")
 
 
-class _LongLine(str):
-    """The first EXCERPT_CHARS characters of a line longer than LINE_CHARS, standing for it."""
-
-
-class _PendingLine:
-    """The pieces of a line whose end has not come.  Past LINE_CHARS characters
-    only its head is kept, as a _LongLine, and later pieces are dropped."""
-
-    def __init__(self):
-        self.pieces, self.size = [], 0
-
-    def add(self, piece: str) -> None:
-        if self.size <= LINE_CHARS:
-            self.pieces.append(piece)
-            self.size += len(piece)
-            if self.size > LINE_CHARS:
-                head = "".join(p[:EXCERPT_CHARS] for p in self.pieces)
-                self.pieces = [_LongLine(head[:EXCERPT_CHARS])]
-
-    def pop(self, end: str = "") -> str:
-        """The line that ``end`` completes; the next one starts empty."""
-        self.add(end)
-        line = self.pieces[0] if self.size > LINE_CHARS else "".join(self.pieces)
-        self.pieces, self.size = [], 0
-        return line
-
-
 def _line_batches(stream, close: bool):
     r"""The lines of a binary stream, one list per ``read1(READ_BYTES)`` that
     completes any.  Bytes are decoded as UTF-8 with undecodable bytes turned
@@ -389,23 +344,23 @@ def _line_batches(stream, close: bool):
     two reads decodes whole.  Lines end at ``\n``, ``\r\n`` or ``\r``, also
     when a ``\r\n`` pair is split across two reads; the ends are dropped.  A
     partial last line waits for the next read, and a final line with no end is
-    still a line; one longer than ``LINE_CHARS`` comes as a _LongLine."""
+    still a line.  A line is never held whole past ``LINE_CHARS`` characters:
+    it comes cut short, but still longer than ``LINE_CHARS``."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(errors="replace"), translate=True)
-    pending = _PendingLine()
+    pending = ""
     try:
         while True:
             data = stream.read1(READ_BYTES)
             lines = decoder.decode(data, final=not data).split("\n")
-            rest = lines.pop()
+            if len(lines) > 1:          # a line stops one character past LINE_CHARS
+                lines[0], pending = pending + lines[0][:LINE_CHARS + 1 - len(pending)], ""
+            pending += lines.pop()[:LINE_CHARS + 1 - len(pending)]
             if lines:
-                lines[0] = pending.pop(lines[0])
                 yield lines
-            pending.add(rest)
             if not data:
-                last = pending.pop()
-                if last:
-                    yield [last]
+                if pending:
+                    yield [pending]
                 return
     finally:
         if close:

@@ -726,6 +726,24 @@ def test_show_config_rejects_what_its_command_rejects(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["generate", "--set", "seed=-2"], "seed must be >= 0, got -2"),
+    (["train", "--config", str(CONFIGS / "e5.cfg"), "--seed", "-1"],
+     "--seed: experiment.seed must be >= 0, got -1"),
+    (["train", "--config", str(CONFIGS / "e5.cfg"), "--set", "train.seed=-1"],
+     "seed must be >= 0, got -1"),
+    (["eval", "--config", str(CONFIGS / "e5.cfg"), "--seed", "-3"],
+     "--seed: experiment.seed must be >= 0, got -3"),
+], ids=["generate", "generate-set", "train", "train-seed-key", "eval"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(argv + ["--show-config"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):
     read: set[str] = set()
 

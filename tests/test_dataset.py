@@ -296,14 +296,19 @@ _READER_CELL = st.one_of(_NUMBERS, st.sampled_from(_ODD_CELLS), _READER_TEXT,
                          st.tuples(_READER_TEXT, _NUMBERS, _READER_TEXT).map("".join))
 
 
-def _float_rows(lines):
-    """Per-cell float() of comma-separated lines, or None if a cell is not a
-    number or the rows differ in length."""
-    try:
-        rows = [[float(cell) for cell in line.split(",")] for line in lines]
-    except ValueError:
-        return None
-    return np.array(rows) if len(set(map(len, rows))) == 1 else None
+def _first_fault(line, width):
+    """The fault _read_rows names for a comma-separated line, found per cell
+    with float(): (cells, None) for the wrong count, (cells, column) for the
+    first cell float() rejects; None for a line that reads."""
+    cells = line.split(",") if line else []
+    if len(cells) != width:
+        return cells, None
+    for c, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return cells, c
+    return None
 
 
 @_SETTINGS
@@ -313,42 +318,40 @@ def test_read_numbers_is_float_per_cell(data, width):
     lines = draw(st.lists(st.one_of(
         st.lists(_READER_CELL, min_size=width, max_size=width).map(",".join),
         _READER_TEXT), min_size=1, max_size=6))
-    want = _float_rows(lines)
+    want_faults = {r: fault for r, line in enumerate(lines)
+                   if (fault := _first_fault(line, width)) is not None}
+    good = [r for r in range(len(lines)) if r not in want_faults]
+    want = np.array([[float(cell) for cell in lines[r].split(",")] for r in good]
+                    ).reshape(len(good), width)
     with warnings.catch_warnings(), \
             mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         warnings.simplefilter("error")
-        if want is None:
-            with pytest.raises(ValueError):
-                dataset._read_numbers(lines)
-        else:
-            values, fits = dataset._read_numbers(lines)
-            assert values.shape == want.shape
-            assert values.tobytes() == want.tobytes()
-    if want is not None:
-        with np.errstate(over="ignore"):
-            npt.assert_array_equal(fits, np.isfinite(want.astype(np.float32)))
+        values, fits, faults = dataset._read_rows(lines, width)
+    assert faults == want_faults
+    assert values[good].tobytes() == want.tobytes()
+    with np.errstate(over="ignore"):
+        npt.assert_array_equal(fits[good], np.isfinite(want.astype(np.float32)))
+    assert not fits[list(faults)].any()
     assert all(len(call.args[0]) > 1 for call in loadtxt.call_args_list)
 
 
 def test_read_numbers_leaves_what_numpy_misreads_to_float():
     lines = ["1.5,2", "-3e2,4"]
-    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow:
-        values, _ = dataset._read_numbers(lines)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(dataset, "_cells", wraps=dataset._cells) as per_row:
+        values, _, faults = dataset._read_rows(lines, 2)
         npt.assert_array_equal(values, [[1.5, 2], [-300, 4]])
-        assert slow.call_count == 0                # NumPy read both lines
-        for odd in ("1_000", "\u0661", "1\x1c", "\x1f1"):
-            with pytest.raises(ValueError):
-                dataset._read_numbers(lines + [f"{odd},5"], fallback=False)
-        assert slow.call_count == 0
-    assert dataset._read_numbers(lines + ["1_000,\u0661"])[0][2].tolist() == [1000, 1]
-    for odd in ("1\x1c", "\x1f1", "1\x1d5"):
-        with pytest.raises(ValueError):
-            dataset._read_numbers(lines + [f"{odd},5"])
-    for blank in ("", " "):
-        with pytest.raises(ValueError):
-            dataset._read_numbers([blank] + lines)
-        with pytest.raises(ValueError):
-            dataset._read_numbers(lines + [blank])
+        assert not faults and loadtxt.call_count == 1 and per_row.call_count == 0
+        assert dataset._read_rows(lines + ["1_000,\u0661"], 2)[0][2].tolist() == [1000, 1]
+        assert loadtxt.call_count == 2 and per_row.call_count == 3   # NumPy rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for odd in ("1\x1c", "\x1f1", "1\x1d5"):
+            assert dataset._read_rows(lines + [f"{odd},5"], 2)[2] == {2: ([odd, "5"], 0)}
+        for blank in ("", " "):
+            fault = (dataset._cells(blank), None)
+            assert dataset._read_rows([blank] + lines, 2)[2] == {0: fault}
+            assert dataset._read_rows(lines + [blank], 2)[2] == {2: fault}
 
 
 _ROWS = "".join(f"{i / 100:.4f},{i * 0.37!r},{-i}\n" for i in range(6))
@@ -365,7 +368,7 @@ def test_a_quoted_header_leaves_quote_free_rows_to_the_number_reader(tmp_path, h
         quoted.write_text(header + rows, newline="")
 
     write(_ROWS)
-    with mock.patch.object(dataset, "_read_numbers", wraps=dataset._read_numbers) as fast:
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as fast:
         want, got = parse_trace_csv(str(plain)), parse_trace_csv(str(quoted))
     assert fast.call_count == 2
     assert got.channel_names == tuple(names[1:])
@@ -379,7 +382,7 @@ def test_a_quoted_header_leaves_quote_free_rows_to_the_number_reader(tmp_path, h
                 parse_trace_csv(str(path))
             assert str(info.value) == f"{path}: {message}"
     write(_ROWS + '0.0600,"2.5",3\n')                 # a quote in a data row: csv reads it
-    with mock.patch.object(dataset, "_read_numbers") as fast:
+    with mock.patch.object(np, "loadtxt") as fast:
         trace = parse_trace_csv(str(quoted))
     fast.assert_not_called()
     assert trace.values[:, -1].tolist() == [2.5, 3.0]

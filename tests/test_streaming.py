@@ -18,8 +18,8 @@ from hypothesis import given, settings
 
 from intentcnn import cli, dataset, streaming
 from intentcnn.cli import main
-from intentcnn.dataset import StandardizationStats, save_stats
-from intentcnn.errors import ConfigError, StreamError
+from intentcnn.dataset import StandardizationStats, parse_trace_csv, save_stats
+from intentcnn.errors import ConfigError, FormatError, StreamError
 from intentcnn.model import NetworkConfig, build_network, save_model
 from intentcnn.numerics import softmax
 from intentcnn.streaming import (
@@ -417,25 +417,27 @@ def test_stream_reads_odd_spellings_in_a_segment_as_float_does():
         (20, "non-numeric value in frame", "1,\x1e2")]
 
 
-def test_stream_sends_only_single_lines_to_float():
+def test_stream_reads_a_segment_numpy_misreads_by_float():
     cfg = make_config(window=20, hop=10)
     lines = buffer_lines(np.random.default_rng(6).normal(size=(2, 20)).astype(np.float32))
     want = list(stream_classify_batches([lines[:13] + ["1000,2"] + lines[14:]], cfg))
     lines[13] = "1_000,\u0662"              # float() reads it, NumPy's reader does not
-    with mock.patch.object(dataset, "_cell_numbers", wraps=dataset._cell_numbers) as slow, \
-            mock.patch.object(streaming, "_cell_numbers", slow):
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(dataset, "_cells", wraps=dataset._cells) as per_row:
         got = list(stream_classify_batches([lines], cfg))
     assert list(map(_event_key, got)) == list(map(_event_key, want))
-    assert slow.call_count >= 1
-    assert all(len(call.args[0]) == 1 for call in slow.call_args_list)
-
+    assert loadtxt.call_count == 2              # one conversion per ten-line segment
+    assert [call.args[0] for call in per_row.call_args_list] == \
+        [line.strip() for line in lines[10:]]      # float() reads the odd line's segment
 
 
 def test_stream_reads_one_line_segments_without_numpys_reader():
     cfg = make_config(window=20, hop=10)
     lines = buffer_lines(np.random.default_rng(7).normal(size=(2, 30)).astype(np.float32))
-    want = list(stream_classify_batches([lines], cfg))
-    with mock.patch.object(streaming, "_read_numbers") as numpy_reader:
+    with mock.patch.object(dataset, "_cells", wraps=dataset._cells) as per_row:
+        want = list(stream_classify_batches([lines], cfg))
+    assert per_row.call_count == 0              # clean segments: NumPy's reader only
+    with mock.patch.object(np, "loadtxt") as numpy_reader:
         got = list(stream_classify_batches([[line] for line in lines], cfg))
     numpy_reader.assert_not_called()
     assert list(map(_event_key, got)) == list(map(_event_key, want))
@@ -447,11 +449,41 @@ def test_stream_names_a_wrong_value_count_before_a_bad_value():
     want = [StreamErrorRecord(i + 1, "expected 2 comma-separated values, got "
                               f"{line.count(',') + 1}", line) for i, line in enumerate(odd)]
     assert list(stream_classify(odd, cfg)) == want
-    with mock.patch.object(streaming, "_read_numbers", wraps=streaming._read_numbers) as read, \
-            mock.patch.object(streaming, "_cell_numbers", wraps=streaming._cell_numbers) as one:
+    with mock.patch.object(streaming, "_read_rows", wraps=streaming._read_rows) as read:
         assert list(stream_classify_batches([odd], cfg)) == want
         assert list(stream_classify_batches([odd[:2]], cfg)) == want[:2]
-    assert read.call_count == 4 and one.call_count == 0     # once per two-line segment
+    assert read.call_count == 4                 # once per two-line segment
+
+
+# a fault's kind in a trace file's FormatError and in a stream error record
+_FAULT_KINDS = (("count", r"has \d+ cells|comma-separated values"),
+                ("non-numeric", "non-numeric value"), ("non-finite", "non-finite value"))
+
+
+def _fault_kind(text):
+    kinds = [kind for kind, pattern in _FAULT_KINDS if re.search(pattern, text)]
+    assert len(kinds) == 1, text
+    return kinds[0]
+
+
+@pytest.mark.parametrize("bad", [["3"], ["x,3"], ["3,1e39"], ["inf,nan"], ["1,2,3", "x,1"],
+                                 ["nan,x", "3"], ["x,1", "inf,2", "4"]],
+                         ids=["count", "non-numeric", "non-finite", "non-finite-pair",
+                              "count-then-non-numeric", "non-numeric-beats-nan", "mixed"])
+def test_trace_files_and_streams_name_the_same_first_bad_line(tmp_path, bad):
+    lines = ["1.5,2", "-0.5,1"] + bad + ["0.25,3"]
+    path = tmp_path / "trace.csv"
+    path.write_text("t,a,b\n" + "".join(f"{i / 100:.4f},{line}\n" for i, line in enumerate(lines)))
+    with pytest.raises(FormatError) as got:
+        parse_trace_csv(str(path))
+    message = str(got.value)
+    row = int(re.search(r"row (\d+)", message).group(1))
+    cfg = make_config(window=4, hop=2)
+    for events in (stream_classify(lines, cfg), stream_classify_batches([lines], cfg)):
+        first = next(e for e in events if isinstance(e, StreamErrorRecord))
+        assert first.line_number == row - 1         # the file's row 2 is line 1
+        assert _fault_kind(first.message) == _fault_kind(message)
+
 
 def test_prediction_probs_must_sum_to_one():
     with pytest.raises(StreamError):
@@ -671,6 +703,14 @@ def test_line_at_the_cap_still_parses(monkeypatch):
     hops = [(e.frame_index, e.probs.tobytes()) for e in events if isinstance(e, StreamPrediction)]
     want = [(e.frame_index, e.probs.tobytes()) for e in stream_classify(texts, cfg)]
     assert hops == want and len(hops) == 2
+
+
+def test_a_line_past_the_cap_is_a_record_when_given_directly_too():
+    cfg = make_config(window=1, hop=1)
+    assert list(stream_classify(["1.5,-2".rjust(LINE_CHARS + 1)], cfg)) == [StreamErrorRecord(
+        1, f"line longer than {LINE_CHARS} characters", " " * EXCERPT_CHARS)]
+    at_cap = list(stream_classify(["1.5,-2".rjust(LINE_CHARS)], cfg))
+    assert len(at_cap) == 1 and isinstance(at_cap[0], StreamPrediction)
 
 
 def test_open_line_source_tcp_refused():
