@@ -295,18 +295,136 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+# "%.9g" writes a float32 x in fixed notation when its 9 significant digits
+# M = round-half-even(|x| * 10**(8 - E)), 1e8 <= M < 1e9, have a decimal
+# exponent E in -4..8.  For |x| in [1e-4, 1e9) that product is exact in float64
+# (a 24-bit significand times 5**(8 - E) < 2**28), so np.rint rounds as "%" does.
+_POW10 = np.array([float(10 ** k) for k in range(13)])
+# the float32 values in [1e-4, 1e9), where "%.9g" writes fixed notation
+_FIXED = float(np.nextafter(np.float32(1e-4), np.float32(1))), 999999936.0
+# "%04d" of 0..9999 as the low 4 bytes of a uint64, its first digit the lowest
+# (cells are little-endian words), and the number of zeros that end it
+_ASCII4 = np.array([int.from_bytes(b"%04d" % v, "little") for v in range(10_000)], np.uint64)
+_ZEROS4 = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))])
+# A cell is 16 bytes, NUL where nothing is written: ",", "-" or NUL, for E < 0
+# "0." and up to two zeros, then from byte 6 a 10-digit body: M with a "0"
+# digit inserted at body position k = max(E + 1, 0), which becomes ".", NUL or
+# (E = -4) a third zero.  Zeros that end the fraction are NUL, and so is a
+# point that no fraction digit follows.
+_CELL_BYTES = 16
+_BLOCK_CELLS = 8000     # per call: temporaries under 128 KiB run ~2x faster than a whole trace's
+# bytes 8-15 of a cell hold body positions 2-9; _BODY_KEEP[p] keeps those below p
+_BODY_KEEP = np.array([256 ** max(p - 2, 0) - 1 for p in range(11)], dtype=np.uint64)
+
+
+def _cell_layout(e: int, point: bool, minus: bool) -> tuple[int, int, int]:
+    """The static bytes of a cell with exponent e: bytes 0-5, and what turns
+    the inserted "0" into its byte, as amounts to subtract from bytes 0-7 and
+    8-15."""
+    k = max(e + 1, 0)
+    sign = b"," + (b"-" if minus else b"\0")
+    if e < 0:
+        prefix, inserted = sign + b"0." + b"0" * min(-e - 1, 2), b"0" if e == -4 else b"\0"
+    else:
+        prefix, inserted = sign, b"." if point else b"\0"
+    adjust = (ord("0") - ord(inserted)) << 8 * (6 + k)
+    return int.from_bytes(prefix, "little"), adjust % 2 ** 64, adjust >> 64
+
+
+# indexed by 4 * (E + 4) + 2 * point + minus
+_PREFIX, _ADJUST0, _ADJUST1 = np.array([_cell_layout(e, point, minus) for e in range(-4, 9)
+                                        for point in (False, True) for minus in (False, True)],
+                                       dtype=np.uint64).T.copy()
+
+
+def _fixed_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "," + "%.9g" cells of a ``(rows, channels)`` float32 block as
+    ``(rows, 16 * channels)`` NUL-padded bytes, and the mask of the rows whose
+    cells all take fixed notation, which these bytes get right."""
+    x = rows.ravel()
+    a = np.abs(x, dtype=np.float64)
+    fixed = a.clip(*_FIXED)
+    covered = fixed == a
+    # log10 proposes E; it is 2.6e-8 or more below k for a float32 below 10**k,
+    # so only an ulp low at 10**k itself makes it one short, which M shows
+    e = np.floor(np.log10(fixed)).astype(np.intp)
+    e += fixed * _POW10[8 - e] >= 1e9
+    unit = _POW10[8 - e]                        # 10**(digits after the point)
+    s = fixed * unit
+    np.rint(s, out=s)                           # a float32 below 10**(E + 1) keeps M < 1e9
+    s += 9 * unit * np.floor(s / unit)          # the inserted digit: 10x the integer part
+    body = s.astype(np.intp)
+    upper = body // 10_000
+    lo = body - upper * 10_000                  # body positions 6-9
+    hi = upper // 10_000                        # 0-1
+    mid = upper - hi * 10_000                   # 2-5
+    zeros = _ZEROS4[lo]
+    zeros += (zeros == 4) * _ZEROS4[mid]
+    zeros += (zeros == 8) * _ZEROS4[hi]
+    k = np.maximum(e + 1, 0)
+    keep = np.maximum(10 - zeros, k)            # body positions written
+    layout = 4 * (e + 4) + 2 * (keep > k) + (x < 0)
+    cells = np.empty((len(x), 2), "<u8")
+    cells[:, 0] = ((_ASCII4[hi] >> 16 << 48) - _ADJUST0[layout]) | _PREFIX[layout]
+    cells[:, 1] = ((_ASCII4[mid] | _ASCII4[lo] << 32) - _ADJUST1[layout]) & _BODY_KEEP[keep]
+    return cells.view(np.uint8).reshape(len(rows), -1), covered.reshape(len(rows), -1).all(axis=1)
+
+
+# a whole number of seconds right-aligned in 8 bytes: _LAST_BYTES[n - 1] keeps
+# its n digits, n - 1 being how many of _DIGIT_COUNTS it reaches
+_DIGIT_COUNTS = 10 ** np.arange(1, 8)
+_LAST_BYTES = np.array([~(256 ** (8 - n) - 1) % 2 ** 64 for n in range(1, 9)], np.uint64)
+
+
+def _tick_stamps(frames: int, step: int) -> np.ndarray:
+    """``"%.4f" % (f / rate)`` for frames 0..frames-1 as NUL-padded 16-byte
+    rows, where a frame lasts ``step`` whole 1e-4 s and ``frames * step`` is
+    below 1e12: f / rate is then f * step * 1e-4 to a relative 2**-52, far
+    inside the 5e-5 that would change its 4 decimals."""
+    whole, ticks = np.divmod(np.arange(frames) * step, 10_000)
+    upper, lower = np.divmod(whole, 10_000)
+    stamps = np.empty((frames, 2), "<u8")
+    stamps[:, 0] = ((_ASCII4[upper] | _ASCII4[lower] << 32)
+                    & _LAST_BYTES[np.searchsorted(_DIGIT_COUNTS, whole, side="right")])
+    stamps[:, 1] = ord(".") | _ASCII4[ticks] << 8
+    return stamps.view(np.uint8)
+
+
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """Write all frames of a trace; float32 values round-trip exactly via %.9g.
+    """Write all frames of a trace, each as ``line % (f / rate, *values)``
+    with ``line = stamp + ",%.9g" * channels + "\\n"``; float32 values
+    round-trip exactly via %.9g.
 
     Time stamps are f / rate to 4 decimals where that reads back at the rate
     (up to 100 Hz, or a step of whole 1e-4 s), and repr's shortest round-trip
-    digits elsewhere, whose rounding would break the reader's rate check."""
-    rate = trace.sample_rate_hz
-    stamp = "%.4f" if rate <= 100 or (1e4 / rate).is_integer() else "%r"
+    digits elsewhere, whose rounding would break the reader's rate check.
+    The cells, and the stamps of a whole-tick step, are formatted in bulk
+    (:func:`_fixed_cells`, :func:`_tick_stamps`) into NUL-padded fields that
+    one ``bytes.translate`` removes, with the same bytes; a row holding a
+    cell in exponent notation (|x| < 1e-4 or >= 1e9, 0 too) gets the ``%``
+    line."""
+    rate, step = trace.sample_rate_hz, 1e4 / trace.sample_rate_hz
+    stamp = "%.4f" if rate <= 100 or step.is_integer() else "%r"
     line = ",".join([stamp] + ["%.9g"] * trace.channels) + "\n"   # numbers never need quoting
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(_csv_cell, ("t",) + trace.channel_names)) + "\n")
-        fh.writelines([line % (f / rate, *row) for f, row in enumerate(trace.values.T.tolist())])
+    if step.is_integer() and (trace.frames - 1) * step < 1e12:
+        stamps = _tick_stamps(trace.frames, int(step))
+    else:
+        stamps = np.array([stamp % (f / rate) for f in range(trace.frames)], dtype="S")
+        stamps = stamps.view(np.uint8).reshape(trace.frames, -1)
+    width = stamps.shape[1] + _CELL_BYTES * trace.channels + 1
+    text = np.empty((trace.frames, width), np.uint8)
+    text[:, :stamps.shape[1]] = stamps
+    text[:, -1] = ord("\n")
+    block = max(1, _BLOCK_CELLS // trace.channels)
+    for start in range(0, trace.frames, block):
+        rows = trace.values[:, start:start + block].T
+        text[start:start + len(rows), stamps.shape[1]:-1], covered = _fixed_cells(rows)
+        for f in (start + np.flatnonzero(~covered)).tolist():
+            row = (line % (f / rate, *trace.values[:, f].tolist())).encode()
+            text[f] = np.frombuffer(row.ljust(width, b"\0"), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_cell, ("t",) + trace.channel_names)) + "\n").encode())
+        fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def label_from_filename(name: str) -> tuple[int, int]:
@@ -487,15 +605,16 @@ def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
                     tuple(row[0] for row in body))
     except (ValueError, InputError):
         pass                                    # the row loop names the first bad row
-    for r, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise FormatError(f"{path}: row {r} has {len(row)} cells, expected 3")
+    numbers, _, faults = _read_rows([row[1:] for row in body], 2)
+    for r, row in enumerate(body):
+        if r in faults:
+            raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected 3"
+                              if faults[r][1] is None else
+                              f"{path}: row {r + 2}: non-numeric statistic")
         try:
-            StandardizationStats(mean=[float(row[1])], std=[float(row[2])])
-        except ValueError:
-            raise FormatError(f"{path}: row {r}: non-numeric statistic") from None
+            StandardizationStats(mean=numbers[r, :1], std=numbers[r, 1:])
         except InputError as exc:
-            raise FormatError(f"{path}: row {r}: {exc}") from None
+            raise FormatError(f"{path}: row {r + 2}: {exc}") from None
     raise FormatError(f"{path}: no channel rows")      # only an empty body gets here
 
 

@@ -361,12 +361,15 @@ class AdamWholeArray:
 def write_trace_csv(trace, path: str) -> None:
     """The trace writer as one ``csv.writer.writerow`` per frame over
     ``f"{v:.9g}"`` of each float32 scalar: the bytes ``dataset.write_trace_csv``
-    must reproduce."""
+    must reproduce.  The time stamp is ``f / rate`` to 4 decimals up to 100 Hz
+    or where ``1e4 / rate`` is whole, and its repr elsewhere."""
+    rate = trace.sample_rate_hz
+    stamp = "{:.4f}" if rate <= 100 or (1e4 / rate).is_integer() else "{!r}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("t",) + trace.channel_names)
         for f in range(trace.frames):
-            row = [f"{f / trace.sample_rate_hz:.4f}"]
+            row = [stamp.format(f / rate)]
             row.extend(f"{v:.9g}" for v in trace.values[:, f])
             writer.writerow(row)
 

@@ -1,21 +1,28 @@
 """Command-line interface tests: subcommands, exit codes, override layering."""
 
 import argparse
+import contextlib
 import io
+import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from intentcnn import cli, errors
+from intentcnn import cli, dataset, errors
 from intentcnn.cli import main
 from intentcnn.config import parse_kv_file
 from intentcnn.dataset import (StandardizationStats, Trace, load_csv_dir, parse_synth_spec,
-                               save_stats, write_trace_csv)
+                               save_stats, synth_generate, write_trace_csv)
 from intentcnn.evaluation import parse_experiment_config
 from intentcnn.model import NetworkConfig, build_network, load_model, save_model, serialize
+
+import oracles
 
 TINY_EXPERIMENT = """
 experiment.id = tinycli
@@ -179,6 +186,25 @@ def test_generate_deterministic(tmp_path):
     first = (tmp_path / "a" / "task1_trial01.csv").read_bytes()
     second = (tmp_path / "b" / "task1_trial01.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_writes_the_bytes_of_the_per_row_writer(tmp_path, capsys, seed):
+    # 6 classes x 2 trials of synth6's 24 channels, with shorter trials
+    recipe = parse_kv_file(str(CONFIGS / "synth6.cfg"))
+    recipe.update(trials_per_class="2", frame_min="100", frame_max="200", seed=str(seed))
+    config = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in recipe.items()))
+    out = tmp_path / "data"
+    assert main(["generate", "--config", config, "--out", str(out)]) == 0
+    data = synth_generate(parse_synth_spec(recipe))
+    want, manifest = tmp_path / "want.csv", ["filename,class_name,frames"]
+    for n, (trace, label) in enumerate(zip(data.traces, data.labels)):
+        name = f"task{label + 1}_trial{n % 2 + 1:02d}.csv"
+        oracles.write_trace_csv(trace, str(want))
+        assert (out / name).read_bytes() == want.read_bytes(), name
+        manifest.append(f"{name},{data.vocab[label]},{trace.frames}")
+    assert (out / "manifest.csv").read_text() == "\n".join(manifest) + "\n"
+    assert len(list(out.iterdir())) == 13
 
 
 def test_generate_override_precedence(tmp_path, capsys):
@@ -742,6 +768,105 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
     assert main(argv + ["--show-config"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+# generate's recipe: the sizes as --set options, so that dropping one leaves a
+# small corpus, and the other keys in the config file, whose seed --seed beats
+_MUTATED_SETS = {"num_classes": "2", "trials_per_class": "1", "channels": "2",
+                 "frame_min": "10", "frame_max": "12"}
+_MUTATED_FILE = {"noise_std": "0.05", "sample_rate_hz": "100.0", "class_prefix": "task",
+                 "seed": "3"}
+_BAD_VALUES = st.one_of(
+    st.integers(-1000, -1).map(str), st.sampled_from(["-0.5", "-1e3", "-inf"]),   # negative
+    st.sampled_from(["0", "-0", "0.0", "+0", "0e0"]),                             # zero
+    st.just(""),                                                                  # empty
+    st.text(st.sampled_from("abefinx_.+-"), min_size=1, max_size=5),              # non-numeric
+    st.sampled_from(["nan", "inf", "+inf", "NaN", "Infinity"]))                   # non-finite
+
+
+def _parsed(value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        return None
+
+
+def _generate_accepts(pairs: dict[str, str]) -> bool:
+    """Whether SynthSpec takes these key=value pairs, by the rules README gives."""
+    ints = {key: _parsed(pairs[key], int) for key in (*_MUTATED_SETS, "seed")}
+    floats = {key: _parsed(pairs[key], float) for key in ("noise_std", "sample_rate_hz")}
+    if None in ints.values() or None in floats.values():
+        return False
+    if not all(math.isfinite(value) for value in floats.values()):
+        return False
+    return (ints["num_classes"] >= 2 and ints["trials_per_class"] >= 1 and ints["channels"] >= 1
+            and 10 <= ints["frame_min"] <= ints["frame_max"] and ints["seed"] >= 0
+            and floats["noise_std"] >= 0 and floats["sample_rate_hz"] > 0)
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True)
+@given(mutation=st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(sorted(dataset.SYNTH_KEYS)),
+              st.sampled_from(["file", "--set", "--seed"]), _BAD_VALUES),
+    st.tuples(st.sampled_from(["drop", "repeat"]), st.integers(0, len(_MUTATED_SETS) + 2))))
+def test_generate_keeps_the_error_contract_under_any_one_mutation(mutation):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)                       # dropping --out writes ./generated
+        file_pairs = dict(_MUTATED_FILE)
+        options = [["--config", "recipe.cfg"], ["--out", "out"], ["--seed", "1"],
+                   *(["--set", f"{key}={value}"] for key, value in _MUTATED_SETS.items())]
+        if mutation[0] == "value":
+            _, key, carrier, value = mutation
+            if carrier == "file":
+                file_pairs[key] = value
+            elif carrier == "--set" or key != "seed":     # --seed carries the seed only
+                options.append(["--set", f"{key}={value}"])
+            else:
+                options[2] = ["--seed", value]
+        elif mutation[0] == "drop":
+            del options[mutation[1]]
+        else:
+            options.append(options[mutation[1]])
+        Path("recipe.cfg").write_text("".join(f"{k} = {v}\n" for k, v in file_pairs.items()))
+        argv = ["generate", *(word for option in options for word in option)]
+
+        # the pairs generate should see: defaults < file < --set < --seed
+        pairs = cli._generate_defaults()
+        pairs.update(file_pairs if ["--config", "recipe.cfg"] in options else {})
+        pairs.update(item.partition("=")[::2] for flag, item in options if flag == "--set")
+        seeds = [value for flag, value in options if flag == "--seed"]
+        usage_error = bool(seeds) and _parsed(seeds[-1], int) is None    # argparse's int()
+        if seeds and not usage_error:
+            pairs["seed"] = str(int(seeds[-1]))
+        accepted = not usage_error and _generate_accepts(
+            {key: value.strip() for key, value in pairs.items()})
+
+        code, stdout, err = _run(argv)
+        assert code == (0 if accepted else _documented_exit_codes()["ConfigError"])
+        written = sorted(Path().glob("*/task*_trial*.csv"))
+        if accepted:
+            assert err == "" and stdout.startswith(f"wrote {len(written)} trace files")
+            assert len(written) == int(pairs["num_classes"]) * int(pairs["trials_per_class"])
+        else:
+            assert stdout == "" and written == []
+            lines = err.splitlines()
+            assert "Traceback" not in err
+            if usage_error:             # argparse's usage, then its one error line
+                assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+                assert sum(": error: " in line for line in lines) == 1
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+
+        shown = _run(argv + ["--show-config"])
+        assert (shown[0] == 0) == accepted
+        assert shown == ((0, cli.render_kv(pairs), "") if accepted else (code, "", err))
 
 
 def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):

@@ -121,24 +121,55 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     assert back.channel_names == ("fx", "fy", "fz", "px")
 
 
-@pytest.mark.parametrize("rate", [100.0, 250.0, 33.3, 1.0])
+# 9th-digit ties, which "%.9g" rounds half to even (1048576.125 is 1048576.12),
+# and the edges of fixed notation: float32(1e-4) is 9.99999975e-05, the next
+# float32 0.000100000005, and float32(1e9) is 1e+09
+_TIES = [1048576.125, 1048576.375, 131072.0625, 131072.1875, 2.0 ** -13, 3 * 2.0 ** -13]
+_POWERS_OF_TEN = np.array([10.0 ** k for k in range(-6, 11)], dtype=np.float32)
+_EDGES = np.concatenate([np.float32(_TIES), _POWERS_OF_TEN,
+                         np.nextafter(_POWERS_OF_TEN, np.float32(np.inf)),
+                         np.nextafter(_POWERS_OF_TEN, np.float32(0.0)),
+                         np.float32([1e-4, 1.00000005e-4, 999999936.0, 1e9])])
+
+
+@pytest.mark.parametrize("rate", [100.0, 250.0, 33.3, 1.0, 300.0, 3000.0, 20_000.0, 1e-4, 1e-6])
 def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, rate):
     rng = np.random.default_rng(int(rate * 10))
-    bits = rng.integers(0, 2 ** 32, size=(5, 400), dtype=np.uint64).astype(np.uint32)
+    bits = rng.integers(0, 2 ** 32, size=(24, 400), dtype=np.uint64).astype(np.uint32)
     values = bits.view(np.float32)                  # every exponent, subnormals included
     values[~np.isfinite(values)] = 0.0
     info = np.finfo(np.float32)
     values[:, :8] = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
                      info.tiny, -info.tiny, info.max, -info.max]
-    values[:, 8:40] = rng.normal(0.0, 5.0, size=(5, 32))
-    names = ("a,b", 'say "hi"', "two\nlines", " lead", "fx")
-    for channels in (1, 5):
+    values[:, 8:40] = rng.normal(0.0, 5.0, size=(24, 32))
+    # one edge value per frame, its sign alternating across channels
+    values[:, 40:40 + len(_EDGES)] = _EDGES * np.where(np.arange(24) % 2, -1, 1)[:, None]
+    # every fixed-notation exponent, in frames of fixed-notation cells only
+    values[:, 120:250] = 10.0 ** rng.uniform(-4, 9, size=(24, 130)) * rng.choice([-1, 1], (24, 130))
+    names = ("a,b", 'say "hi"', "two\nlines", " lead", "fx") + tuple(f"c{c}" for c in range(5, 24))
+    for channels in (1, 5, 24):
         trace = Trace(values=values[:channels], channel_names=names[:channels],
                       sample_rate_hz=rate)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trace_csv(trace, str(got))
         oracles.write_trace_csv(trace, str(want))
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("error", [-1e-9, 1e-9])
+def test_write_trace_csv_corrects_a_log10_an_ulp_low_at_a_power_of_ten(
+        tmp_path, monkeypatch, error):
+    # this host's log10 is exact at powers of ten; another's may be an ulp off,
+    # a million times less than this
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    values = np.concatenate([_POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, np.float32(0.0))])
+    trace = Trace(values=np.stack([values, -values]), channel_names=("a", "b"))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace_csv(trace, str(got))
+    monkeypatch.undo()
+    oracles.write_trace_csv(trace, str(want))
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("rate", [0.5, 7.0, 100.0, 300.0, 999.0, 3000.0, 20_000.0])
