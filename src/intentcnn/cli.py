@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import logging
 import os
 import sys
@@ -28,7 +29,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .config import parse_kv_file, read_utf8, render_kv
+from .config import parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
 from .dataset import (
     SynthSpec,
     format_ratio,
@@ -120,15 +121,10 @@ def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
 def _read_labels(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
-    names = [line.strip() for line in read_utf8(path, ConfigError).splitlines() if line.strip()]
+    names = [line.strip() for line in split_lines(read_utf8(path, ConfigError)) if line.strip()]
     if not names:
         raise ConfigError(f"labels file {path!r} is empty")
     return tuple(names)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +139,16 @@ def _cmd_generate(args) -> int:
         return 0
     data = synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    manifest_rows = []
+    manifest_rows = [("filename", "class_name", "frames")]
     trial_counter = [0] * len(data.vocab)
     for trace, label in zip(data.traces, data.labels):
         trial_counter[label] += 1
         filename = f"task{label + 1}_trial{trial_counter[label]:02d}.csv"
         write_trace_csv(trace, os.path.join(args.out, filename))
         manifest_rows.append((filename, data.vocab[label], trace.frames))
-    manifest_path = os.path.join(args.out, "manifest.csv")
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("filename", "class_name", "frames"))
-        writer.writerows(manifest_rows)
+    manifest = io.StringIO()
+    csv.writer(manifest, lineterminator="\n").writerows(manifest_rows)
+    write_utf8(os.path.join(args.out, "manifest.csv"), manifest.getvalue())
     print(f"wrote {len(data.traces)} trace files and manifest.csv to {args.out}")
     return 0
 
@@ -177,10 +171,8 @@ def _cmd_train(args) -> int:
     history_lines = ["epoch,train_loss,val_loss,val_macro_f1"]
     history_lines += [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_macro_f1!r}"
                       for r in outcome.history]
-    _write_text(os.path.join(args.out, "history.csv"),
-                "\n".join(history_lines) + "\n")
-    _write_text(os.path.join(args.out, "labels.txt"),
-                "".join(f"{name}\n" for name in report.vocab))
+    write_utf8(os.path.join(args.out, "history.csv"), "\n".join(history_lines) + "\n")
+    write_utf8(os.path.join(args.out, "labels.txt"), "".join(f"{name}\n" for name in report.vocab))
     for name in ("model.intc", "stats.csv", "history.csv", "labels.txt"):
         print(name)
     print(f"trained {spec.experiment_id}: epochs_run={len(outcome.history)} "

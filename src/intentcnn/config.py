@@ -1,9 +1,9 @@
 """Flat ``key = value`` configuration files and typed access to their values.
 
-Format: one pair per line, ``#`` starts a comment, blank lines ignored.
-Values are plain strings; the consumer converts them with the typed ``take_*``
-helpers below.  List-valued keys accept comma and/or whitespace separated
-items.
+Format: one pair per line (:func:`split_lines`), ``#`` starts a comment, blank
+lines ignored.  Values are plain strings; the consumer converts them with the
+typed ``take_*`` helpers below.  List-valued keys accept comma and/or
+whitespace separated items.
 """
 
 from __future__ import annotations
@@ -30,10 +30,27 @@ def read_utf8(path: str, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
+def write_utf8(path: str, text: str) -> None:
+    """Write text to a file as UTF-8, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of a text file: each ends at ``\n``, ``\r\n`` or ``\r`` (not
+    at ``str.splitlines``' other breaks, such as ``\f``), a final end adds none."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse_kv_file(path: str) -> dict[str, str]:
     """Parse a flat key=value file into an ordered dict of raw string values."""
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(read_utf8(path, ConfigError)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

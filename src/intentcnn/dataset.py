@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import KeyReader, read_utf8
+from .config import KeyReader, read_utf8, split_lines, write_utf8
 from .errors import (
     ConfigError,
     DimensionError,
@@ -148,24 +148,19 @@ class LabeledDataset:
 # ---------------------------------------------------------------------------
 
 def _read_csv(path: str) -> tuple[list | None, list]:
-    r"""The header cells (None if there are no records) and the data records of a
+    """The header cells (None if there are no records) and the data records of a
     UTF-8 CSV file (:func:`read_utf8` with FormatError).  ``csv.reader`` reads
     the header of text holding a ``"``, and the rest too, as cell lists, if it
     holds one or a line longer than csv's field limit (an error); a
-    ``csv.Error`` is a FormatError.  Other records are lines, which end at
-    ``\r\n``, ``\r`` or ``\n`` (not at the other breaks ``str.splitlines``
-    knows; a final one adds no record), split by :func:`_cells`."""
+    ``csv.Error`` is a FormatError.  Other records are lines
+    (:func:`split_lines`), split by :func:`_cells`."""
     text = read_utf8(path, FormatError)
     reader = None
     try:
         if '"' in text:
             reader = csv.reader(stream := io.StringIO(text, newline=""))
             header, text = next(reader), text[stream.tell():]
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
+        lines = split_lines(text)
         if reader is None:
             return (_cells(lines.pop(0)) if lines else None), lines
         if '"' in text or max(map(len, lines), default=0) > csv.field_size_limit():
@@ -498,9 +493,7 @@ def pad_traces(dataset: LabeledDataset, block_frames: int = DEFAULT_BLOCK_FRAMES
             continue
         values = np.zeros((trace.channels, target_frames), dtype=np.float32)
         values[:, :trace.frames] = trace.values
-        padded.append(Trace(values=values, channel_names=trace.channel_names,
-                            sample_rate_hz=trace.sample_rate_hz,
-                            source_frames=trace.source_frames))
+        padded.append(replace(trace, values=values))
     return LabeledDataset(traces=padded, labels=dataset.labels, vocab=dataset.vocab)
 
 
@@ -587,25 +580,26 @@ def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
     channel_names = tuple(channel_names)
     if len(channel_names) != stats.channels:
         raise DimensionError(f"{len(channel_names)} names for {stats.channels} channels")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("channel,mean,std\n")
-        fh.writelines(f"{_csv_cell(name)},{float(mu)!r},{float(sigma)!r}\n"
-                      for name, mu, sigma in zip(channel_names, stats.mean, stats.std))
+    write_utf8(path, "channel,mean,std\n" + "".join(
+        f"{_csv_cell(name)},{float(mu)!r},{float(sigma)!r}\n"
+        for name, mu, sigma in zip(channel_names, stats.mean, stats.std)))
 
 
 def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
+    """The stats and channel names of a CSV as :func:`save_stats` writes it,
+    its numbers read by :func:`_read_rows`.  A FormatError names the first bad
+    row in file order: a wrong cell count, a non-numeric cell, or values that
+    StandardizationStats rejects."""
     rows = _read_csv_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
         raise FormatError(f"{path}: expected header 'channel,mean,std'")
     body = rows[1:]
-    try:
-        if body and all(len(row) == 3 for row in body):
-            return (StandardizationStats(mean=[float(row[1]) for row in body],
-                                         std=[float(row[2]) for row in body]),
-                    tuple(row[0] for row in body))
-    except (ValueError, InputError):
-        pass                                    # the row loop names the first bad row
     numbers, _, faults = _read_rows([row[1:] for row in body], 2)
+    if body and not faults:
+        try:
+            return StandardizationStats(*numbers.T), tuple(row[0] for row in body)
+        except InputError:
+            pass                                # the row loop names the first bad row
     for r, row in enumerate(body):
         if r in faults:
             raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected 3"
@@ -745,17 +739,16 @@ def rename_classes(dataset: LabeledDataset, mapping: dict) -> LabeledDataset:
     return LabeledDataset(traces=list(dataset.traces), labels=dataset.labels.copy(), vocab=vocab)
 
 
-def merge_datasets(a: LabeledDataset, b: LabeledDataset,
-                   block_frames: int = DEFAULT_BLOCK_FRAMES) -> LabeledDataset:
+def merge_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
     """Fuse two datasets; classes union by name (a's order first, b's new classes after).
 
-    Channel counts and names must match; all traces are re-padded jointly to
-    the merged block-aligned maximum length.
+    Channel counts and names must match.  Traces keep their lengths, which
+    may differ: padding to a common length is :func:`pad_traces`' job.
     """
     if not a.traces:
-        return pad_traces(b, block_frames) if b.traces else b
+        return b
     if not b.traces:
-        return pad_traces(a, block_frames)
+        return a
     if a.channels != b.channels or a.channel_names != b.channel_names:
         raise FusionError(f"cannot merge: channels {a.channels}/{a.channel_names} vs "
                           f"{b.channels}/{b.channel_names}")
@@ -765,9 +758,8 @@ def merge_datasets(a: LabeledDataset, b: LabeledDataset,
             vocab.append(name)
     b_map = {k: vocab.index(name) for k, name in enumerate(b.vocab)}
     labels = np.concatenate([a.labels, np.array([b_map[int(l)] for l in b.labels], dtype=np.int64)])
-    merged = LabeledDataset(traces=list(a.traces) + list(b.traces), labels=labels,
-                            vocab=tuple(vocab))
-    return pad_traces(merged, block_frames)
+    return LabeledDataset(traces=list(a.traces) + list(b.traces), labels=labels,
+                          vocab=tuple(vocab))
 
 
 # ---------------------------------------------------------------------------

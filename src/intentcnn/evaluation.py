@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import KeyReader
+from .config import KeyReader, write_utf8
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
     SYNTH_KEYS,
@@ -229,7 +229,7 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
                 for source in spec.sources]
     data = datasets[0]
     for other in datasets[1:]:
-        data = stage("merge", lambda a=data, b=other: merge_datasets(a, b, spec.block_frames))
+        data = stage("merge", lambda a=data, b=other: merge_datasets(a, b))
     if spec.select is not None:
         data = stage("select", lambda: select_classes(data, spec.select))
     if spec.relabel_positive is not None:
@@ -545,16 +545,12 @@ def write_experiment_outputs(report: EvaluationReport, out_dir: str) -> list[str
     Returns the written paths (relative to out_dir) in a fixed order.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-
-    def emit(name: str, text: str) -> None:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        written.append(name)
-
-    emit(f"{report.experiment_id}_report.txt", render_report(report, "text"))
-    emit(f"{report.experiment_id}_report.csv", render_report(report, "csv"))
-    emit(f"{report.experiment_id}_labels.txt", "".join(f"{name}\n" for name in report.vocab))
+    texts = {"report.txt": render_report(report, "text"),
+             "report.csv": render_report(report, "csv"),
+             "labels.txt": "".join(f"{name}\n" for name in report.vocab)}
+    written = [f"{report.experiment_id}_{suffix}" for suffix in texts]
+    for name, text in zip(written, texts.values()):
+        write_utf8(os.path.join(out_dir, name), text)
     for outcome in report.outcomes:
         model_name = f"{report.experiment_id}_{outcome.file_tag()}.intc"
         save_model(outcome.network, os.path.join(out_dir, model_name))

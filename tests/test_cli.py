@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import math
 import re
@@ -636,6 +637,20 @@ def test_a_non_utf8_config_or_labels_file_exits_2_without_echoing_it(tmp_path, c
     assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 at byte {bad_at}\n")
 
 
+def test_a_config_comment_holding_a_form_feed_stays_a_comment(tmp_path):
+    path = write_config(tmp_path, "# comment\f seed = 1\r\nseed = 2\x85\nbogus line\n")
+    with pytest.raises(errors.ConfigError, match=r"config\.cfg:3: expected 'key = value'"):
+        parse_kv_file(path)
+    path = write_config(tmp_path, "# comment\f seed = 1\rnum_classes = 3\vx\n")
+    assert parse_kv_file(path) == {"num_classes": "3\vx"}
+
+
+def test_a_labels_name_holding_a_file_separator_stays_one_name(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("one\x1cname\r\ntwo \rthree\n", encoding="utf-8", newline="")
+    assert cli._read_labels(str(path)) == ("one\x1cname", "two", "three")
+
+
 @pytest.mark.parametrize("config", [TINY_EXPERIMENT + "x" * 140_000,
                                     TINY_EXPERIMENT + "train.patience = " + "1" * 140_000,
                                     TINY_EXPERIMENT + "train.learning_rate = " + "1x" * 70_000,
@@ -867,6 +882,76 @@ def test_generate_keeps_the_error_contract_under_any_one_mutation(mutation):
         shown = _run(argv + ["--show-config"])
         assert (shown[0] == 0) == accepted
         assert shown == ((0, cli.render_kv(pairs), "") if accepted else (code, "", err))
+
+
+@functools.cache
+def _predict_inputs() -> dict[str, bytes]:
+    """A valid predict's input files: a small model, its stats, a trace, labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stats, trace = Path(tmp, "stats.csv"), Path(tmp, "trace.csv")
+        save_stats(StandardizationStats(mean=[0.5, -0.25], std=[2.0, 1.5]), ("c01", "c02"),
+                   str(stats))
+        values = np.random.default_rng(5).normal(0.0, 2.0, (2, 30)).astype(np.float32)
+        write_trace_csv(Trace(values=values, channel_names=("c01", "c02")), str(trace))
+        return {"model": serialize(build_network(TINY_NETWORK)), "stats": stats.read_bytes(),
+                "trace": trace.read_bytes(), "labels": b"task1\ntask2\ntask3\n"}
+
+
+_PREDICT_FILES = ("model", "stats", "trace", "labels")
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True)
+@given(data=st.data())
+def test_predict_keeps_the_error_contract_under_any_one_mutation(data):
+    # a model's payload bytes are not mutated: a flipped weight still loads
+    draw, files = data.draw, dict(_predict_inputs())
+    kind = draw(st.sampled_from(["truncate", "insert", "change", "drop", "repeat"]))
+    options, mutated, index = [[f"--{name}", name] for name in _PREDICT_FILES], None, None
+    if kind == "drop":
+        del options[index := draw(st.integers(0, len(options) - 1))]
+    elif kind == "repeat":
+        options.append(options[draw(st.integers(0, len(options) - 1))])
+    else:
+        mutated = draw(st.sampled_from(_PREDICT_FILES if kind == "truncate" else
+                                       _PREDICT_FILES[1:]))
+        blob = files[mutated]
+        at = draw(st.integers(0, len(blob) - (kind != "insert")))
+        if kind == "truncate":
+            files[mutated] = blob[:at]
+        elif kind == "insert":                  # the inputs are ASCII: never UTF-8 after this
+            files[mutated] = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+        else:
+            byte = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+            files[mutated] = blob[:at] + bytes([byte]) + blob[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        for name, blob in files.items():
+            Path(name).write_bytes(blob)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = _run(["predict", *(word for option in options for word in option)])
+
+    codes = _documented_exit_codes()
+    usage_error = kind == "drop" and _PREDICT_FILES[index] != "labels"    # the others are required
+    if usage_error:
+        want = {codes["ConfigError"]}
+    elif kind in ("drop", "repeat"):
+        want = {0}
+    else:
+        want = {codes["ConfigError"] if mutated == "labels" else codes["DataError"]}
+        if kind == "change" or (kind == "truncate" and mutated != "model"):
+            want.add(0)                 # a changed digit or a dropped last line can be valid
+    assert code in want
+    if code == 0:
+        assert err == "" and re.fullmatch(r"[0-2],[^\n]*(,[^,\n]+){3}\n", stdout)
+        return
+    lines = err.splitlines()
+    assert stdout == "" and "Traceback" not in err
+    if usage_error:                             # argparse's usage, then its one error line
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert sum(": error: " in line for line in lines) == 1
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):

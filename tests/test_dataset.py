@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -661,17 +662,49 @@ def test_stats_csv_round_trip_is_exact(tmp_path):
     assert names == ("a", "b", "c")
 
 
-def test_load_stats_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("wrong,header,here\n")
-    with pytest.raises(FormatError):
-        load_stats(str(path))
-    path.write_text("channel,mean,std\n")
-    with pytest.raises(FormatError):
-        load_stats(str(path))
-    path.write_text("channel,mean,std\na,1.0,zz\n")
-    with pytest.raises(FormatError):
-        load_stats(str(path))
+# stats files and what load_stats reads from them: (names, means, stds), or
+# the message after "<path>: "
+_STATS_CORPUS = {
+    "good": ("channel,mean,std\na,0.5,2.0\nb,-1e-3,0.25\n",
+             (("a", "b"), [0.5, -1e-3], [2.0, 0.25])),
+    "quoted_name": ('channel,mean,std\n"a,""b",0.5,2.0\nc,1,3\n',
+                    (('a,"b', "c"), [0.5, 1.0], [2.0, 3.0])),
+    "crlf": ("channel,mean,std\r\na,0.5,2.0\r\nb,1,3\r\n", (("a", "b"), [0.5, 1.0], [2.0, 3.0])),
+    "underscore": ("channel,mean,std\na,1_0,2\n", (("a",), [10.0], [2.0])),   # as float() reads
+    "blank_row": ("channel,mean,std\na,0.5,2.0\n\nb,1,3\n", "row 3 has 0 cells, expected 3"),
+    "nan_mean": ("channel,mean,std\na,nan,1.0\n",
+                 "row 2: means and standard deviations must be finite"),
+    "inf_std": ("channel,mean,std\na,0.5,2.0\nb,0.5,inf\n",
+                "row 3: means and standard deviations must be finite"),
+    "zero_std": ("channel,mean,std\na,0.5,0\n", "row 2: standard deviations must be positive"),
+    "negative_std": ("channel,mean,std\na,0.5,2.0\nb,0.5,-1e-3\n",
+                     "row 3: standard deviations must be positive"),
+    "short_row": ("channel,mean,std\na,0.5\n", "row 2 has 2 cells, expected 3"),
+    "long_row": ("channel,mean,std\na,0.5,2.0,1\n", "row 2 has 4 cells, expected 3"),
+    "non_numeric": ("channel,mean,std\na,1.0,zz\n", "row 2: non-numeric statistic"),
+    "bad_header": ("wrong,header,here\na,0.5,2.0\n", "expected header 'channel,mean,std'"),
+    "header_only": ("channel,mean,std\n", "no channel rows"),
+    "empty": ("", "expected header 'channel,mean,std'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATS_CORPUS))
+def test_load_stats_on_the_stats_corpus(tmp_path, name):
+    text, want = _STATS_CORPUS[name]
+    path = tmp_path / "stats.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(want, str):
+        with pytest.raises(FormatError) as info:
+            load_stats(str(path))
+        assert str(info.value) == f"{path}: {want}"
+        with pytest.raises(FormatError, match=re.escape(want)):
+            oracles.load_stats_per_row(str(path))
+        return
+    stats, names = load_stats(str(path))
+    assert (names, stats.mean.tolist(), stats.std.tolist()) == want
+    oracle, _ = oracles.load_stats_per_row(str(path))
+    assert stats.mean.tobytes() == oracle.mean.tobytes()
+    assert stats.std.tobytes() == oracle.std.tobytes()
 
 
 
@@ -838,11 +871,11 @@ def test_rename_classes():
 def test_merge_datasets_unions_by_name():
     a = make_dataset([2, 2], vocab=("task2", "shared"), frames=30)
     b = make_dataset([2, 2], vocab=("shared", "task9"), frames=50)
-    merged = merge_datasets(a, b, block_frames=20)
+    merged = merge_datasets(a, b)
     assert merged.vocab == ("task2", "shared", "task9")
     npt.assert_array_equal(merged.labels, [0, 0, 1, 1, 1, 1, 2, 2])
-    assert all(t.frames == 60 for t in merged.traces)  # padded to ceil(50/20)*20
-    assert merged.traces[0].source_frames == 30
+    assert [t.frames for t in merged.traces] == [30] * 4 + [50] * 4    # padding is pad_traces'
+    assert all(t is u for t, u in zip(merged.traces, a.traces + b.traces))
 
 
 def test_merge_datasets_channel_mismatch():
@@ -855,11 +888,8 @@ def test_merge_datasets_channel_mismatch():
 def test_merge_with_empty_side():
     a = make_dataset([2, 2], frames=25)
     empty = LabeledDataset(traces=[], labels=np.array([], dtype=np.int64), vocab=())
-    out = merge_datasets(a, empty, block_frames=10)
-    assert len(out) == 4
-    assert all(t.frames == 30 for t in out.traces)
-    out2 = merge_datasets(empty, a, block_frames=10)
-    assert len(out2) == 4
+    assert merge_datasets(a, empty) is a
+    assert merge_datasets(empty, a) is a
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import csv as csv_module
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from intentcnn.config import parse_kv_file
-from intentcnn.dataset import SynthSpec, load_stats
+from intentcnn.dataset import SynthSpec, load_stats, padded_length
 from intentcnn.errors import ConfigError, ExperimentError, InputError
 from intentcnn.evaluation import (
     DEFAULT_RATIOS,
@@ -179,6 +180,16 @@ def test_run_experiment_stage_order_with_shaping():
                              "build", "train", "evaluate")
     assert report.vocab == ("neg(task2)", "pos(extra)")
     assert report.outcomes[0].confusion.shape == (2, 2)
+
+
+def test_run_experiment_pads_merged_sources_to_the_longest_trace():
+    longer = SourceSpec(kind="synth", take=("task1",), rename=(("task1", "extra"),),
+                        synth=replace(small_synth(seed=11), frame_range=(45, 52)))
+    spec = small_spec(sources=(SourceSpec(kind="synth", synth=small_synth()), longer))
+    lengths = [[t.frames for t in load_source(s).traces] for s in spec.sources]
+    assert max(lengths[0]) <= 40 < 45 <= min(lengths[1])     # merged traces differ in length
+    report = run_experiment(spec)
+    assert report.network_config.input_frames == padded_length(max(lengths[1]), 10) == 60
 
 
 def test_run_experiment_multiple_ratios():
