@@ -17,9 +17,7 @@ called any number of times in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import logging
 import os
 import sys
@@ -29,7 +27,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .config import parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
+from .config import csv_text, parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
 from .dataset import (
     SynthSpec,
     format_ratio,
@@ -146,9 +144,7 @@ def _cmd_generate(args) -> int:
         filename = f"task{label + 1}_trial{trial_counter[label]:02d}.csv"
         write_trace_csv(trace, os.path.join(args.out, filename))
         manifest_rows.append((filename, data.vocab[label], trace.frames))
-    manifest = io.StringIO()
-    csv.writer(manifest, lineterminator="\n").writerows(manifest_rows)
-    write_utf8(os.path.join(args.out, "manifest.csv"), manifest.getvalue())
+    write_utf8(os.path.join(args.out, "manifest.csv"), csv_text(manifest_rows))
     print(f"wrote {len(data.traces)} trace files and manifest.csv to {args.out}")
     return 0
 
@@ -168,10 +164,9 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_model(outcome.network, os.path.join(args.out, "model.intc"))
     save_stats(outcome.stats, report.channel_names, os.path.join(args.out, "stats.csv"))
-    history_lines = ["epoch,train_loss,val_loss,val_macro_f1"]
-    history_lines += [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_macro_f1!r}"
-                      for r in outcome.history]
-    write_utf8(os.path.join(args.out, "history.csv"), "\n".join(history_lines) + "\n")
+    write_utf8(os.path.join(args.out, "history.csv"), csv_text(
+        [("epoch", "train_loss", "val_loss", "val_macro_f1"),
+         *((r.epoch, r.train_loss, r.val_loss, r.val_macro_f1) for r in outcome.history)]))
     write_utf8(os.path.join(args.out, "labels.txt"), "".join(f"{name}\n" for name in report.vocab))
     for name in ("model.intc", "stats.csv", "history.csv", "labels.txt"):
         print(name)

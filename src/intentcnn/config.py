@@ -36,6 +36,15 @@ def write_utf8(path: str, text: str) -> None:
         fh.write(text)
 
 
+def csv_text(rows) -> str:
+    r"""Rows of cells as CSV text, each row one ``\n``-ended line of
+    ``str(cell)``.  A cell holding ``,``, ``"``, ``\r`` or ``\n`` is quoted,
+    its ``"`` doubled, so that every cell reads back with ``csv.reader``."""
+    def cell(text: str) -> str:
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    return "".join(",".join(cell(str(item)) for item in row) + "\n" for row in rows)
+
+
 def split_lines(text: str) -> list[str]:
     r"""The lines of a text file: each ends at ``\n``, ``\r\n`` or ``\r`` (not
     at ``str.splitlines``' other breaks, such as ``\f``), a final end adds none."""

@@ -15,6 +15,7 @@ its frames are real in ``source_frames``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import KeyReader, read_utf8, split_lines, write_utf8
+from .config import KeyReader, csv_text, read_utf8, split_lines, write_utf8
 from .errors import (
     ConfigError,
     DimensionError,
@@ -238,7 +239,7 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
 _FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 # NumPy's text reader strips these around a value as whitespace, float() does not
-_NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f\r"      # (and a "\r" would end a line in it)
+_NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f\r\n"    # (and a "\r" or "\n" would end a line in it)
 
 
 def _read_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -251,13 +252,14 @@ def _read_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray, dict]:
     else ``{row: (cells, column)}`` of its first non-numeric cell.
 
     Several lines go to NumPy's C text reader first.  Every value it reads is
-    ``float()``'s, but it strips U+001C-U+001F around a value (so it never
-    sees them, nor a blank first line, where it warns) and skips blank lines,
-    so its result counts only as ``width`` values on every line.  Other rows,
-    and text it rejects (``1_000`` and non-ASCII digits too), are read one
-    by one; so is a single line, where ``float()`` is faster."""
+    ``float()``'s, but it strips U+001C-U+001F around a value and splits a
+    row at a line break (so it never sees those, nor a blank first line,
+    where it warns) and skips blank lines, so its result counts only as
+    ``width`` values on every line.  Other rows, and text it rejects
+    (``1_000`` and non-ASCII digits too), are read one by one; so is a single
+    line, where ``float()`` is faster."""
     if len(rows) > 1 and isinstance(rows[0], str) and rows[0]:
-        text = "\n".join(rows)
+        text = "".join(rows)
         if not any(c in text for c in _NOT_FOR_NUMPY):
             try:
                 values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64,
@@ -279,15 +281,6 @@ def _read_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray, dict]:
         except ValueError:
             faults[r] = cells, len(numbers)
     return values, np.abs(values) < _FLOAT32_OVERFLOW, faults
-
-
-def _csv_cell(text: str) -> str:
-    r"""text as a CSV cell that reads back: quoted, with ``"`` doubled, if it
-    holds a comma, a quote or a line break.  (``csv.writer`` with a ``\n``
-    terminator leaves a lone ``\r`` bare, which then ends the record.)"""
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 # "%.9g" writes a float32 x in fixed notation when its 9 significant digits
@@ -365,60 +358,47 @@ def _fixed_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells.view(np.uint8).reshape(len(rows), -1), covered.reshape(len(rows), -1).all(axis=1)
 
 
-# a whole number of seconds right-aligned in 8 bytes: _LAST_BYTES[n - 1] keeps
-# its n digits, n - 1 being how many of _DIGIT_COUNTS it reaches
-_DIGIT_COUNTS = 10 ** np.arange(1, 8)
-_LAST_BYTES = np.array([~(256 ** (8 - n) - 1) % 2 ** 64 for n in range(1, 9)], np.uint64)
+_STAMP_BLOCK = 4096     # frames per block of the cached stamp column
 
 
-def _tick_stamps(frames: int, step: int) -> np.ndarray:
-    """``"%.4f" % (f / rate)`` for frames 0..frames-1 as NUL-padded 16-byte
-    rows, where a frame lasts ``step`` whole 1e-4 s and ``frames * step`` is
-    below 1e12: f / rate is then f * step * 1e-4 to a relative 2**-52, far
-    inside the 5e-5 that would change its 4 decimals."""
-    whole, ticks = np.divmod(np.arange(frames) * step, 10_000)
-    upper, lower = np.divmod(whole, 10_000)
-    stamps = np.empty((frames, 2), "<u8")
-    stamps[:, 0] = ((_ASCII4[upper] | _ASCII4[lower] << 32)
-                    & _LAST_BYTES[np.searchsorted(_DIGIT_COUNTS, whole, side="right")])
-    stamps[:, 1] = ord(".") | _ASCII4[ticks] << 8
-    return stamps.view(np.uint8)
+@functools.lru_cache(maxsize=1)        # a dataset's traces share one rate
+def _stamp_column(rate: float, blocks: int) -> np.ndarray:
+    """The time stamps of frames 0 .. 4096 * blocks - 1 at ``rate`` as
+    NUL-padded bytes, one row per frame: f / rate to 4 decimals where that
+    reads back at the rate (up to 100 Hz, or a step of whole 1e-4 s), and
+    repr's shortest round-trip digits elsewhere, whose rounding would break
+    the reader's rate check."""
+    stamp = "%.4f" if rate <= 100 or (1e4 / rate).is_integer() else "%r"
+    column = np.array([stamp % (f / rate) for f in range(blocks * _STAMP_BLOCK)], dtype="S")
+    column.flags.writeable = False              # every caller gets this one array
+    return column.view(np.uint8).reshape(len(column), -1)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """Write all frames of a trace, each as ``line % (f / rate, *values)``
-    with ``line = stamp + ",%.9g" * channels + "\\n"``; float32 values
-    round-trip exactly via %.9g.
+    """Write a trace under its ``t,<ch1>,...`` header (:func:`csv_text`), one
+    line per frame: its time stamp, then ``",%.9g"`` of each value, which
+    float32 values round-trip exactly through.
 
-    Time stamps are f / rate to 4 decimals where that reads back at the rate
-    (up to 100 Hz, or a step of whole 1e-4 s), and repr's shortest round-trip
-    digits elsewhere, whose rounding would break the reader's rate check.
-    The cells, and the stamps of a whole-tick step, are formatted in bulk
-    (:func:`_fixed_cells`, :func:`_tick_stamps`) into NUL-padded fields that
-    one ``bytes.translate`` removes, with the same bytes; a row holding a
-    cell in exponent notation (|x| < 1e-4 or >= 1e9, 0 too) gets the ``%``
-    line."""
-    rate, step = trace.sample_rate_hz, 1e4 / trace.sample_rate_hz
-    stamp = "%.4f" if rate <= 100 or step.is_integer() else "%r"
-    line = ",".join([stamp] + ["%.9g"] * trace.channels) + "\n"   # numbers never need quoting
-    if step.is_integer() and (trace.frames - 1) * step < 1e12:
-        stamps = _tick_stamps(trace.frames, int(step))
-    else:
-        stamps = np.array([stamp % (f / rate) for f in range(trace.frames)], dtype="S")
-        stamps = stamps.view(np.uint8).reshape(trace.frames, -1)
-    width = stamps.shape[1] + _CELL_BYTES * trace.channels + 1
-    text = np.empty((trace.frames, width), np.uint8)
-    text[:, :stamps.shape[1]] = stamps
+    The stamps are sliced from :func:`_stamp_column` and the cells formatted
+    in bulk (:func:`_fixed_cells`) into NUL-padded fields that one
+    ``bytes.translate`` removes, with the same bytes as ``%``; a row holding a
+    cell in exponent notation (|x| < 1e-4 or >= 1e9, 0 too) gets its cells
+    from ``%``."""
+    stamps = _stamp_column(trace.sample_rate_hz, -(-trace.frames // _STAMP_BLOCK))
+    head = stamps.shape[1]
+    text = np.empty((trace.frames, head + _CELL_BYTES * trace.channels + 1), np.uint8)
+    text[:, :head] = stamps[:trace.frames]
     text[:, -1] = ord("\n")
     block = max(1, _BLOCK_CELLS // trace.channels)
     for start in range(0, trace.frames, block):
         rows = trace.values[:, start:start + block].T
-        text[start:start + len(rows), stamps.shape[1]:-1], covered = _fixed_cells(rows)
+        text[start:start + len(rows), head:-1], covered = _fixed_cells(rows)
         for f in (start + np.flatnonzero(~covered)).tolist():
-            row = (line % (f / rate, *trace.values[:, f].tolist())).encode()
-            text[f] = np.frombuffer(row.ljust(width, b"\0"), np.uint8)
+            cells = "".join(",%.9g" % v for v in trace.values[:, f].tolist()).encode()
+            text[f, head:-1] = np.frombuffer(cells.ljust(_CELL_BYTES * trace.channels, b"\0"),
+                                             np.uint8)
     with open(path, "wb") as fh:
-        fh.write((",".join(map(_csv_cell, ("t",) + trace.channel_names)) + "\n").encode())
+        fh.write(csv_text([("t",) + trace.channel_names]).encode())
         fh.write(text.tobytes().translate(None, b"\0"))
 
 
@@ -580,9 +560,8 @@ def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
     channel_names = tuple(channel_names)
     if len(channel_names) != stats.channels:
         raise DimensionError(f"{len(channel_names)} names for {stats.channels} channels")
-    write_utf8(path, "channel,mean,std\n" + "".join(
-        f"{_csv_cell(name)},{float(mu)!r},{float(sigma)!r}\n"
-        for name, mu, sigma in zip(channel_names, stats.mean, stats.std)))
+    write_utf8(path, csv_text([("channel", "mean", "std"),
+                               *zip(channel_names, map(float, stats.mean), map(float, stats.std))]))
 
 
 def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
@@ -802,6 +781,9 @@ class SynthSpec:
             raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if "\r" in self.class_prefix or "\n" in self.class_prefix:     # one name per line
+            raise ConfigError(f"class_prefix must not hold a line break, "
+                              f"got {excerpt(self.class_prefix)}")
 
     def class_names(self) -> tuple[str, ...]:
         return tuple(f"{self.class_prefix}{k + 1}" for k in range(self.num_classes))

@@ -22,8 +22,6 @@ numbering convention task1..task6 with task4 as the survey class.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import os
 import re
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import KeyReader, write_utf8
+from .config import KeyReader, csv_text, write_utf8
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
     SYNTH_KEYS,
@@ -523,20 +521,16 @@ def _render_text(report: EvaluationReport) -> str:
 
 
 def _render_csv(report: EvaluationReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("experiment_id", "split_ratio", "class_name", "precision",
-                     "recall", "f1", "support", "macro_f1"))
+    rows = [("experiment_id", "split_ratio", "class_name", "precision", "recall", "f1",
+             "support", "macro_f1")]
     for outcome in report.outcomes:
-        tag = outcome.ratio_tag()
-        for name, m in zip(report.vocab, outcome.per_class):
-            writer.writerow((report.experiment_id, tag, name, f"{m.precision:.6f}",
-                             f"{m.recall:.6f}", f"{m.f1:.6f}", m.support,
-                             f"{outcome.macro_f1:.6f}"))
-        writer.writerow((report.experiment_id, tag, "MACRO", "", "",
-                         f"{outcome.macro_f1:.6f}", int(outcome.confusion.sum()),
-                         f"{outcome.macro_f1:.6f}"))
-    return buffer.getvalue()
+        tag, macro = outcome.ratio_tag(), f"{outcome.macro_f1:.6f}"
+        rows += [(report.experiment_id, tag, name, f"{m.precision:.6f}", f"{m.recall:.6f}",
+                  f"{m.f1:.6f}", m.support, macro)
+                 for name, m in zip(report.vocab, outcome.per_class)]
+        rows.append((report.experiment_id, tag, "MACRO", "", "", macro,
+                     int(outcome.confusion.sum()), macro))
+    return csv_text(rows)
 
 
 def write_experiment_outputs(report: EvaluationReport, out_dir: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import functools
 import io
 import math
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from intentcnn import cli, dataset, errors
+from intentcnn import cli, dataset, errors, streaming
 from intentcnn.cli import main
-from intentcnn.config import parse_kv_file
+from intentcnn.config import csv_text, parse_kv_file
 from intentcnn.dataset import (StandardizationStats, Trace, load_csv_dir, parse_synth_spec,
                                save_stats, synth_generate, write_trace_csv)
 from intentcnn.evaluation import parse_experiment_config
@@ -206,6 +207,66 @@ def test_generate_writes_the_bytes_of_the_per_row_writer(tmp_path, capsys, seed)
         manifest.append(f"{name},{data.vocab[label]},{trace.frames}")
     assert (out / "manifest.csv").read_text() == "\n".join(manifest) + "\n"
     assert len(list(out.iterdir())) == 13
+
+
+def _csv_cells(path) -> list[list[str]]:
+    """A written CSV's cells as csv.reader reads them; csv_text renders them
+    back to the file's bytes."""
+    text = path.read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert csv_text(rows) == text
+    return rows
+
+
+def test_every_written_csv_reads_back_cell_for_cell(tmp_path, capsys):
+    # trace headers and stats.csv carry channel names, manifest.csv and
+    # report.csv class names, history.csv numbers
+    names, prefix = ("a,b", 'say "hi"'), 'p,"q'
+    write_trace_csv(Trace(values=np.full((2, 3), 0.5, np.float32), channel_names=names),
+                    str(tmp_path / "trace.csv"))
+    save_stats(StandardizationStats(mean=[0.5, -0.25], std=[2.0, 1.5]), names,
+               str(tmp_path / "stats.csv"))
+    data, model, reports = tmp_path / "data", tmp_path / "model", tmp_path / "reports"
+    assert main(["generate", "--config", write_config(tmp_path, TINY_GENERATE, "gen.cfg"),
+                 "--set", f"class_prefix={prefix}", "--out", str(data)]) == 0
+    config = write_config(tmp_path, TINY_EXPERIMENT + f"source.1.class_prefix = {prefix}\n")
+    assert main(["train", "--config", config, "--out", str(model)]) == 0
+    assert main(["eval", "--config", config, "--out", str(reports)]) == 0
+    capsys.readouterr()
+
+    assert _csv_cells(tmp_path / "trace.csv") == [["t", *names], ["0.0000", "0.5", "0.5"],
+                                                 ["0.0100", "0.5", "0.5"], ["0.0200", "0.5", "0.5"]]
+    assert _csv_cells(tmp_path / "stats.csv") == [
+        ["channel", "mean", "std"], ["a,b", "0.5", "2.0"], ['say "hi"', "-0.25", "1.5"]]
+    manifest = _csv_cells(data / "manifest.csv")
+    assert manifest[0] == ["filename", "class_name", "frames"]
+    assert sorted(manifest[1:]) == sorted(
+        [path.name, f"{prefix}{path.name[4]}", str(len(path.read_text().splitlines()) - 1)]
+        for path in data.glob("task*_trial*.csv"))
+    history = _csv_cells(model / "history.csv")
+    assert history[0] == ["epoch", "train_loss", "val_loss", "val_macro_f1"] and len(history) > 1
+    assert all(row == [str(int(row[0]))] + [repr(float(cell)) for cell in row[1:]]
+               for row in history[1:])
+    report = _csv_cells(reports / "tinycli_report.csv")
+    assert [row[2] for row in report] == ["class_name", *(f"{prefix}{k}" for k in (1, 2, 3)),
+                                          "MACRO"]
+    assert {len(row) for row in report} == {8}
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--set", "class_prefix=a\rb"],
+    ["eval", "--set", "source.1.class_prefix=a\nb"],
+    ["eval", "--set", "source.1.rename=task1:a\rb"],   # rename items split at whitespace
+], ids=["generate", "eval-prefix", "eval-rename"])
+def test_a_class_name_holding_a_line_break_is_a_config_error(tmp_path, capsys, argv):
+    # labels.txt and report.txt hold one class name per line
+    config = TINY_GENERATE if argv[0] == "generate" else TINY_EXPERIMENT
+    argv = [argv[0], "--config", write_config(tmp_path, config), *argv[1:],
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_override_precedence(tmp_path, capsys):
@@ -944,6 +1005,86 @@ def test_predict_keeps_the_error_contract_under_any_one_mutation(data):
     assert code in want
     if code == 0:
         assert err == "" and re.fullmatch(r"[0-2],[^\n]*(,[^,\n]+){3}\n", stdout)
+        return
+    lines = err.splitlines()
+    assert stdout == "" and "Traceback" not in err
+    if usage_error:                             # argparse's usage, then its one error line
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert sum(": error: " in line for line in lines) == 1
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# a --window or --hop value: zero, negative, non-integer, or an integer that
+# may make hop > window or window > TINY_NETWORK's 40 input frames
+_STREAM_SIZES = st.one_of(st.sampled_from(["0", "-0", "+0", "1.5", "1e1", "x", "", " 7 "]),
+                          st.integers(-50, 60).map(str))
+
+
+def _stream_exit(options) -> tuple[int, bool]:
+    """The exit code the error contract gives stream with these options and
+    valid files, and whether it is argparse's usage error (a required option
+    missing, a size int() rejects); WindowConfig decides the rest."""
+    given, config_error = dict(options), _documented_exit_codes()["ConfigError"]
+    sizes = [_parsed(given[flag], int) if flag in given else default for flag, default in
+             (("--window", streaming.DEFAULT_WINDOW_FRAMES),
+              ("--hop", streaming.DEFAULT_HOP_FRAMES))]
+    if "--model" not in given or "--stats" not in given or None in sizes:
+        return config_error, True
+    window, hop = sizes
+    return (0 if 1 <= hop <= window <= TINY_NETWORK.input_frames else config_error), False
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True)
+@given(data=st.data())
+def test_stream_keeps_the_error_contract_under_any_one_mutation(data):
+    draw, inputs = data.draw, _predict_inputs()
+    files = {name: inputs[name] for name in ("model", "stats", "labels")}
+    options = [["--model", "model"], ["--stats", "stats"], ["--labels", "labels"],
+               ["--window", "10"], ["--hop", "5"], ["--source", "-"]]
+    kind = draw(st.sampled_from(["truncate", "insert", "change", "drop", "repeat", "size"]))
+    mutated = None
+    if kind == "drop":
+        del options[draw(st.integers(0, len(options) - 1))]
+    elif kind == "repeat":
+        options.append(options[draw(st.integers(0, len(options) - 1))])
+    elif kind == "size":
+        options[draw(st.sampled_from([3, 4]))][1] = draw(_STREAM_SIZES)
+    else:
+        mutated = draw(st.sampled_from(list(files) if kind == "truncate" else ["stats", "labels"]))
+        blob = files[mutated]
+        at = draw(st.integers(0, len(blob) - (kind != "insert")))
+        if kind == "truncate":
+            files[mutated] = blob[:at]
+        elif kind == "insert":                  # the inputs are ASCII: never UTF-8 after this
+            files[mutated] = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+        else:
+            byte = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+            files[mutated] = blob[:at] + bytes([byte]) + blob[at + 1:]
+    frames = [line.split(",", 1)[1] for line in inputs["trace"].decode().splitlines()[1:]]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        for name, blob in files.items():
+            Path(name).write_bytes(blob)
+        _set_stdin(patch, "\n".join(frames) + "\n")
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = _run(["stream", *(word for option in options for word in option)])
+
+    codes, usage_error = _documented_exit_codes(), False
+    if mutated is None:
+        expected, usage_error = _stream_exit(options)
+        want = {expected}
+    else:
+        want = {codes["ConfigError"] if mutated == "labels" else codes["DataError"]}
+        if kind == "change" or (kind == "truncate" and mutated != "model"):
+            want.add(0)                 # a changed digit or a dropped last line can be valid
+    assert code in want
+    if code == 0:
+        hop = int(dict(options)["--hop"])
+        lines = stdout.split("\n")            # a class name may hold \v or \x85
+        assert err == "" and lines.pop() == "" and len(lines) == len(frames) // hop
+        assert all(re.fullmatch(r"\d+,[0-2],[^\n]*(,[^,\n]+){3},[01]", line) for line in lines)
         return
     lines = err.splitlines()
     assert stdout == "" and "Traceback" not in err

@@ -157,6 +157,21 @@ def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, r
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_write_trace_csv_stamps_stay_right_across_rates_and_stamp_blocks(tmp_path):
+    # the stamp column is cached for one rate and grows in 4096-frame blocks;
+    # the last frame holds a 0, whose row gets its cells from "%"
+    dataset._stamp_column.cache_clear()
+    rng = np.random.default_rng(11)
+    for rate, frames in ((100.0, 10), (300.0, 5000), (100.0, 10)):
+        values = rng.normal(size=(3, frames)).astype(np.float32)
+        values[1, -1] = 0.0
+        trace = Trace(values=values, channel_names=("a", "b", "c"), sample_rate_hz=rate)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_csv(trace, str(got))
+        oracles.write_trace_csv(trace, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("error", [-1e-9, 1e-9])
 def test_write_trace_csv_corrects_a_log10_an_ulp_low_at_a_power_of_ten(
         tmp_path, monkeypatch, error):
@@ -365,6 +380,14 @@ def test_read_numbers_is_float_per_cell(data, width):
         npt.assert_array_equal(fits[good], np.isfinite(want.astype(np.float32)))
     assert not fits[list(faults)].any()
     assert all(len(call.args[0]) > 1 for call in loadtxt.call_args_list)
+
+
+def test_read_rows_sends_no_line_break_to_numpy():
+    # NumPy's reader warns "input contained no data" when every row is a line break
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, fits, faults = dataset._read_rows(["\n", "\n"], 1)
+    assert faults == {0: (["\n"], 0), 1: (["\n"], 0)} and not fits.any()
 
 
 def test_read_numbers_leaves_what_numpy_misreads_to_float():
@@ -905,6 +928,9 @@ def test_synth_spec_validation():
         SynthSpec(frame_range=(100, 50))
     with pytest.raises(ConfigError):
         SynthSpec(noise_std=-0.1)
+    for prefix in ("a\rb", "a\nb", "a\r\n"):       # labels.txt holds one name per line
+        with pytest.raises(ConfigError, match="class_prefix must not hold a line break"):
+            SynthSpec(class_prefix=prefix)
 
 
 def test_synth_generate_shapes_and_labels():
