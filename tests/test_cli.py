@@ -433,6 +433,51 @@ def test_stream_reports_bad_lines(tmp_path, capsys, monkeypatch):
     assert fields[2] == f"class{fields[1]}"      # fallback names: no labels file
 
 
+def test_predict_and_stream_quote_a_class_name_holding_a_comma_or_quote(tmp_path, capsys,
+                                                                       monkeypatch):
+    names = ("a,b", 'c"d', 'e,"f"')                 # every class: whichever is predicted
+    inputs = {**_predict_inputs(), "labels": "".join(f"{n}\n" for n in names).encode()}
+    for name, blob in inputs.items():
+        (tmp_path / name).write_bytes(blob)
+    files = [f"--{name}={tmp_path / name}" for name in ("model", "stats", "labels")]
+    assert main(["predict", *files, f"--trace={tmp_path / 'trace'}"]) == 0
+    [row] = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(row) == len(names) + 2 and row[1] == names[int(row[0])]
+
+    frames = [line.split(",", 1)[1] for line in inputs["trace"].decode().splitlines()[1:]]
+    _set_stdin(monkeypatch, "\n".join(frames) + "\n")
+    assert main(["stream", *files, "--window", "10", "--hop", "5"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == len(frames) // 5
+    assert all(len(row) == len(names) + 4 and row[2] == names[int(row[1])] for row in rows)
+
+
+@pytest.mark.parametrize("show_config", [False, True], ids=["run", "show-config"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["foo", "CSV", ""])
+def test_a_source_kind_other_than_synth_or_csv_is_a_config_error(tmp_path, capsys, kind,
+                                                                 command, show_config):
+    config = write_config(tmp_path, TINY_EXPERIMENT.replace("source.1.kind = synth",
+                                                            f"source.1.kind = {kind}"))
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--show-config"] * show_config) == 2
+    assert capsys.readouterr() == ("", f"error: source kind must be 'synth' or 'csv', "
+                                       f"got {kind!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_at_a_rate_whose_templates_overflow_float32_exits_2(tmp_path, capsys):
+    argv = ["generate", "--out", str(tmp_path / "out"), "--set", "sample_rate_hz=1e-306",
+            *(f"--set={key}={value}" for key, value in _MUTATED_SETS.items())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: sample_rate_hz must be >= ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_stream_turns_non_utf8_stdin_bytes_into_an_error_record(tmp_path, capsys,
                                                                  monkeypatch):
     net_config = NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2),
@@ -943,6 +988,88 @@ def test_generate_keeps_the_error_contract_under_any_one_mutation(mutation):
         shown = _run(argv + ["--show-config"])
         assert (shown[0] == 0) == accepted
         assert shown == ((0, cli.render_kv(pairs), "") if accepted else (code, "", err))
+
+
+# an experiment config whose lines the test below mutates: a synthetic and a
+# csv source, and at least one key of every typed kind
+_MUTATED_EXPERIMENT = """experiment.id = tiny
+experiment.seed = 3
+experiment.ratios = 0.8/0.1/0.1
+experiment.block_frames = 10
+source.1.kind = synth
+source.1.num_classes = 3
+source.1.trials_per_class = 10
+source.1.channels = 2
+source.1.frame_min = 30
+source.1.frame_max = 40
+source.1.noise_std = 0.1
+source.2.kind = csv
+source.2.path = traces
+source.2.take = task1
+source.2.rename = task1:extra
+model.conv_filters = 2, 2
+model.kernel_width = 3
+model.fc_sizes = 8
+train.epochs = 2
+train.batch_size = 4
+train.learning_rate = 0.01
+"""
+
+
+class _Reached(Exception):
+    """Raised by the stand-in for run_experiment: the config got past parsing."""
+
+
+@settings(max_examples=200, deadline=None, database=None, print_blob=True)
+@given(data=st.data())
+def test_an_experiment_config_keeps_the_error_contract_under_any_one_mutation(data):
+    draw, lines = data.draw, _MUTATED_EXPERIMENT.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["value", "drop", "repeat", "truncate", "insert"]))
+    if kind == "value":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at].split("=")[0] + "= " + draw(_BAD_VALUES) + "\n"
+    elif kind == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif kind == "repeat":
+        lines.append(lines[draw(st.integers(0, len(lines) - 1))])
+    blob = "".join(lines).encode()
+    if kind == "truncate":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif kind == "insert":                          # the config is ASCII: never UTF-8 after this
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+    command = draw(st.sampled_from(["train", "eval"]))
+    reached = []
+
+    def run_experiment(spec):
+        reached.append(spec)
+        raise _Reached()
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        patch.setattr(cli, "run_experiment", run_experiment)
+        Path("tiny.cfg").write_bytes(blob)
+        argv = [command, "--config", "tiny.cfg", "--out", "out"]
+        code, stdout, err = _run(argv)
+        shown = _run(argv + ["--show-config"])
+        assert not Path("out").exists()
+
+    codes = _documented_exit_codes()
+    if reached:                     # main reports the stand-in's exception as a runtime error
+        assert (code, stdout, err) == (4, "", "error: _Reached()\n")
+        [spec] = reached
+        kinds = re.findall(r"^source\.(\d+)\.kind = (.*)$", blob.decode(), re.MULTILINE)
+        assert {int(n): value.strip() for n, value in kinds} == \
+            {n: source.kind for n, source in enumerate(spec.sources, start=1)}
+    else:
+        assert code == codes["ConfigError"] and stdout == "" and "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    # train --show-config prints the bare defaults although they name no source
+    bare_defaults = command == "train" and not blob.strip()
+    assert (shown[0] == 0) == bool(reached or bare_defaults)
+    if not reached and not bare_defaults:
+        assert shown == (code, "", err)
 
 
 @functools.cache

@@ -986,6 +986,36 @@ def test_synth_generate_is_the_per_trial_template_bit_for_bit(spec):
         assert g.values.dtype == np.float32 and g.values.tobytes() == w.values.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 101, 2**40 + 3])
+@pytest.mark.parametrize("shape", [(2, 1), (6, 24), (3, 5)])
+def test_template_draw_is_the_scalar_loop_bit_for_bit(seed, shape):
+    spec = SynthSpec(num_classes=shape[0], channels=shape[1])
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = dataset._draw_templates(got_rng, spec)
+    want = oracles.draw_templates(want_rng, spec)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state   # trials draw next
+
+
+@pytest.mark.parametrize("rate", [1e-306, 1e-310, 5e-324, 1e-39])
+def test_a_rate_whose_templates_overflow_float32_is_a_config_error(rate):
+    # the largest template value is about 2 + 0.05 * (frame_max - 1) / rate
+    with pytest.raises(ConfigError, match=r"^sample_rate_hz must be >= 1\.32e-39 for "
+                                          r"frame_max=10, or template values overflow float32"):
+        SynthSpec(frame_range=(10, 10), sample_rate_hz=rate)
+
+
+@pytest.mark.parametrize("rate, frame_max", [(1.4e-39, 10), (1e-30, 10), (1e-33, 4000)])
+def test_a_rate_whose_templates_fit_float32_generates_without_warnings(rate, frame_max):
+    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3, frame_range=(10, frame_max),
+                     sample_rate_hz=rate, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = synth_generate(spec)
+    assert all(np.isfinite(t.values).all() for t in data.traces)
+
+
 def test_synth_noise_free_matches_template():
     spec = SynthSpec(num_classes=2, trials_per_class=4, channels=3,
                      frame_range=(25, 60), noise_std=0.0, seed=3)
