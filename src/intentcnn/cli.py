@@ -48,7 +48,7 @@ from .evaluation import (
     run_experiment,
     write_experiment_outputs,
 )
-from .model import NetworkConfig, TrainSpec, load_model, save_model
+from .model import DATA_DERIVED_FIELDS, NetworkConfig, TrainSpec, load_model, save_model
 from .streaming import (
     DEFAULT_HOP_FRAMES,
     DEFAULT_WINDOW_FRAMES,
@@ -75,10 +75,11 @@ def _configure_logging() -> None:
 # defaults, layering, shared plumbing
 # ---------------------------------------------------------------------------
 
-def _rendered_defaults(obj, prefix: str = "") -> dict[str, str]:
-    """``prefix + field`` -> the dataclass field's value as text; tuples become comma lists."""
+def _rendered_defaults(obj, prefix: str = "", skip=()) -> dict[str, str]:
+    """``prefix + field`` -> the dataclass field's value as text, for each
+    field not in ``skip``; tuples become comma lists."""
     return {prefix + key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
-            for key, v in asdict(obj).items()}
+            for key, v in asdict(obj).items() if key not in skip}
 
 
 def _generate_defaults() -> dict[str, str]:
@@ -93,7 +94,7 @@ def _experiment_defaults() -> dict[str, str]:
         "experiment.seed": str(experiment["seed"]),
         "experiment.block_frames": str(experiment["block_frames"]),
         "experiment.ratios": ", ".join(map(format_ratio, experiment["ratios"])),
-        **_rendered_defaults(NetworkConfig(), "model."),
+        **_rendered_defaults(NetworkConfig(), "model.", DATA_DERIVED_FIELDS),
         **_rendered_defaults(TrainSpec(), "train."),
     }
 

@@ -1,8 +1,8 @@
 """Trace ingestion, labeling, preprocessing and synthetic trace generation.
 
 A trace is a ``(channels, frames)`` float32 array of sensor values sampled on
-a uniform clock (default 100 Hz).  On disk a trace is a CSV whose header is
-``t,<ch1>,...,<chN>`` and whose file name carries the label
+one uniform clock, ``SAMPLE_RATE_HZ``.  On disk a trace is a CSV whose header
+is ``t,<ch1>,...,<chN>`` and whose file name carries the label
 (``task<k>_trial<m>.csv`` -> class index ``k - 1``).
 
 Preprocessing order used across the package: fit per-channel standardization
@@ -41,10 +41,10 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SAMPLE_RATE_HZ = 100.0
+SAMPLE_RATE_HZ = 100.0
 DEFAULT_BLOCK_FRAMES = 1000
 STD_FLOOR = 1e-9          # channels with std below this standardize with sigma = 1
-RATE_TOLERANCE = 0.01     # inferred sample rate must sit within 1% of the declared rate
+RATE_TOLERANCE = 0.01     # inferred sample rate must sit within 1% of SAMPLE_RATE_HZ
 
 _FILENAME_RE = re.compile(r"^task(\d+)_trial(\d+)\.csv$")
 
@@ -63,7 +63,6 @@ class Trace:
 
     values: np.ndarray
     channel_names: tuple[str, ...]
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     source_frames: int | None = None
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class Trace:
         if len(self.channel_names) != self.values.shape[0]:
             raise DimensionError(f"{len(self.channel_names)} channel names for "
                                  f"{self.values.shape[0]} channels")
-        if self.sample_rate_hz <= 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.source_frames is None:
             self.source_frames = self.values.shape[1]
         if not (1 <= self.source_frames <= self.values.shape[1]):
@@ -184,14 +181,14 @@ def _read_csv_rows(path: str) -> list[list[str]]:
     return [] if header is None else [header, *map(_cells, data)]
 
 
-def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Trace:
+def parse_trace_csv(path: str) -> Trace:
     """Read a trace CSV: header ``t,<ch1>,...``, one row per frame.
 
     Validates the header (present, non-empty, unique names), the rows
     (:func:`_read_rows`: the first ragged row or non-numeric cell in file
     order, then the first non-finite value; times need only be finite),
     strictly increasing time, and that the sample rate inferred from the
-    median time delta lies within 1% of ``expected_rate_hz``.
+    median time delta lies within 1% of ``SAMPLE_RATE_HZ``.
     """
     header, data = _read_csv(path)
     if header is None:
@@ -227,11 +224,11 @@ def parse_trace_csv(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ)
             bad = int(np.argmax(deltas <= 0))
             raise FormatError(f"{path}: time not strictly increasing at row {bad + 3}")
         inferred = 1.0 / float(np.median(deltas))
-        if abs(inferred - expected_rate_hz) > RATE_TOLERANCE * expected_rate_hz:
+        if abs(inferred - SAMPLE_RATE_HZ) > RATE_TOLERANCE * SAMPLE_RATE_HZ:
             raise FormatError(f"{path}: inferred sample rate {inferred:.3f} Hz is outside 1% "
-                              f"of expected {expected_rate_hz:g} Hz")
+                              f"of expected {SAMPLE_RATE_HZ:g} Hz")
     values = numbers[:, 1:].T.astype(np.float32, order="C")
-    return Trace(values=values, channel_names=tuple(header[1:]), sample_rate_hz=expected_rate_hz)
+    return Trace(values=values, channel_names=tuple(header[1:]))
 
 
 # doubles of this magnitude or more round to inf in float32: the midpoint
@@ -361,15 +358,12 @@ def _fixed_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _STAMP_BLOCK = 4096     # frames per block of the cached stamp column
 
 
-@functools.lru_cache(maxsize=1)        # a dataset's traces share one rate
-def _stamp_column(rate: float, blocks: int) -> np.ndarray:
-    """The time stamps of frames 0 .. 4096 * blocks - 1 at ``rate`` as
-    NUL-padded bytes, one row per frame: f / rate to 4 decimals where that
-    reads back at the rate (up to 100 Hz, or a step of whole 1e-4 s), and
-    repr's shortest round-trip digits elsewhere, whose rounding would break
-    the reader's rate check."""
-    stamp = "%.4f" if rate <= 100 or (1e4 / rate).is_integer() else "%r"
-    column = np.array([stamp % (f / rate) for f in range(blocks * _STAMP_BLOCK)], dtype="S")
+@functools.lru_cache(maxsize=1)
+def _stamp_column(blocks: int) -> np.ndarray:
+    """The time stamps of frames 0 .. 4096 * blocks - 1 as NUL-padded bytes,
+    one row per frame: f / SAMPLE_RATE_HZ to 4 decimals."""
+    column = np.array(["%.4f" % (f / SAMPLE_RATE_HZ) for f in range(blocks * _STAMP_BLOCK)],
+                      dtype="S")
     column.flags.writeable = False              # every caller gets this one array
     return column.view(np.uint8).reshape(len(column), -1)
 
@@ -384,7 +378,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     ``bytes.translate`` removes, with the same bytes as ``%``; a row holding a
     cell in exponent notation (|x| < 1e-4 or >= 1e9, 0 too) gets its cells
     from ``%``."""
-    stamps = _stamp_column(trace.sample_rate_hz, -(-trace.frames // _STAMP_BLOCK))
+    stamps = _stamp_column(-(-trace.frames // _STAMP_BLOCK))
     head = stamps.shape[1]
     text = np.empty((trace.frames, head + _CELL_BYTES * trace.channels + 1), np.uint8)
     text[:, :head] = stamps[:trace.frames]
@@ -414,7 +408,7 @@ def label_from_filename(name: str) -> tuple[int, int]:
     return task_id, trial
 
 
-def load_csv_dir(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> LabeledDataset:
+def load_csv_dir(path: str) -> LabeledDataset:
     """Load every ``task<k>_trial<m>.csv`` in a directory into a labeled dataset.
 
     Class index = task number - 1; the vocabulary is task1..taskN for the
@@ -432,7 +426,7 @@ def load_csv_dir(path: str, expected_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) ->
     max_task = 0
     for name in names:
         task_id, _ = label_from_filename(name)
-        traces.append(parse_trace_csv(os.path.join(path, name), expected_rate_hz))
+        traces.append(parse_trace_csv(os.path.join(path, name)))
         labels.append(task_id - 1)
         max_task = max(max_task, task_id)
     vocab = tuple(f"task{k}" for k in range(1, max_task + 1))
@@ -748,6 +742,11 @@ def merge_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
 # template parameter columns: amplitude, frequency (Hz), phase (rad), drift (units/s)
 _TEMPLATE_LOW = (0.5, 0.2, 0.0, -0.05)
 _TEMPLATE_HIGH = (2.0, 1.5, 2.0 * math.pi, 0.05)
+# |template| <= amplitude + |drift| * t for t up to (frame_max - 1) / SAMPLE_RATE_HZ
+# seconds, which stays within float32's largest value below this frame_max
+_FRAME_MAX_LIMIT = 1 + (float(np.finfo(np.float32).max) - _TEMPLATE_HIGH[0]) \
+    * SAMPLE_RATE_HZ / _TEMPLATE_HIGH[3]
+NOISE_SIGMAS = 13   # rng.normal's 53-bit uniforms end its ziggurat tail below 12.3 sigmas
 
 
 @dataclass(frozen=True)
@@ -767,7 +766,6 @@ class SynthSpec:
     frame_range: tuple[int, int] = (800, 1600)
     noise_std: float = 0.1
     seed: int = 0
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     class_prefix: str = "task"
 
     def __post_init__(self):
@@ -782,13 +780,14 @@ class SynthSpec:
             raise ConfigError(f"frame_range must satisfy 10 <= min <= max, got {self.frame_range}")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.sample_rate_hz <= 0:
-            raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        # |template| <= amplitude + |drift| * t, for t up to (hi - 1) / rate seconds
-        min_rate = _TEMPLATE_HIGH[3] * (hi - 1) / (_FLOAT32_OVERFLOW - _TEMPLATE_HIGH[0])
-        if self.sample_rate_hz < min_rate:
-            raise ConfigError(f"sample_rate_hz must be >= {min_rate:.3g} for frame_max={hi}, "
-                              f"or template values overflow float32, got {self.sample_rate_hz}")
+        if hi >= _FRAME_MAX_LIMIT:
+            raise ConfigError(f"frame_max must be below {_FRAME_MAX_LIMIT:.3g}, or template "
+                              f"values overflow float32, got {hi}")
+        peak = _TEMPLATE_HIGH[0] + _TEMPLATE_HIGH[3] * (hi - 1) / SAMPLE_RATE_HZ
+        if not peak + NOISE_SIGMAS * self.noise_std < _FLOAT32_OVERFLOW:    # nan fails too
+            limit = (_FLOAT32_OVERFLOW - peak) / NOISE_SIGMAS
+            raise ConfigError(f"noise_std must be below {limit:.3g} for frame_max={hi}, or "
+                              f"trial values overflow float32, got {self.noise_std}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "\r" in self.class_prefix or "\n" in self.class_prefix:     # one name per line
@@ -804,9 +803,9 @@ def _draw_templates(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     return rng.uniform(_TEMPLATE_LOW, _TEMPLATE_HIGH, size=(spec.num_classes, spec.channels, 4))
 
 
-def template_waveform(params_kc: np.ndarray, frames: int, sample_rate_hz: float) -> np.ndarray:
+def template_waveform(params_kc: np.ndarray, frames: int) -> np.ndarray:
     """Noise-free template for one class: params (channels, 4) -> (channels, frames) float64."""
-    t = np.arange(frames, dtype=np.float64) / sample_rate_hz
+    t = np.arange(frames, dtype=np.float64) / SAMPLE_RATE_HZ
     amp, freq, phase, drift = (params_kc[:, i][:, None] for i in range(4))
     return amp * np.sin(2.0 * math.pi * freq * t[None, :] + phase) + drift * t[None, :]
 
@@ -822,7 +821,7 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
     channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
     traces: list[Trace] = []
     lo, hi = spec.frame_range
-    templates = [template_waveform(p, hi, spec.sample_rate_hz) for p in params]
+    templates = [template_waveform(p, hi) for p in params]
     for k in range(spec.num_classes):
         for _ in range(spec.trials_per_class):
             frames = int(rng.integers(lo, hi + 1))
@@ -830,9 +829,7 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
             noise = rng.normal(0.0, spec.noise_std, size=clean.shape) if spec.noise_std > 0 \
                 else np.zeros(clean.shape)
             np.add(noise, clean, out=noise)
-            traces.append(Trace(values=noise.astype(np.float32),
-                                channel_names=channel_names,
-                                sample_rate_hz=spec.sample_rate_hz))
+            traces.append(Trace(values=noise.astype(np.float32), channel_names=channel_names))
     log.info("generated %d synthetic traces (%d classes x %d trials, %d channels)",
              len(traces), spec.num_classes, spec.trials_per_class, spec.channels)
     labels = np.repeat(np.arange(spec.num_classes), spec.trials_per_class)

@@ -11,8 +11,7 @@ the fixed protocol for every requested split ratio::
 
 and reports a confusion matrix plus per-class precision/recall/F1 and
 macro-F1 per ratio.  Reports render to text or CSV; both renderings are
-byte-deterministic for a given spec and seed (wall-clock timings live only on
-the report object, never in rendered output).
+byte-deterministic for a given spec and seed.
 
 The eight standard experiment presets pair manipulation classes against the
 survey class in various ways over two synthetic sources ("data2", a six-class
@@ -25,7 +24,6 @@ from __future__ import annotations
 import logging
 import os
 import re
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -157,7 +155,6 @@ class RatioOutcome:
     best_epoch: int
     stopped_early: bool
     network: Network
-    train_seconds: float
 
     def ratio_tag(self) -> str:
         return format_ratio(self.fractions)
@@ -168,12 +165,7 @@ class RatioOutcome:
 
 @dataclass
 class EvaluationReport:
-    """Per-ratio outcomes plus the configuration echo.
-
-    ``total_seconds`` and the per-outcome timings are informational only and
-    never appear in rendered report files, which must be reproducible byte
-    for byte across reruns.
-    """
+    """Per-ratio outcomes plus the configuration echo."""
 
     experiment_id: str
     vocab: tuple[str, ...]
@@ -183,7 +175,6 @@ class EvaluationReport:
     network_config: NetworkConfig
     train_spec: TrainSpec
     outcomes: list[RatioOutcome]
-    total_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,6 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
     Any failure is re-raised as ExperimentError carrying the experiment id and
     the protocol stage that failed.
     """
-    t_start = time.monotonic()
     stages: list[str] = []
 
     def stage(name, fn):
@@ -251,13 +241,10 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
             pad_traces(p, spec.block_frames, target_frames) for p in parts))
         network = stage("build", lambda: build_network(config, seed=spec.seed))
         arrays = [(np.stack([t.values for t in p.traces]), p.labels) for p in parts]
-        t_train = time.monotonic()
         result = stage("train", lambda: train(network, arrays[0][0], arrays[0][1],
                                               arrays[1][0], arrays[1][1], spec.train))
-        train_seconds = time.monotonic() - t_train
         outcome = stage("evaluate", lambda: _evaluate_ratio(
-            network, arrays[2][0], arrays[2][1], fractions, split_seed, stats,
-            result, train_seconds))
+            network, arrays[2][0], arrays[2][1], fractions, split_seed, stats, result))
         outcomes.append(outcome)
         log.info("experiment %s ratio %s: macro_f1=%.4f (%d epochs)",
                  spec.experiment_id, outcome.ratio_tag(), outcome.macro_f1,
@@ -271,7 +258,6 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
         network_config=config,
         train_spec=spec.train,
         outcomes=outcomes,
-        total_seconds=time.monotonic() - t_start,
     )
 
 
@@ -284,7 +270,7 @@ def _relabel_by_name(data: LabeledDataset, positive_names) -> LabeledDataset:
 
 
 def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, stats,
-                    result, train_seconds) -> RatioOutcome:
+                    result) -> RatioOutcome:
     preds = network.predict(test_x)
     matrix = confusion_matrix(np.asarray(test_y), preds, network.num_classes)
     return RatioOutcome(
@@ -299,7 +285,6 @@ def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, sta
         best_epoch=result.best_epoch,
         stopped_early=result.stopped_early,
         network=network,
-        train_seconds=train_seconds,
     )
 
 
@@ -363,8 +348,10 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     ``experiment.standard`` (an e1..e8 preset name supplying the id, sources,
     select and relabel_positive that the explicit keys leave out), per-source
     ``source.N.*`` blocks (numbered from 1), and the ``model.*`` / ``train.*``
-    blocks.  Every other field takes its ExperimentSpec default.  A generated
-    source without an explicit ``source.N.seed`` uses experiment seed + 101*N.
+    blocks, whose ``model.*`` keys leave out the network's DATA_DERIVED_FIELDS:
+    the runner takes those from the data.  Every other field takes its
+    ExperimentSpec default.  A generated source without an explicit
+    ``source.N.seed`` uses experiment seed + 101*N.
     """
     reader = KeyReader(pairs, origin, origins)
     standard = reader.take_str("experiment.standard")

@@ -107,6 +107,10 @@ class NetworkConfig:
                               f"got {self.batchnorm_position!r}")
 
 
+# the NetworkConfig fields that an experiment takes from its data, not its config
+DATA_DERIVED_FIELDS = ("channels", "input_frames", "num_classes")
+
+
 def plan_layers(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Walk the stack and return each layer's output shape; fail on underflow.
 
@@ -141,8 +145,10 @@ def plan_layers(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def parse_network_config(reader: KeyReader) -> NetworkConfig:
-    """Read ``model.*`` keys (one per NetworkConfig field) from a KeyReader."""
-    return reader.take_fields(NetworkConfig(), "model.", [f.name for f in fields(NetworkConfig)])
+    """Read ``model.*`` keys, one per NetworkConfig field but the
+    DATA_DERIVED_FIELDS, from a KeyReader."""
+    return reader.take_fields(NetworkConfig(), "model.", [f.name for f in fields(NetworkConfig)
+                                                          if f.name not in DATA_DERIVED_FIELDS])
 
 
 # ---------------------------------------------------------------------------

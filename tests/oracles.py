@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from intentcnn.dataset import (
+    SAMPLE_RATE_HZ,
     LabeledDataset,
     StandardizationStats,
     Trace,
@@ -276,7 +277,7 @@ def _fits_float32(x: float) -> bool:
     return math.isfinite(x)
 
 
-def parse_trace_csv_cells(path: str, expected_rate_hz: float = 100.0):
+def parse_trace_csv_cells(path: str):
     """Per-cell ``float()`` reading of a trace CSV with the library's error
     precedence: header faults, then ragged rows and non-numeric cells in file
     order, then non-finite cells in file order (a time must be finite, a
@@ -317,9 +318,9 @@ def parse_trace_csv_cells(path: str, expected_rate_hz: float = 100.0):
             raise FormatError(f"{path}: time not strictly increasing at row {i + 3}")
     if deltas:
         inferred = 1.0 / statistics.median(deltas)
-        if abs(inferred - expected_rate_hz) > 0.01 * expected_rate_hz:
+        if abs(inferred - SAMPLE_RATE_HZ) > 0.01 * SAMPLE_RATE_HZ:
             raise FormatError(f"{path}: inferred sample rate {inferred:.3f} Hz is outside 1% "
-                              f"of expected {expected_rate_hz:g} Hz")
+                              f"of expected {SAMPLE_RATE_HZ:g} Hz")
     columns = [[float(row[c]) for row in rows[1:]] for c in range(1, len(header))]
     values = np.array([np.frombuffer(struct.pack(f"<{len(col)}f", *col), dtype="<f4")
                        for col in columns], dtype=np.float32)
@@ -360,15 +361,12 @@ class AdamWholeArray:
 def write_trace_csv(trace, path: str) -> None:
     """The trace writer as one ``csv.writer.writerow`` per frame over
     ``f"{v:.9g}"`` of each float32 scalar: the bytes ``dataset.write_trace_csv``
-    must reproduce.  The time stamp is ``f / rate`` to 4 decimals up to 100 Hz
-    or where ``1e4 / rate`` is whole, and its repr elsewhere."""
-    rate = trace.sample_rate_hz
-    stamp = "{:.4f}" if rate <= 100 or (1e4 / rate).is_integer() else "{!r}"
+    must reproduce.  The time stamp is ``f / SAMPLE_RATE_HZ`` to 4 decimals."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("t",) + trace.channel_names)
         for f in range(trace.frames):
-            row = [stamp.format(f / rate)]
+            row = [f"{f / SAMPLE_RATE_HZ:.4f}"]
             row.extend(f"{v:.9g}" for v in trace.values[:, f])
             writer.writerow(row)
 
@@ -398,12 +396,11 @@ def synth_generate_per_trial(spec):
     for k in range(spec.num_classes):
         for _ in range(spec.trials_per_class):
             frames = int(rng.integers(lo, hi + 1))
-            clean = template_waveform(params[k], frames, spec.sample_rate_hz)
+            clean = template_waveform(params[k], frames)
             noise = rng.normal(0.0, spec.noise_std, size=clean.shape) if spec.noise_std > 0 \
                 else np.zeros_like(clean)
             traces.append(Trace(values=(clean + noise).astype(np.float32),
-                                channel_names=channel_names,
-                                sample_rate_hz=spec.sample_rate_hz))
+                                channel_names=channel_names))
             labels.append(k)
     return LabeledDataset(traces=traces, labels=np.array(labels), vocab=spec.class_names())
 

@@ -22,7 +22,8 @@ from intentcnn.config import csv_text, parse_kv_file
 from intentcnn.dataset import (StandardizationStats, Trace, load_csv_dir, parse_synth_spec,
                                save_stats, synth_generate, write_trace_csv)
 from intentcnn.evaluation import parse_experiment_config
-from intentcnn.model import NetworkConfig, build_network, load_model, save_model, serialize
+from intentcnn.model import (DATA_DERIVED_FIELDS, NetworkConfig, build_network, load_model,
+                             save_model, serialize)
 
 import oracles
 
@@ -144,7 +145,7 @@ def test_exit_codes_follow_the_documented_map(tmp_path, capsys, failure, make_ar
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command, key", [("generate", "noise_std"), ("generate", "sample_rate_hz"),
+@pytest.mark.parametrize("command, key", [("generate", "noise_std"),
                                           ("train", "train.learning_rate")])
 def test_a_non_finite_float_key_exits_2_and_writes_nothing(tmp_path, capsys, command, key, value):
     # NaN passes every "<= 0" range check, so a non-finite value is refused where it is read
@@ -466,15 +467,19 @@ def test_a_source_kind_other_than_synth_or_csv_is_a_config_error(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-def test_generate_at_a_rate_whose_templates_overflow_float32_exits_2(tmp_path, capsys):
-    argv = ["generate", "--out", str(tmp_path / "out"), "--set", "sample_rate_hz=1e-306",
-            *(f"--set={key}={value}" for key, value in _MUTATED_SETS.items())]
+@pytest.mark.parametrize("key, value, message", [
+    ("frame_max", str(10 ** 42), "frame_max must be below 6.81e+41, or template values overflow "
+                                 "float32, got " + str(10 ** 42)),
+    ("noise_std", "1e39", "noise_std must be below 2.62e+37 for frame_max=12, or trial values "
+                          "overflow float32, got 1e+39")], ids=["frame_max", "noise_std"])
+def test_generate_with_values_that_overflow_float32_exits_2(tmp_path, capsys, key, value,
+                                                           message):
+    argv = ["generate", "--out", str(tmp_path / "out"),
+            *(f"--set={k}={v}" for k, v in _MUTATED_SETS.items()), "--set", f"{key}={value}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: sample_rate_hz must be >= ")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -511,7 +516,6 @@ frame_max = 1600
 frame_min = 800
 noise_std = 0.1
 num_classes = 6
-sample_rate_hz = 100.0
 seed = 0
 trials_per_class = 20
 """
@@ -521,12 +525,9 @@ experiment.block_frames = 1000
 experiment.ratios = 0.8/0.1/0.1, 0.7/0.15/0.15, 0.6/0.2/0.2
 experiment.seed = 0
 model.batchnorm_position = after_last_conv
-model.channels = 24
 model.conv_filters = 16, 32, 64, 64
 model.fc_sizes = 128, 64
-model.input_frames = 2000
 model.kernel_width = 5
-model.num_classes = 6
 model.pool = 2
 model.pool_stride = 2
 train.batch_size = 8
@@ -780,6 +781,9 @@ def test_config_errors_name_their_file(tmp_path, capsys):
 
 
 _SOURCE_BLOCK = "experiment.id = x\nsource.1.kind = synth\n"
+# each model key that the data decides, set for train and for eval
+_DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
+                      for key in DATA_DERIVED_FIELDS]
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -798,8 +802,14 @@ _SOURCE_BLOCK = "experiment.id = x\nsource.1.kind = synth\n"
      "{config}: unknown key(s): model.bogus"),
     (["generate", "--set", "noise_std=0.1"], "channels = abc\n",
      "{config}: key 'channels' expects an integer, got 'abc'"),
+    (["generate", "--set", "sample_rate_hz=100"], None, "--set: unknown key(s): sample_rate_hz"),
+    (["train"], _SOURCE_BLOCK + "source.1.sample_rate_hz = 100\n",
+     "{config}: unknown key(s): source.1.sample_rate_hz"),
+    *(([command, "--set", f"model.{key}=2"], "e5.cfg", f"--set: unknown key(s): model.{key}")
+      for command, key in _DATA_DERIVED_KEYS),
 ], ids=["generate", "train", "eval", "train-ratio", "eval-source-key", "train-unknown",
-        "file-key-first", "file-value"])
+        "file-key-first", "file-value", "generate-sample-rate", "source-sample-rate",
+        *(f"{command}-model.{key}" for command, key in _DATA_DERIVED_KEYS)])
 def test_a_config_error_names_the_origin_of_the_value(tmp_path, capsys, argv, config, message):
     if config is None:
         path = None
@@ -808,8 +818,11 @@ def test_a_config_error_names_the_origin_of_the_value(tmp_path, capsys, argv, co
     else:
         path = write_config(tmp_path, config)
     argv = argv + (["--config", path] if path else []) + ["--seed", "3"]
+    rejected = ("", f"error: {message.format(config=path)}\n")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr() == ("", f"error: {message.format(config=path)}\n")
+    assert capsys.readouterr() == rejected
+    assert main(argv + ["--show-config"]) == 2
+    assert capsys.readouterr() == rejected
     assert not (tmp_path / "out").exists()
 
 
@@ -895,8 +908,7 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
 # small corpus, and the other keys in the config file, whose seed --seed beats
 _MUTATED_SETS = {"num_classes": "2", "trials_per_class": "1", "channels": "2",
                  "frame_min": "10", "frame_max": "12"}
-_MUTATED_FILE = {"noise_std": "0.05", "sample_rate_hz": "100.0", "class_prefix": "task",
-                 "seed": "3"}
+_MUTATED_FILE = {"noise_std": "0.05", "class_prefix": "task", "seed": "3"}
 _BAD_VALUES = st.one_of(
     st.integers(-1000, -1).map(str), st.sampled_from(["-0.5", "-1e3", "-inf"]),   # negative
     st.sampled_from(["0", "-0", "0.0", "+0", "0e0"]),                             # zero
@@ -915,14 +927,12 @@ def _parsed(value: str, kind):
 def _generate_accepts(pairs: dict[str, str]) -> bool:
     """Whether SynthSpec takes these key=value pairs, by the rules README gives."""
     ints = {key: _parsed(pairs[key], int) for key in (*_MUTATED_SETS, "seed")}
-    floats = {key: _parsed(pairs[key], float) for key in ("noise_std", "sample_rate_hz")}
-    if None in ints.values() or None in floats.values():
-        return False
-    if not all(math.isfinite(value) for value in floats.values()):
+    noise_std = _parsed(pairs["noise_std"], float)
+    if None in ints.values() or noise_std is None or not math.isfinite(noise_std):
         return False
     return (ints["num_classes"] >= 2 and ints["trials_per_class"] >= 1 and ints["channels"] >= 1
             and 10 <= ints["frame_min"] <= ints["frame_max"] and ints["seed"] >= 0
-            and floats["noise_std"] >= 0 and floats["sample_rate_hz"] > 0)
+            and noise_std >= 0)
 
 
 def _run(argv) -> tuple[int, str, str]:

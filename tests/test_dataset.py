@@ -133,9 +133,8 @@ _EDGES = np.concatenate([np.float32(_TIES), _POWERS_OF_TEN,
                          np.float32([1e-4, 1.00000005e-4, 999999936.0, 1e9])])
 
 
-@pytest.mark.parametrize("rate", [100.0, 250.0, 33.3, 1.0, 300.0, 3000.0, 20_000.0, 1e-4, 1e-6])
-def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, rate):
-    rng = np.random.default_rng(int(rate * 10))
+def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path):
+    rng = np.random.default_rng(1000)
     bits = rng.integers(0, 2 ** 32, size=(24, 400), dtype=np.uint64).astype(np.uint32)
     values = bits.view(np.float32)                  # every exponent, subnormals included
     values[~np.isfinite(values)] = 0.0
@@ -149,23 +148,22 @@ def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path, r
     values[:, 120:250] = 10.0 ** rng.uniform(-4, 9, size=(24, 130)) * rng.choice([-1, 1], (24, 130))
     names = ("a,b", 'say "hi"', "two\nlines", " lead", "fx") + tuple(f"c{c}" for c in range(5, 24))
     for channels in (1, 5, 24):
-        trace = Trace(values=values[:channels], channel_names=names[:channels],
-                      sample_rate_hz=rate)
+        trace = Trace(values=values[:channels], channel_names=names[:channels])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trace_csv(trace, str(got))
         oracles.write_trace_csv(trace, str(want))
         assert got.read_bytes() == want.read_bytes()
 
 
-def test_write_trace_csv_stamps_stay_right_across_rates_and_stamp_blocks(tmp_path):
-    # the stamp column is cached for one rate and grows in 4096-frame blocks;
-    # the last frame holds a 0, whose row gets its cells from "%"
+def test_write_trace_csv_stamps_stay_right_across_stamp_blocks(tmp_path):
+    # the stamp column is cached for one block count and grows in 4096-frame
+    # blocks; the last frame holds a 0, whose row gets its cells from "%"
     dataset._stamp_column.cache_clear()
     rng = np.random.default_rng(11)
-    for rate, frames in ((100.0, 10), (300.0, 5000), (100.0, 10)):
+    for frames in (10, 5000, 10):
         values = rng.normal(size=(3, frames)).astype(np.float32)
         values[1, -1] = 0.0
-        trace = Trace(values=values, channel_names=("a", "b", "c"), sample_rate_hz=rate)
+        trace = Trace(values=values, channel_names=("a", "b", "c"))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trace_csv(trace, str(got))
         oracles.write_trace_csv(trace, str(want))
@@ -188,15 +186,12 @@ def test_write_trace_csv_corrects_a_log10_an_ulp_low_at_a_power_of_ten(
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("rate", [0.5, 7.0, 100.0, 300.0, 999.0, 3000.0, 20_000.0])
-def test_trace_csv_round_trips_at_its_sample_rate(tmp_path, rate):
-    # time to 4 decimals alone reads back as 303 Hz at 300 Hz, and as
-    # repeated stamps at 20 kHz
+def test_trace_csv_round_trips_at_the_sample_rate(tmp_path):
     values = np.random.default_rng(3).normal(size=(2, 400)).astype(np.float32)
     path = str(tmp_path / "task1_trial01.csv")
-    write_trace_csv(Trace(values=values, channel_names=("fx", "fy"), sample_rate_hz=rate), path)
-    back = parse_trace_csv(path, expected_rate_hz=rate)
-    assert back.values.tobytes() == values.tobytes() and back.sample_rate_hz == rate
+    write_trace_csv(Trace(values=values, channel_names=("fx", "fy")), path)
+    back = parse_trace_csv(path)
+    assert back.values.tobytes() == values.tobytes()
 
 
 # the trace reader strips whitespace around header names, so none sits at either end
@@ -265,12 +260,13 @@ def test_parse_trace_csv_rejects_malformed(tmp_path):
 
 
 def test_parse_trace_csv_checks_sample_rate(tmp_path):
-    trace = Trace(values=np.ones((1, 20)), channel_names=("a",), sample_rate_hz=100.0)
-    path = str(tmp_path / "task1_trial01.csv")
-    write_trace_csv(trace, path)
-    parse_trace_csv(path, expected_rate_hz=100.0)
-    with pytest.raises(FormatError):
-        parse_trace_csv(path, expected_rate_hz=50.0)
+    path = tmp_path / "task1_trial01.csv"
+    write_trace_csv(Trace(values=np.ones((1, 20)), channel_names=("a",)), str(path))
+    parse_trace_csv(str(path))
+    path.write_text("t,a\n" + "".join(f"{f / 50:.4f},1\n" for f in range(20)))
+    with pytest.raises(FormatError, match=r"inferred sample rate 50\.000 Hz is outside 1% "
+                                          r"of expected 100 Hz"):
+        parse_trace_csv(str(path))
 
 
 # cells that probe the number rule: blanks, non-finite and float32-overflowing
@@ -998,18 +994,28 @@ def test_template_draw_is_the_scalar_loop_bit_for_bit(seed, shape):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state   # trials draw next
 
 
-@pytest.mark.parametrize("rate", [1e-306, 1e-310, 5e-324, 1e-39])
-def test_a_rate_whose_templates_overflow_float32_is_a_config_error(rate):
-    # the largest template value is about 2 + 0.05 * (frame_max - 1) / rate
-    with pytest.raises(ConfigError, match=r"^sample_rate_hz must be >= 1\.32e-39 for "
-                                          r"frame_max=10, or template values overflow float32"):
-        SynthSpec(frame_range=(10, 10), sample_rate_hz=rate)
+@pytest.mark.parametrize("frame_max", [681 * 10 ** 39, 10 ** 42, 10 ** 400],
+                         ids=["6.81e41", "1e42", "1e400"])
+def test_a_frame_max_whose_templates_overflow_float32_is_a_config_error(frame_max):
+    # the largest template value is about 2 + 0.05 * (frame_max - 1) / 100
+    with pytest.raises(ConfigError, match=r"^frame_max must be below 6\.81e\+41, or template "
+                                          r"values overflow float32, got \d+$"):
+        SynthSpec(frame_range=(10, frame_max))
+    SynthSpec(frame_range=(10, 680 * 10 ** 39))         # at most 3.4e38: it fits
 
 
-@pytest.mark.parametrize("rate, frame_max", [(1.4e-39, 10), (1e-30, 10), (1e-33, 4000)])
-def test_a_rate_whose_templates_fit_float32_generates_without_warnings(rate, frame_max):
-    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3, frame_range=(10, frame_max),
-                     sample_rate_hz=rate, seed=5)
+@pytest.mark.parametrize("noise_std", [2.7e37, 1e39, math.inf, math.nan])
+def test_a_noise_std_whose_trials_overflow_float32_is_a_config_error(noise_std):
+    # a trial value is at most the template's 2.0055 plus 13 standard deviations
+    with pytest.raises(ConfigError, match=r"^noise_std must be below 2\.62e\+37 for frame_max=12, "
+                                          r"or trial values overflow float32"):
+        SynthSpec(frame_range=(10, 12), noise_std=noise_std)
+
+
+@pytest.mark.parametrize("noise_std", [2.6e37, 1e30])
+def test_a_noise_std_whose_trials_fit_float32_generates_without_warnings(noise_std):
+    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3, frame_range=(10, 12),
+                     noise_std=noise_std, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         data = synth_generate(spec)
@@ -1022,7 +1028,7 @@ def test_synth_noise_free_matches_template():
     data = synth_generate(spec)
     params = _template_parameters(spec)
     for trace, label in zip(data.traces, data.labels):
-        expected = template_waveform(params[label], trace.frames, spec.sample_rate_hz)
+        expected = template_waveform(params[label], trace.frames)
         npt.assert_array_equal(trace.values, expected.astype(np.float32))
 
 
@@ -1031,8 +1037,7 @@ def test_synth_templates_separate_classes():
     spec = SynthSpec(num_classes=6, trials_per_class=1, channels=24, seed=0)
     params = _template_parameters(spec)
     frames = 400
-    waves = [template_waveform(params[k], frames, spec.sample_rate_hz)
-             for k in range(spec.num_classes)]
+    waves = [template_waveform(params[k], frames) for k in range(spec.num_classes)]
     for i in range(len(waves)):
         for j in range(i + 1, len(waves)):
             rms = math.sqrt(float(np.mean((waves[i] - waves[j]) ** 2)))

@@ -162,8 +162,6 @@ def test_run_experiment_basic_report():
     assert report.network_config.channels == 2
     assert report.network_config.input_frames == 40   # padded to block multiple
     assert report.network_config.num_classes == 3
-    assert report.total_seconds > 0.0
-    assert outcome.train_seconds > 0.0
 
 
 def test_run_experiment_stage_order_plain():

@@ -110,14 +110,17 @@ def test_batchnorm_position_changes_plan():
 
 
 def test_parse_network_config_roundtrip():
-    pairs = {"model.conv_filters": "4, 8", "model.kernel_width": "3",
-             "model.input_frames": "100", "model.channels": "2",
-             "model.fc_sizes": "16", "model.num_classes": "2"}
+    pairs = {"model.conv_filters": "4, 8", "model.kernel_width": "3", "model.fc_sizes": "16"}
     config = parse_network_config(KeyReader(pairs))
     assert config.conv_filters == (4, 8)
     assert config.kernel_width == 3
     assert config.fc_sizes == (16,)
     assert config.pool == 2  # default preserved
+    for key in ("channels", "input_frames", "num_classes"):     # the data decides these
+        reader = KeyReader({**pairs, f"model.{key}": "2"})
+        assert parse_network_config(reader) == config
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\): model\.{key}$"):
+            reader.reject_unknown()
 
 
 # ---------------------------------------------------------------------------
