@@ -17,6 +17,7 @@ called any number of times in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import logging
 import os
@@ -116,6 +117,11 @@ def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
     return {**defaults, **(parse_kv_file(path) if path else {}), **given}, origins
 
 
+def _check_out(path: str) -> None:
+    if os.path.lexists(path) and not os.path.isdir(path):     # before the work, not after it
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+
 def _read_labels(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
@@ -135,6 +141,7 @@ def _cmd_generate(args) -> int:
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
+    _check_out(args.out)
     data = synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)
     manifest_rows = [("filename", "class_name", "frames")]
@@ -158,6 +165,7 @@ def _cmd_train(args) -> int:
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
         return 0
+    _check_out(args.out)
     spec = replace(spec, ratios=(spec.ratios[0],))
     report = run_experiment(spec)
     outcome = report.outcomes[0]
@@ -176,6 +184,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     defaults = _experiment_defaults()
     all_pairs = [_effective_pairs(args, defaults, "experiment.seed", path)
                  for path in args.config]
@@ -186,11 +196,11 @@ def _cmd_eval(args) -> int:
             print(f"# {path}")
             sys.stdout.write(render_kv(pairs))
         return 0
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    _check_out(args.out)
+    if args.jobs == 1:
         reports = [run_experiment(spec) for spec in specs]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(run_experiment, specs))
     os.makedirs(args.out, exist_ok=True)
     for report in reports:                      # spec order, regardless of --jobs

@@ -9,6 +9,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -807,9 +808,12 @@ _DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
      "{config}: unknown key(s): source.1.sample_rate_hz"),
     *(([command, "--set", f"model.{key}=2"], "e5.cfg", f"--set: unknown key(s): model.{key}")
       for command, key in _DATA_DERIVED_KEYS),
+    (["eval", "--jobs", "0"], "e5.cfg", "--jobs must be >= 1, got 0"),
+    (["eval", "--jobs", "-1"], "e5.cfg", "--jobs must be >= 1, got -1"),
 ], ids=["generate", "train", "eval", "train-ratio", "eval-source-key", "train-unknown",
         "file-key-first", "file-value", "generate-sample-rate", "source-sample-rate",
-        *(f"{command}-model.{key}" for command, key in _DATA_DERIVED_KEYS)])
+        *(f"{command}-model.{key}" for command, key in _DATA_DERIVED_KEYS),
+        "eval-jobs-0", "eval-jobs--1"])
 def test_a_config_error_names_the_origin_of_the_value(tmp_path, capsys, argv, config, message):
     if config is None:
         path = None
@@ -904,17 +908,68 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
-# generate's recipe: the sizes as --set options, so that dropping one leaves a
-# small corpus, and the other keys in the config file, whose seed --seed beats
-_MUTATED_SETS = {"num_classes": "2", "trials_per_class": "1", "channels": "2",
-                 "frame_min": "10", "frame_max": "12"}
-_MUTATED_FILE = {"noise_std": "0.05", "class_prefix": "task", "seed": "3"}
+@pytest.mark.parametrize("command, config", [("generate", "synth6.cfg"), ("train", "e5.cfg"),
+                                             ("eval", "e5.cfg")], ids=["generate", "train", "eval"])
+def test_an_out_that_names_a_file_exits_4_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, config):
+    def work(spec):
+        raise AssertionError(f"{command} did its work")
+
+    monkeypatch.setattr(cli, "synth_generate", work)
+    monkeypatch.setattr(cli, "run_experiment", work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(taken)]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{taken}'\n")
+    assert main(argv + ["--show-config"]) == 0            # which writes nothing
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "a file\n"
+
+
+# ---------------------------------------------------------------------------
+# the error contract under any one mutation, for every command
+# ---------------------------------------------------------------------------
+
+_CONFIG, _DATA, _RUNTIME = (_documented_exit_codes()[name]
+                            for name in ("ConfigError", "DataError", "TrainingError"))
 _BAD_VALUES = st.one_of(
     st.integers(-1000, -1).map(str), st.sampled_from(["-0.5", "-1e3", "-inf"]),   # negative
     st.sampled_from(["0", "-0", "0.0", "+0", "0e0"]),                             # zero
     st.just(""),                                                                  # empty
     st.text(st.sampled_from("abefinx_.+-"), min_size=1, max_size=5),              # non-numeric
     st.sampled_from(["nan", "inf", "+inf", "NaN", "Infinity"]))                   # non-finite
+# a --window or --hop value: zero, negative, non-integer, or an integer that
+# may make hop > window or window > TINY_NETWORK's 40 input frames
+_STREAM_SIZES = st.one_of(st.sampled_from(["0", "-0", "+0", "1.5", "1e1", "x", "", " 7 "]),
+                          st.integers(-50, 60).map(str))
+# generate's recipe: the sizes as --set options, so that dropping one leaves a
+# small corpus, and the other keys in the config file, whose seed --seed beats
+_MUTATED_SETS = {"num_classes": "2", "trials_per_class": "1", "channels": "2",
+                 "frame_min": "10", "frame_max": "12"}
+_MUTATED_FILE = {"noise_std": "0.05", "class_prefix": "task", "seed": "3"}
+# train's and eval's config: a synthetic and a csv source, and at least one key
+# of every typed kind
+_MUTATED_EXPERIMENT = dict(line.split(" = ") for line in """experiment.id = tiny
+experiment.seed = 3
+experiment.ratios = 0.8/0.1/0.1
+experiment.block_frames = 10
+source.1.kind = synth
+source.1.num_classes = 3
+source.1.trials_per_class = 10
+source.1.channels = 2
+source.1.frame_min = 30
+source.1.frame_max = 40
+source.1.noise_std = 0.1
+source.2.kind = csv
+source.2.path = traces
+source.2.take = task1
+source.2.rename = task1:extra
+model.conv_filters = 2, 2
+model.kernel_width = 3
+model.fc_sizes = 8
+train.epochs = 2
+train.batch_size = 4
+train.learning_rate = 0.01""".splitlines())
 
 
 def _parsed(value: str, kind):
@@ -935,151 +990,47 @@ def _generate_accepts(pairs: dict[str, str]) -> bool:
             and noise_std >= 0)
 
 
-def _run(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+def _generate_pairs(options, recipe) -> dict[str, str]:
+    """The pairs generate should see: defaults < config file < --set < --seed."""
+    given, pairs = dict(options), cli._generate_defaults()
+    pairs.update(recipe if "--config" in given else {})
+    pairs.update(item.partition("=")[::2] for flag, item in options if flag == "--set")
+    if "--seed" in given:
+        pairs["seed"] = str(int(given["--seed"]))
+    return pairs
 
 
-@settings(max_examples=200, deadline=None, database=None, print_blob=True)
-@given(mutation=st.one_of(
-    st.tuples(st.just("value"), st.sampled_from(sorted(dataset.SYNTH_KEYS)),
-              st.sampled_from(["file", "--set", "--seed"]), _BAD_VALUES),
-    st.tuples(st.sampled_from(["drop", "repeat"]), st.integers(0, len(_MUTATED_SETS) + 2))))
-def test_generate_keeps_the_error_contract_under_any_one_mutation(mutation):
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp)                       # dropping --out writes ./generated
-        file_pairs = dict(_MUTATED_FILE)
-        options = [["--config", "recipe.cfg"], ["--out", "out"], ["--seed", "1"],
-                   *(["--set", f"{key}={value}"] for key, value in _MUTATED_SETS.items())]
-        if mutation[0] == "value":
-            _, key, carrier, value = mutation
-            if carrier == "file":
-                file_pairs[key] = value
-            elif carrier == "--set" or key != "seed":     # --seed carries the seed only
-                options.append(["--set", f"{key}={value}"])
-            else:
-                options[2] = ["--seed", value]
-        elif mutation[0] == "drop":
-            del options[mutation[1]]
-        else:
-            options.append(options[mutation[1]])
-        Path("recipe.cfg").write_text("".join(f"{k} = {v}\n" for k, v in file_pairs.items()))
-        argv = ["generate", *(word for option in options for word in option)]
-
-        # the pairs generate should see: defaults < file < --set < --seed
-        pairs = cli._generate_defaults()
-        pairs.update(file_pairs if ["--config", "recipe.cfg"] in options else {})
-        pairs.update(item.partition("=")[::2] for flag, item in options if flag == "--set")
-        seeds = [value for flag, value in options if flag == "--seed"]
-        usage_error = bool(seeds) and _parsed(seeds[-1], int) is None    # argparse's int()
-        if seeds and not usage_error:
-            pairs["seed"] = str(int(seeds[-1]))
-        accepted = not usage_error and _generate_accepts(
-            {key: value.strip() for key, value in pairs.items()})
-
-        code, stdout, err = _run(argv)
-        assert code == (0 if accepted else _documented_exit_codes()["ConfigError"])
-        written = sorted(Path().glob("*/task*_trial*.csv"))
-        if accepted:
-            assert err == "" and stdout.startswith(f"wrote {len(written)} trace files")
-            assert len(written) == int(pairs["num_classes"]) * int(pairs["trials_per_class"])
-        else:
-            assert stdout == "" and written == []
-            lines = err.splitlines()
-            assert "Traceback" not in err
-            if usage_error:             # argparse's usage, then its one error line
-                assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
-                assert sum(": error: " in line for line in lines) == 1
-            else:
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-
-        shown = _run(argv + ["--show-config"])
-        assert (shown[0] == 0) == accepted
-        assert shown == ((0, cli.render_kv(pairs), "") if accepted else (code, "", err))
+def _passes_checks(command: str, options, config) -> bool:
+    """Whether a run whose input files hold what they should gets past its
+    command's checks, before --out is looked at."""
+    given = dict(options)
+    if given.get("--config") == "missing":
+        return False
+    if command == "generate":
+        return _generate_accepts(_generate_pairs(options, config))
+    if command == "stream":
+        window = int(given.get("--window", streaming.DEFAULT_WINDOW_FRAMES))
+        hop = int(given.get("--hop", streaming.DEFAULT_HOP_FRAMES))
+        return 1 <= hop <= window <= TINY_NETWORK.input_frames
+    if command in ("train", "eval"):                # the bare defaults name no source
+        return ("--config" in given and int(given.get("--seed", 0)) >= 0
+                and int(given.get("--jobs", 1)) >= 1)
+    return True
 
 
-# an experiment config whose lines the test below mutates: a synthetic and a
-# csv source, and at least one key of every typed kind
-_MUTATED_EXPERIMENT = """experiment.id = tiny
-experiment.seed = 3
-experiment.ratios = 0.8/0.1/0.1
-experiment.block_frames = 10
-source.1.kind = synth
-source.1.num_classes = 3
-source.1.trials_per_class = 10
-source.1.channels = 2
-source.1.frame_min = 30
-source.1.frame_max = 40
-source.1.noise_std = 0.1
-source.2.kind = csv
-source.2.path = traces
-source.2.take = task1
-source.2.rename = task1:extra
-model.conv_filters = 2, 2
-model.kernel_width = 3
-model.fc_sizes = 8
-train.epochs = 2
-train.batch_size = 4
-train.learning_rate = 0.01
-"""
-
-
-class _Reached(Exception):
-    """Raised by the stand-in for run_experiment: the config got past parsing."""
-
-
-@settings(max_examples=200, deadline=None, database=None, print_blob=True)
-@given(data=st.data())
-def test_an_experiment_config_keeps_the_error_contract_under_any_one_mutation(data):
-    draw, lines = data.draw, _MUTATED_EXPERIMENT.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["value", "drop", "repeat", "truncate", "insert"]))
-    if kind == "value":
-        at = draw(st.integers(0, len(lines) - 1))
-        lines[at] = lines[at].split("=")[0] + "= " + draw(_BAD_VALUES) + "\n"
-    elif kind == "drop":
-        del lines[draw(st.integers(0, len(lines) - 1))]
-    elif kind == "repeat":
-        lines.append(lines[draw(st.integers(0, len(lines) - 1))])
-    blob = "".join(lines).encode()
-    if kind == "truncate":
-        blob = blob[:draw(st.integers(0, len(blob) - 1))]
-    elif kind == "insert":                          # the config is ASCII: never UTF-8 after this
-        at = draw(st.integers(0, len(blob)))
-        blob = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
-    command = draw(st.sampled_from(["train", "eval"]))
-    reached = []
-
-    def run_experiment(spec):
-        reached.append(spec)
-        raise _Reached()
-
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp)
-        patch.setattr(cli, "run_experiment", run_experiment)
-        Path("tiny.cfg").write_bytes(blob)
-        argv = [command, "--config", "tiny.cfg", "--out", "out"]
-        code, stdout, err = _run(argv)
-        shown = _run(argv + ["--show-config"])
-        assert not Path("out").exists()
-
-    codes = _documented_exit_codes()
-    if reached:                     # main reports the stand-in's exception as a runtime error
-        assert (code, stdout, err) == (4, "", "error: _Reached()\n")
-        [spec] = reached
-        kinds = re.findall(r"^source\.(\d+)\.kind = (.*)$", blob.decode(), re.MULTILINE)
-        assert {int(n): value.strip() for n, value in kinds} == \
-            {n: source.kind for n, source in enumerate(spec.sources, start=1)}
-    else:
-        assert code == codes["ConfigError"] and stdout == "" and "Traceback" not in err
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    # train --show-config prints the bare defaults although they name no source
-    bare_defaults = command == "train" and not blob.strip()
-    assert (shown[0] == 0) == bool(reached or bare_defaults)
-    if not reached and not bare_defaults:
-        assert shown == (code, "", err)
+@dataclass(frozen=True)
+class _Run:
+    """A valid run of one command.  A bad ``files["labels"]`` or config file
+    (written from ``config``) exits 2, any other bad input file 3.  ``options``
+    holds one (flag, value) per option; ``values`` draws a value in place of an
+    option's own, and ``keys`` are the config keys a ``_BAD_VALUES`` value is
+    carried to."""
+    files: dict
+    options: tuple
+    required: tuple = ()
+    values: dict = field(default_factory=dict)
+    config: dict | None = None
+    keys: tuple = ()
 
 
 @functools.cache
@@ -1095,141 +1046,188 @@ def _predict_inputs() -> dict[str, bytes]:
                 "trace": trace.read_bytes(), "labels": b"task1\ntask2\ntask3\n"}
 
 
-_PREDICT_FILES = ("model", "stats", "trace", "labels")
+@functools.cache
+def _runs() -> dict[str, _Run]:
+    inputs = _predict_inputs()
+    chosen = {"--config": st.just("missing"), "--out": st.just("taken"), "--seed": _BAD_VALUES}
+    experiment = (("--config", "config"), ("--out", "out"), ("--seed", "3"),
+                  ("--set", "train.epochs=2"))
+    return {
+        "generate": _Run({}, (("--config", "config"), ("--out", "out"), ("--seed", "1"),
+                              *(("--set", f"{key}={value}") for key, value in _MUTATED_SETS.items())),
+                         values=chosen, config=_MUTATED_FILE, keys=dataset.SYNTH_KEYS),
+        "train": _Run({}, experiment, values=chosen, config=_MUTATED_EXPERIMENT,
+                      keys=tuple(_MUTATED_EXPERIMENT)),
+        "eval": _Run({}, (*experiment, ("--format", "csv"), ("--jobs", "2")), ("--config",),
+                     {**chosen, "--format": st.sampled_from(["text", "json", ""]),
+                      "--jobs": st.one_of(st.sampled_from(["0", "-1", "x", ""]),
+                                          st.integers(-3, 3).map(str))},
+                     _MUTATED_EXPERIMENT, tuple(_MUTATED_EXPERIMENT)),
+        "predict": _Run(inputs, tuple((f"--{name}", name) for name in inputs),
+                        ("--model", "--stats", "--trace")),
+        "stream": _Run({name: inputs[name] for name in ("model", "stats", "labels")},
+                       (("--model", "model"), ("--stats", "stats"), ("--labels", "labels"),
+                        ("--window", "10"), ("--hop", "5"), ("--source", "-")),
+                       ("--model", "--stats"), {"--window": _STREAM_SIZES, "--hop": _STREAM_SIZES}),
+    }
 
 
+_FILE_KINDS = ("truncate", "insert", "change", "drop line", "repeat line")
+
+
+def _mutated_bytes(draw, kind: str, blob: bytes) -> bytes:
+    if kind in ("drop line", "repeat line"):
+        lines = blob.splitlines(keepends=True)
+        at = draw(st.integers(0, len(lines) - 1))
+        return blob + lines[at] if kind == "repeat line" else b"".join(lines[:at] + lines[at + 1:])
+    at = draw(st.integers(0, len(blob) - (kind != "insert")))
+    if kind == "truncate":
+        return blob[:at]
+    if kind == "insert":                # the text inputs are ASCII: never UTF-8 after this
+        return blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+    return blob[:at] + bytes([draw(st.integers(0, 255).filter(lambda b: b != blob[at]))]) + \
+        blob[at + 1:]
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class _Reached(Exception):
+    """Raised by the stand-in for run_experiment: the run got past every check."""
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "predict", "stream"])
 @settings(max_examples=200, deadline=None, database=None, print_blob=True)
 @given(data=st.data())
-def test_predict_keeps_the_error_contract_under_any_one_mutation(data):
-    # a model's payload bytes are not mutated: a flipped weight still loads
-    draw, files = data.draw, dict(_predict_inputs())
-    kind = draw(st.sampled_from(["truncate", "insert", "change", "drop", "repeat"]))
-    options, mutated, index = [[f"--{name}", name] for name in _PREDICT_FILES], None, None
-    if kind == "drop":
-        del options[index := draw(st.integers(0, len(options) - 1))]
-    elif kind == "repeat":
-        options.append(options[draw(st.integers(0, len(options) - 1))])
-    else:
-        mutated = draw(st.sampled_from(_PREDICT_FILES if kind == "truncate" else
-                                       _PREDICT_FILES[1:]))
-        blob = files[mutated]
-        at = draw(st.integers(0, len(blob) - (kind != "insert")))
-        if kind == "truncate":
-            files[mutated] = blob[:at]
-        elif kind == "insert":                  # the inputs are ASCII: never UTF-8 after this
-            files[mutated] = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+def test_every_command_keeps_the_error_contract_under_any_one_mutation(command, data):
+    """One mutation of a valid run, drawn from:
+
+    - an input file (config, model, stats, trace, labels) truncated; a text
+      input given a non-UTF-8 byte, one changed byte, or one line dropped or
+      repeated (a model file is only truncated: a changed weight still loads);
+    - an option dropped or repeated, --config and --set among them;
+    - an option's value: --config naming a missing file, --out naming an
+      existing file, a ``_BAD_VALUES`` --seed, eval's --format outside its
+      choices and --jobs 0, -1 or not an integer, stream's --window or --hop
+      out of range;
+    - a ``_BAD_VALUES`` value for a generate or experiment key, carried by
+      the config file or --set.
+
+    The run exits with the documented code.  On failure it prints nothing to
+    stdout and no traceback, writes no file, and prints one ``error:`` line,
+    or argparse's usage and one ``: error:`` line.  ``--show-config`` exits 0
+    where the run gets past its checks (it ignores --out) and otherwise gives
+    the run's error.  train and eval call a stand-in for run_experiment.
+    """
+    run, draw = _runs()[command], data.draw
+    config, options, mutated = dict(run.config or {}), [list(o) for o in run.options], None
+    kind = draw(st.sampled_from(["file", "drop", "repeat"] + ["option"] * bool(run.values)
+                                + ["key"] * bool(run.keys)))
+    kind = draw(st.sampled_from(_FILE_KINDS)) if kind == "file" else kind
+    if kind == "key":
+        key, value = draw(st.sampled_from(sorted(run.keys))), draw(_BAD_VALUES)
+        if draw(st.booleans()):
+            config[key] = value
         else:
-            byte = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
-            files[mutated] = blob[:at] + bytes([byte]) + blob[at + 1:]
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp)
-        for name, blob in files.items():
-            Path(name).write_bytes(blob)
-        with np.errstate(all="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = _run(["predict", *(word for option in options for word in option)])
-
-    codes = _documented_exit_codes()
-    usage_error = kind == "drop" and _PREDICT_FILES[index] != "labels"    # the others are required
-    if usage_error:
-        want = {codes["ConfigError"]}
-    elif kind in ("drop", "repeat"):
-        want = {0}
-    else:
-        want = {codes["ConfigError"] if mutated == "labels" else codes["DataError"]}
-        if kind == "change" or (kind == "truncate" and mutated != "model"):
-            want.add(0)                 # a changed digit or a dropped last line can be valid
-    assert code in want
-    if code == 0:
-        assert err == "" and re.fullmatch(r"[0-2],[^\n]*(,[^,\n]+){3}\n", stdout)
-        return
-    lines = err.splitlines()
-    assert stdout == "" and "Traceback" not in err
-    if usage_error:                             # argparse's usage, then its one error line
-        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
-        assert sum(": error: " in line for line in lines) == 1
-    else:
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-# a --window or --hop value: zero, negative, non-integer, or an integer that
-# may make hop > window or window > TINY_NETWORK's 40 input frames
-_STREAM_SIZES = st.one_of(st.sampled_from(["0", "-0", "+0", "1.5", "1e1", "x", "", " 7 "]),
-                          st.integers(-50, 60).map(str))
-
-
-def _stream_exit(options) -> tuple[int, bool]:
-    """The exit code the error contract gives stream with these options and
-    valid files, and whether it is argparse's usage error (a required option
-    missing, a size int() rejects); WindowConfig decides the rest."""
-    given, config_error = dict(options), _documented_exit_codes()["ConfigError"]
-    sizes = [_parsed(given[flag], int) if flag in given else default for flag, default in
-             (("--window", streaming.DEFAULT_WINDOW_FRAMES),
-              ("--hop", streaming.DEFAULT_HOP_FRAMES))]
-    if "--model" not in given or "--stats" not in given or None in sizes:
-        return config_error, True
-    window, hop = sizes
-    return (0 if 1 <= hop <= window <= TINY_NETWORK.input_frames else config_error), False
-
-
-@settings(max_examples=200, deadline=None, database=None, print_blob=True)
-@given(data=st.data())
-def test_stream_keeps_the_error_contract_under_any_one_mutation(data):
-    draw, inputs = data.draw, _predict_inputs()
-    files = {name: inputs[name] for name in ("model", "stats", "labels")}
-    options = [["--model", "model"], ["--stats", "stats"], ["--labels", "labels"],
-               ["--window", "10"], ["--hop", "5"], ["--source", "-"]]
-    kind = draw(st.sampled_from(["truncate", "insert", "change", "drop", "repeat", "size"]))
-    mutated = None
-    if kind == "drop":
+            options.append(["--set", f"{key}={value}"])
+    files = dict(run.files)
+    if run.config is not None:
+        files["config"] = "".join(f"{key} = {value}\n" for key, value in config.items()).encode()
+    if kind in _FILE_KINDS:
+        mutated = draw(st.sampled_from([name for name in files
+                                        if kind == "truncate" or name != "model"]))
+        files[mutated] = _mutated_bytes(draw, kind, files[mutated])
+    elif kind == "drop":
         del options[draw(st.integers(0, len(options) - 1))]
     elif kind == "repeat":
         options.append(options[draw(st.integers(0, len(options) - 1))])
-    elif kind == "size":
-        options[draw(st.sampled_from([3, 4]))][1] = draw(_STREAM_SIZES)
+    elif kind == "option":
+        flag = draw(st.sampled_from(sorted(run.values)))
+        [option] = [option for option in options if option[0] == flag]
+        option[1] = draw(run.values[flag])
+
+    given = dict(options)
+    usage = (any(flag not in given for flag in run.required)           # argparse's rules
+             or any(_parsed(given[flag], int) is None
+                    for flag in ("--seed", "--jobs", "--window", "--hop") if flag in given)
+             or given.get("--format", "text") not in ("text", "csv"))
+    if usage:
+        want = {_CONFIG}
+    elif mutated is not None:
+        code = _CONFIG if mutated in ("config", "labels") else _DATA
+        # a changed digit or a dropped last line can leave a valid file
+        want = {code} if kind == "insert" or mutated == "model" else {0, code}
+    elif kind == "key" and command in ("train", "eval"):
+        want = {0, _CONFIG}                     # the experiment parser's rules decide
+    elif _passes_checks(command, options, config):
+        want = {_RUNTIME if given.get("--out") == "taken" else 0}
     else:
-        mutated = draw(st.sampled_from(list(files) if kind == "truncate" else ["stats", "labels"]))
-        blob = files[mutated]
-        at = draw(st.integers(0, len(blob) - (kind != "insert")))
-        if kind == "truncate":
-            files[mutated] = blob[:at]
-        elif kind == "insert":                  # the inputs are ASCII: never UTF-8 after this
-            files[mutated] = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
-        else:
-            byte = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
-            files[mutated] = blob[:at] + bytes([byte]) + blob[at + 1:]
-    frames = [line.split(",", 1)[1] for line in inputs["trace"].decode().splitlines()[1:]]
+        want = {_CONFIG}
+
+    reached = []
+
+    def run_experiment(spec):
+        reached.append(spec)
+        raise _Reached()
+
+    frames = [row.split(",", 1)[1] for row in _predict_inputs()["trace"].decode().splitlines()[1:]]
+    argv = [command, *(word for option in options for word in option)]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp)
-        for name, blob in files.items():
-            Path(name).write_bytes(blob)
+        patch.chdir(tmp)                        # a dropped --out writes below the directory
+        patch.setattr(cli, "run_experiment", run_experiment)
         _set_stdin(patch, "\n".join(frames) + "\n")
+        for name, blob in {**files, "taken": b"a file\n"}.items():
+            Path(name).write_bytes(blob)
+        before = set(Path().rglob("*"))
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, stdout, err = _run(["stream", *(word for option in options for word in option)])
+            code, stdout, err = _run(argv)
+            written = set(Path().rglob("*")) - before
+            shown = _run(argv + ["--show-config"]) if run.config is not None else None
+        assert set(Path().rglob("*")) - before == written          # --show-config writes none
+        read = parse_kv_file("config") if reached else {}
 
-    codes, usage_error = _documented_exit_codes(), False
-    if mutated is None:
-        expected, usage_error = _stream_exit(options)
-        want = {expected}
-    else:
-        want = {codes["ConfigError"] if mutated == "labels" else codes["DataError"]}
-        if kind == "change" or (kind == "truncate" and mutated != "model"):
-            want.add(0)                 # a changed digit or a dropped last line can be valid
+    if reached:                 # main reports the stand-in's exception as a runtime error
+        assert (code, stdout, err, written) == (_RUNTIME, "", "error: _Reached()\n", set())
+        read.update(item.partition("=")[::2] for flag, item in options if flag == "--set")
+        [spec] = reached
+        assert {n: source.kind for n, source in enumerate(spec.sources, start=1)} == {
+            int(key.split(".")[1]): value for key, value in read.items()
+            if re.fullmatch(r"source\.\d+\.kind", key)}
+        code = 0                # the run got past every check
     assert code in want
-    if code == 0:
-        hop = int(dict(options)["--hop"])
-        lines = stdout.split("\n")            # a class name may hold \v or \x85
+    if code != 0:
+        assert stdout == "" and written == set() and "Traceback" not in err
+        lines = err.splitlines()
+        if usage:                               # argparse's usage, then its one error line
+            assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+            assert sum(": error: " in line for line in lines) == 1
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert (code == _RUNTIME) == (err == "error: [Errno 17] File exists: 'taken'\n")
+    elif command == "generate":
+        traces = [path for path in written if path.match("task*_trial*.csv")]
+        pairs = _generate_pairs(options, config)
+        assert len(traces) == int(pairs["num_classes"]) * int(pairs["trials_per_class"])
+        assert err == "" and stdout == (f"wrote {len(traces)} trace files and manifest.csv to "
+                                        f"{given.get('--out', 'generated')}\n")
+    elif command == "predict":
+        assert err == "" and re.fullmatch(r"[0-2],[^\n]*(,[^,\n]+){3}\n", stdout)
+    elif command == "stream":
+        lines = stdout.split("\n")              # a class name may hold \v or \x85
+        hop = int(given.get("--hop", streaming.DEFAULT_HOP_FRAMES))
         assert err == "" and lines.pop() == "" and len(lines) == len(frames) // hop
         assert all(re.fullmatch(r"\d+,[0-2],[^\n]*(,[^,\n]+){3},[01]", line) for line in lines)
-        return
-    lines = err.splitlines()
-    assert stdout == "" and "Traceback" not in err
-    if usage_error:                             # argparse's usage, then its one error line
-        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
-        assert sum(": error: " in line for line in lines) == 1
-    else:
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    if shown is not None and code in (0, _RUNTIME):     # a taken --out is not read
+        assert shown[0] == 0 and shown[2] == ""
+        if command == "generate" and mutated is None:
+            assert shown[1] == cli.render_kv(_generate_pairs(options, config))
+    elif shown is not None:
+        assert shown == (code, "", err)
 
 
 def test_every_option_a_subcommand_accepts_is_read(tmp_path, capsys, monkeypatch):

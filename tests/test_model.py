@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import os
 import struct
+import threading
 import time
 import tracemalloc
 
@@ -743,7 +745,20 @@ def _state_arrays(net):
     return items
 
 
+def _load_through_a_fifo(path):
+    """load_model on a file that cannot seek: a FIFO that one thread writes."""
+    fifo = path.with_suffix(".fifo")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    network = load_model(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return network
+
+
 _LOADERS = {"file": lambda path: load_model(str(path)),
+            "fifo": _load_through_a_fifo,
             "bytes": lambda path: deserialize(path.read_bytes()),
             "bytearray": lambda path: deserialize(bytearray(path.read_bytes()))}
 
@@ -771,18 +786,19 @@ def test_deserialize_of_bytes_bytearray_and_load_model_serialize_alike(tmp_path)
 
 def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clone(tmp_path):
     net = _trained_small_network(45)
-    path = str(tmp_path / "model.intc")
-    save_model(net, path)
+    path = tmp_path / "model.intc"
+    save_model(net, str(path))
     x = make_batch(np.random.default_rng(46), SMALL, 8)
     targets = one_hot(np.array([0, 1, 2, 0, 1, 2, 0, 1]), SMALL.num_classes)
     stepped = []
-    for copy in (load_model(path), deserialize(serialize(net)), net):
+    for copy in (load_model(str(path)), _load_through_a_fifo(path), deserialize(serialize(net)),
+                 net):
         logits, caches = copy.forward_train(x)
         grads = copy.backward(caches, softmax_cce_logit_grad(softmax(logits), targets))
         copy.update_running_stats(caches)
         _Adam(TrainSpec()).apply(copy.param_items(), grads)
         stepped.append(serialize(copy))
-    assert stepped[0] == stepped[1] == stepped[2] != open(path, "rb").read()
+    assert stepped[0] == stepped[1] == stepped[2] == stepped[3] != path.read_bytes()
 
 
 def test_deserialize_rejects_bad_magic_and_version():
