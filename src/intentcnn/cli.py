@@ -118,7 +118,11 @@ def _effective_pairs(args, defaults: dict[str, str], seed_key: str,
 
 
 def _check_out(path: str) -> None:
-    if os.path.lexists(path) and not os.path.isdir(path):     # before the work, not after it
+    try:                                # before the work, not after it
+        os.lstat(path)                  # NotADirectoryError below a file
+    except FileNotFoundError:
+        return
+    if not os.path.isdir(path):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 

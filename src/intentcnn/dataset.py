@@ -520,8 +520,9 @@ def standardize_fit(dataset: LabeledDataset) -> StandardizationStats:
 
 def standardize_apply(dataset: LabeledDataset, stats: StandardizationStats) -> LabeledDataset:
     """Map every non-padded value to (x - mean) / std; padded frames stay zero."""
-    out = [replace(trace, values=prepare_input(trace.source_values(), stats, trace.frames))
-           for trace in dataset.traces]
+    with np.errstate(over="ignore"):        # the Trace check reports overflow, not a warning
+        out = [replace(trace, values=prepare_input(trace.source_values(), stats, trace.frames))
+               for trace in dataset.traces]
     return LabeledDataset(traces=out, labels=dataset.labels, vocab=dataset.vocab)
 
 
@@ -665,25 +666,24 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec
 # relabeling / class selection / fusion
 # ---------------------------------------------------------------------------
 
-def relabel_binary(dataset: LabeledDataset, positive_classes) -> LabeledDataset:
-    """Collapse to two classes: positive set -> 1, the rest -> 0.
+def relabel_binary(dataset: LabeledDataset, positive_names) -> LabeledDataset:
+    """Collapse to two classes: the named positive classes -> 1, the rest -> 0.
 
-    ``positive_classes`` is a set of vocab indices; it must be a non-empty
-    proper subset.  The new vocabulary records which source classes landed on
-    each side.
+    ``positive_names`` must name a non-empty proper subset of the vocab.  The
+    new vocabulary records which source classes landed on each side.
     """
-    positive = {int(k) for k in positive_classes}
+    positive = set(positive_names)
+    unknown = [name for name in positive_names if name not in dataset.vocab]
+    if unknown:
+        raise RelabelError(f"positive class name(s) {unknown} not in vocab {list(dataset.vocab)}")
     if not positive:
         raise RelabelError("positive class set is empty")
-    if not positive.issubset(range(len(dataset.vocab))):
-        raise RelabelError(f"positive classes {sorted(positive)} outside vocab of "
-                           f"{len(dataset.vocab)} classes")
     if len(positive) == len(dataset.vocab):
         raise RelabelError("positive class set covers every class; nothing to separate")
-    negative_names = [name for k, name in enumerate(dataset.vocab) if k not in positive]
-    positive_names = [name for k, name in enumerate(dataset.vocab) if k in positive]
-    vocab = (f"neg({'+'.join(negative_names)})", f"pos({'+'.join(positive_names)})")
-    labels = np.isin(dataset.labels, sorted(positive)).astype(np.int64)
+    negatives = [name for name in dataset.vocab if name not in positive]
+    positives = [name for name in dataset.vocab if name in positive]
+    vocab = (f"neg({'+'.join(negatives)})", f"pos({'+'.join(positives)})")
+    labels = np.isin(dataset.labels, [dataset.vocab.index(name) for name in positives])
     return LabeledDataset(traces=list(dataset.traces), labels=labels, vocab=vocab)
 
 

@@ -221,7 +221,7 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
     if spec.select is not None:
         data = stage("select", lambda: select_classes(data, spec.select))
     if spec.relabel_positive is not None:
-        data = stage("relabel", lambda: _relabel_by_name(data, spec.relabel_positive))
+        data = stage("relabel", lambda: relabel_binary(data, spec.relabel_positive))
     if not data.traces:
         raise ExperimentError(spec.experiment_id, "select",
                               InputError("no traces left after source shaping"))
@@ -259,14 +259,6 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
         train_spec=spec.train,
         outcomes=outcomes,
     )
-
-
-def _relabel_by_name(data: LabeledDataset, positive_names) -> LabeledDataset:
-    unknown = [name for name in positive_names if name not in data.vocab]
-    if unknown:
-        raise InputError(f"positive class name(s) {unknown} not in vocab {list(data.vocab)}")
-    positive = {data.vocab.index(name) for name in positive_names}
-    return relabel_binary(data, positive)
 
 
 def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, stats,

@@ -11,7 +11,7 @@ share one forward runner, which never convolves a sample's zero tail
 padding: its pooled columns all equal one column, computed once and copied.
 Training packs the batch's live prefixes into one sequence, folds the tail's
 gradient into that column and runs each dense layer as one GEMM; inference
-keeps one product per dense row, so that no sample depends on its batch.
+runs each prefix and each dense row alone, so no sample depends on its batch.
 
 All learnable parameters are float32; an alternative dtype can be requested
 at build time for high-precision gradient verification.  Model files use the
@@ -358,12 +358,12 @@ class Network:
         ``(1, C, frames)`` block, each prefix zero-padded to a multiple of
         ``step``: every segment starts on a pooled column, so conv and pool
         compute its columns as for the sample alone.  Inference runs one
-        ``(n, C, width)`` block per prefix width and never packs samples
-        together: a column's bits could then depend on where it sits in the
-        GEMM.  Sample i's pooled column j is its block's column
-        ``first_i + min(j, last_i)``: the tail copies the last column its
-        prefix computes, and no packed column whose windows cross into the
-        next segment is read.  conv1's cache adds each sample's (first, last).
+        ``(1, C, width)`` view of each sample's prefix, so that no column's
+        bits depend on where it sits in a GEMM.  Sample i's pooled column j
+        is its block's column ``first_i + min(j, last_i)``: the tail copies
+        the last column its prefix computes, and no packed column whose
+        windows cross into the next segment is read.  conv1's cache adds each
+        sample's (first, last).
         """
         x = self._check_input(x)
         widths = self._prefix_widths(x)
@@ -375,23 +375,19 @@ class Network:
             for sample, start, width in zip(x, starts, widths):
                 packed[0, :, start:start + width] = sample[:, :width]
             firsts = (starts // self.step).tolist()
-            blocks = [(packed, [(i, 0, first) for i, first in enumerate(firsts)])]
+            blocks = [(packed, list(enumerate(firsts)))]
         else:
-            groups: dict[int, list[int]] = {}           # prefix width -> its samples
-            for i, width in enumerate(widths.tolist()):
-                groups.setdefault(width, []).append(i)
-            blocks = ((x[rows, :, :width], [(i, row, 0) for row, i in enumerate(rows)])
-                      for width, rows in groups.items())      # one prefix copy alive at a time
+            blocks = ((x[i:i + 1, :, :width], [(i, 0)]) for i, width in enumerate(widths.tolist()))
         pooled = np.empty((len(x), *self.conv_out_shape), self.dtype)
         caches = []
-        for a, members in blocks:                       # members: (sample, block row, first)
+        for a, members in blocks:                       # members: (sample, first column)
             for layer in self.conv_stack:
                 a, cache = layer.forward(a, train)
                 caches.append(cache)
-            for i, row, first in members:
+            for i, first in members:
                 last = first + lasts[i]
-                pooled[i, :, :lasts[i]] = a[row, :, first:last]
-                pooled[i, :, lasts[i]:] = a[row, :, last:last + 1]
+                pooled[i, :, :lasts[i]] = a[0, :, first:last]
+                pooled[i, :, lasts[i]:] = a[0, :, last:last + 1]
         if train:
             caches[0] = (caches[0], list(zip(firsts, lasts)))
         a = pooled.reshape(len(x), -1)

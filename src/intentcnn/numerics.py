@@ -82,7 +82,7 @@ def _masked(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check x against weights; return (x, weights as (K, O, C))."""
+    """Check x against (O, C, K) weights; return both as arrays."""
     x = _batched(x, 3)
     weights = np.asarray(weights)
     if weights.ndim != 3 or weights.shape[2] < 1:
@@ -92,8 +92,7 @@ def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
         raise DimensionError(f"input has {x.shape[1]} channels but kernels expect {in_channels}")
     if x.shape[2] < kernel_width:
         raise DegenerateInputError(f"{x.shape[2]} frames is shorter than kernel width {kernel_width}")
-    # one contiguous (O, C) matrix per tap, so every tap product is a plain GEMM
-    return x, np.ascontiguousarray(weights.transpose(2, 0, 1))
+    return x, weights
 
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -107,7 +106,8 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     Taps accumulate in ascending k, one (O, C) @ (C, T) GEMM per tap and
     sample, and the bias comes last, so no sample depends on its batch.
     """
-    x, w_taps = _conv_operands(x, weights)
+    x, weights = _conv_operands(x, weights)
+    w_taps = np.ascontiguousarray(weights.transpose(2, 0, 1))    # (K, O, C): plain GEMMs
     bias = np.asarray(bias)
     if bias.shape != (w_taps.shape[1],):
         raise DimensionError(f"bias shape {bias.shape} does not match {w_taps.shape[1]} output channels")
@@ -134,20 +134,21 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     dweights and dbias are the same bits as in the full call.  A network's
     first layer needs no gradient for its input.
     """
-    x, w_taps = _conv_operands(x, weights)
+    x, weights = _conv_operands(x, weights)
+    out_channels, _, kernel_width = weights.shape
     upstream = np.asarray(upstream)
-    taps = _taps(x, len(w_taps), 1)
-    out_shape = (x.shape[0], w_taps.shape[1], taps[0].shape[2])
+    taps = _taps(x, kernel_width, 1)
+    out_shape = (x.shape[0], out_channels, taps[0].shape[2])
     if upstream.shape != out_shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match forward output {out_shape}")
     dbias = upstream.sum(axis=(0, 2))
     dweights = np.stack([(upstream @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
     if not input_grad:
         return None, dweights, dbias
-    shares = np.asarray(weights).reshape(len(weights), -1).T @ upstream   # (B, C*K, T)
-    shares = shares.reshape(len(upstream), x.shape[1], len(w_taps), -1)
+    shares = weights.reshape(out_channels, -1).T @ upstream   # (B, C*K, T)
+    shares = shares.reshape(len(upstream), x.shape[1], kernel_width, -1)
     dx = np.zeros(x.shape, dtype=shares.dtype)
-    for k, dx_tap in enumerate(_taps(dx, len(w_taps), 1)):
+    for k, dx_tap in enumerate(_taps(dx, kernel_width, 1)):
         dx_tap += shares[:, :, k]
     return dx, dweights, dbias
 

@@ -919,11 +919,14 @@ def test_an_out_that_names_a_file_exits_4_before_any_work(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "run_experiment", work)
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
-    argv = [command, "--config", str(CONFIGS / config), "--out", str(taken)]
-    assert main(argv) == 4
-    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{taken}'\n")
-    assert main(argv + ["--show-config"]) == 0            # which writes nothing
-    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "a file\n"
+    for out, message in ((taken, "[Errno 17] File exists"),
+                         (taken / "sub", "[Errno 20] Not a directory")):   # below a file
+        argv = [command, "--config", str(CONFIGS / config), "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", f"error: {message}: '{out}'\n")
+        assert main(argv + ["--show-config"]) == 0            # which writes nothing
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "a file\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1036,12 @@ class _Run:
     keys: tuple = ()
 
 
+# --out values the run refuses, each with its one error line: the file
+# "taken", written for every run, and a path below it
+_TAKEN_OUTS = {"taken": "error: [Errno 17] File exists: 'taken'\n",
+               "taken/sub": "error: [Errno 20] Not a directory: 'taken/sub'\n"}
+
+
 @functools.cache
 def _predict_inputs() -> dict[str, bytes]:
     """A valid predict's input files: a small model, its stats, a trace, labels."""
@@ -1049,7 +1058,8 @@ def _predict_inputs() -> dict[str, bytes]:
 @functools.cache
 def _runs() -> dict[str, _Run]:
     inputs = _predict_inputs()
-    chosen = {"--config": st.just("missing"), "--out": st.just("taken"), "--seed": _BAD_VALUES}
+    chosen = {"--config": st.just("missing"), "--out": st.sampled_from(list(_TAKEN_OUTS)),
+              "--seed": _BAD_VALUES}
     experiment = (("--config", "config"), ("--out", "out"), ("--seed", "3"),
                   ("--set", "train.epochs=2"))
     return {
@@ -1111,9 +1121,9 @@ def test_every_command_keeps_the_error_contract_under_any_one_mutation(command, 
       repeated (a model file is only truncated: a changed weight still loads);
     - an option dropped or repeated, --config and --set among them;
     - an option's value: --config naming a missing file, --out naming an
-      existing file, a ``_BAD_VALUES`` --seed, eval's --format outside its
-      choices and --jobs 0, -1 or not an integer, stream's --window or --hop
-      out of range;
+      existing file or a path below it, a ``_BAD_VALUES`` --seed, eval's
+      --format outside its choices and --jobs 0, -1 or not an integer,
+      stream's --window or --hop out of range;
     - a ``_BAD_VALUES`` value for a generate or experiment key, carried by
       the config file or --set.
 
@@ -1164,7 +1174,7 @@ def test_every_command_keeps_the_error_contract_under_any_one_mutation(command, 
     elif kind == "key" and command in ("train", "eval"):
         want = {0, _CONFIG}                     # the experiment parser's rules decide
     elif _passes_checks(command, options, config):
-        want = {_RUNTIME if given.get("--out") == "taken" else 0}
+        want = {_RUNTIME if given.get("--out") in _TAKEN_OUTS else 0}
     else:
         want = {_CONFIG}
 
@@ -1208,7 +1218,7 @@ def test_every_command_keeps_the_error_contract_under_any_one_mutation(command, 
             assert sum(": error: " in line for line in lines) == 1
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert (code == _RUNTIME) == (err == "error: [Errno 17] File exists: 'taken'\n")
+        assert (code == _RUNTIME) == (err == _TAKEN_OUTS.get(given.get("--out")))
     elif command == "generate":
         traces = [path for path in written if path.match("task*_trial*.csv")]
         pairs = _generate_pairs(options, config)

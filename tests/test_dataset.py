@@ -853,19 +853,20 @@ def test_stratified_split_rejects_empty_partition():
 
 def test_relabel_binary_maps_and_names():
     data = make_dataset([3, 3, 3], vocab=("task2", "task4", "extra"))
-    out = relabel_binary(data, positive_classes={1})
+    out = relabel_binary(data, ["task4"])
     assert out.vocab == ("neg(task2+extra)", "pos(task4)")
     npt.assert_array_equal(out.labels, [0, 0, 0, 1, 1, 1, 0, 0, 0])
 
 
 def test_relabel_binary_rejects_bad_sets():
-    data = make_dataset([3, 3])
-    with pytest.raises(RelabelError):
-        relabel_binary(data, positive_classes=set())
-    with pytest.raises(RelabelError):
-        relabel_binary(data, positive_classes={0, 1})
-    with pytest.raises(RelabelError):
-        relabel_binary(data, positive_classes={5})
+    data = make_dataset([3, 3], vocab=("task1", "task2"))
+    with pytest.raises(RelabelError, match="empty"):
+        relabel_binary(data, [])
+    with pytest.raises(RelabelError, match="covers every class"):
+        relabel_binary(data, ["task2", "task1"])
+    with pytest.raises(RelabelError, match=re.escape(
+            "positive class name(s) ['task6'] not in vocab ['task1', 'task2']")):
+        relabel_binary(data, ["task1", "task6"])
 
 
 def test_select_classes_keeps_vocab_order():

@@ -2,14 +2,15 @@
 
 import csv as csv_module
 import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from intentcnn.config import parse_kv_file
-from intentcnn.dataset import SynthSpec, load_stats, padded_length
-from intentcnn.errors import ConfigError, ExperimentError, InputError
+from intentcnn.dataset import SynthSpec, Trace, load_stats, padded_length, write_trace_csv
+from intentcnn.errors import ConfigError, ExperimentError, InputError, NumericError, RelabelError
 from intentcnn.evaluation import (
     DEFAULT_RATIOS,
     ExperimentSpec,
@@ -220,6 +221,34 @@ def test_run_experiment_wraps_stage_errors():
     assert err.stage == "select"
     assert isinstance(err.cause, InputError)
     assert "tiny" in str(err) and "select" in str(err)
+
+
+def test_run_experiment_reports_an_unknown_positive_class_by_name():
+    with pytest.raises(ExperimentError) as excinfo:
+        run_experiment(small_spec(relabel_positive=("task2", "nosuch")))
+    assert excinfo.value.stage == "relabel" and isinstance(excinfo.value.cause, RelabelError)
+    assert str(excinfo.value.cause) == ("positive class name(s) ['nosuch'] not in vocab "
+                                        "['task1', 'task2', 'task3']")
+
+
+def test_a_trace_that_standardizes_past_float32_fails_its_stage_without_a_warning(tmp_path):
+    # small channel spreads put the one 3e38 value past float32 once it is
+    # standardized; at seed 0 its trace lands outside the training part
+    rng = np.random.default_rng(0)
+    for n in range(12):
+        values = rng.normal(0.0, 0.1, (2, 30)).astype(np.float32)
+        if n == 0:
+            values[1, 7] = 3e38
+        write_trace_csv(Trace(values=values, channel_names=("c01", "c02")),
+                        str(tmp_path / f"task{n % 2 + 1}_trial{n // 2 + 1:02d}.csv"))
+    spec = small_spec(experiment_id="ovf", sources=(SourceSpec(kind="csv", path=str(tmp_path)),),
+                      ratios=((0.6, 0.2, 0.2),), seed=0)
+    with warnings.catch_warnings(), pytest.raises(ExperimentError) as excinfo:
+        warnings.simplefilter("error")
+        run_experiment(spec)
+    assert excinfo.value.stage == "standardize_apply"
+    assert isinstance(excinfo.value.cause, NumericError)
+    assert str(excinfo.value.cause) == "trace values contain NaN or Inf"
 
 
 def test_run_experiment_wraps_load_errors(tmp_path):

@@ -470,7 +470,7 @@ def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
         original = getattr(model_module, f"maxpool1d_{kind}")
 
         def recorder(*args, _original=original, _recorded=recorded, **kwargs):
-            _recorded.append(args)
+            _recorded.append((args, kwargs))
             return _original(*args, **kwargs)
         monkeypatch.setattr(model_module, f"maxpool1d_{kind}", recorder)
     config = NetworkConfig()
@@ -489,7 +489,8 @@ def test_train_step_calls_each_pool_primitive_once_per_pool_layer(monkeypatch):
         shapes.append((1, filters, frames))
         frames = (frames - config.pool) // config.pool_stride + 1
     for kind, order in (("forward", shapes), ("backward", shapes[::-1])):
-        step = [args for args in calls[kind] if args[0].shape[0] == 1]   # not validation's 3
+        # the training step's forward keeps routes; validation's batch-1 calls do not
+        step = [args for args, kwargs in calls[kind] if kind == "backward" or kwargs.get("routes")]
         assert [tuple(args[0].shape) for args in step] == order
         assert [args[1:3] for args in step] == [(config.pool, config.pool_stride)] * len(order)
 
@@ -587,6 +588,25 @@ def test_chunked_adam_is_bitwise_the_whole_array_formula(dtype):
         assert got.tobytes() == want.tobytes(), key
         assert adam.m[key].tobytes() == oracle.m[key].tobytes(), key
         assert adam.v[key].tobytes() == oracle.v[key].tobytes(), key
+
+
+def test_an_sgd_step_moves_every_parameter_by_exactly_lr_times_its_gradient():
+    x, y = separable_data(SMALL, per_class=5)
+    spec = TrainSpec(epochs=1, batch_size=8, learning_rate=0.05, optimizer="sgd", seed=3)
+    net = build_network(SMALL, seed=21)
+    before = {key: value.copy() for key, value in net.param_items()}
+    # train's first batch is its seed's permutation of the 8 training samples
+    take = np.random.default_rng(spec.seed).permutation(8)
+    logits, caches = net.forward_train(x[take])
+    grads = net.backward(caches, softmax_cce_logit_grad(softmax(logits),
+                                                        one_hot(y[take], SMALL.num_classes)))
+    result = train(net, x[:8], y[:8], x[8:], y[8:], spec)
+    assert result.best_epoch == 0
+    for key, value in net.param_items():
+        assert value.dtype == grads[key].dtype == np.float32, key
+        want = before[key] - np.float32(spec.learning_rate) * grads[key]
+        assert value.tobytes() == want.tobytes(), key
+        assert value.tobytes() != before[key].tobytes(), key
 
 
 def test_train_learns_separable_classes():
