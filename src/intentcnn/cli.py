@@ -225,15 +225,14 @@ def _cmd_predict(args) -> int:
         if got != want:
             raise InputError(f"{args.trace}: channel {k} is {excerpt(got)} where {args.stats} "
                              f"has {excerpt(want)}")
-    with np.errstate(all="ignore"):      # overflow is reported by the checks, not warned
-        x = prepare_input(trace.values, stats, network.config.input_frames)
-        overflowed = ~np.isfinite(x[:, :trace.frames].T)
-        if overflowed.any():
-            r, c = divmod(int(np.argmax(overflowed)), trace.channels)
-            raise NumericError(f"{args.trace}: row {r + 2}, column "
-                               f"{excerpt(trace.channel_names[c])}: standardized value "
-                               f"overflows float32")
-        probs = network.predict_proba(x[None, :, :])[0]
+    x = prepare_input(trace.values, stats, network.config.input_frames)
+    overflowed = ~np.isfinite(x[:, :trace.frames].T)
+    if overflowed.any():
+        r, c = divmod(int(np.argmax(overflowed)), trace.channels)
+        raise NumericError(f"{args.trace}: row {r + 2}, column "
+                           f"{excerpt(trace.channel_names[c])}: standardized value "
+                           f"overflows float32")
+    probs = network.predict_proba(x[None, :, :])[0]
     label = int(np.argmax(probs))
     name = class_names[label] if class_names is not None else f"class{label}"
     rendered = ",".join(f"{float(p):.9g}" for p in probs)

@@ -449,9 +449,11 @@ class Network:
         offline batch evaluation agree bit for bit.  Values may differ in
         their last bits from the training forward's, which packs the batch,
         runs each dense layer as one GEMM over the batch and normalizes with
-        batch statistics.
+        batch statistics.  NumPy's warnings are off, as a finite input can
+        still overflow: softmax's finiteness check reports it as NumericError.
         """
-        return softmax(self.forward_infer(x))
+        with np.errstate(all="ignore"):
+            return softmax(self.forward_infer(x))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=-1)

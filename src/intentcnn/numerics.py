@@ -125,10 +125,11 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     """Gradients of a scalar loss through conv1d_forward.
 
     upstream has the forward output's shape.  Returns (dx, dweights, dbias)
-    with the shapes of x, weights and bias respectively.  Per tap k,
-    dweights[:, :, k] sums upstream @ tap_k^T over the batch.  dx takes one
-    stacked (C*K, O) @ (O, T) GEMM per sample, whose rows c*K + k form
-    weights[:, :, k]^T @ upstream, added into tap k's frames in ascending k.
+    shaped as x, weights and bias.  dweights[:, :, k] is tap_k @ upstream^T
+    summed over the batch and transposed: a (C, T) @ (T, O) GEMM per sample on
+    one contiguous (B, T, O) copy of upstream.  dx takes one stacked (C*K, O) @
+    (O, T) GEMM per sample, whose rows c*K + k form weights[:, :, k]^T @
+    upstream, added into tap k's frames in ascending k.
 
     With ``input_grad=False`` dx is not computed and comes back as None;
     dweights and dbias are the same bits as in the full call.  A network's
@@ -142,7 +143,8 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     if upstream.shape != out_shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match forward output {out_shape}")
     dbias = upstream.sum(axis=(0, 2))
-    dweights = np.stack([(upstream @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2)
+    up_t = np.ascontiguousarray(upstream.transpose(0, 2, 1))  # (B, T, O): faster than (O, T) @ (T, C)
+    dweights = np.stack([(tap @ up_t).sum(axis=0).T for tap in taps], axis=2)
     if not input_grad:
         return None, dweights, dbias
     shares = weights.reshape(out_channels, -1).T @ upstream   # (B, C*K, T)

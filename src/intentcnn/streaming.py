@@ -173,15 +173,14 @@ def classify_window(window: Window, cfg: WindowConfig) -> StreamPrediction:
     Only the real (received) frames are standardized; warm-up front-fill and
     the tail padding stay exactly zero, matching training-time padding.  A
     standardized value outside float32, or non-finite logits, raise
-    NumericError; those two checks decide, so NumPy's overflow warnings are off.
+    NumericError; those two checks decide, and NumPy prints no warning.
     """
     lo = cfg.window_frames - window.real_frames
-    with np.errstate(all="ignore"):
-        x = prepare_input(window.values[:, lo:], cfg.stats,
-                          cfg.network.config.input_frames, offset=lo)
-        if not np.isfinite(x).all():
-            raise NumericError("standardized window overflows float32")
-        probs = cfg.network.predict_proba(x[None, :, :])[0]
+    x = prepare_input(window.values[:, lo:], cfg.stats,
+                      cfg.network.config.input_frames, offset=lo)
+    if not np.isfinite(x).all():
+        raise NumericError("standardized window overflows float32")
+    probs = cfg.network.predict_proba(x[None, :, :])[0]
     return StreamPrediction(frame_index=window.frame_index,
                             label=int(np.argmax(probs)),
                             probs=probs,

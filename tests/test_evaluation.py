@@ -231,24 +231,43 @@ def test_run_experiment_reports_an_unknown_positive_class_by_name():
                                         "['task1', 'task2', 'task3']")
 
 
-def test_a_trace_that_standardizes_past_float32_fails_its_stage_without_a_warning(tmp_path):
-    # small channel spreads put the one 3e38 value past float32 once it is
-    # standardized; at seed 0 its trace lands outside the training part
+def _run_with_one_huge_value(tmp_path, std, trace, seed):
+    """Run a 12-trace, 2-channel CSV source whose trace number ``trace`` holds
+    one 3e38 value, with warnings as errors; return the ExperimentError."""
     rng = np.random.default_rng(0)
     for n in range(12):
-        values = rng.normal(0.0, 0.1, (2, 30)).astype(np.float32)
-        if n == 0:
+        values = rng.normal(0.0, std, (2, 30)).astype(np.float32)
+        if n == trace:
             values[1, 7] = 3e38
         write_trace_csv(Trace(values=values, channel_names=("c01", "c02")),
                         str(tmp_path / f"task{n % 2 + 1}_trial{n // 2 + 1:02d}.csv"))
     spec = small_spec(experiment_id="ovf", sources=(SourceSpec(kind="csv", path=str(tmp_path)),),
-                      ratios=((0.6, 0.2, 0.2),), seed=0)
+                      ratios=((0.6, 0.2, 0.2),), seed=seed)
     with warnings.catch_warnings(), pytest.raises(ExperimentError) as excinfo:
         warnings.simplefilter("error")
         run_experiment(spec)
-    assert excinfo.value.stage == "standardize_apply"
-    assert isinstance(excinfo.value.cause, NumericError)
-    assert str(excinfo.value.cause) == "trace values contain NaN or Inf"
+    return excinfo.value
+
+
+def test_a_trace_that_standardizes_past_float32_fails_its_stage_without_a_warning(tmp_path):
+    # small channel spreads put the one 3e38 value past float32 once it is
+    # standardized; at seed 0 its trace lands outside the training part
+    err = _run_with_one_huge_value(tmp_path, std=0.1, trace=0, seed=0)
+    assert err.stage == "standardize_apply"
+    assert isinstance(err.cause, NumericError)
+    assert str(err.cause) == "trace values contain NaN or Inf"
+
+
+@pytest.mark.parametrize("trace,stage", [(0, "evaluate"), (5, "train")])
+def test_an_input_that_overflows_the_forward_pass_fails_its_stage_without_a_warning(
+        tmp_path, trace, stage):
+    # with unit spreads the 3e38 value standardizes to a finite float32, which
+    # overflows inside the network; at seed 5 trace 0 lands in the test part
+    # and trace 5 in the validation part, which training evaluates each epoch
+    err = _run_with_one_huge_value(tmp_path, std=1.0, trace=trace, seed=5)
+    assert err.stage == stage
+    assert isinstance(err.cause, NumericError)
+    assert str(err.cause) == "logits contains NaN or Inf"
 
 
 def test_run_experiment_wraps_load_errors(tmp_path):

@@ -178,6 +178,26 @@ def test_conv_backward_without_input_grad_keeps_parameter_grads_bit_exact():
                     assert db_only.tobytes() == db.tobytes(), case
 
 
+@pytest.mark.parametrize("batch,frames", [(1, 10_500), (8, 2_000)])
+@pytest.mark.parametrize("out_channels,channels", [(16, 24), (64, 64)], ids=["conv1", "conv4"])
+def test_conv_weight_grad_at_packed_widths_is_exact_on_dyadic_grid(batch, frames, out_channels,
+                                                                   channels):
+    # e5's conv1 and conv4 channel counts at its packed batch-1 and padded
+    # batch-8 widths, long enough for OpenBLAS's large-shape kernels; every
+    # partial sum stays below 2**24 sixteenths, so any order is exact
+    rng = np.random.default_rng(41)
+    kernel_width = 5
+    x = oracles.dyadic(rng, (batch, channels, frames + kernel_width - 1))
+    w = oracles.dyadic(rng, (out_channels, channels, kernel_width))
+    up = oracles.dyadic(rng, (batch, out_channels, frames))
+    _, dw, db = nm.conv1d_backward(x, w, up, input_grad=False)
+    x64, up64 = x.astype(np.float64), up.astype(np.float64)
+    want = np.stack([np.tensordot(up64, x64[:, :, k:k + frames], axes=([0, 2], [0, 2]))
+                     for k in range(kernel_width)], axis=2)
+    assert dw.tobytes() == want.astype(np.float32).tobytes()
+    assert db.tobytes() == up64.sum(axis=(0, 2)).astype(np.float32).tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 2])
 def test_stacked_conv_input_grad_kernel_is_bitwise_per_tap(batch):
     # float32 normal values on packed-like shapes (one long sequence per
