@@ -28,7 +28,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .config import csv_cell, csv_text, parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
+from .config import csv_text, parse_kv_file, read_utf8, render_kv, split_lines, write_utf8
 from .dataset import (
     SynthSpec,
     format_ratio,
@@ -55,8 +55,10 @@ from .streaming import (
     DEFAULT_WINDOW_FRAMES,
     StreamPrediction,
     WindowConfig,
+    check_model_inputs,
     format_error_record,
     format_prediction,
+    format_probs,
     open_line_source,
     stream_classify_batches,
 )
@@ -81,12 +83,6 @@ def _rendered_defaults(obj, prefix: str = "", skip=()) -> dict[str, str]:
     field not in ``skip``; tuples become comma lists."""
     return {prefix + key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
             for key, v in asdict(obj).items() if key not in skip}
-
-
-def _generate_defaults() -> dict[str, str]:
-    pairs = _rendered_defaults(SynthSpec())
-    pairs["frame_min"], pairs["frame_max"] = pairs.pop("frame_range").split(", ")
-    return pairs
 
 
 def _experiment_defaults() -> dict[str, str]:
@@ -140,7 +136,7 @@ def _read_labels(path: str | None) -> tuple[str, ...] | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    pairs, origins = _effective_pairs(args, _generate_defaults(), "seed", args.config)
+    pairs, origins = _effective_pairs(args, _rendered_defaults(SynthSpec()), "seed", args.config)
     spec = parse_synth_spec(pairs, args.config or "<defaults>", origins)
     if args.show_config:
         sys.stdout.write(render_kv(pairs))
@@ -217,9 +213,7 @@ def _cmd_predict(args) -> int:
     network = load_model(args.model)
     stats, channel_names = load_stats(args.stats)
     class_names = _read_labels(args.labels)
-    if class_names is not None and len(class_names) != network.num_classes:
-        raise ConfigError(f"{len(class_names)} class names for "
-                          f"{network.num_classes} classes")
+    check_model_inputs(network, stats, class_names)
     trace = parse_trace_csv(args.trace)
     for k, (got, want) in enumerate(zip_longest(trace.channel_names, channel_names), start=1):
         if got != want:
@@ -233,10 +227,7 @@ def _cmd_predict(args) -> int:
                            f"{excerpt(trace.channel_names[c])}: standardized value "
                            f"overflows float32")
     probs = network.predict_proba(x[None, :, :])[0]
-    label = int(np.argmax(probs))
-    name = class_names[label] if class_names is not None else f"class{label}"
-    rendered = ",".join(f"{float(p):.9g}" for p in probs)
-    print(f"{label},{csv_cell(name)},{rendered}")
+    print(format_probs(int(np.argmax(probs)), probs, class_names))
     return 0
 
 

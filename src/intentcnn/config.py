@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import Field, fields, replace
 
 from .errors import ConfigError, excerpt
 
@@ -76,6 +76,30 @@ def parse_kv_file(path: str) -> dict[str, str]:
     return pairs
 
 
+def bound_breach(f: Field, value) -> str | None:
+    """What ``value`` breaks of the bound that field ``f`` declares in its
+    metadata (``min``, ``above`` or ``choices``; a tuple's bound holds for each
+    item), e.g. ``must be >= 1, got 0``; None if it keeps the bound."""
+    bound = f.metadata
+    for item in value if isinstance(value, tuple) else (value,):
+        if "min" in bound and not item >= bound["min"]:           # nan breaks it too
+            return f"must be >= {bound['min']}, got {excerpt(item)}"
+        if "above" in bound and not item > bound["above"]:
+            return f"must be > {bound['above']}, got {excerpt(item)}"
+        if "choices" in bound and item not in bound["choices"]:
+            return f"must be {' or '.join(map(repr, bound['choices']))}, got {excerpt(item)}"
+    return None
+
+
+def check_bounds(spec) -> None:
+    """Raise a ConfigError naming the first field of the dataclass ``spec``
+    whose value breaks its declared bound."""
+    for f in fields(spec):
+        breach = bound_breach(f, getattr(spec, f.name))
+        if breach:
+            raise ConfigError(f"{f.name} {breach}")
+
+
 def split_list(value: str) -> list[str]:
     return [item for item in re.split(r"[,\s]+", value.strip()) if item]
 
@@ -127,16 +151,26 @@ class KeyReader:
         return self._take(key, default, lambda raw: [int(item) for item in split_list(raw)],
                           "integers")
 
-    def take_fields(self, base, prefix: str, keys, **given):
-        """``base`` (a dataclass) with each field in ``keys`` read from
-        ``prefix + key`` when present, typed like the class default (a tuple
-        default reads an integer list), and the fields in ``given`` set."""
+    def take_field(self, cls, prefix: str, name: str, default=None):
+        """Field ``name`` of the dataclass ``cls`` read from ``prefix + name``,
+        typed like the class default (a tuple default reads an integer list)
+        and held to the field's declared bound; ``default``, else the class
+        default, when the key is absent."""
+        key, f = prefix + name, cls.__dataclass_fields__[name]
+        default = f.default if default is None else default
         take = {int: self.take_int, float: self.take_float, str: self.take_str,
                 tuple: lambda key, default: tuple(self.take_int_list(key, list(default)))}
-        cls = type(base)
-        return replace(base, **given,
-                       **{key: take[type(getattr(cls, key))](prefix + key, getattr(base, key))
-                          for key in keys})
+        value = take[type(f.default)](key, default)
+        breach = bound_breach(f, value)
+        if breach:
+            raise ConfigError(f"{self.origin_of(key)}: key {key!r} {breach}")
+        return value
+
+    def take_fields(self, base, prefix: str, keys):
+        """``base`` (a dataclass) with each field in ``keys`` read by
+        :meth:`take_field`, its default the field's value in ``base``."""
+        return replace(base, **{key: self.take_field(type(base), prefix, key, getattr(base, key))
+                                for key in keys})
 
     def reject_unknown(self) -> None:
         """Raise if any key was never consumed, naming those from the first one's origin."""

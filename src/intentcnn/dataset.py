@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import KeyReader, csv_text, read_utf8, split_lines, write_utf8
+from .config import KeyReader, check_bounds, csv_text, read_utf8, split_lines, write_utf8
 from .errors import (
     ConfigError,
     DimensionError,
@@ -756,40 +756,32 @@ class SynthSpec:
     Each (class, channel) pair gets one deterministic template
     ``A*sin(2*pi*f*t + phi) + drift*t`` with parameters drawn once from the
     seeded generator; every trial draws its frame count uniformly from
-    ``frame_range`` (inclusive), takes that many leading frames of its class
-    template plus fresh Gaussian noise.  The same seed gives the same bits.
+    ``frame_min``..``frame_max`` (inclusive), takes that many leading frames of its
+    class template plus fresh Gaussian noise.  The same seed gives the same bits.
     """
 
-    num_classes: int = 6
-    trials_per_class: int = 20
-    channels: int = 24
-    frame_range: tuple[int, int] = (800, 1600)
-    noise_std: float = 0.1
-    seed: int = 0
+    num_classes: int = field(default=6, metadata={"min": 2})
+    trials_per_class: int = field(default=20, metadata={"min": 1})
+    channels: int = field(default=24, metadata={"min": 1})
+    frame_min: int = field(default=800, metadata={"min": 10})
+    frame_max: int = 1600
+    noise_std: float = field(default=0.1, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
     class_prefix: str = "task"
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.trials_per_class < 1:
-            raise ConfigError(f"trials_per_class must be >= 1, got {self.trials_per_class}")
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        lo, hi = self.frame_range
-        if lo < 10 or hi < lo:
-            raise ConfigError(f"frame_range must satisfy 10 <= min <= max, got {self.frame_range}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        check_bounds(self)
+        hi = self.frame_max
+        if hi < self.frame_min:
+            raise ConfigError(f"frame_max must be >= frame_min, got {hi} < {self.frame_min}")
         if hi >= _FRAME_MAX_LIMIT:
             raise ConfigError(f"frame_max must be below {_FRAME_MAX_LIMIT:.3g}, or template "
                               f"values overflow float32, got {hi}")
         peak = _TEMPLATE_HIGH[0] + _TEMPLATE_HIGH[3] * (hi - 1) / SAMPLE_RATE_HZ
-        if not peak + NOISE_SIGMAS * self.noise_std < _FLOAT32_OVERFLOW:    # nan fails too
+        if peak + NOISE_SIGMAS * self.noise_std >= _FLOAT32_OVERFLOW:
             limit = (_FLOAT32_OVERFLOW - peak) / NOISE_SIGMAS
             raise ConfigError(f"noise_std must be below {limit:.3g} for frame_max={hi}, or "
                               f"trial values overflow float32, got {self.noise_std}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "\r" in self.class_prefix or "\n" in self.class_prefix:     # one name per line
             raise ConfigError(f"class_prefix must not hold a line break, "
                               f"got {excerpt(self.class_prefix)}")
@@ -812,7 +804,7 @@ def template_waveform(params_kc: np.ndarray, frames: int) -> np.ndarray:
 
 def synth_generate(spec: SynthSpec) -> LabeledDataset:
     """Generate trials_per_class traces per class from one template per class,
-    computed at ``frame_range[1]`` frames: a trial is its first ``frames``
+    computed at ``frame_max`` frames: a trial is its first ``frames``
     columns plus fresh noise.  Draw order (fixed for reproducibility): all
     template parameters, then per class, per trial: frame count, then noise.
     """
@@ -820,7 +812,7 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
     params = _draw_templates(rng, spec)
     channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
     traces: list[Trace] = []
-    lo, hi = spec.frame_range
+    lo, hi = spec.frame_min, spec.frame_max
     templates = [template_waveform(p, hi) for p in params]
     for k in range(spec.num_classes):
         for _ in range(spec.trials_per_class):
@@ -836,18 +828,13 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
     return LabeledDataset(traces=traces, labels=labels, vocab=spec.class_names())
 
 
-# the generation config keys: the SynthSpec fields, with frame_range read as
-# frame_min and frame_max
-_SYNTH_FIELDS = tuple(f.name for f in fields(SynthSpec) if f.name != "frame_range")
-SYNTH_KEYS = _SYNTH_FIELDS + ("frame_min", "frame_max")
+SYNTH_KEYS = tuple(f.name for f in fields(SynthSpec))    # the generation config keys
 
 
 def parse_synth_spec(pairs: dict[str, str], origin: str = "<config>",
                      origins: dict[str, str] | None = None) -> SynthSpec:
     """Build a SynthSpec from key=value pairs; errors name ``origins[key]`` or ``origin``."""
     reader = KeyReader(pairs, origin, origins)
-    lo, hi = SynthSpec.frame_range
-    frame_range = (reader.take_int("frame_min", lo), reader.take_int("frame_max", hi))
-    spec = reader.take_fields(SynthSpec(), "", _SYNTH_FIELDS, frame_range=frame_range)
+    spec = reader.take_fields(SynthSpec(), "", SYNTH_KEYS)
     reader.reject_unknown()
     return spec

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import KeyReader, csv_text, write_utf8
+from .config import KeyReader, check_bounds, csv_text, write_utf8
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
     SYNTH_KEYS,
@@ -41,7 +41,6 @@ from .dataset import (
     merge_datasets,
     pad_traces,
     padded_length,
-    parse_synth_spec,
     relabel_binary,
     rename_classes,
     save_stats,
@@ -117,12 +116,13 @@ class ExperimentSpec:
     select: tuple[str, ...] | None = None
     relabel_positive: tuple[str, ...] | None = None
     ratios: tuple[tuple[float, float, float], ...] = DEFAULT_RATIOS
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainSpec = field(default_factory=TrainSpec)
-    block_frames: int = DEFAULT_BLOCK_FRAMES
+    block_frames: int = field(default=DEFAULT_BLOCK_FRAMES, metadata={"min": 1})
 
     def __post_init__(self):
+        check_bounds(self)
         if not self.experiment_id or not re.fullmatch(r"[A-Za-z0-9_.-]+", self.experiment_id):
             raise ConfigError(f"experiment id must be a non-empty file-name-safe token, "
                               f"got {self.experiment_id!r}")
@@ -132,8 +132,6 @@ class ExperimentSpec:
             raise ConfigError("an experiment needs at least one split ratio")
         for fractions in self.ratios:
             SplitSpec(*fractions)  # validates each triple sums to 1
-        if self.block_frames < 1:
-            raise ConfigError(f"block_frames must be >= 1, got {self.block_frames}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +345,7 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     """
     reader = KeyReader(pairs, origin, origins)
     standard = reader.take_str("experiment.standard")
-    seed = reader.take_int("experiment.seed", 0)
-    if seed < 0:
-        raise ConfigError(f"{reader.origin_of('experiment.seed')}: experiment.seed must be >= 0, "
-                          f"got {seed}")
+    seed = reader.take_field(ExperimentSpec, "experiment.", "seed")
     preset = standard_experiment(standard, seed=seed) if standard else None
 
     experiment_id = reader.take_str("experiment.id", preset and preset.experiment_id)
@@ -362,7 +357,7 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
               if ratio_items is not None else DEFAULT_RATIOS)
     select = reader.take_list("experiment.select")
     relabel = reader.take_list("experiment.relabel_positive")
-    block_frames = reader.take_int("experiment.block_frames", DEFAULT_BLOCK_FRAMES)
+    block_frames = reader.take_field(ExperimentSpec, "experiment.", "block_frames")
 
     sources = _parse_sources(pairs, reader, seed, origin) or (preset and preset.sources)
     if not sources:
@@ -418,11 +413,8 @@ def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
         if kind == "csv":
             path = reader.take_str(prefix + "path")
         else:                           # SourceSpec rejects a kind that is neither
-            synth_pairs = {key: reader.take_str(prefix + key) for key in SYNTH_KEYS
-                           if prefix + key in pairs}
-            synth_pairs.setdefault("seed", str(experiment_seed + SOURCE_SEED_STRIDE * n))
-            synth = parse_synth_spec(synth_pairs, origin, {
-                key: reader.origin_of(prefix + key) for key in synth_pairs})
+            synth = reader.take_fields(SynthSpec(seed=experiment_seed + SOURCE_SEED_STRIDE * n),
+                                       prefix, SYNTH_KEYS)
         sources.append(SourceSpec(kind=kind, synth=synth, path=path,
                                   take=tuple(take) if take else None, rename=rename))
     return tuple(sources)

@@ -24,11 +24,11 @@ import copy
 import itertools
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import KeyReader
+from .config import KeyReader, check_bounds
 from .errors import (
     ConfigError,
     DimensionError,
@@ -73,38 +73,23 @@ FORMAT_VERSION = 1
 class NetworkConfig:
     """Widths and placement choices for the standard conv/pool/fc stack."""
 
-    channels: int = 24
-    input_frames: int = 2000
-    conv_filters: tuple[int, ...] = (16, 32, 64, 64)
-    kernel_width: int = 5
-    pool: int = 2
-    pool_stride: int = 2
-    fc_sizes: tuple[int, ...] = (128, 64)
-    num_classes: int = 6
-    batchnorm_position: str = "after_last_conv"
+    channels: int = field(default=24, metadata={"min": 1})
+    input_frames: int = field(default=2000, metadata={"min": 1})
+    conv_filters: tuple[int, ...] = field(default=(16, 32, 64, 64), metadata={"min": 1})
+    kernel_width: int = field(default=5, metadata={"min": 1})
+    pool: int = field(default=2, metadata={"min": 1})
+    pool_stride: int = field(default=2, metadata={"min": 1})
+    fc_sizes: tuple[int, ...] = field(default=(128, 64), metadata={"min": 1})
+    num_classes: int = field(default=6, metadata={"min": 2})
+    batchnorm_position: str = field(default="after_last_conv",
+                                    metadata={"choices": BATCHNORM_POSITIONS})
 
     def __post_init__(self):
         object.__setattr__(self, "conv_filters", tuple(int(f) for f in self.conv_filters))
         object.__setattr__(self, "fc_sizes", tuple(int(s) for s in self.fc_sizes))
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.input_frames < 1:
-            raise ConfigError(f"input_frames must be >= 1, got {self.input_frames}")
-        if not self.conv_filters or any(f < 1 for f in self.conv_filters):
-            raise ConfigError(f"conv_filters must be a non-empty list of positive "
-                              f"widths, got {self.conv_filters}")
-        if self.kernel_width < 1:
-            raise ConfigError(f"kernel_width must be >= 1, got {self.kernel_width}")
-        if self.pool < 1 or self.pool_stride < 1:
-            raise ConfigError(f"pool and pool_stride must be >= 1, got "
-                              f"{self.pool}/{self.pool_stride}")
-        if any(s < 1 for s in self.fc_sizes):
-            raise ConfigError(f"fc_sizes must all be positive, got {self.fc_sizes}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.batchnorm_position not in BATCHNORM_POSITIONS:
-            raise ConfigError(f"batchnorm_position must be one of {BATCHNORM_POSITIONS}, "
-                              f"got {self.batchnorm_position!r}")
+        check_bounds(self)
+        if not self.conv_filters:
+            raise ConfigError("conv_filters must not be empty")
 
 
 # the NetworkConfig fields that an experiment takes from its data, not its config
@@ -509,27 +494,15 @@ def _network_from_records(config: NetworkConfig, records, dtype) -> Network:
 class TrainSpec:
     """Optimization schedule; defaults follow the standard recipe."""
 
-    epochs: int = 60
-    batch_size: int = 8
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    patience: int = 10
-    seed: int = 0
+    epochs: int = field(default=60, metadata={"min": 1})
+    batch_size: int = field(default=8, metadata={"min": 2})    # batch statistics need two samples
+    learning_rate: float = field(default=1e-3, metadata={"above": 0})
+    optimizer: str = field(default="adam", metadata={"choices": ("adam", "sgd")})
+    patience: int = field(default=10, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2 (batch statistics need at "
-                              f"least two samples), got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

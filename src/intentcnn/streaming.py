@@ -47,11 +47,11 @@ import codecs
 import io
 import socket
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import csv_cell
+from .config import check_bounds, csv_cell
 from .dataset import StandardizationStats, _read_rows, prepare_input
 from .errors import ConfigError, NumericError, StreamError
 from .model import Network
@@ -69,35 +69,38 @@ class WindowConfig:
 
     network: Network
     stats: StandardizationStats
-    window_frames: int = DEFAULT_WINDOW_FRAMES
+    window_frames: int = field(default=DEFAULT_WINDOW_FRAMES, metadata={"min": 1})
     hop_frames: int = DEFAULT_HOP_FRAMES
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.window_frames < 1:
-            raise ConfigError(f"window_frames must be >= 1, got {self.window_frames}")
+        check_bounds(self)
         if not (1 <= self.hop_frames <= self.window_frames):
             raise ConfigError(f"hop_frames must lie in [1, window_frames], got "
                               f"{self.hop_frames} with window {self.window_frames}")
-        if self.stats.channels != self.network.config.channels:
-            raise StreamError(f"statistics cover {self.stats.channels} channels but "
-                              f"the model expects {self.network.config.channels}")
+        check_model_inputs(self.network, self.stats, self.class_names)
         if self.window_frames > self.network.config.input_frames:
             raise ConfigError(f"window of {self.window_frames} frames cannot fit the "
                               f"model input of {self.network.config.input_frames}")
-        if self.class_names is not None and \
-                len(self.class_names) != self.network.num_classes:
-            raise ConfigError(f"{len(self.class_names)} class names for "
-                              f"{self.network.num_classes} classes")
 
     @property
     def channels(self) -> int:
         return self.network.config.channels
 
-    def class_name(self, label: int) -> str:
-        if self.class_names is not None:
-            return self.class_names[label]
-        return f"class{label}"
+
+def check_model_inputs(network: Network, stats: StandardizationStats, class_names) -> None:
+    """Raise unless the stats fit the network's channels and the class names (if any) its classes."""
+    if stats.channels != network.config.channels:
+        raise StreamError(f"statistics cover {stats.channels} channels but "
+                          f"the model expects {network.config.channels}")
+    if class_names is not None and len(class_names) != network.num_classes:
+        raise ConfigError(f"{len(class_names)} class names for {network.num_classes} classes")
+
+
+def format_probs(label: int, probs, class_names: tuple[str, ...] | None) -> str:
+    """``label,class_name,p_0,...,p_{K-1}``, the name ``class<label>`` without ``class_names``."""
+    name = class_names[label] if class_names is not None else f"class{label}"
+    return f"{label},{csv_cell(name)}," + ",".join(f"{float(p):.9g}" for p in probs)
 
 
 @dataclass(frozen=True)
@@ -297,9 +300,8 @@ def stream_classify(lines, cfg: WindowConfig):
 
 def format_prediction(prediction: StreamPrediction, cfg: WindowConfig) -> str:
     """``frame_index,label,class_name,p_0,...,p_{K-1},warm_up`` (no newline)."""
-    probs = ",".join(f"{float(p):.9g}" for p in prediction.probs)
-    return (f"{prediction.frame_index},{prediction.label},"
-            f"{csv_cell(cfg.class_name(prediction.label))},{probs},"
+    return (f"{prediction.frame_index},"
+            f"{format_probs(prediction.label, prediction.probs, cfg.class_names)},"
             f"{1 if prediction.warm_up else 0}")
 
 

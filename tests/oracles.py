@@ -392,7 +392,7 @@ def synth_generate_per_trial(spec):
     params = draw_templates(rng, spec)
     channel_names = tuple(f"c{c + 1:02d}" for c in range(spec.channels))
     traces, labels = [], []
-    lo, hi = spec.frame_range
+    lo, hi = spec.frame_min, spec.frame_max
     for k in range(spec.num_classes):
         for _ in range(spec.trials_per_class):
             frames = int(rng.integers(lo, hi + 1))

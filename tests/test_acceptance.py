@@ -156,7 +156,7 @@ def test_criterion_03_loss_analytics():
 def test_criterion_04_standardization_contract():
     for seed in (0, 1, 2):
         spec = SynthSpec(num_classes=4, trials_per_class=8, channels=6,
-                         frame_range=(50, 90), noise_std=0.1, seed=seed)
+                         frame_min=50, frame_max=90, noise_std=0.1, seed=seed)
         data = synth_generate(spec)
         train_part, _, _ = stratified_split(data, SplitSpec(0.7, 0.15, 0.15,
                                                             seed=seed))
@@ -240,7 +240,7 @@ def _tiny_spec() -> ExperimentSpec:
         experiment_id="gate7",
         sources=(SourceSpec(kind="synth", synth=SynthSpec(
             num_classes=3, trials_per_class=10, channels=2,
-            frame_range=(30, 40), noise_std=0.05, seed=7)),),
+            frame_min=30, frame_max=40, noise_std=0.05, seed=7)),),
         ratios=((0.8, 0.1, 0.1), (0.6, 0.2, 0.2)),
         seed=3,
         network=NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2),
@@ -279,7 +279,7 @@ def test_criterion_08_streaming_batch_equivalence():
     stats = StandardizationStats(mean=np.array([0.1, -0.2, 0.3, 0.05]),
                                  std=np.array([1.5, 0.7, 2.0, 1.1]))
     replay = synth_generate(SynthSpec(num_classes=3, trials_per_class=1,
-                                      channels=4, frame_range=(5000, 5000),
+                                      channels=4, frame_min=5000, frame_max=5000,
                                       noise_std=0.1, seed=3))
     buffer = replay.traces[0].values                       # (4, 5000) float32
     cfg = WindowConfig(network=network, stats=stats,

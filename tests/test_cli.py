@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -19,12 +20,12 @@ from hypothesis import given, settings
 
 from intentcnn import cli, dataset, errors, streaming
 from intentcnn.cli import main
-from intentcnn.config import csv_text, parse_kv_file
-from intentcnn.dataset import (StandardizationStats, Trace, load_csv_dir, parse_synth_spec,
-                               save_stats, synth_generate, write_trace_csv)
-from intentcnn.evaluation import parse_experiment_config
-from intentcnn.model import (DATA_DERIVED_FIELDS, NetworkConfig, build_network, load_model,
-                             save_model, serialize)
+from intentcnn.config import csv_text, parse_kv_file, render_kv
+from intentcnn.dataset import (StandardizationStats, SynthSpec, Trace, load_csv_dir,
+                               parse_synth_spec, save_stats, synth_generate, write_trace_csv)
+from intentcnn.evaluation import ExperimentSpec, parse_experiment_config
+from intentcnn.model import (DATA_DERIVED_FIELDS, NetworkConfig, TrainSpec, build_network,
+                             load_model, save_model, serialize)
 
 import oracles
 
@@ -633,6 +634,19 @@ def test_predict_on_a_non_utf8_trace_exits_3_without_echoing_it(tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: {trace}: not UTF-8 at byte {bad_at}\n")
 
 
+@pytest.mark.parametrize("command", ["predict", "stream"])
+def test_stats_for_another_channel_count_exit_3_before_any_frame_is_read(tmp_path, capsys,
+                                                                         command):
+    model, stats = str(tmp_path / "m.intc"), str(tmp_path / "s.csv")
+    save_model(build_network(TINY_NETWORK), model)
+    save_stats(StandardizationStats(mean=[0.0] * 3, std=[1.0] * 3), ("c01", "c02", "c03"), stats)
+    frames = (["--trace", str(tmp_path / "missing.csv")] if command == "predict"
+              else ["--window", "10", "--hop", "5"])       # stdin is never read
+    assert main([command, "--model", model, "--stats", stats, *frames]) == 3
+    assert capsys.readouterr() == ("", "error: statistics cover 3 channels but the model "
+                                       "expects 2\n")
+
+
 _HUGE = "1" * 140_000                   # longer than csv's field limit of 131,072
 
 
@@ -797,7 +811,7 @@ _DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
     (["train", "--set", "experiment.ratios=1/2"], "e5.cfg",
      "--set: ratio '1/2' must look like 0.8/0.1/0.1"),
     (["eval", "--set", "source.1.channels=two"], _SOURCE_BLOCK,
-     "--set: key 'channels' expects an integer, got 'two'"),
+     "--set: key 'source.1.channels' expects an integer, got 'two'"),
     (["train", "--set", "bogus=1", "--set", "zz=2"], "e5.cfg", "--set: unknown key(s): bogus, zz"),
     (["train", "--set", "zz=2"], _SOURCE_BLOCK + "model.bogus = 1\n",
      "{config}: unknown key(s): model.bogus"),
@@ -890,22 +904,54 @@ def test_show_config_rejects_what_its_command_rejects(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["generate", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["generate", "--set", "seed=-2"], "seed must be >= 0, got -2"),
-    (["train", "--config", str(CONFIGS / "e5.cfg"), "--seed", "-1"],
-     "--seed: experiment.seed must be >= 0, got -1"),
-    (["train", "--config", str(CONFIGS / "e5.cfg"), "--set", "train.seed=-1"],
-     "seed must be >= 0, got -1"),
-    (["eval", "--config", str(CONFIGS / "e5.cfg"), "--seed", "-3"],
-     "--seed: experiment.seed must be >= 0, got -3"),
-], ids=["generate", "generate-set", "train", "train-seed-key", "eval"])
-def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert main(argv + ["--show-config"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "out").exists()
+def _bounded_keys(cls, prefix="", skip=()):
+    """``(prefix + name, a value just outside its bound)`` for each field of
+    ``cls`` not in ``skip`` that declares a bound in its metadata."""
+    for f in dataclasses.fields(cls):
+        bound = f.metadata
+        if not bound or f.name in skip:
+            continue
+        yield prefix + f.name, ("bogus" if "choices" in bound else
+                                str(bound["min"] - 1 if "min" in bound else bound["above"]))
+
+
+_GENERATION_BOUNDS = list(_bounded_keys(SynthSpec))
+_EXPERIMENT_BOUNDS = [*_bounded_keys(NetworkConfig, "model.", DATA_DERIVED_FIELDS),
+                      *_bounded_keys(TrainSpec, "train."),
+                      *_bounded_keys(ExperimentSpec, "experiment."),
+                      *_bounded_keys(SynthSpec, "source.1.")]
+_BOUNDED = [("generate", "synth6.cfg", "seed", *bound) for bound in _GENERATION_BOUNDS] + [
+    (command, "e5.cfg", "experiment.seed", *bound)
+    for command in ("train", "eval") for bound in _EXPERIMENT_BOUNDS]
+
+
+@pytest.mark.parametrize("command, config, seed_key, key, value", _BOUNDED,
+                         ids=[f"{command}-{key}" for command, _, _, key, _ in _BOUNDED])
+def test_a_value_outside_its_bound_names_its_key_and_origin(tmp_path, capsys, monkeypatch,
+                                                            command, config, seed_key, key,
+                                                            value):
+    def work(spec):
+        raise AssertionError(f"{command} accepted {key} = {value}")
+
+    monkeypatch.setattr(cli, "synth_generate", work)
+    monkeypatch.setattr(cli, "run_experiment", work)
+    pairs = parse_kv_file(str(CONFIGS / config))
+    if key.startswith("source.1."):
+        pairs["source.1.kind"] = "synth"
+    base = write_config(tmp_path, render_kv(pairs), "base.cfg")
+    given = write_config(tmp_path, render_kv({**pairs, key: value}), "given.cfg")
+    origins = [("--set", [base, "--set", f"{key}={value}"]), (given, [given])]
+    if key == seed_key:
+        origins.append(("--seed", [base, "--seed", value]))
+    for origin, options in origins:
+        argv = [command, "--config", *options]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        rejected = capsys.readouterr()
+        assert rejected.out == "" and rejected.err.count("\n") == 1
+        assert rejected.err.startswith(f"error: {origin}: key {key!r} must "), rejected.err
+        assert main(argv + ["--show-config"]) == 2
+        assert capsys.readouterr() == rejected
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, config", [("generate", "synth6.cfg"), ("train", "e5.cfg"),
@@ -995,7 +1041,7 @@ def _generate_accepts(pairs: dict[str, str]) -> bool:
 
 def _generate_pairs(options, recipe) -> dict[str, str]:
     """The pairs generate should see: defaults < config file < --set < --seed."""
-    given, pairs = dict(options), cli._generate_defaults()
+    given, pairs = dict(options), cli._rendered_defaults(SynthSpec())
     pairs.update(recipe if "--config" in given else {})
     pairs.update(item.partition("=")[::2] for flag, item in options if flag == "--set")
     if "--seed" in given:

@@ -488,7 +488,7 @@ def test_label_from_filename():
 
 def test_load_csv_dir_round_trip(tmp_path):
     spec = SynthSpec(num_classes=2, trials_per_class=3, channels=3,
-                     frame_range=(20, 30), seed=5)
+                     frame_min=20, frame_max=30, seed=5)
     data = synth_generate(spec)
     trial_counter = {}
     for trace, label in zip(data.traces, data.labels):
@@ -920,9 +920,9 @@ def test_synth_spec_validation():
     with pytest.raises(ConfigError):
         SynthSpec(num_classes=1)
     with pytest.raises(ConfigError):
-        SynthSpec(frame_range=(5, 100))
+        SynthSpec(frame_min=5, frame_max=100)
     with pytest.raises(ConfigError):
-        SynthSpec(frame_range=(100, 50))
+        SynthSpec(frame_min=100, frame_max=50)
     with pytest.raises(ConfigError):
         SynthSpec(noise_std=-0.1)
     for prefix in ("a\rb", "a\nb", "a\r\n"):       # labels.txt holds one name per line
@@ -932,7 +932,7 @@ def test_synth_spec_validation():
 
 def test_synth_generate_shapes_and_labels():
     spec = SynthSpec(num_classes=3, trials_per_class=4, channels=5,
-                     frame_range=(40, 60), seed=1)
+                     frame_min=40, frame_max=60, seed=1)
     data = synth_generate(spec)
     assert len(data) == 12
     assert data.vocab == ("task1", "task2", "task3")
@@ -945,13 +945,13 @@ def test_synth_generate_shapes_and_labels():
 
 def test_synth_generate_is_bit_deterministic():
     spec = SynthSpec(num_classes=2, trials_per_class=3, channels=4,
-                     frame_range=(30, 50), seed=7)
+                     frame_min=30, frame_max=50, seed=7)
     a = synth_generate(spec)
     b = synth_generate(spec)
     for ta, tb in zip(a.traces, b.traces):
         npt.assert_array_equal(ta.values, tb.values)
     c = synth_generate(SynthSpec(num_classes=2, trials_per_class=3, channels=4,
-                                 frame_range=(30, 50), seed=8))
+                                 frame_min=30, frame_max=50, seed=8))
     assert not all(ta.values.shape == tc.values.shape and np.array_equal(ta.values, tc.values)
                    for ta, tc in zip(a.traces, c.traces))
 
@@ -967,11 +967,12 @@ _E5_DATA2 = dict(num_classes=6, trials_per_class=20, channels=24)
 @pytest.mark.parametrize("spec", [
     *(SynthSpec(**_E5_DATA2, seed=seed + 101) for seed in range(5)),      # e5 "data2"
     SynthSpec(num_classes=2, trials_per_class=24, channels=24, seed=202),  # "data3"
-    SynthSpec(num_classes=3, trials_per_class=3, channels=4, frame_range=(37, 37), seed=4),
-    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_range=(10, 4000), seed=9),
-    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_range=(10, 4000),
+    SynthSpec(num_classes=3, trials_per_class=3, channels=4, frame_min=37, frame_max=37, seed=4),
+    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_min=10, frame_max=4000, seed=9),
+    SynthSpec(num_classes=3, trials_per_class=5, channels=5, frame_min=10, frame_max=4000,
               noise_std=0.0, seed=11),
-], ids=lambda spec: f"{spec.num_classes}x{spec.trials_per_class}-{spec.frame_range}-"
+], ids=lambda spec: f"{spec.num_classes}x{spec.trials_per_class}-"
+                    f"({spec.frame_min}, {spec.frame_max})-"
                     f"noise{spec.noise_std:g}-seed{spec.seed}")
 def test_synth_generate_is_the_per_trial_template_bit_for_bit(spec):
     got, want = synth_generate(spec), oracles.synth_generate_per_trial(spec)
@@ -1001,21 +1002,24 @@ def test_a_frame_max_whose_templates_overflow_float32_is_a_config_error(frame_ma
     # the largest template value is about 2 + 0.05 * (frame_max - 1) / 100
     with pytest.raises(ConfigError, match=r"^frame_max must be below 6\.81e\+41, or template "
                                           r"values overflow float32, got \d+$"):
-        SynthSpec(frame_range=(10, frame_max))
-    SynthSpec(frame_range=(10, 680 * 10 ** 39))         # at most 3.4e38: it fits
+        SynthSpec(frame_min=10, frame_max=frame_max)
+    SynthSpec(frame_min=10, frame_max=680 * 10 ** 39)         # at most 3.4e38: it fits
 
 
 @pytest.mark.parametrize("noise_std", [2.7e37, 1e39, math.inf, math.nan])
 def test_a_noise_std_whose_trials_overflow_float32_is_a_config_error(noise_std):
-    # a trial value is at most the template's 2.0055 plus 13 standard deviations
-    with pytest.raises(ConfigError, match=r"^noise_std must be below 2\.62e\+37 for frame_max=12, "
-                                          r"or trial values overflow float32"):
-        SynthSpec(frame_range=(10, 12), noise_std=noise_std)
+    # a trial value is at most the template's 2.0055 plus 13 standard deviations;
+    # nan breaks noise_std's declared bound before that
+    message = (r"^noise_std must be >= 0, got nan$" if math.isnan(noise_std) else
+               r"^noise_std must be below 2\.62e\+37 for frame_max=12, or trial values overflow "
+               r"float32")
+    with pytest.raises(ConfigError, match=message):
+        SynthSpec(frame_min=10, frame_max=12, noise_std=noise_std)
 
 
 @pytest.mark.parametrize("noise_std", [2.6e37, 1e30])
 def test_a_noise_std_whose_trials_fit_float32_generates_without_warnings(noise_std):
-    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3, frame_range=(10, 12),
+    spec = SynthSpec(num_classes=2, trials_per_class=2, channels=3, frame_min=10, frame_max=12,
                      noise_std=noise_std, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1025,7 +1029,7 @@ def test_a_noise_std_whose_trials_fit_float32_generates_without_warnings(noise_s
 
 def test_synth_noise_free_matches_template():
     spec = SynthSpec(num_classes=2, trials_per_class=4, channels=3,
-                     frame_range=(25, 60), noise_std=0.0, seed=3)
+                     frame_min=25, frame_max=60, noise_std=0.0, seed=3)
     data = synth_generate(spec)
     params = _template_parameters(spec)
     for trace, label in zip(data.traces, data.labels):
@@ -1047,7 +1051,7 @@ def test_synth_templates_separate_classes():
 
 def test_synth_class_prefix_names():
     spec = SynthSpec(num_classes=2, trials_per_class=3, channels=2,
-                     frame_range=(20, 20), class_prefix="move", seed=2)
+                     frame_min=20, frame_max=20, class_prefix="move", seed=2)
     assert synth_generate(spec).vocab == ("move1", "move2")
 
 
@@ -1056,7 +1060,7 @@ def test_parse_synth_spec_from_dict_and_unknown_keys():
                              "channels": "8", "frame_min": "100", "frame_max": "200",
                              "noise_std": "0.05", "seed": "42"})
     assert spec.num_classes == 4
-    assert spec.frame_range == (100, 200)
+    assert (spec.frame_min, spec.frame_max) == (100, 200)
     assert spec.noise_std == pytest.approx(0.05)
     with pytest.raises(ConfigError):
         parse_synth_spec({"num_clases": "4"})  # typo must be caught

@@ -32,7 +32,7 @@ SMALL_TRAIN = TrainSpec(epochs=2, batch_size=4, patience=2)
 
 def small_synth(seed=7, classes=3):
     return SynthSpec(num_classes=classes, trials_per_class=10, channels=2,
-                     frame_range=(30, 40), noise_std=0.05, seed=seed)
+                     frame_min=30, frame_max=40, noise_std=0.05, seed=seed)
 
 
 def small_spec(**overrides):
@@ -93,6 +93,8 @@ def test_experiment_spec_validation():
         small_spec(ratios=())
     with pytest.raises(ConfigError):
         small_spec(ratios=((0.5, 0.2, 0.2),))    # does not sum to 1
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        small_spec(seed=-1)                      # once a runtime error in split
 
 
 def test_standard_experiment_binary_pairings():
@@ -183,7 +185,7 @@ def test_run_experiment_stage_order_with_shaping():
 
 def test_run_experiment_pads_merged_sources_to_the_longest_trace():
     longer = SourceSpec(kind="synth", take=("task1",), rename=(("task1", "extra"),),
-                        synth=replace(small_synth(seed=11), frame_range=(45, 52)))
+                        synth=replace(small_synth(seed=11), frame_min=45, frame_max=52))
     spec = small_spec(sources=(SourceSpec(kind="synth", synth=small_synth()), longer))
     lengths = [[t.frames for t in load_source(s).traces] for s in spec.sources]
     assert max(lengths[0]) <= 40 < 45 <= min(lengths[1])     # merged traces differ in length

@@ -33,6 +33,7 @@ from intentcnn.streaming import (
     classify_window,
     format_error_record,
     format_prediction,
+    format_probs,
     open_line_source,
     stream_classify,
     stream_classify_batches,
@@ -114,10 +115,9 @@ def test_window_config_validation():
 
 
 def test_class_name_fallback():
-    cfg = make_config()
-    assert cfg.class_name(2) == "class2"
-    named = make_config(class_names=("grasp", "survey", "other"))
-    assert named.class_name(1) == "survey"
+    probs = np.array([0.25, 0.5, 0.25], dtype=np.float32)
+    assert format_probs(2, probs, None) == "2,class2,0.25,0.5,0.25"
+    assert format_probs(1, probs, ("grasp", "survey", "other")) == "1,survey,0.25,0.5,0.25"
 
 
 # ---------------------------------------------------------------------------
