@@ -904,6 +904,20 @@ def test_show_config_rejects_what_its_command_rejects(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--seed", "-1"], "--seed: key 'seed' must be >= 0, got -1"),
+    (["generate", "--set", "seed=-2"], "--set: key 'seed' must be >= 0, got -2"),
+], ids=["generate", "generate-set"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
+    """Without ``--config`` the defaults are checked too, and the bad seed is
+    named by the option that gave it."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(argv + ["--show-config"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _bounded_keys(cls, prefix="", skip=()):
     """``(prefix + name, a value just outside its bound)`` for each field of
     ``cls`` not in ``skip`` that declares a bound in its metadata."""
