@@ -1,9 +1,9 @@
 """Flat ``key = value`` configuration files and typed access to their values.
 
 Format: one pair per line (:func:`split_lines`), ``#`` starts a comment, blank
-lines ignored.  Values are plain strings; the consumer converts them with the
-typed ``take_*`` helpers below.  List-valued keys accept comma and/or
-whitespace separated items.
+lines ignored.  Values are plain strings; the consumer converts them with
+:class:`KeyReader`, which judges every value's text in one place.  List-valued
+keys accept comma and/or whitespace separated items.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def parse_kv_file(path: str) -> dict[str, str]:
 
 def bound_breach(f: Field, value) -> str | None:
     """What ``value`` breaks of the bound that field ``f`` declares in its
-    metadata (``min``, ``above`` or ``choices``; a tuple's bound holds for each
-    item), e.g. ``must be >= 1, got 0``; None if it keeps the bound."""
+    metadata (``nonempty``, ``min``, ``above`` or ``choices``; a tuple's bound
+    holds for each item), e.g. ``must be >= 1, got 0``; None if it is kept."""
     bound = f.metadata
+    if bound.get("nonempty") and not value:
+        return "must not be empty"
     for item in value if isinstance(value, tuple) else (value,):
         if "min" in bound and not item >= bound["min"]:           # nan breaks it too
             return f"must be >= {bound['min']}, got {excerpt(item)}"
@@ -104,6 +106,23 @@ def split_list(value: str) -> list[str]:
     return [item for item in re.split(r"[,\s]+", value.strip()) if item]
 
 
+def _items(convert):
+    """A converter of a list value: each :func:`split_list` item by ``convert``, as a tuple."""
+    return lambda raw: tuple(map(convert, split_list(raw)))
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):        # nan would pass every range check
+        raise ValueError(raw)
+    return value
+
+
+# a dataclass field's converter and what it expects, by its annotation's text
+_FIELD_TYPES = {"int": (int, "an integer"), "float": (_finite, "a finite number"),
+                "str": (str, "text"), "tuple[int, ...]": (_items(int), "integers")}
+
+
 class KeyReader:
     """Typed, typo-checked access to a parsed key=value dict.  Errors name where
     a key's value came from: ``origins[key]`` if given, else ``origin``."""
@@ -118,49 +137,31 @@ class KeyReader:
     def origin_of(self, key: str) -> str:
         return self.origins.get(key, self.origin)
 
-    def _take(self, key: str, default, convert, expects: str):
-        """``default`` if ``key`` is absent, else ``convert`` of its text; a
-        ``ValueError`` there is a ConfigError saying what the key expects."""
+    def take(self, key: str, default=None, convert=str, expects: str = "text"):
+        """``default`` if ``key`` is absent, else ``convert`` of its text.  A
+        ``ValueError`` there, or the ConfigError of a spec that ``convert``
+        builds from the value, is a ConfigError naming the key, its origin and
+        what it expects."""
         self._seen.add(key)
         raw = self.pairs.get(key)
         if raw is None:
             return default
         try:
             return convert(raw)
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects {expects}, "
                               f"got {excerpt(raw)}") from exc
 
-    def take_str(self, key: str, default: str | None = None) -> str | None:
-        return self._take(key, default, str, "text")
-
-    def take_int(self, key: str, default: int | None = None) -> int | None:
-        return self._take(key, default, int, "an integer")
-
-    def take_float(self, key: str, default: float | None = None) -> float | None:
-        value = self._take(key, default, float, "a number")
-        if value is not None and not math.isfinite(value):   # nan would pass every range check
-            raise ConfigError(f"{self.origin_of(key)}: key {key!r} expects a finite number, "
-                              f"got {excerpt(self.pairs[key])}")
-        return value
-
-    def take_list(self, key: str, default: list[str] | None = None) -> list[str] | None:
-        return self._take(key, default, split_list, "a list")
-
-    def take_int_list(self, key: str, default: list[int] | None = None) -> list[int] | None:
-        return self._take(key, default, lambda raw: [int(item) for item in split_list(raw)],
-                          "integers")
+    def take_list(self, key: str, default=None, convert=str, expects: str = "a list"):
+        """The :func:`split_list` items of ``key``, each by ``convert``, as a tuple."""
+        return self.take(key, default, _items(convert), expects)
 
     def take_field(self, cls, prefix: str, name: str, default=None):
         """Field ``name`` of the dataclass ``cls`` read from ``prefix + name``,
-        typed like the class default (a tuple default reads an integer list)
-        and held to the field's declared bound; ``default``, else the class
-        default, when the key is absent."""
+        typed by the field's annotation and held to its declared bound;
+        ``default``, else the class default, when the key is absent."""
         key, f = prefix + name, cls.__dataclass_fields__[name]
-        default = f.default if default is None else default
-        take = {int: self.take_int, float: self.take_float, str: self.take_str,
-                tuple: lambda key, default: tuple(self.take_int_list(key, list(default)))}
-        value = take[type(f.default)](key, default)
+        value = self.take(key, f.default if default is None else default, *_FIELD_TYPES[f.type])
         breach = bound_breach(f, value)
         if breach:
             raise ConfigError(f"{self.origin_of(key)}: key {key!r} {breach}")

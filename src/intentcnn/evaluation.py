@@ -92,19 +92,25 @@ class SourceSpec:
     as a differently-named task before fusion.
     """
 
-    kind: str                                   # "synth" | "csv"
+    kind: str = field(metadata={"choices": ("synth", "csv")})
     synth: SynthSpec | None = None
     path: str | None = None
     take: tuple[str, ...] | None = None
     rename: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("synth", "csv"):
-            raise ConfigError(f"source kind must be 'synth' or 'csv', got {self.kind!r}")
+        check_bounds(self)
         if self.kind == "synth" and self.synth is None:
             raise ConfigError("synth source needs a generation recipe")
         if self.kind == "csv" and not self.path:
             raise ConfigError("csv source needs a directory path")
+
+
+def _experiment_id(text: str) -> str:
+    """``text``, if it can name an experiment's output files."""
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", text):
+        raise ConfigError(f"experiment id must be a non-empty file-name-safe token, got {text!r}")
+    return text
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_bounds(self)
-        if not self.experiment_id or not re.fullmatch(r"[A-Za-z0-9_.-]+", self.experiment_id):
-            raise ConfigError(f"experiment id must be a non-empty file-name-safe token, "
-                              f"got {self.experiment_id!r}")
+        _experiment_id(self.experiment_id)
         if not self.sources:
             raise ConfigError("an experiment needs at least one dataset source")
         if not self.ratios:
@@ -344,22 +348,21 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     ``source.N.seed`` uses experiment seed + 101*N.
     """
     reader = KeyReader(pairs, origin, origins)
-    standard = reader.take_str("experiment.standard")
     seed = reader.take_field(ExperimentSpec, "experiment.", "seed")
-    preset = standard_experiment(standard, seed=seed) if standard else None
+    preset = reader.take("experiment.standard", None, lambda name: standard_experiment(name, seed),
+                         f"one of {', '.join(STANDARD_EXPERIMENTS)}")
 
-    experiment_id = reader.take_str("experiment.id", preset and preset.experiment_id)
+    experiment_id = reader.take("experiment.id", preset and preset.experiment_id,
+                                _experiment_id, "a non-empty file-name-safe token")
     if experiment_id is None:
-        raise ConfigError(f"{origin}: experiment.id is required")
-    ratio_items = reader.take_list("experiment.ratios")
-    ratios = (tuple(_parse_ratio(item, reader.origin_of("experiment.ratios"))
-                    for item in ratio_items)
-              if ratio_items is not None else DEFAULT_RATIOS)
+        raise ConfigError(f"{origin}: key 'experiment.id' is required")
+    ratios = reader.take_list("experiment.ratios", DEFAULT_RATIOS, _parse_ratio,
+                              "ratios like 0.8/0.1/0.1, each in (0, 1), summing to 1")
     select = reader.take_list("experiment.select")
     relabel = reader.take_list("experiment.relabel_positive")
     block_frames = reader.take_field(ExperimentSpec, "experiment.", "block_frames")
 
-    sources = _parse_sources(pairs, reader, seed, origin) or (preset and preset.sources)
+    sources = _parse_sources(pairs, reader, seed) or (preset and preset.sources)
     if not sources:
         raise ConfigError(f"{origin}: at least one source.N.kind block is required")
 
@@ -369,9 +372,8 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     return ExperimentSpec(
         experiment_id=experiment_id,
         sources=sources,
-        select=tuple(select) if select is not None else preset and preset.select,
-        relabel_positive=(tuple(relabel) if relabel is not None
-                          else preset and preset.relabel_positive),
+        select=select if select is not None else preset and preset.select,
+        relabel_positive=relabel if relabel is not None else preset and preset.relabel_positive,
         ratios=ratios,
         seed=seed,
         network=network,
@@ -380,50 +382,43 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
     )
 
 
-def _parse_ratio(item: str, origin: str) -> tuple[float, float, float]:
-    parts = item.split("/")
-    if len(parts) != 3:
-        raise ConfigError(f"{origin}: ratio {item!r} must look like 0.8/0.1/0.1")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{origin}: ratio {item!r} has a non-numeric part") from None
+def _parse_ratio(item: str) -> tuple[float, float, float]:
+    train, val, test = item.split("/")          # a ValueError unless three parts
+    return SplitSpec(float(train), float(val), float(test)).fractions
 
 
-def _parse_sources(pairs, reader: KeyReader, experiment_seed: int, origin: str
-                   ) -> tuple[SourceSpec, ...]:
+def _parse_sources(pairs, reader: KeyReader, experiment_seed: int) -> tuple[SourceSpec, ...]:
     numbers = sorted({int(m.group(1)) for key in pairs
                       if (m := _SOURCE_KEY_RE.match(key))})
-    if not numbers:
-        return ()
-    if numbers != list(range(1, len(numbers) + 1)):
-        raise ConfigError(f"{origin}: source blocks must be numbered 1..N without "
-                          f"gaps, got {numbers}")
     sources = []
     for n in numbers:
-        prefix = f"source.{n}."
-        kind = reader.take_str(prefix + "kind")
-        if kind is None:
-            raise ConfigError(f"{origin}: {prefix}kind is required")
+        prefix = f"source.{n}."         # a block's errors name where its first key came from
+        block_origin = reader.origin_of(min(key for key in pairs if key.startswith(prefix)))
+        if n != len(sources) + 1:
+            raise ConfigError(f"{block_origin}: source blocks must be numbered 1..N without "
+                              f"gaps, got {numbers}")
+        if prefix + "kind" not in pairs:
+            raise ConfigError(f"{block_origin}: key '{prefix}kind' is required")
+        kind = reader.take_field(SourceSpec, prefix, "kind")
         take = reader.take_list(prefix + "take")
-        rename_items = reader.take_list(prefix + "rename")
-        rename = None if rename_items is None else tuple(
-            _parse_rename(item, reader.origin_of(prefix + "rename")) for item in rename_items)
+        rename = reader.take_list(prefix + "rename", None, _parse_rename, "old:new pairs")
         path = synth = None
         if kind == "csv":
-            path = reader.take_str(prefix + "path")
-        else:                           # SourceSpec rejects a kind that is neither
+            path = reader.take(prefix + "path")
+            if not path:                # blame an empty path, else the csv kind
+                blamed = prefix + ("kind" if path is None else "path")
+                raise ConfigError(f"{reader.origin_of(blamed)}: key '{prefix}path' must "
+                                  f"name a directory for a csv source")
+        else:
             synth = reader.take_fields(SynthSpec(seed=experiment_seed + SOURCE_SEED_STRIDE * n),
                                        prefix, SYNTH_KEYS)
-        sources.append(SourceSpec(kind=kind, synth=synth, path=path,
-                                  take=tuple(take) if take else None, rename=rename))
+        sources.append(SourceSpec(kind=kind, synth=synth, path=path, take=take or None,
+                                  rename=rename))
     return tuple(sources)
 
 
-def _parse_rename(item: str, origin: str) -> tuple[str, str]:
-    if ":" not in item:
-        raise ConfigError(f"{origin}: rename entry {item!r} must look like old:new")
-    old, new = item.split(":", 1)
+def _parse_rename(item: str) -> tuple[str, str]:
+    old, new = item.split(":", 1)               # a ValueError without a ':'
     return old.strip(), new.strip()
 
 

@@ -75,7 +75,8 @@ class NetworkConfig:
 
     channels: int = field(default=24, metadata={"min": 1})
     input_frames: int = field(default=2000, metadata={"min": 1})
-    conv_filters: tuple[int, ...] = field(default=(16, 32, 64, 64), metadata={"min": 1})
+    conv_filters: tuple[int, ...] = field(default=(16, 32, 64, 64),
+                                          metadata={"min": 1, "nonempty": True})
     kernel_width: int = field(default=5, metadata={"min": 1})
     pool: int = field(default=2, metadata={"min": 1})
     pool_stride: int = field(default=2, metadata={"min": 1})
@@ -88,8 +89,6 @@ class NetworkConfig:
         object.__setattr__(self, "conv_filters", tuple(int(f) for f in self.conv_filters))
         object.__setattr__(self, "fc_sizes", tuple(int(s) for s in self.fc_sizes))
         check_bounds(self)
-        if not self.conv_filters:
-            raise ConfigError("conv_filters must not be empty")
 
 
 # the NetworkConfig fields that an experiment takes from its data, not its config

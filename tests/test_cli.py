@@ -464,8 +464,8 @@ def test_a_source_kind_other_than_synth_or_csv_is_a_config_error(tmp_path, capsy
                                                             f"source.1.kind = {kind}"))
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     assert main(argv + ["--show-config"] * show_config) == 2
-    assert capsys.readouterr() == ("", f"error: source kind must be 'synth' or 'csv', "
-                                       f"got {kind!r}\n")
+    assert capsys.readouterr() == ("", f"error: {config}: key 'source.1.kind' must be "
+                                       f"'synth' or 'csv', got {kind!r}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -796,6 +796,7 @@ def test_config_errors_name_their_file(tmp_path, capsys):
 
 
 _SOURCE_BLOCK = "experiment.id = x\nsource.1.kind = synth\n"
+_RATIOS = "expects ratios like 0.8/0.1/0.1, each in (0, 1), summing to 1"
 # each model key that the data decides, set for train and for eval
 _DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
                       for key in DATA_DERIVED_FIELDS]
@@ -807,9 +808,35 @@ _DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
     (["train", "--set", "train.epochs=abc"], "e5.cfg",
      "--set: key 'train.epochs' expects an integer, got 'abc'"),
     (["eval", "--set", "train.learning_rate=fast"], "e5.cfg",
-     "--set: key 'train.learning_rate' expects a number, got 'fast'"),
+     "--set: key 'train.learning_rate' expects a finite number, got 'fast'"),
     (["train", "--set", "experiment.ratios=1/2"], "e5.cfg",
-     "--set: ratio '1/2' must look like 0.8/0.1/0.1"),
+     f"--set: key 'experiment.ratios' {_RATIOS}, got '1/2'"),
+    (["train", "--set", "experiment.ratios=0.5/0.2/0.2"], "e5.cfg",
+     f"--set: key 'experiment.ratios' {_RATIOS}, got '0.5/0.2/0.2'"),
+    (["eval"], _SOURCE_BLOCK + "experiment.ratios = 0.8/0.1/0.1, 1.2/-0.1/-0.1\n",
+     f"{{config}}: key 'experiment.ratios' {_RATIOS}, got '0.8/0.1/0.1, 1.2/-0.1/-0.1'"),
+    (["train"], _SOURCE_BLOCK.replace("synth", "CSV"),
+     "{config}: key 'source.1.kind' must be 'synth' or 'csv', got 'CSV'"),
+    (["eval", "--set", "source.1.kind=CSV"], _SOURCE_BLOCK,
+     "--set: key 'source.1.kind' must be 'synth' or 'csv', got 'CSV'"),
+    (["eval"], _SOURCE_BLOCK.replace("synth", ""),
+     "{config}: key 'source.1.kind' must be 'synth' or 'csv', got ''"),
+    (["train", "--set", "source.1.kind="], _SOURCE_BLOCK,
+     "--set: key 'source.1.kind' must be 'synth' or 'csv', got ''"),
+    (["eval", "--set", "experiment.standard=e9"], "e5.cfg",
+     "--set: key 'experiment.standard' expects one of e1, e2, e3, e4, e5, e6, e7, e8, got 'e9'"),
+    (["train"], _SOURCE_BLOCK + "model.conv_filters =\n",
+     "{config}: key 'model.conv_filters' must not be empty"),
+    (["train", "--set", "source.1.rename=ab"], _SOURCE_BLOCK,
+     "--set: key 'source.1.rename' expects old:new pairs, got 'ab'"),
+    (["train", "--set", "experiment.id=a/b"], "e5.cfg",
+     "--set: key 'experiment.id' expects a non-empty file-name-safe token, got 'a/b'"),
+    (["eval"], _SOURCE_BLOCK.replace("synth", "csv"),
+     "{config}: key 'source.1.path' must name a directory for a csv source"),
+    (["train", "--set", "source.1.rename=task1:x"], "e5.cfg",
+     "--set: key 'source.1.kind' is required"),
+    (["eval", "--set", "source.2.rename=task1:x"], "e5.cfg",
+     "--set: source blocks must be numbered 1..N without gaps, got [2]"),
     (["eval", "--set", "source.1.channels=two"], _SOURCE_BLOCK,
      "--set: key 'source.1.channels' expects an integer, got 'two'"),
     (["train", "--set", "bogus=1", "--set", "zz=2"], "e5.cfg", "--set: unknown key(s): bogus, zz"),
@@ -824,7 +851,10 @@ _DATA_DERIVED_KEYS = [(command, key) for command in ("train", "eval")
       for command, key in _DATA_DERIVED_KEYS),
     (["eval", "--jobs", "0"], "e5.cfg", "--jobs must be >= 1, got 0"),
     (["eval", "--jobs", "-1"], "e5.cfg", "--jobs must be >= 1, got -1"),
-], ids=["generate", "train", "eval", "train-ratio", "eval-source-key", "train-unknown",
+], ids=["generate", "train", "eval", "train-ratio", "train-ratio-sum", "eval-ratio-range",
+        "train-kind-file", "eval-kind-set", "eval-empty-kind-file", "train-empty-kind-set",
+        "eval-standard", "train-empty-conv_filters", "train-rename", "train-id", "eval-csv-path",
+        "train-rename-only-block", "eval-block-gap", "eval-source-key", "train-unknown",
         "file-key-first", "file-value", "generate-sample-rate", "source-sample-rate",
         *(f"{command}-model.{key}" for command, key in _DATA_DERIVED_KEYS),
         "eval-jobs-0", "eval-jobs--1"])
