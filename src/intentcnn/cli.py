@@ -17,6 +17,7 @@ called any number of times in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
+import copy
 import errno
 import functools
 import logging
@@ -232,7 +233,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    network = load_model(args.model)
+    network = copy.deepcopy(load_model(args.model))     # shares no page with the file
     stats, _ = load_stats(args.stats)
     cfg = WindowConfig(network=network, stats=stats, window_frames=args.window,
                        hop_frames=args.hop, class_names=_read_labels(args.labels))

@@ -106,7 +106,7 @@ def split_list(value: str) -> list[str]:
     return [item for item in re.split(r"[,\s]+", value.strip()) if item]
 
 
-def _items(convert):
+def items_of(convert):
     """A converter of a list value: each :func:`split_list` item by ``convert``, as a tuple."""
     return lambda raw: tuple(map(convert, split_list(raw)))
 
@@ -120,7 +120,7 @@ def _finite(raw: str) -> float:
 
 # a dataclass field's converter and what it expects, by its annotation's text
 _FIELD_TYPES = {"int": (int, "an integer"), "float": (_finite, "a finite number"),
-                "str": (str, "text"), "tuple[int, ...]": (_items(int), "integers")}
+                "str": (str, "text"), "tuple[int, ...]": (items_of(int), "integers")}
 
 
 class KeyReader:
@@ -154,14 +154,15 @@ class KeyReader:
 
     def take_list(self, key: str, default=None, convert=str, expects: str = "a list"):
         """The :func:`split_list` items of ``key``, each by ``convert``, as a tuple."""
-        return self.take(key, default, _items(convert), expects)
+        return self.take(key, default, items_of(convert), expects)
 
-    def take_field(self, cls, prefix: str, name: str, default=None):
-        """Field ``name`` of the dataclass ``cls`` read from ``prefix + name``,
-        typed by the field's annotation and held to its declared bound;
-        ``default``, else the class default, when the key is absent."""
+    def take_field(self, cls, prefix: str, name: str, default=None, types=None):
+        """Field ``name`` of the dataclass ``cls`` read from ``prefix + name``, typed
+        by ``types`` (``convert, expects``) or its annotation, held to its declared
+        bound; ``default``, else the class default, when the key is absent."""
         key, f = prefix + name, cls.__dataclass_fields__[name]
-        value = self.take(key, f.default if default is None else default, *_FIELD_TYPES[f.type])
+        value = self.take(key, f.default if default is None else default,
+                          *(types or _FIELD_TYPES[f.type]))
         breach = bound_breach(f, value)
         if breach:
             raise ConfigError(f"{self.origin_of(key)}: key {key!r} {breach}")

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import KeyReader, check_bounds, csv_text, write_utf8
+from .config import KeyReader, check_bounds, csv_text, items_of, write_utf8
 from .dataset import (
     DEFAULT_BLOCK_FRAMES,
     SYNTH_KEYS,
@@ -121,7 +121,8 @@ class ExperimentSpec:
     sources: tuple[SourceSpec, ...]
     select: tuple[str, ...] | None = None
     relabel_positive: tuple[str, ...] | None = None
-    ratios: tuple[tuple[float, float, float], ...] = DEFAULT_RATIOS
+    ratios: tuple[tuple[float, float, float], ...] = field(default=DEFAULT_RATIOS,
+                                                          metadata={"nonempty": True})
     seed: int = field(default=0, metadata={"min": 0})
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainSpec = field(default_factory=TrainSpec)
@@ -132,8 +133,6 @@ class ExperimentSpec:
         _experiment_id(self.experiment_id)
         if not self.sources:
             raise ConfigError("an experiment needs at least one dataset source")
-        if not self.ratios:
-            raise ConfigError("an experiment needs at least one split ratio")
         for fractions in self.ratios:
             SplitSpec(*fractions)  # validates each triple sums to 1
 
@@ -356,8 +355,8 @@ def parse_experiment_config(pairs: dict[str, str], origin: str = "<config>",
                                 _experiment_id, "a non-empty file-name-safe token")
     if experiment_id is None:
         raise ConfigError(f"{origin}: key 'experiment.id' is required")
-    ratios = reader.take_list("experiment.ratios", DEFAULT_RATIOS, _parse_ratio,
-                              "ratios like 0.8/0.1/0.1, each in (0, 1), summing to 1")
+    ratios = reader.take_field(ExperimentSpec, "experiment.", "ratios", types=(
+        items_of(_parse_ratio), "ratios like 0.8/0.1/0.1, each in (0, 1), summing to 1"))
     select = reader.take_list("experiment.select")
     relabel = reader.take_list("experiment.relabel_positive")
     block_frames = reader.take_field(ExperimentSpec, "experiment.", "block_frames")

@@ -23,6 +23,8 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -801,8 +803,10 @@ def serialize(network: Network) -> bytes:
 
 
 def save_model(network: Network, path: str) -> None:
-    with open(path, "wb") as fh:
+    """Write ``<path>.tmp``, then rename it over ``path``: whoever maps the old file keeps it."""
+    with open(path + ".tmp", "wb") as fh:
         fh.write(serialize(network))
+    os.replace(path + ".tmp", path)
 
 
 class _Cursor:
@@ -827,9 +831,8 @@ class _Cursor:
 def deserialize(data: bytes) -> Network:
     """Rebuild a network from INTC bytes in one pass; any defect is a FormatError.
 
-    The loaded arrays are views of ``data`` (of one writable copy if it is
-    read-only): a corrupt size costs no memory, and no weight is copied.
-    """
+    The loaded arrays are views of ``data`` (a copy-on-write map is writable; read-only
+    bytes get one writable copy): a corrupt size costs no memory, no weight is copied."""
     cursor = _Cursor(bytearray(data) if memoryview(data).readonly else data)
     magic = bytes(cursor.take(4, "magic"))
     if magic != MAGIC:
@@ -901,9 +904,13 @@ def _config_of(records) -> NetworkConfig:
 
 
 def load_model(path: str) -> Network:
+    """The network at ``path``; a regular file is mapped copy-on-write, never read whole."""
     try:
         with open(path, "rb") as fh:    # NumPy's reader seeks, which a pipe cannot
-            data = np.fromfile(fh, np.uint8) if fh.seekable() else fh.read()
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            except (OSError, ValueError):    # a pipe, a device or an empty file
+                data = np.fromfile(fh, np.uint8) if fh.seekable() else fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read model file {path!r}: {exc}") from exc
     return deserialize(data)

@@ -7,8 +7,14 @@ import dataclasses
 import functools
 import io
 import math
+import os
+import queue
 import re
+import subprocess
+import sys
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -622,6 +628,81 @@ def test_predict_with_a_nan_weight_exits_3_naming_the_record(tmp_path, capsys):
     assert "record 1 at byte 28 (CONV) holds a NaN or Inf value" in capsys.readouterr().err
 
 
+def test_a_model_file_with_64_mb_of_trailing_bytes_is_never_read_whole(tmp_path, capsys):
+    model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
+    save_model(build_network(TINY_NETWORK), model)
+    size = os.path.getsize(model)
+    os.truncate(model, size + 64 * 2 ** 20)         # sparse: no page of the tail is written
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    Path(trace).write_text("t,c01,c02\n0.00,1,2\n0.01,2,3\n")
+    message = f"{64 * 2 ** 20} trailing bytes after the last record (at byte {size})"
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.FormatError, match=re.escape(message)):
+            load_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20                       # reading the file whole takes 64 MB
+    assert main(["predict", "--model", model, "--stats", stats, "--trace", trace]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_loaded_network_keeps_its_weights_when_train_writes_over_its_file(tmp_path, capsys):
+    config, out = write_config(tmp_path, TINY_EXPERIMENT), tmp_path / "out"
+    assert main(["train", "--config", config, "--out", str(out)]) == 0
+    loaded = load_model(str(out / "model.intc"))
+    blob = (out / "model.intc").read_bytes()
+    assert main(["train", "--config", config, "--seed", "1", "--out", str(out)]) == 0
+    assert (out / "model.intc").read_bytes() != blob
+    assert serialize(loaded) == blob
+    assert not list(out.glob("*.tmp"))
+
+
+def test_a_stream_keeps_its_weights_when_its_model_file_is_rewritten_in_place(tmp_path, capsys,
+                                                                             monkeypatch):
+    model, stats = str(tmp_path / "m.intc"), str(tmp_path / "s.csv")
+    save_model(build_network(TINY_NETWORK, seed=1), model)
+    save_stats(StandardizationStats(mean=[0.0, 0.0], std=[1.0, 1.0]), ("c01", "c02"), stats)
+    argv = ["stream", "--model", model, "--stats", stats, "--window", "10", "--hop", "5"]
+    rng = np.random.default_rng(7)
+    feeds = ["".join(f"{a:.3f},{b:.3f}\n" for a, b in rng.normal(size=(5, 2))) for _ in range(3)]
+    _set_stdin(monkeypatch, "".join(feeds))
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(expected) == 3                       # one prediction per feed of 5 frames
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    printed: queue.Queue = queue.Queue()
+    with subprocess.Popen([sys.executable, "-m", "intentcnn", *argv], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        threading.Thread(target=lambda: [*map(printed.put, proc.stdout), printed.put("")],
+                         daemon=True).start()
+
+        def hop(feed):
+            proc.stdin.write(feed)
+            proc.stdin.flush()
+            line = printed.get(timeout=60)
+            assert line, f"stream exited {proc.wait()}: {proc.stderr.read()}"
+            return line
+
+        try:
+            got = [hop(feeds[0])]
+            with open(model, "r+b") as fh:
+                fh.truncate(0)                      # a process that reads the mapped file
+                got.append(hop(feeds[1]))           # now dies of SIGBUS
+                fh.write(serialize(build_network(TINY_NETWORK, seed=2)))
+            got.append(hop(feeds[2]))
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+    assert got == expected
+
+
 def test_predict_on_a_non_utf8_trace_exits_3_without_echoing_it(tmp_path, capsys):
     model, stats, trace = (str(tmp_path / name) for name in ("m.intc", "s.csv", "t.csv"))
     save_model(build_network(TINY_NETWORK), model)
@@ -950,13 +1031,15 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys, argv, message):
 
 def _bounded_keys(cls, prefix="", skip=()):
     """``(prefix + name, a value just outside its bound)`` for each field of
-    ``cls`` not in ``skip`` that declares a bound in its metadata."""
+    ``cls`` not in ``skip`` that declares a bound in its metadata; ``""`` for
+    a bound that is only ``nonempty``."""
     for f in dataclasses.fields(cls):
         bound = f.metadata
         if not bound or f.name in skip:
             continue
         yield prefix + f.name, ("bogus" if "choices" in bound else
-                                str(bound["min"] - 1 if "min" in bound else bound["above"]))
+                                str(bound["min"] - 1) if "min" in bound else
+                                str(bound["above"]) if "above" in bound else "")
 
 
 _GENERATION_BOUNDS = list(_bounded_keys(SynthSpec))

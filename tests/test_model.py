@@ -808,6 +808,7 @@ def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clon
     net = _trained_small_network(45)
     path = tmp_path / "model.intc"
     save_model(net, str(path))
+    blob = path.read_bytes()
     x = make_batch(np.random.default_rng(46), SMALL, 8)
     targets = one_hot(np.array([0, 1, 2, 0, 1, 2, 0, 1]), SMALL.num_classes)
     stepped = []
@@ -818,7 +819,19 @@ def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clon
         copy.update_running_stats(caches)
         _Adam(TrainSpec()).apply(copy.param_items(), grads)
         stepped.append(serialize(copy))
-    assert stepped[0] == stepped[1] == stepped[2] == stepped[3] != path.read_bytes()
+    assert stepped[0] == stepped[1] == stepped[2] == stepped[3] != blob
+    assert path.read_bytes() == blob                # the step wrote to no page of the file
+
+
+def test_a_loaded_network_keeps_its_weights_when_save_model_replaces_its_file(tmp_path):
+    path = tmp_path / "model.intc"
+    save_model(_trained_small_network(47), str(path))
+    loaded = load_model(str(path))
+    blob = path.read_bytes()
+    save_model(build_network(SMALL, seed=48), str(path))
+    assert path.read_bytes() != blob
+    assert serialize(loaded) == blob
+    assert os.listdir(tmp_path) == ["model.intc"]   # no .tmp left behind
 
 
 def test_deserialize_rejects_bad_magic_and_version():
