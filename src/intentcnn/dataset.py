@@ -26,18 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .config import KeyReader, check_bounds, csv_text, read_utf8, split_lines, write_utf8
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    FusionError,
-    InputError,
-    InsufficientSupportError,
-    LabelingError,
-    NumericError,
-    RelabelError,
-    excerpt,
-)
+from .errors import ConfigError, FormatError, InputError, NumericError, excerpt
 
 log = logging.getLogger(__name__)
 
@@ -68,20 +57,20 @@ class Trace:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
-            raise DimensionError(f"trace values must be (channels, frames), got shape {self.values.shape}")
+            raise InputError(f"trace values must be (channels, frames), got shape {self.values.shape}")
         if self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise DimensionError(f"trace needs at least one channel and one frame, got {self.values.shape}")
+            raise InputError(f"trace needs at least one channel and one frame, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NumericError("trace values contain NaN or Inf")
         self.channel_names = tuple(self.channel_names)
         if len(self.channel_names) != self.values.shape[0]:
-            raise DimensionError(f"{len(self.channel_names)} channel names for "
-                                 f"{self.values.shape[0]} channels")
+            raise InputError(f"{len(self.channel_names)} channel names for "
+                             f"{self.values.shape[0]} channels")
         if self.source_frames is None:
             self.source_frames = self.values.shape[1]
         if not (1 <= self.source_frames <= self.values.shape[1]):
-            raise DimensionError(f"source_frames {self.source_frames} outside "
-                                 f"[1, {self.values.shape[1]}]")
+            raise InputError(f"source_frames {self.source_frames} outside "
+                             f"[1, {self.values.shape[1]}]")
 
     @property
     def channels(self) -> int:
@@ -109,8 +98,8 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.vocab = tuple(self.vocab)
         if self.labels.shape != (len(self.traces),):
-            raise DimensionError(f"{self.labels.shape[0] if self.labels.ndim else 0} labels "
-                                 f"for {len(self.traces)} traces")
+            raise InputError(f"{self.labels.shape[0] if self.labels.ndim else 0} labels "
+                             f"for {len(self.traces)} traces")
         if len(set(self.vocab)) != len(self.vocab):
             raise InputError(f"duplicate class names in vocab {self.vocab}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= len(self.vocab)):
@@ -119,7 +108,7 @@ class LabeledDataset:
         first = self.traces[0] if self.traces else None
         for trace in self.traces:
             if trace.channels != first.channels or trace.channel_names != first.channel_names:
-                raise DimensionError("all traces in a dataset must share channel count and names")
+                raise InputError("all traces in a dataset must share channel count and names")
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -401,10 +390,10 @@ def label_from_filename(name: str) -> tuple[int, int]:
     base = os.path.basename(name)
     m = _FILENAME_RE.match(base)
     if m is None:
-        raise LabelingError(f"{base!r} does not match the task<k>_trial<m>.csv naming convention")
+        raise InputError(f"{base!r} does not match the task<k>_trial<m>.csv naming convention")
     task_id, trial = int(m.group(1)), int(m.group(2))
     if task_id < 1:
-        raise LabelingError(f"{base!r}: task numbers start at 1")
+        raise InputError(f"{base!r}: task numbers start at 1")
     return task_id, trial
 
 
@@ -486,8 +475,8 @@ class StandardizationStats:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
-            raise DimensionError(f"stats must be aligned vectors, got {self.mean.shape} "
-                                 f"and {self.std.shape}")
+            raise InputError(f"stats must be aligned vectors, got {self.mean.shape} "
+                             f"and {self.std.shape}")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
             raise InputError("means and standard deviations must be finite")
         if np.any(self.std <= 0):
@@ -537,8 +526,8 @@ def prepare_input(raw, stats: StandardizationStats, input_frames: int,
     raw = np.asarray(raw)
     channels, frames = raw.shape
     if channels != stats.channels:
-        raise DimensionError(f"stats cover {stats.channels} channels but the input has "
-                             f"{channels}")
+        raise InputError(f"stats cover {stats.channels} channels but the input has "
+                         f"{channels}")
     if offset + frames > input_frames:
         raise InputError(f"{frames} frames at offset {offset} do not fit an input of "
                          f"{input_frames} frames")
@@ -554,7 +543,7 @@ def prepare_input(raw, stats: StandardizationStats, input_frames: int,
 def save_stats(stats: StandardizationStats, channel_names, path: str) -> None:
     channel_names = tuple(channel_names)
     if len(channel_names) != stats.channels:
-        raise DimensionError(f"{len(channel_names)} names for {stats.channels} channels")
+        raise InputError(f"{len(channel_names)} names for {stats.channels} channels")
     write_utf8(path, csv_text([("channel", "mean", "std"),
                                *zip(channel_names, map(float, stats.mean), map(float, stats.std))]))
 
@@ -641,8 +630,8 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec
     counts = dataset.class_counts()
     for k, count in enumerate(counts):
         if count < 3:
-            raise InsufficientSupportError(f"class {dataset.vocab[k]!r} has only {count} "
-                                           f"sample(s); stratified splitting needs >= 3")
+            raise InputError(f"class {dataset.vocab[k]!r} has only {count} "
+                             f"sample(s); stratified splitting needs >= 3")
     rng = np.random.default_rng(spec.seed)
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     for k in range(len(dataset.vocab)):
@@ -654,8 +643,8 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec
         parts[2].extend(perm[n_train + n_val:].tolist())
     for name, part in zip(("training", "validation", "test"), parts):
         if not part:
-            raise InsufficientSupportError(f"split {format_ratio(spec.fractions)} leaves "
-                                           f"the {name} partition empty")
+            raise InputError(f"split {format_ratio(spec.fractions)} leaves "
+                             f"the {name} partition empty")
     train, val, test = (dataset.subset(sorted(part)) for part in parts)
     log.info("stratified split %s -> %d/%d/%d samples", format_ratio(spec.fractions),
              len(train), len(val), len(test))
@@ -675,11 +664,11 @@ def relabel_binary(dataset: LabeledDataset, positive_names) -> LabeledDataset:
     positive = set(positive_names)
     unknown = [name for name in positive_names if name not in dataset.vocab]
     if unknown:
-        raise RelabelError(f"positive class name(s) {unknown} not in vocab {list(dataset.vocab)}")
+        raise InputError(f"positive class name(s) {unknown} not in vocab {list(dataset.vocab)}")
     if not positive:
-        raise RelabelError("positive class set is empty")
+        raise InputError("positive class set is empty")
     if len(positive) == len(dataset.vocab):
-        raise RelabelError("positive class set covers every class; nothing to separate")
+        raise InputError("positive class set covers every class; nothing to separate")
     negatives = [name for name in dataset.vocab if name not in positive]
     positives = [name for name in dataset.vocab if name in positive]
     vocab = (f"neg({'+'.join(negatives)})", f"pos({'+'.join(positives)})")
@@ -723,8 +712,8 @@ def merge_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
     if not b.traces:
         return a
     if a.channels != b.channels or a.channel_names != b.channel_names:
-        raise FusionError(f"cannot merge: channels {a.channels}/{a.channel_names} vs "
-                          f"{b.channels}/{b.channel_names}")
+        raise InputError(f"cannot merge: channels {a.channels}/{a.channel_names} vs "
+                         f"{b.channels}/{b.channel_names}")
     vocab = list(a.vocab)
     for name in b.vocab:
         if name not in vocab:

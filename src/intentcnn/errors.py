@@ -1,7 +1,15 @@
 """Exception hierarchy shared by every intentcnn module.
 
-The command line maps these onto exit codes: ConfigError -> 2, DataError and
-its subclasses -> 3, everything else (TrainingError, unexpected failures) -> 4.
+The command line prints ``error: <message>`` for each of these and exits with
+the code its class maps to:
+
+- IntentCnnError -> 4, for what no subclass covers;
+- ConfigError -> 2;
+- DataError -> 3, and so InputError -> 3, NumericError -> 3 and FormatError -> 3;
+- TrainingError -> 4;
+- ExperimentError -> its cause's code.
+
+Any other exception exits 4.
 """
 
 from __future__ import annotations
@@ -19,16 +27,9 @@ class DataError(IntentCnnError):
     """Base class for problems with input data rather than configuration or code."""
 
 
-class DimensionError(DataError):
-    """Array shape or channel-count mismatch."""
-
-
-class DegenerateInputError(DataError):
-    """Input too small for the requested operation (e.g. fewer frames than kernel width)."""
-
-
 class InputError(DataError):
-    """Input content violates a contract (non-one-hot targets, bad probabilities, ...)."""
+    """Data, a file or a source the operation cannot use (a shape or channel
+    mismatch, too few frames or samples, a misnamed trace, a dead source, ...)."""
 
 
 class NumericError(DataError):
@@ -37,26 +38,6 @@ class NumericError(DataError):
 
 class FormatError(DataError):
     """A file (trace CSV, model binary, stats CSV) does not parse; message carries a location."""
-
-
-class LabelingError(DataError):
-    """A trace file name does not follow the task<k>_trial<m>.csv convention."""
-
-
-class RelabelError(DataError):
-    """Invalid binary relabeling request (empty or non-proper positive class set)."""
-
-
-class FusionError(DataError):
-    """Datasets cannot be merged (channel count or channel name mismatch)."""
-
-
-class InsufficientSupportError(DataError):
-    """A class has too few samples for the requested stratified split."""
-
-
-class StreamError(DataError):
-    """Fatal streaming problem (configuration-level channel mismatch, dead input)."""
 
 
 class TrainingError(IntentCnnError):

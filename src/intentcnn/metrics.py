@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ def confusion_matrix(truths, preds, num_classes: int) -> np.ndarray:
     truths = np.asarray(truths)
     preds = np.asarray(preds)
     if truths.ndim != 1 or truths.shape != preds.shape:
-        raise DimensionError(f"labels must be aligned 1-D arrays, got {truths.shape} "
-                             f"and {preds.shape}")
+        raise InputError(f"labels must be aligned 1-D arrays, got {truths.shape} "
+                         f"and {preds.shape}")
     if truths.size == 0:
         # no observations yet: a well-formed all-zero tally
         return np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -53,7 +53,7 @@ def confusion_matrix(truths, preds, num_classes: int) -> np.ndarray:
 def _check_confusion(confusion: np.ndarray) -> np.ndarray:
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
-        raise DimensionError(f"confusion matrix must be square, got {confusion.shape}")
+        raise InputError(f"confusion matrix must be square, got {confusion.shape}")
     if not np.issubdtype(confusion.dtype, np.integer) or np.any(confusion < 0):
         raise InputError("confusion matrix entries must be non-negative integers")
     return confusion

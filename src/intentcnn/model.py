@@ -31,14 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .config import KeyReader, check_bounds
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    InputError,
-    NumericError,
-    TrainingError,
-)
+from .errors import ConfigError, FormatError, InputError, NumericError, TrainingError
 from .metrics import confusion_matrix, macro_f1
 from .numerics import (
     GradCheckResult,
@@ -315,12 +308,12 @@ class Network:
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x)
         if x.ndim != 3:
-            raise DimensionError(f"network input must be (batch, channels, frames), "
-                                 f"got shape {x.shape}")
+            raise InputError(f"network input must be (batch, channels, frames), "
+                             f"got shape {x.shape}")
         expected = (self.config.channels, self.config.input_frames)
         if x.shape[1:] != expected:
-            raise DimensionError(f"network expects (channels, frames) = {expected}, "
-                                 f"got {x.shape[1:]}")
+            raise InputError(f"network expects (channels, frames) = {expected}, "
+                             f"got {x.shape[1:]}")
         return x.astype(self.dtype, copy=False)
 
     def _prefix_widths(self, x) -> np.ndarray:
@@ -621,9 +614,9 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
     val_x = np.asarray(val_x)
     val_y = np.asarray(val_y)
     if len(train_x) != len(train_y):
-        raise DimensionError(f"{len(train_x)} training samples vs {len(train_y)} labels")
+        raise InputError(f"{len(train_x)} training samples vs {len(train_y)} labels")
     if len(val_x) != len(val_y):
-        raise DimensionError(f"{len(val_x)} validation samples vs {len(val_y)} labels")
+        raise InputError(f"{len(val_x)} validation samples vs {len(val_y)} labels")
     if len(train_x) < 2:
         raise InputError("training needs at least two samples")
     if len(val_x) == 0:
@@ -904,13 +897,20 @@ def _config_of(records) -> NetworkConfig:
 
 
 def load_model(path: str) -> Network:
-    """The network at ``path``; a regular file is mapped copy-on-write, never read whole."""
+    """The network at ``path``; a regular file is mapped copy-on-write, never read whole.
+
+    A pipe is read in chunks into one buffer, once its first bytes are the magic."""
     try:
         with open(path, "rb") as fh:    # NumPy's reader seeks, which a pipe cannot
             try:
                 data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
             except (OSError, ValueError):    # a pipe, a device or an empty file
-                data = np.fromfile(fh, np.uint8) if fh.seekable() else fh.read()
+                if fh.seekable():
+                    data = np.fromfile(fh, np.uint8)
+                elif (data := fh.read(len(MAGIC))) == MAGIC:
+                    data = bytearray(data)
+                    while chunk := fh.read(1 << 20):
+                        data += chunk
     except OSError as exc:
         raise FormatError(f"cannot read model file {path!r}: {exc}") from exc
     return deserialize(data)

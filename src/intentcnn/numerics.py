@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    InputError,
-    NumericError,
-)
+from .errors import InputError, NumericError
 
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] inside losses
 BN_EPSILON = 1e-5
@@ -40,10 +35,10 @@ NOISE_COEFF = 8.0   # gradient_check: finite-difference noise, in machine epsilo
 # ---------------------------------------------------------------------------
 
 def _batched(x: np.ndarray, ndim: int) -> np.ndarray:
-    """x as an array, or DimensionError unless it has ndim axes, batch first."""
+    """x as an array, or InputError unless it has ndim axes, batch first."""
     x = np.asarray(x)
     if x.ndim != ndim:
-        raise DimensionError(f"input must have {ndim} axes, batch first, got shape {x.shape}")
+        raise InputError(f"input must have {ndim} axes, batch first, got shape {x.shape}")
     return x
 
 
@@ -86,12 +81,12 @@ def _conv_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     x = _batched(x, 3)
     weights = np.asarray(weights)
     if weights.ndim != 3 or weights.shape[2] < 1:
-        raise DimensionError(f"weights must be (out_channels, in_channels, kernel_width), got shape {weights.shape}")
+        raise InputError(f"weights must be (out_channels, in_channels, kernel_width), got shape {weights.shape}")
     _, in_channels, kernel_width = weights.shape
     if x.shape[1] != in_channels:
-        raise DimensionError(f"input has {x.shape[1]} channels but kernels expect {in_channels}")
+        raise InputError(f"input has {x.shape[1]} channels but kernels expect {in_channels}")
     if x.shape[2] < kernel_width:
-        raise DegenerateInputError(f"{x.shape[2]} frames is shorter than kernel width {kernel_width}")
+        raise InputError(f"{x.shape[2]} frames is shorter than kernel width {kernel_width}")
     return x, weights
 
 
@@ -110,7 +105,7 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     w_taps = np.ascontiguousarray(weights.transpose(2, 0, 1))    # (K, O, C): plain GEMMs
     bias = np.asarray(bias)
     if bias.shape != (w_taps.shape[1],):
-        raise DimensionError(f"bias shape {bias.shape} does not match {w_taps.shape[1]} output channels")
+        raise InputError(f"bias shape {bias.shape} does not match {w_taps.shape[1]} output channels")
     taps = _taps(x, len(w_taps), 1)
     out = w_taps[0] @ taps[0]
     for w_tap, tap in zip(w_taps[1:], taps[1:]):
@@ -141,7 +136,7 @@ def conv1d_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, *,
     taps = _taps(x, kernel_width, 1)
     out_shape = (x.shape[0], out_channels, taps[0].shape[2])
     if upstream.shape != out_shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match forward output {out_shape}")
+        raise InputError(f"upstream shape {upstream.shape} does not match forward output {out_shape}")
     dbias = upstream.sum(axis=(0, 2))
     up_t = np.ascontiguousarray(upstream.transpose(0, 2, 1))  # (B, T, O): faster than (O, T) @ (T, C)
     dweights = np.stack([(tap @ up_t).sum(axis=0).T for tap in taps], axis=2)
@@ -182,7 +177,7 @@ def maxpool1d_forward(x: np.ndarray, pool: int, stride: int, *, routes: bool = F
     if pool < 1 or stride < 1:
         raise InputError(f"pool and stride must be >= 1, got pool={pool} stride={stride}")
     if x.shape[2] < pool:
-        raise DegenerateInputError(f"{x.shape[2]} frames is shorter than pool size {pool}")
+        raise InputError(f"{x.shape[2]} frames is shorter than pool size {pool}")
     taps = _taps(x, pool, stride)
     if not routes:
         return functools.reduce(np.maximum, taps) if pool > 1 else taps[0].copy()  # not a view of x
@@ -213,11 +208,11 @@ def maxpool1d_backward(routes: PoolRoutes, pool: int, stride: int,
     """
     out_shape = routes.masks.shape[1:]
     if routes.masks.shape[0] != pool or (routes.shape[2] - pool) // stride + 1 != out_shape[2]:
-        raise DimensionError(f"routes do not match pool={pool} stride={stride}")
+        raise InputError(f"routes do not match pool={pool} stride={stride}")
     upstream = np.asarray(upstream)
     if upstream.shape != out_shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match pooled output "
-                             f"{out_shape}")
+        raise InputError(f"upstream shape {upstream.shape} does not match pooled output "
+                         f"{out_shape}")
     dx = np.zeros(routes.shape, dtype=routes.dtype)
     for dx_tap, mask in zip(_taps(dx, pool, stride)[::-1], routes.masks[::-1]):
         dx_tap += _masked(upstream, mask)           # windows in ascending order
@@ -239,11 +234,11 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, *,
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 2:
-        raise DimensionError(f"weights must be (out, in), got shape {weights.shape}")
+        raise InputError(f"weights must be (out, in), got shape {weights.shape}")
     if bias.shape != (weights.shape[0],):
-        raise DimensionError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
+        raise InputError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
     if x.shape[1] != weights.shape[1]:
-        raise DimensionError(f"input has {x.shape[1]} features but weights expect {weights.shape[1]}")
+        raise InputError(f"input has {x.shape[1]} features but weights expect {weights.shape[1]}")
     return ((x[:, None, :] @ weights.T)[:, 0] if per_row else (weights @ x.T).T) + bias
 
 
@@ -253,8 +248,8 @@ def dense_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
     upstream = np.asarray(upstream)
     weights = np.asarray(weights)
     if upstream.shape != (x.shape[0], weights.shape[0]):
-        raise DimensionError(f"upstream shape {upstream.shape} does not match output "
-                             f"{(x.shape[0], weights.shape[0])}")
+        raise InputError(f"upstream shape {upstream.shape} does not match output "
+                         f"{(x.shape[0], weights.shape[0])}")
     dx = upstream @ weights
     dweights = upstream.T @ x
     dbias = upstream.sum(axis=0)
@@ -274,7 +269,7 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     upstream = np.asarray(upstream)
     if x.shape != upstream.shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match input {x.shape}")
+        raise InputError(f"upstream shape {upstream.shape} does not match input {x.shape}")
     return _masked(upstream, x > 0)
 
 
@@ -304,11 +299,11 @@ def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
     x = _batched(x, 3)
     count = x.shape[0] * x.shape[2]
     if count < 2:
-        raise DegenerateInputError(f"batchnorm train mode needs >= 2 values per channel, got {count}")
+        raise InputError(f"batchnorm train mode needs >= 2 values per channel, got {count}")
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise DimensionError(f"gamma/beta must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
+        raise InputError(f"gamma/beta must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
     x_hat = x.astype(np.float64)
     mean = x_hat.sum(axis=(0, 2)) / count
     x_hat -= mean[:, None]
@@ -354,7 +349,7 @@ def batchnorm_backward(cache: BatchNormCache, upstream: np.ndarray
     upstream = np.asarray(upstream)
     x_hat = cache.x_hat
     if upstream.shape != x_hat.shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match input {x_hat.shape}")
+        raise InputError(f"upstream shape {upstream.shape} does not match input {x_hat.shape}")
     count = upstream.shape[0] * upstream.shape[2]
     dx = upstream.astype(np.float64)
     dbeta = dx.sum(axis=(0, 2))
@@ -374,7 +369,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise shift-invariant softmax over the last axis."""
     logits = np.asarray(logits)
     if logits.shape[-1] < 2:
-        raise DimensionError(f"softmax needs at least 2 classes, got {logits.shape[-1]}")
+        raise InputError(f"softmax needs at least 2 classes, got {logits.shape[-1]}")
     _require_finite(logits, "logits")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
@@ -384,7 +379,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
-        raise DimensionError(f"labels must be a vector, got shape {labels.shape}")
+        raise InputError(f"labels must be a vector, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
@@ -402,11 +397,11 @@ class LossValue:
 
 def _check_prob_matrix(probs: np.ndarray, targets: np.ndarray) -> None:
     if probs.ndim != 2 or targets.ndim != 2:
-        raise DimensionError(f"probs and targets must be 2-D, got {probs.shape} and {targets.shape}")
+        raise InputError(f"probs and targets must be 2-D, got {probs.shape} and {targets.shape}")
     if probs.shape != targets.shape:
-        raise DimensionError(f"probs shape {probs.shape} does not match targets {targets.shape}")
+        raise InputError(f"probs shape {probs.shape} does not match targets {targets.shape}")
     if probs.shape[1] < 2:
-        raise DimensionError(f"need at least 2 classes, got {probs.shape[1]}")
+        raise InputError(f"need at least 2 classes, got {probs.shape[1]}")
     _require_finite(probs, "probs")
     row_sums = probs.sum(axis=1, dtype=np.float64)
     if np.any(np.abs(row_sums - 1.0) > 1e-4):
@@ -434,7 +429,7 @@ def softmax_cce_logit_grad(probs: np.ndarray, targets: np.ndarray) -> np.ndarray
     probs = np.asarray(probs)
     targets = np.asarray(targets)
     if probs.shape != targets.shape:
-        raise DimensionError(f"probs shape {probs.shape} does not match targets {targets.shape}")
+        raise InputError(f"probs shape {probs.shape} does not match targets {targets.shape}")
     return ((probs - targets) / probs.shape[0]).astype(probs.dtype, copy=False)
 
 
@@ -443,11 +438,11 @@ def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> LossValue:
     probs = np.asarray(probs)
     targets = np.asarray(targets)
     if probs.ndim != 1 or targets.ndim != 1:
-        raise DimensionError(f"probs and targets must be vectors, got {probs.shape} and {targets.shape}")
+        raise InputError(f"probs and targets must be vectors, got {probs.shape} and {targets.shape}")
     if probs.shape != targets.shape:
-        raise DimensionError(f"probs shape {probs.shape} does not match targets {targets.shape}")
+        raise InputError(f"probs shape {probs.shape} does not match targets {targets.shape}")
     if probs.size == 0:
-        raise DegenerateInputError("empty batch")
+        raise InputError("empty batch")
     _require_finite(probs, "probs")
     if np.any((targets != 0) & (targets != 1)):
         raise InputError("targets must be 0/1")
@@ -502,11 +497,11 @@ def gradient_check(loss_fn, arrays, analytic_grads, epsilon: float = 1e-5,
     arrays = list(arrays)
     analytic_grads = list(analytic_grads)
     if len(arrays) != len(analytic_grads):
-        raise DimensionError("arrays and analytic_grads must align")
+        raise InputError("arrays and analytic_grads must align")
     for arr, grad in zip(arrays, analytic_grads):
         if np.asarray(arr).shape != np.asarray(grad).shape:
-            raise DimensionError(f"gradient shape {np.asarray(grad).shape} does not match "
-                                 f"array shape {np.asarray(arr).shape}")
+            raise InputError(f"gradient shape {np.asarray(grad).shape} does not match "
+                             f"array shape {np.asarray(arr).shape}")
         _require_finite(arr, "checked array")
 
     if target_rel_tol is None:

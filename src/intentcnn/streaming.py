@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import check_bounds, csv_cell
 from .dataset import StandardizationStats, _read_rows, prepare_input
-from .errors import ConfigError, NumericError, StreamError
+from .errors import ConfigError, InputError, NumericError
 from .model import Network
 
 DEFAULT_WINDOW_FRAMES = 1000
@@ -91,8 +91,8 @@ class WindowConfig:
 def check_model_inputs(network: Network, stats: StandardizationStats, class_names) -> None:
     """Raise unless the stats fit the network's channels and the class names (if any) its classes."""
     if stats.channels != network.config.channels:
-        raise StreamError(f"statistics cover {stats.channels} channels but "
-                          f"the model expects {network.config.channels}")
+        raise InputError(f"statistics cover {stats.channels} channels but "
+                         f"the model expects {network.config.channels}")
     if class_names is not None and len(class_names) != network.num_classes:
         raise ConfigError(f"{len(class_names)} class names for {network.num_classes} classes")
 
@@ -115,7 +115,7 @@ class StreamPrediction:
     def __post_init__(self):
         total = float(np.sum(self.probs, dtype=np.float64))
         if abs(total - 1.0) > 1e-6:
-            raise StreamError(f"probabilities sum to {total!r}, not 1")
+            raise InputError(f"probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,11 @@ def window_extract(frame_buffer, cfg: WindowConfig) -> list[Window]:
     """
     buffer = np.asarray(frame_buffer, dtype=np.float32)
     if buffer.ndim != 2:
-        raise StreamError(f"frame buffer must be (channels, frames), got shape "
-                          f"{buffer.shape}")
+        raise InputError(f"frame buffer must be (channels, frames), got shape "
+                         f"{buffer.shape}")
     if buffer.shape[0] != cfg.channels:
-        raise StreamError(f"frame buffer has {buffer.shape[0]} channels but the "
-                          f"model expects {cfg.channels}")
+        raise InputError(f"frame buffer has {buffer.shape[0]} channels but the "
+                         f"model expects {cfg.channels}")
     w = cfg.window_frames
     columns = np.zeros((cfg.channels, w + buffer.shape[1]), dtype=np.float32)
     columns[:, w:] = buffer
@@ -332,7 +332,7 @@ def open_line_source(source: str):
         try:
             conn = socket.create_connection((host, port))
         except OSError as exc:
-            raise StreamError(f"cannot connect to {host}:{port}: {exc}") from exc
+            raise InputError(f"cannot connect to {host}:{port}: {exc}") from exc
         stream = conn.makefile("rb")
         conn.close()                   # the file keeps the connection until it is closed
         return _line_batches(stream, close=True)

@@ -113,10 +113,16 @@ def test_data_error_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _documented_exit_codes() -> dict[str, int]:
-    """errors.py's docstring map, e.g. {'ConfigError': 2, 'DataError': 3, 'TrainingError': 4}."""
+def _documented_exit_codes() -> dict[str, int | None]:
+    """errors.py's docstring map, e.g. {'ConfigError': 2, 'DataError': 3, ...,
+    'ExperimentError': None}; None stands for "its cause's code"."""
     text = " ".join(errors.__doc__.split())
-    return {name: int(code) for name, code in re.findall(r"(\w+Error)\b[^>]*?-> (\d)", text)}
+    return {name: int(code) if code.isdigit() else None
+            for name, code in re.findall(r"(\w+Error)\b[^>]*?-> (\d|its cause's code)", text)}
+
+
+_ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
+                  if isinstance(cls, type) and cls.__module__ == errors.__name__}
 
 
 TINY_NETWORK = NetworkConfig(channels=2, input_frames=40, conv_filters=(2, 2), kernel_width=3,
@@ -144,12 +150,37 @@ def _diverging_training(tmp_path):
                                                 ("DataError", _truncated_model_file),
                                                 ("TrainingError", _diverging_training)])
 def test_exit_codes_follow_the_documented_map(tmp_path, capsys, failure, make_argv):
+    assert _documented_exit_codes().keys() == _ERROR_CLASSES.keys()
     argv, reason = make_argv(tmp_path)
     with np.errstate(all="ignore"):
         code = main(argv)
     err = capsys.readouterr().err
     assert code == _documented_exit_codes()[failure]
     assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("name, cause", [(name, None) for name in _ERROR_CLASSES
+                                         if name != "ExperimentError"] +
+                         [("ExperimentError", name) for name in _ERROR_CLASSES
+                          if name != "ExperimentError"])
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch,
+                                                          name, cause):
+    # an ExperimentError takes the code of the error it wraps
+    codes = _documented_exit_codes()
+    error = _ERROR_CLASSES[cause or name]("stats unusable")
+    if cause:
+        error = errors.ExperimentError("tiny", "standardize", error)
+
+    def load_stats(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_stats", load_stats)
+    model = str(tmp_path / "model.intc")
+    save_model(build_network(TINY_NETWORK), model)
+    code = main(["predict", "--model", model, "--stats", "s.csv", "--trace", "t.csv"])
+    assert (codes[name] is None) == (cause is not None)
+    assert code == codes[cause or name]
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

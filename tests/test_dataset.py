@@ -42,17 +42,7 @@ from intentcnn.dataset import (
     template_waveform,
     write_trace_csv,
 )
-from intentcnn.errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    FusionError,
-    InputError,
-    InsufficientSupportError,
-    LabelingError,
-    NumericError,
-    RelabelError,
-)
+from intentcnn.errors import ConfigError, FormatError, InputError, NumericError
 
 import oracles
 
@@ -88,22 +78,22 @@ def test_trace_basic_properties():
 
 
 def test_trace_rejects_bad_shapes_and_values():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         Trace(values=np.zeros(5), channel_names=("a",))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         Trace(values=np.zeros((2, 4)), channel_names=("a",))
     with pytest.raises(NumericError):
         Trace(values=np.array([[np.nan, 0.0]]), channel_names=("a",))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         Trace(values=np.zeros((1, 4)), channel_names=("a",), source_frames=5)
 
 
 def test_dataset_rejects_mismatched_traces():
     t1 = Trace(values=np.zeros((2, 4)), channel_names=("a", "b"))
     t2 = Trace(values=np.zeros((3, 4)), channel_names=("a", "b", "c"))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="must share channel count"):
         LabeledDataset(traces=[t1, t2], labels=np.array([0, 1]), vocab=("x", "y"))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("labels must lie in [0, 2)")):
         LabeledDataset(traces=[t1], labels=np.array([2]), vocab=("x", "y"))
 
 
@@ -482,7 +472,7 @@ def test_label_from_filename():
     assert label_from_filename("task3_trial07.csv") == (3, 7)
     assert label_from_filename("/some/dir/task12_trial00.csv") == (12, 0)
     for bad in ("trial01_task1.csv", "task_trial01.csv", "task1_trial2.txt", "task1.csv"):
-        with pytest.raises(LabelingError):
+        with pytest.raises(InputError):
             label_from_filename(bad)
 
 
@@ -594,7 +584,7 @@ def test_standardize_apply_checks_channels():
     trace = Trace(values=np.ones((2, 4)), channel_names=("a", "b"))
     data = LabeledDataset(traces=[trace], labels=np.array([0]), vocab=("x",))
     stats = StandardizationStats(mean=np.zeros(3), std=np.ones(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         standardize_apply(data, stats)
 
 
@@ -612,9 +602,9 @@ def test_prepare_input_standardizes_into_zero_frame():
     out = prepare_input(raw, stats, input_frames=5, offset=2)
     assert out.dtype == np.float32 and out.shape == (2, 5)
     npt.assert_array_equal(out, [[0, 0, 0, 1, 0], [0, 0, 0, 2, 0]])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="do not fit an input of 3 frames"):
         prepare_input(raw, stats, input_frames=3, offset=2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="stats cover 2 channels but the input has 1"):
         prepare_input(raw[:1], stats, input_frames=5)
 
 
@@ -836,7 +826,7 @@ def test_stratified_split_is_deterministic():
 
 def test_stratified_split_needs_support():
     data = make_dataset([5, 2])
-    with pytest.raises(InsufficientSupportError):
+    with pytest.raises(InputError):
         stratified_split(data, SplitSpec(0.8, 0.1, 0.1))
 
 
@@ -844,7 +834,7 @@ def test_stratified_split_needs_support():
 def test_stratified_split_rejects_empty_partition():
     # three per class at 0.8/0.1/0.1 apportions 3/0/0: nothing left to validate on
     data = make_dataset([3, 3])
-    with pytest.raises(InsufficientSupportError, match="0.8/0.1/0.1.*validation"):
+    with pytest.raises(InputError, match="0.8/0.1/0.1.*validation"):
         stratified_split(data, SplitSpec(0.8, 0.1, 0.1))
 
 # ---------------------------------------------------------------------------
@@ -860,11 +850,11 @@ def test_relabel_binary_maps_and_names():
 
 def test_relabel_binary_rejects_bad_sets():
     data = make_dataset([3, 3], vocab=("task1", "task2"))
-    with pytest.raises(RelabelError, match="empty"):
+    with pytest.raises(InputError, match="empty"):
         relabel_binary(data, [])
-    with pytest.raises(RelabelError, match="covers every class"):
+    with pytest.raises(InputError, match="covers every class"):
         relabel_binary(data, ["task2", "task1"])
-    with pytest.raises(RelabelError, match=re.escape(
+    with pytest.raises(InputError, match=re.escape(
             "positive class name(s) ['task6'] not in vocab ['task1', 'task2']")):
         relabel_binary(data, ["task1", "task6"])
 
@@ -901,7 +891,7 @@ def test_merge_datasets_unions_by_name():
 def test_merge_datasets_channel_mismatch():
     a = make_dataset([2], channels=2)
     b = make_dataset([2], channels=3)
-    with pytest.raises(FusionError):
+    with pytest.raises(InputError):
         merge_datasets(a, b)
 
 

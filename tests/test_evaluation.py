@@ -10,7 +10,7 @@ import pytest
 
 from intentcnn.config import parse_kv_file
 from intentcnn.dataset import SynthSpec, Trace, load_stats, padded_length, write_trace_csv
-from intentcnn.errors import ConfigError, ExperimentError, InputError, NumericError, RelabelError
+from intentcnn.errors import ConfigError, ExperimentError, InputError, NumericError
 from intentcnn.evaluation import (
     DEFAULT_RATIOS,
     ExperimentSpec,
@@ -228,7 +228,7 @@ def test_run_experiment_wraps_stage_errors():
 def test_run_experiment_reports_an_unknown_positive_class_by_name():
     with pytest.raises(ExperimentError) as excinfo:
         run_experiment(small_spec(relabel_positive=("task2", "nosuch")))
-    assert excinfo.value.stage == "relabel" and isinstance(excinfo.value.cause, RelabelError)
+    assert excinfo.value.stage == "relabel" and isinstance(excinfo.value.cause, InputError)
     assert str(excinfo.value.cause) == ("positive class name(s) ['nosuch'] not in vocab "
                                         "['task1', 'task2', 'task3']")
 

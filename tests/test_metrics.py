@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentcnn.errors import DimensionError, InputError
+from intentcnn.errors import InputError
 from intentcnn.metrics import (
     ClassMetrics,
     accuracy,
@@ -25,11 +25,11 @@ def test_confusion_matrix_counts_pairs():
 
 
 def test_confusion_matrix_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="aligned 1-D arrays"):
         confusion_matrix(np.array([0, 1]), np.array([0]), 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="true labels must lie in"):
         confusion_matrix(np.array([0, 2]), np.array([0, 1]), 2)  # true label out of range
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="labels must be integers"):
         confusion_matrix(np.array([0.5, 1.0]), np.array([0, 1]), 2)
     empty = confusion_matrix(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
     npt.assert_array_equal(empty, np.zeros((3, 3), dtype=np.int64))
@@ -93,11 +93,11 @@ def test_matches_pairwise_oracle_exactly():
 
 
 def test_confusion_rejects_bad_matrix():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="must be square"):
         per_class_metrics(np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-negative integers"):
         per_class_metrics(np.array([[1.5, 0], [0, 1.0]]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-negative integers"):
         per_class_metrics(np.array([[1, -1], [0, 1]]))
 
 

@@ -1,5 +1,6 @@
 """Tests for network construction, training, gradient flow and model files."""
 
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -12,13 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentcnn.errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    InputError,
-    TrainingError,
-)
+from intentcnn.errors import ConfigError, FormatError, InputError, TrainingError
 from intentcnn import model as model_module
 from intentcnn.model import (
     ADAM_CHUNK,
@@ -164,9 +159,9 @@ def test_forward_shapes_and_input_checks():
     assert logits.shape == (4, 3)
     assert len(caches) == len(net.layers())
     assert net.forward_infer(x).shape == (4, 3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         net.forward_infer(x[:, :, :10])
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         net.forward_infer(x[0])
 
 
@@ -673,11 +668,11 @@ def test_train_rejects_bad_inputs():
     x = make_batch(rng, SMALL, 6)
     y = np.array([0, 1, 2, 0, 1, 2])
     spec = TrainSpec(epochs=1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-empty validation set"):
         train(net, x, y, x[:0], y[:0], spec)  # empty validation set
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="6 training samples vs 4 labels"):
         train(net, x, y[:4], x, y, spec)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="training labels outside"):
         train(net, x, y + 5, x, y, spec)
 
 
@@ -802,6 +797,48 @@ def test_deserialize_of_bytes_bytearray_and_load_model_serialize_alike(tmp_path)
     path.write_bytes(blob)
     for source, load in _LOADERS.items():
         assert serialize(load(path)) == blob, source
+
+
+def _load_a_fifo_fed(tmp_path, head: bytes, zero_mib: int) -> tuple[int, str]:
+    """The tracemalloc peak of load_model on a FIFO that gets ``head``, then
+    ``zero_mib`` MiB of zeros; load_model must raise a FormatError.  The writer
+    sends slices of one buffer made beforehand, so the peak is the reader's."""
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+    zeros = memoryview(bytes(2 ** 20))
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb", buffering=0) as fh:
+            fh.write(head)
+            for _ in range(zero_mib):
+                fh.write(zeros)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            load_model(str(fifo))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return peak, str(info.value)
+
+
+def test_a_piped_model_with_a_bad_magic_is_refused_after_four_bytes(tmp_path):
+    peak, message = _load_a_fifo_fed(tmp_path, b"", 64)
+    assert message == r"bad magic b'\x00\x00\x00\x00' at byte 0, expected b'INTC'"
+    assert peak < 2 ** 20                               # reading the pipe whole takes 64 MiB
+
+
+def test_a_piped_model_with_trailing_bytes_is_held_once(tmp_path):
+    blob = serialize(build_network(SMALL, seed=49))
+    peak, message = _load_a_fifo_fed(tmp_path, blob, 16)
+    assert message == (f"{16 * 2 ** 20} trailing bytes after the last record "
+                       f"(at byte {len(blob)})")
+    assert peak < 1.3 * (len(blob) + 16 * 2 ** 20)      # a read and a copy of it take 2x
 
 
 def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clone(tmp_path):

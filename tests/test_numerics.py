@@ -13,12 +13,7 @@ from hypothesis import given, settings
 
 from intentcnn import numerics as nm
 from intentcnn.model import PoolLayer
-from intentcnn.errors import (
-    DegenerateInputError,
-    DimensionError,
-    InputError,
-    NumericError,
-)
+from intentcnn.errors import InputError, NumericError
 
 import oracles
 
@@ -108,22 +103,22 @@ def test_kernel_batched_matches_per_sample(kernel):
 def test_conv_errors():
     w = np.zeros((1, 2, 3), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="3 channels but kernels expect 2"):
         nm.conv1d_forward(np.zeros((1, 3, 10), np.float32), w, b)   # channel mismatch
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="2 frames is shorter than kernel width 3"):
         nm.conv1d_forward(np.zeros((1, 2, 2), np.float32), w, b)    # frames < kernel width
     up = np.zeros((1, 1, 8), np.float32)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="weights must be"):
         nm.conv1d_backward(np.zeros((1, 2, 10), np.float32), w[0], up)   # weights with 2 dims
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="3 channels but kernels expect 2"):
         nm.conv1d_backward(np.zeros((1, 3, 10), np.float32), w, up)      # channel mismatch
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="2 frames is shorter than kernel width 3"):
         nm.conv1d_backward(np.zeros((1, 2, 2), np.float32), w, up[:, :, :0])   # frames < kernel width
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="weights must be"):
         nm.conv1d_forward(np.zeros((1, 2, 10), np.float32), w[:, :, :0], b)   # kernel width 0
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="input must have 3 axes"):
         nm.conv1d_forward(np.zeros((2, 10), np.float32), w, b)      # no batch axis
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="upstream shape"):
         nm.conv1d_backward(np.zeros((1, 2, 10), np.float32), w, up[0])   # upstream without batch axis
 
 
@@ -319,11 +314,11 @@ def test_maxpool_backward_finite_differences():
 
 
 def test_maxpool_errors():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="1 frames is shorter than pool size 2"):
         nm.maxpool1d_forward(np.zeros((1, 1, 1), np.float32), 2, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="pool and stride must be >= 1"):
         nm.maxpool1d_forward(np.zeros((1, 1, 4), np.float32), 0, 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="input must have 3 axes"):
         nm.maxpool1d_forward(np.zeros((1, 4), np.float32), 2, 2)   # no batch axis
 
 
@@ -382,17 +377,17 @@ def test_dense_backward_finite_differences():
 
 def test_dense_errors():
     x, w, b = np.zeros((2, 4), np.float32), np.zeros((3, 4), np.float32), np.zeros(3, np.float32)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_forward(x, w[0], b)                        # weights with 1 dim
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_forward(x, w, b[:2])                       # bias mismatch
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_forward(x[:, :3], w, b)                    # feature mismatch
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_backward(x, w, np.zeros((2, 2), np.float32))   # upstream mismatch
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_forward(x[0], w, b)                        # no batch axis
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.dense_backward(x, w, np.zeros(3, np.float32))    # upstream without batch axis
 
 
@@ -546,7 +541,7 @@ def test_maxpool_routes_errors():
                              (2, 1, np.zeros((1, 2, 4), np.float32)),
                              (2, 2, np.zeros((1, 2, 3), np.float32)),
                              (2, 2, np.zeros((2, 4), np.float32))):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             nm.maxpool1d_backward(routes, pool, stride, up)
 
 
@@ -586,14 +581,14 @@ def test_batchnorm_running_update():
 
 def test_batchnorm_requires_two_rows():
     ones, zeros = np.ones(3, np.float32), np.zeros(3, np.float32)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match=">= 2 values per channel"):
         nm.batchnorm_forward_train(np.zeros((1, 3, 1), np.float32), ones, zeros)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="input must have 3 axes"):
         nm.batchnorm_forward_train(np.zeros((4, 3), np.float32), ones, zeros)   # 2-D input
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="input must have 3 axes"):
         nm.batchnorm_forward_infer(np.zeros((4, 3), np.float32), ones, zeros, zeros, ones)
     _, cache = nm.batchnorm_forward_train(np.ones((4, 3, 1), np.float32), ones, zeros)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="upstream shape"):
         nm.batchnorm_backward(cache, np.zeros((4, 3), np.float32))   # 2-D upstream
 
 
@@ -637,7 +632,7 @@ def test_softmax_shift_invariance_and_sum():
 def test_softmax_rejects_non_finite_and_single_class():
     with pytest.raises(NumericError):
         nm.softmax(np.array([1.0, np.nan]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         nm.softmax(np.array([1.0]))
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from intentcnn import cli, dataset, streaming
 from intentcnn.cli import main
 from intentcnn.dataset import StandardizationStats, parse_trace_csv, save_stats
-from intentcnn.errors import ConfigError, FormatError, StreamError
+from intentcnn.errors import ConfigError, FormatError, InputError
 from intentcnn.model import NetworkConfig, build_network, save_model
 from intentcnn.numerics import softmax
 from intentcnn.streaming import (
@@ -110,7 +110,7 @@ def test_window_config_validation():
         make_config(class_names=("a", "b"))     # 2 names for 3 classes
     network = build_network(NET_CONFIG, seed=4)
     bad_stats = StandardizationStats(mean=np.zeros(3), std=np.ones(3))
-    with pytest.raises(StreamError):
+    with pytest.raises(InputError):
         WindowConfig(network=network, stats=bad_stats)
 
 
@@ -159,9 +159,9 @@ def test_window_extract_tiling_when_hop_equals_window():
 
 def test_window_extract_channel_mismatch():
     cfg = make_config()
-    with pytest.raises(StreamError):
+    with pytest.raises(InputError):
         window_extract(np.zeros((3, 10), dtype=np.float32), cfg)
-    with pytest.raises(StreamError):
+    with pytest.raises(InputError):
         window_extract(np.zeros(10, dtype=np.float32), cfg)
 
 
@@ -486,7 +486,7 @@ def test_trace_files_and_streams_name_the_same_first_bad_line(tmp_path, bad):
 
 
 def test_prediction_probs_must_sum_to_one():
-    with pytest.raises(StreamError):
+    with pytest.raises(InputError):
         StreamPrediction(frame_index=0, label=0,
                          probs=np.array([0.5, 0.4], dtype=np.float32),
                          warm_up=False)
@@ -714,7 +714,7 @@ def test_a_line_past_the_cap_is_a_record_when_given_directly_too():
 
 
 def test_open_line_source_tcp_refused():
-    with pytest.raises(StreamError):
+    with pytest.raises(InputError):
         open_line_source("tcp:127.0.0.1:1")      # nothing listens on port 1
 
 
