@@ -899,15 +899,13 @@ def _config_of(records) -> NetworkConfig:
 def load_model(path: str) -> Network:
     """The network at ``path``; a regular file is mapped copy-on-write, never read whole.
 
-    A pipe is read in chunks into one buffer, once its first bytes are the magic."""
+    A pipe or a device is read in chunks into one buffer once its first bytes are the magic."""
     try:
-        with open(path, "rb") as fh:    # NumPy's reader seeks, which a pipe cannot
+        with open(path, "rb") as fh:
             try:
                 data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
             except (OSError, ValueError):    # a pipe, a device or an empty file
-                if fh.seekable():
-                    data = np.fromfile(fh, np.uint8)
-                elif (data := fh.read(len(MAGIC))) == MAGIC:
+                if (data := fh.read(len(MAGIC))) == MAGIC:
                     data = bytearray(data)
                     while chunk := fh.read(1 << 20):
                         data += chunk
