@@ -214,7 +214,7 @@ def _cmd_predict(args) -> int:
     network = load_model(args.model)
     stats, channel_names = load_stats(args.stats)
     class_names = _read_labels(args.labels)
-    check_model_inputs(network, stats, class_names)
+    check_model_inputs(network, stats, class_names, args.stats)
     trace = parse_trace_csv(args.trace)
     for k, (got, want) in enumerate(zip_longest(trace.channel_names, channel_names), start=1):
         if got != want:
@@ -236,7 +236,8 @@ def _cmd_stream(args) -> int:
     network = copy.deepcopy(load_model(args.model))     # shares no page with the file
     stats, _ = load_stats(args.stats)
     cfg = WindowConfig(network=network, stats=stats, window_frames=args.window,
-                       hop_frames=args.hop, class_names=_read_labels(args.labels))
+                       hop_frames=args.hop, class_names=_read_labels(args.labels),
+                       stats_path=args.stats)
     batches = open_line_source(args.source)
     for event in stream_classify_batches(batches, cfg):
         if isinstance(event, StreamPrediction):
@@ -337,7 +338,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -53,9 +53,9 @@ from .dataset import (
 from .errors import ConfigError, ExperimentError, InputError
 from .metrics import ClassMetrics, accuracy, confusion_matrix, macro_f1, per_class_metrics
 from .model import (
-    EpochRecord,
     Network,
     NetworkConfig,
+    TrainResult,
     TrainSpec,
     build_network,
     parse_network_config,
@@ -142,8 +142,8 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RatioOutcome:
-    """Everything produced for one split ratio."""
+class RatioOutcome(TrainResult):
+    """Everything produced for one split ratio: its training result, then the rest."""
 
     fractions: tuple[float, float, float]
     split_seed: int
@@ -152,9 +152,6 @@ class RatioOutcome:
     per_class: tuple[ClassMetrics, ...]
     macro_f1: float
     accuracy: float
-    history: list[EpochRecord]
-    best_epoch: int
-    stopped_early: bool
     network: Network
 
     def ratio_tag(self) -> str:
@@ -264,9 +261,10 @@ def run_experiment(spec: ExperimentSpec) -> EvaluationReport:
 
 def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, stats,
                     result) -> RatioOutcome:
-    preds = network.predict(test_x)
+    preds = np.argmax(network.predict_proba(test_x), axis=-1)
     matrix = confusion_matrix(np.asarray(test_y), preds, network.num_classes)
     return RatioOutcome(
+        **vars(result),
         fractions=tuple(fractions),
         split_seed=split_seed,
         stats=stats,
@@ -274,9 +272,6 @@ def _evaluate_ratio(network: Network, test_x, test_y, fractions, split_seed, sta
         per_class=per_class_metrics(matrix),
         macro_f1=macro_f1(matrix),
         accuracy=accuracy(matrix),
-        history=result.history,
-        best_epoch=result.best_epoch,
-        stopped_early=result.stopped_early,
         network=network,
     )
 

@@ -26,6 +26,7 @@ import math
 import mmap
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -383,9 +384,10 @@ class Network:
         """Logits; no sample's bits depend on its batchmates."""
         return self._forward(x, False)[0]
 
-    def backward(self, caches, dlogits):
+    def backward(self, caches, dlogits, fc_grads_ready=None):
         """Gradients for every parameter, keyed like the param_items names.
 
+        ``fc_grads_ready``, if given, gets a dict of the fc-stack gradients once they are final.
         A copied tail column is the same function of the parameters as the
         column it copies, so that packed column takes the upstream summed
         over itself and the tail; the columns no sample reads take 0.
@@ -396,6 +398,8 @@ class Network:
         for layer, cache in zip(reversed(self.fc_stack), reversed(caches[split:])):
             upstream, layer_grads = layer.backward(cache, upstream)
             grads.update(layer_grads)
+        if fc_grads_ready is not None:
+            fc_grads_ready(dict(grads))
         packed, columns = caches[0]
         pooled = upstream.reshape(len(columns), *self.conv_out_shape)
         upstream = np.zeros((1, pooled.shape[1], (packed.shape[2] - self.field) // self.step + 1),
@@ -433,9 +437,6 @@ class Network:
         """
         with np.errstate(all="ignore"):
             return softmax(self.forward_infer(x))
-
-    def predict(self, x) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=-1)
 
 
 def build_network(config: NetworkConfig, seed: int = 0, dtype=np.float32) -> Network:
@@ -531,25 +532,40 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-class _Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980) updating the parameters in place.
-
-    Each parameter is walked in flat chunks of ADAM_CHUNK elements (loop
-    tiling), and every chunk runs the same elementwise ufuncs in the same
-    order as the whole-array formula, so the bits do not depend on the chunk
-    size.  Gradients come in their parameter's dtype.
-    """
+class _Sgd:
+    """SGD and Adam's base: in-place updates, one step count per training step.
+    ``apply`` runs a whole step; ``train`` counts the step itself and runs
+    ``update`` on two disjoint shares of the parameters at once."""
 
     def __init__(self, spec: TrainSpec):
         self.spec = spec
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}    # flat, one per parameter
-        self.v: dict[str, np.ndarray] = {}
-        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def apply(self, params, grads) -> None:
-        spec = self.spec
         self.step += 1
+        self.update(params, grads)
+
+    def update(self, params, grads) -> None:
+        for key, value in params:
+            value -= self.spec.learning_rate * grads[key].astype(value.dtype, copy=False)
+
+
+class _Adam(_Sgd):
+    """Adam (Kingma & Ba, arXiv:1412.6980).
+
+    Each parameter is walked in flat chunks of ADAM_CHUNK elements (loop
+    tiling), and every chunk runs the same elementwise ufuncs in the same
+    order as the whole-array formula, so the bits do not depend on the chunk
+    size.  Gradients come in their parameter's dtype; each call has its own
+    scratch, so calls on disjoint parameters may run at once.
+    """
+
+    def __init__(self, spec: TrainSpec):
+        super().__init__(spec)
+        self.m: dict[str, np.ndarray] = {}    # flat, one per parameter
+        self.v: dict[str, np.ndarray] = {}
+
+    def update(self, params, grads) -> None:
         bias1 = 1.0 - ADAM_BETA1 ** self.step
         bias2 = 1.0 - ADAM_BETA2 ** self.step
         for key, value in params:
@@ -562,14 +578,11 @@ class _Adam:
                 m = self.m[key] = np.zeros_like(flat)
                 self.v[key] = np.zeros_like(flat)
             v = self.v[key]
-            scratch = self._scratch.get(flat.dtype)
-            if scratch is None:
-                scratch = self._scratch[flat.dtype] = (np.empty(ADAM_CHUNK, flat.dtype),
-                                                       np.empty(ADAM_CHUNK, flat.dtype))
+            scratch = np.empty((2, min(flat.size, ADAM_CHUNK)), flat.dtype)
             for start in range(0, flat.size, ADAM_CHUNK):
                 end = min(start + ADAM_CHUNK, flat.size)
                 g, mc, vc = grad[start:end], m[start:end], v[start:end]
-                s, u = scratch[0][:end - start], scratch[1][:end - start]
+                s, u = scratch[:, :end - start]
                 # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
                 mc *= ADAM_BETA1
                 mc += np.multiply(1.0 - ADAM_BETA1, g, out=s)
@@ -582,16 +595,7 @@ class _Adam:
                 s += ADAM_EPSILON
                 np.divide(mc, bias1, out=u)
                 u /= s
-                flat[start:end] -= np.multiply(spec.learning_rate, u, out=u)
-
-
-class _Sgd:
-    def __init__(self, spec: TrainSpec):
-        self.spec = spec
-
-    def apply(self, params, grads) -> None:
-        for key, value in params:
-            value -= self.spec.learning_rate * grads[key].astype(value.dtype, copy=False)
+                flat[start:end] -= np.multiply(self.spec.learning_rate, u, out=u)
 
 
 def _batch_plan(n: int, batch_size: int):
@@ -627,54 +631,61 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
             raise InputError(f"{name} labels outside [0, {num_classes})")
 
     optimizer = _Adam(spec) if spec.optimizer == "adam" else _Sgd(spec)
+    conv_params, fc_params = ([item for layer in stack for item in layer.param_items()]
+                              for stack in (network.conv_stack, network.fc_stack))
+    update_fc = np.errstate(**np.geterr())(optimizer.update)   # float errors act as here
     rng = np.random.default_rng(spec.seed)
     history: list[EpochRecord] = []
     best_state = network.snapshot()
     best_val = np.inf
     best_epoch = -1
     stale = 0
-    stopped_early = False
 
-    for epoch in range(spec.epochs):
-        perm = rng.permutation(len(train_x))
-        loss_sum = 0.0
-        sample_count = 0
-        for batch_index, start in enumerate(_batch_plan(len(perm), spec.batch_size)):
-            take = perm[start:start + spec.batch_size]
-            xb = train_x[take]
-            yb = one_hot(train_y[take], num_classes)
-            try:
-                logits, caches = network.forward_train(xb)
-                probs = softmax(logits)
-                loss = categorical_cross_entropy(probs, yb)
-            except NumericError as exc:
-                raise TrainingError(f"non-finite values at epoch {epoch}, batch "
-                                    f"{batch_index}: {exc}", epoch=epoch,
-                                    batch=batch_index) from exc
-            grads = network.backward(caches, softmax_cce_logit_grad(probs, yb))
-            network.update_running_stats(caches)
-            optimizer.apply(network.param_items(), grads)
-            loss_sum += loss.value * loss.batch_size
-            sample_count += loss.batch_size
+    with ThreadPoolExecutor(max_workers=1) as helper:     # updates the fc stack
+        for epoch in range(spec.epochs):
+            perm = rng.permutation(len(train_x))
+            loss_sum = 0.0
+            sample_count = 0
+            for batch_index, start in enumerate(_batch_plan(len(perm), spec.batch_size)):
+                take = perm[start:start + spec.batch_size]
+                xb = train_x[take]
+                yb = one_hot(train_y[take], num_classes)
+                try:
+                    logits, caches = network.forward_train(xb)
+                    probs = softmax(logits)
+                    loss = categorical_cross_entropy(probs, yb)
+                except NumericError as exc:
+                    raise TrainingError(f"non-finite values at epoch {epoch}, batch "
+                                        f"{batch_index}: {exc}", epoch=epoch,
+                                        batch=batch_index) from exc
+                optimizer.step += 1
+                handed = []                     # the fc-stack update, once handed over
+                grads = network.backward(caches, softmax_cce_logit_grad(probs, yb),
+                                         lambda fc_grads: handed.append(helper.submit(
+                                             update_fc, fc_params, fc_grads)))
+                network.update_running_stats(caches)
+                optimizer.update(conv_params, grads)
+                handed[0].result()              # the next forward reads the fc stack
+                loss_sum += loss.value * loss.batch_size
+                sample_count += loss.batch_size
 
-        val_loss, val_f1 = _validate(network, val_x, val_y)
-        record = EpochRecord(epoch=epoch, train_loss=loss_sum / sample_count,
-                             val_loss=val_loss, val_macro_f1=val_f1)
-        history.append(record)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = network.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= spec.patience:
-                stopped_early = True
-                break
+            val_loss, val_f1 = _validate(network, val_x, val_y)
+            record = EpochRecord(epoch=epoch, train_loss=loss_sum / sample_count,
+                                 val_loss=val_loss, val_macro_f1=val_f1)
+            history.append(record)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_state = network.snapshot()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= spec.patience:
+                    break
 
     network.restore(best_state)
     return TrainResult(history=history, best_epoch=best_epoch,
-                       best_val_loss=float(best_val), stopped_early=stopped_early)
+                       best_val_loss=float(best_val), stopped_early=stale >= spec.patience)
 
 
 def _validate(network: Network, val_x, val_y) -> tuple[float, float]:
@@ -695,29 +706,23 @@ def check_network_gradients(network: Network, x, labels, epsilon: float = 1e-5,
 
     Runs one analytic forward/backward at the network's own precision, then
     probes each parameter coordinate with central differences of the
-    train-mode softmax cross entropy.  For a float32 network the difference
-    quotients are evaluated through a float64 twin that mirrors the exact
-    (perturbed) float32 parameter values, so the reference derivative is far
-    more accurate than the gradients it judges; the measured error is then
+    train-mode softmax cross entropy.  The difference quotients are evaluated
+    through a float64 twin that mirrors the exact (perturbed) parameter
+    values, so for a float32 network the reference derivative is far more
+    accurate than the gradients it judges; the measured error is then
     genuinely the float32 backward pass's own.
     """
     x = np.asarray(x)
     targets = one_hot(np.asarray(labels), network.num_classes)
     names = [name for name, _ in network.param_items()]
     arrays = [arr for _, arr in network.param_items()]
-
-    if network.dtype == np.float64:
-        eval_net = network
-        eval_arrays = arrays
-    else:
-        eval_net = build_network(network.config, seed=0, dtype=np.float64)
-        eval_arrays = [arr for _, arr in eval_net.param_items()]
+    eval_net = build_network(network.config, seed=0, dtype=np.float64)
+    eval_arrays = [arr for _, arr in eval_net.param_items()]
     x_eval = x.astype(np.float64)
 
     def loss_fn() -> float:
-        if eval_net is not network:
-            for dst, src in zip(eval_arrays, arrays):
-                dst[...] = src  # float32 values are exact in float64
+        for dst, src in zip(eval_arrays, arrays):
+            dst[...] = src  # float32 values are exact in float64
         logits, _ = eval_net.forward_train(x_eval)
         return categorical_cross_entropy(softmax(logits), targets).value
 

@@ -72,13 +72,14 @@ class WindowConfig:
     window_frames: int = field(default=DEFAULT_WINDOW_FRAMES, metadata={"min": 1})
     hop_frames: int = DEFAULT_HOP_FRAMES
     class_names: tuple[str, ...] | None = None
+    stats_path: str | None = None       # the stats file its errors name
 
     def __post_init__(self):
         check_bounds(self)
         if not (1 <= self.hop_frames <= self.window_frames):
             raise ConfigError(f"hop_frames must lie in [1, window_frames], got "
                               f"{self.hop_frames} with window {self.window_frames}")
-        check_model_inputs(self.network, self.stats, self.class_names)
+        check_model_inputs(self.network, self.stats, self.class_names, self.stats_path)
         if self.window_frames > self.network.config.input_frames:
             raise ConfigError(f"window of {self.window_frames} frames cannot fit the "
                               f"model input of {self.network.config.input_frames}")
@@ -88,11 +89,13 @@ class WindowConfig:
         return self.network.config.channels
 
 
-def check_model_inputs(network: Network, stats: StandardizationStats, class_names) -> None:
+def check_model_inputs(network: Network, stats: StandardizationStats, class_names,
+                       stats_path: str | None = None) -> None:
     """Raise unless the stats fit the network's channels and the class names (if any) its classes."""
     if stats.channels != network.config.channels:
-        raise InputError(f"statistics cover {stats.channels} channels but "
-                         f"the model expects {network.config.channels}")
+        raise InputError(f"{stats_path + ': ' if stats_path else ''}statistics cover "
+                         f"{stats.channels} channels but the model expects "
+                         f"{network.config.channels}")
     if class_names is not None and len(class_names) != network.num_classes:
         raise ConfigError(f"{len(class_names)} class names for {network.num_classes} classes")
 

@@ -758,8 +758,8 @@ def test_stats_for_another_channel_count_exit_3_before_any_frame_is_read(tmp_pat
     frames = (["--trace", str(tmp_path / "missing.csv")] if command == "predict"
               else ["--window", "10", "--hop", "5"])       # stdin is never read
     assert main([command, "--model", model, "--stats", stats, *frames]) == 3
-    assert capsys.readouterr() == ("", "error: statistics cover 3 channels but the model "
-                                       "expects 2\n")
+    assert capsys.readouterr() == ("", f"error: {stats}: statistics cover 3 channels but the "
+                                       f"model expects 2\n")
 
 
 _HUGE = "1" * 140_000                   # longer than csv's field limit of 131,072

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import os
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -39,7 +40,8 @@ from intentcnn.model import (
 )
 from intentcnn.config import KeyReader
 
-from intentcnn.numerics import one_hot, softmax, softmax_cce_logit_grad
+from intentcnn.numerics import (categorical_cross_entropy, one_hot, softmax,
+                                softmax_cce_logit_grad)
 from oracles import (AdamWholeArray, batchnorm_rows_infer, batchnorm_rows_train, dyadic,
                      forward_full_width, simulate_shapes, train_full_width)
 
@@ -613,7 +615,7 @@ def test_train_learns_separable_classes():
     result = train(net, x[:14], y[:14], x[14:], y[14:], spec)
     assert result.history[0].train_loss > result.history[-1].train_loss * 0.9
     assert result.history[result.best_epoch].val_macro_f1 == 1.0
-    npt.assert_array_equal(net.predict(x[14:]), y[14:])
+    npt.assert_array_equal(np.argmax(net.predict_proba(x[14:]), axis=-1), y[14:])
 
 
 def test_train_is_deterministic():
@@ -686,6 +688,127 @@ def test_train_raises_on_nonfinite():
         train(net, x, y, x, y, TrainSpec(epochs=1, batch_size=4))
     assert info.value.epoch == 0
     assert info.value.batch == 0
+
+
+def _tailed_data(config, n, seed):
+    """n samples whose tails are zero from a random frame on, so that the
+    packed forward folds tail columns; labels cycle through the classes."""
+    rng = np.random.default_rng(seed)
+    x = make_batch(rng, config, n)
+    for sample, live in zip(x, rng.integers(config.input_frames // 4, config.input_frames + 1,
+                                            size=n)):
+        sample[:, live:] = 0.0
+    return x, np.arange(n) % config.num_classes
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("position", BATCHNORM_POSITIONS)
+@pytest.mark.parametrize("fc_sizes", [(8, 5), ()])
+def test_packed_training_writes_the_bytes_of_a_serial_loop(optimizer, position, fc_sizes):
+    # train updates the fc stack on a helper thread during the conv backward;
+    # a serial loop with one whole-network apply per step is the reference
+    config = dataclasses.replace(SMALL, batchnorm_position=position, fc_sizes=fc_sizes)
+    x, y = _tailed_data(config, 15, seed=31)
+    spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.02, optimizer=optimizer,
+                     patience=2, seed=8)
+    net = build_network(config, seed=32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # the two threads interleave as finely as they can
+    try:
+        result = train(net, x[:9], y[:9], x[9:], y[9:], spec)
+    finally:
+        sys.setswitchinterval(interval)
+
+    ref = build_network(config, seed=32)
+    opt = _Adam(spec) if optimizer == "adam" else model_module._Sgd(spec)
+    rng = np.random.default_rng(spec.seed)
+    states, history = [], []
+    for _ in range(spec.epochs):
+        perm = rng.permutation(9)
+        loss_sum, count = 0.0, 0
+        for start in _batch_plan(9, spec.batch_size):     # 9 = 4 + 4, the last one dropped
+            take = perm[start:start + spec.batch_size]
+            targets = one_hot(y[take], config.num_classes)
+            logits, caches = ref.forward_train(x[take])
+            probs = softmax(logits)
+            loss = categorical_cross_entropy(probs, targets)
+            grads = ref.backward(caches, softmax_cce_logit_grad(probs, targets))
+            ref.update_running_stats(caches)
+            opt.apply(ref.param_items(), grads)
+            loss_sum, count = loss_sum + loss.value * loss.batch_size, count + loss.batch_size
+        states.append(serialize(ref))
+        history.append((loss_sum / count, *model_module._validate(ref, x[9:], y[9:])))
+    assert [(r.train_loss, r.val_loss, r.val_macro_f1) for r in result.history] == history
+    best = min(range(spec.epochs), key=lambda e: history[e][1])
+    assert result.best_epoch == best
+    assert serialize(net) == states[best]
+    assert states[0] != states[1]
+
+
+def _active_threads_after(run):
+    """What ``run`` raised, and how many threads it left alive beside the ones
+    alive before it (a thread of another test that ends meanwhile is no count)."""
+    before = set(threading.enumerate())
+    with pytest.raises(Exception) as info:
+        run()
+    return info.value, len(set(threading.enumerate()) - before)
+
+
+def test_an_error_on_either_thread_of_a_training_step_reaches_the_caller(monkeypatch):
+    x, y = _tailed_data(SMALL, 12, seed=33)
+    spec = TrainSpec(epochs=2, batch_size=4, seed=9)
+    original = _Adam.update
+    threads = []
+
+    def fc_update_fails(self, params, grads):
+        threads.append(threading.current_thread())
+        if threads[-1] is not threading.main_thread() and self.step == 2:
+            raise RuntimeError("fc update failed")
+        original(self, params, grads)
+
+    monkeypatch.setattr(_Adam, "update", fc_update_fails)
+    error, left = _active_threads_after(
+        lambda: train(build_network(SMALL, seed=34), x[:8], y[:8], x[8:], y[8:], spec))
+    assert (type(error), str(error), left) == (RuntimeError, "fc update failed", 0)
+    helpers = {t for t in threads if t is not threading.main_thread()}
+    assert len(helpers) == 1 and len(threads) == 4     # conv and fc shares of two steps
+    monkeypatch.undo()
+
+    def conv_backward_fails(*args, **kwargs):
+        raise RuntimeError("conv backward failed")
+
+    monkeypatch.setattr(model_module, "conv1d_backward", conv_backward_fails)
+    error, left = _active_threads_after(
+        lambda: train(build_network(SMALL, seed=34), x[:8], y[:8], x[8:], y[8:], spec))
+    assert (type(error), str(error), left) == (RuntimeError, "conv backward failed", 0)
+    monkeypatch.undo()
+
+    def fc_update_poisons(self, params, grads):       # the next forward is not finite
+        original(self, params, grads)
+        if threading.current_thread() is not threading.main_thread():
+            params[0][1][0] = np.nan
+
+    monkeypatch.setattr(_Adam, "update", fc_update_poisons)
+    error, left = _active_threads_after(
+        lambda: train(build_network(SMALL, seed=34), x[:8], y[:8], x[8:], y[8:], spec))
+    assert (type(error), error.epoch, error.batch, left) == (TrainingError, 0, 1, 0)
+
+
+def test_the_fc_stack_update_keeps_the_callers_floating_point_error_settings(monkeypatch):
+    x, y = _tailed_data(SMALL, 12, seed=35)
+    original = _Adam.update
+    seen = []
+
+    def recording(self, params, grads):
+        seen.append(np.geterr())
+        original(self, params, grads)
+
+    monkeypatch.setattr(_Adam, "update", recording)
+    settings = dict(divide="raise", over="raise", under="ignore", invalid="raise")
+    with np.errstate(**settings):
+        train(build_network(SMALL, seed=36), x[:8], y[:8], x[8:], y[8:],
+              TrainSpec(epochs=1, batch_size=4, seed=10))
+    assert seen == [settings] * 4
 
 
 def test_running_stats_move_during_training():

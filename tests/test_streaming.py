@@ -114,6 +114,16 @@ def test_window_config_validation():
         WindowConfig(network=network, stats=bad_stats)
 
 
+@pytest.mark.parametrize("stats_path, prefix", [(None, ""),
+                                                 ("run 3/stats.csv", "run 3/stats.csv: ")])
+def test_a_wrong_channel_count_names_the_stats_file_it_came_from(stats_path, prefix):
+    network = build_network(NET_CONFIG, seed=4)
+    bad_stats = StandardizationStats(mean=np.zeros(3), std=np.ones(3))
+    with pytest.raises(InputError) as info:
+        WindowConfig(network=network, stats=bad_stats, stats_path=stats_path)
+    assert str(info.value) == f"{prefix}statistics cover 3 channels but the model expects 2"
+
+
 def test_class_name_fallback():
     probs = np.array([0.25, 0.5, 0.25], dtype=np.float32)
     assert format_probs(2, probs, None) == "2,class2,0.25,0.5,0.25"
