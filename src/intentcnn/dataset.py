@@ -165,11 +165,6 @@ def _cells(record) -> list[str]:
     return record.split(",") if record else []
 
 
-def _read_csv_rows(path: str) -> list[list[str]]:
-    header, data = _read_csv(path)
-    return [] if header is None else [header, *map(_cells, data)]
-
-
 def parse_trace_csv(path: str) -> Trace:
     """Read a trace CSV: header ``t,<ch1>,...``, one row per frame.
 
@@ -276,10 +271,12 @@ def _read_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray, dict]:
 _POW10 = np.array([float(10 ** k) for k in range(13)])
 # the float32 values in [1e-4, 1e9), where "%.9g" writes fixed notation
 _FIXED = float(np.nextafter(np.float32(1e-4), np.float32(1))), 999999936.0
-# "%04d" of 0..9999 as the low 4 bytes of a uint64, its first digit the lowest
-# (cells are little-endian words), and the number of zeros that end it
-_ASCII4 = np.array([int.from_bytes(b"%04d" % v, "little") for v in range(10_000)], np.uint64)
-_ZEROS4 = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))])
+# "%04d" of v = 0..9999 as the low 4 bytes of a uint64, its first digit the
+# lowest (cells are little-endian words), and the number of zeros that end it:
+# the k in 1..4 with 10**k dividing v
+_ASCII4 = sum((np.arange(10_000) // 10 ** (3 - i) % 10 + ord("0")) << 8 * i
+              for i in range(4)).astype(np.uint64)
+_ZEROS4 = sum(np.arange(10_000) % 10 ** k == 0 for k in range(1, 5))
 # A cell is 16 bytes, NUL where nothing is written: ",", "-" or NUL, for E < 0
 # "0." and up to two zeros, then from byte 6 a 10-digit body: M with a "0"
 # digit inserted at body position k = max(E + 1, 0), which becomes ".", NUL or
@@ -553,10 +550,10 @@ def load_stats(path: str) -> tuple[StandardizationStats, tuple[str, ...]]:
     its numbers read by :func:`_read_rows`.  A FormatError names the first bad
     row in file order: a wrong cell count, a non-numeric cell, or values that
     StandardizationStats rejects."""
-    rows = _read_csv_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
+    header, data = _read_csv(path)
+    if header is None or [c.strip() for c in header] != ["channel", "mean", "std"]:
         raise FormatError(f"{path}: expected header 'channel,mean,std'")
-    body = rows[1:]
+    body = list(map(_cells, data))
     numbers, _, faults = _read_rows([row[1:] for row in body], 2)
     if body and not faults:
         try:

@@ -533,19 +533,14 @@ ADAM_EPSILON = 1e-8
 
 
 class _Sgd:
-    """SGD and Adam's base: in-place updates, one step count per training step.
-    ``apply`` runs a whole step; ``train`` counts the step itself and runs
-    ``update`` on two disjoint shares of the parameters at once."""
+    """SGD and Adam's base.  ``update`` moves a share of the parameters in place
+    for the given 1-based step; ``train`` runs it on two disjoint shares at once,
+    with the same step number, so no update writes to the optimizer itself."""
 
     def __init__(self, spec: TrainSpec):
         self.spec = spec
-        self.step = 0
 
-    def apply(self, params, grads) -> None:
-        self.step += 1
-        self.update(params, grads)
-
-    def update(self, params, grads) -> None:
+    def update(self, params, grads, step: int) -> None:
         for key, value in params:
             value -= self.spec.learning_rate * grads[key].astype(value.dtype, copy=False)
 
@@ -556,28 +551,25 @@ class _Adam(_Sgd):
     Each parameter is walked in flat chunks of ADAM_CHUNK elements (loop
     tiling), and every chunk runs the same elementwise ufuncs in the same
     order as the whole-array formula, so the bits do not depend on the chunk
-    size.  Gradients come in their parameter's dtype; each call has its own
-    scratch, so calls on disjoint parameters may run at once.
+    size.  Gradients come in their parameter's dtype.  The moments of every
+    parameter exist from the start and each call has its own scratch, so
+    calls on disjoint parameters may run at once.
     """
 
-    def __init__(self, spec: TrainSpec):
+    def __init__(self, spec: TrainSpec, params):
         super().__init__(spec)
-        self.m: dict[str, np.ndarray] = {}    # flat, one per parameter
-        self.v: dict[str, np.ndarray] = {}
+        self.m = {key: np.zeros(value.size, value.dtype) for key, value in params}  # flat
+        self.v = {key: np.zeros_like(m) for key, m in self.m.items()}
 
-    def update(self, params, grads) -> None:
-        bias1 = 1.0 - ADAM_BETA1 ** self.step
-        bias2 = 1.0 - ADAM_BETA2 ** self.step
+    def update(self, params, grads, step: int) -> None:
+        bias1 = 1.0 - ADAM_BETA1 ** step
+        bias2 = 1.0 - ADAM_BETA2 ** step
         for key, value in params:
             flat = value.reshape(-1)
             assert np.may_share_memory(flat, value), f"{key} is not contiguous"
             grad = grads[key].reshape(-1)
             assert grad.dtype == flat.dtype, f"{key} gradient is {grad.dtype}"
-            m = self.m.get(key)
-            if m is None:
-                m = self.m[key] = np.zeros_like(flat)
-                self.v[key] = np.zeros_like(flat)
-            v = self.v[key]
+            m, v = self.m[key], self.v[key]
             scratch = np.empty((2, min(flat.size, ADAM_CHUNK)), flat.dtype)
             for start in range(0, flat.size, ADAM_CHUNK):
                 end = min(start + ADAM_CHUNK, flat.size)
@@ -630,7 +622,7 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
         if labels.min() < 0 or labels.max() >= num_classes:
             raise InputError(f"{name} labels outside [0, {num_classes})")
 
-    optimizer = _Adam(spec) if spec.optimizer == "adam" else _Sgd(spec)
+    optimizer = _Adam(spec, network.param_items()) if spec.optimizer == "adam" else _Sgd(spec)
     conv_params, fc_params = ([item for layer in stack for item in layer.param_items()]
                               for stack in (network.conv_stack, network.fc_stack))
     update_fc = np.errstate(**np.geterr())(optimizer.update)   # float errors act as here
@@ -640,6 +632,7 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
     best_val = np.inf
     best_epoch = -1
     stale = 0
+    step = 0
 
     with ThreadPoolExecutor(max_workers=1) as helper:     # updates the fc stack
         for epoch in range(spec.epochs):
@@ -658,13 +651,13 @@ def train(network: Network, train_x, train_y, val_x, val_y, spec: TrainSpec) -> 
                     raise TrainingError(f"non-finite values at epoch {epoch}, batch "
                                         f"{batch_index}: {exc}", epoch=epoch,
                                         batch=batch_index) from exc
-                optimizer.step += 1
+                step += 1
                 handed = []                     # the fc-stack update, once handed over
                 grads = network.backward(caches, softmax_cce_logit_grad(probs, yb),
                                          lambda fc_grads: handed.append(helper.submit(
-                                             update_fc, fc_params, fc_grads)))
+                                             update_fc, fc_params, fc_grads, step)))
                 network.update_running_stats(caches)
-                optimizer.update(conv_params, grads)
+                optimizer.update(conv_params, grads, step)
                 handed[0].result()              # the next forward reads the fc stack
                 loss_sum += loss.value * loss.batch_size
                 sample_count += loss.batch_size

@@ -27,7 +27,6 @@ from intentcnn.dataset import (
     LabeledDataset,
     StandardizationStats,
     Trace,
-    _read_csv_rows,
     template_waveform,
 )
 from intentcnn.errors import FormatError, InputError
@@ -409,7 +408,8 @@ def load_stats_per_row(path: str):
     """A stats file read and checked one row at a time, stopping at the first
     bad row: the values, names and error messages ``dataset.load_stats`` must
     reproduce."""
-    rows = _read_csv_rows(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["channel", "mean", "std"]:
         raise FormatError(f"{path}: expected header 'channel,mean,std'")
     names, means, stds = [], [], []

@@ -145,6 +145,13 @@ def test_write_trace_csv_is_byte_identical_to_the_per_row_csv_writer(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_the_trace_writer_tables_are_their_percent_04d_definitions():
+    texts = [b"%04d" % v for v in range(10_000)]
+    assert dataset._ASCII4.dtype == np.uint64
+    assert dataset._ASCII4.tolist() == [int.from_bytes(text, "little") for text in texts]
+    assert dataset._ZEROS4.tolist() == [len(text) - len(text.rstrip(b"0")) for text in texts]
+
+
 def test_write_trace_csv_stamps_stay_right_across_stamp_blocks(tmp_path):
     # the stamp column is cached for one block count and grows in 4096-frame
     # blocks; the last frame holds a 0, whose row gets its cells from "%"
@@ -228,7 +235,9 @@ def test_quote_free_text_is_split_as_csv_reader_splits_it_without_csv(tmp_path_f
     path = tmp_path_factory.getbasetemp() / "unquoted.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
-        assert dataset._read_csv_rows(str(path)) == want
+        header, data = dataset._read_csv(str(path))
+    assert (header, [dataset._cells(record) for record in data]) == \
+        ((want[0], want[1:]) if want else (None, []))
 
 
 def test_parse_trace_csv_rejects_malformed(tmp_path):

@@ -572,13 +572,13 @@ def test_chunked_adam_is_bitwise_the_whole_array_formula(dtype):
     params = [(f"p{i}", value.copy()) for i, value in enumerate(start)]
     reference = [(f"p{i}", value.copy()) for i, value in enumerate(start)]
     spec = TrainSpec(learning_rate=3e-3)
-    adam, oracle = _Adam(spec), AdamWholeArray(spec)
-    for _ in range(4):
+    adam, oracle = _Adam(spec, params), AdamWholeArray(spec)
+    for step in range(1, 5):
         # gradients over many decades, so the sqrt and division round often
         grads = {key: (rng.standard_normal(value.shape)
                        * 10.0 ** rng.uniform(-9, 3, size=value.shape)).astype(dtype)
                  for key, value in params}
-        adam.apply(params, grads)
+        adam.update(params, grads, step)
         oracle.apply(reference, grads)
     for (key, got), (_, want) in zip(params, reference):
         assert got.dtype == dtype
@@ -706,7 +706,7 @@ def _tailed_data(config, n, seed):
 @pytest.mark.parametrize("fc_sizes", [(8, 5), ()])
 def test_packed_training_writes_the_bytes_of_a_serial_loop(optimizer, position, fc_sizes):
     # train updates the fc stack on a helper thread during the conv backward;
-    # a serial loop with one whole-network apply per step is the reference
+    # a serial loop with one whole-network update per step is the reference
     config = dataclasses.replace(SMALL, batchnorm_position=position, fc_sizes=fc_sizes)
     x, y = _tailed_data(config, 15, seed=31)
     spec = TrainSpec(epochs=2, batch_size=4, learning_rate=0.02, optimizer=optimizer,
@@ -720,9 +720,10 @@ def test_packed_training_writes_the_bytes_of_a_serial_loop(optimizer, position, 
         sys.setswitchinterval(interval)
 
     ref = build_network(config, seed=32)
-    opt = _Adam(spec) if optimizer == "adam" else model_module._Sgd(spec)
+    opt = (_Adam(spec, ref.param_items()) if optimizer == "adam"
+           else model_module._Sgd(spec))
     rng = np.random.default_rng(spec.seed)
-    states, history = [], []
+    states, history, step = [], [], 0
     for _ in range(spec.epochs):
         perm = rng.permutation(9)
         loss_sum, count = 0.0, 0
@@ -734,7 +735,8 @@ def test_packed_training_writes_the_bytes_of_a_serial_loop(optimizer, position, 
             loss = categorical_cross_entropy(probs, targets)
             grads = ref.backward(caches, softmax_cce_logit_grad(probs, targets))
             ref.update_running_stats(caches)
-            opt.apply(ref.param_items(), grads)
+            step += 1
+            opt.update(ref.param_items(), grads, step)
             loss_sum, count = loss_sum + loss.value * loss.batch_size, count + loss.batch_size
         states.append(serialize(ref))
         history.append((loss_sum / count, *model_module._validate(ref, x[9:], y[9:])))
@@ -760,11 +762,11 @@ def test_an_error_on_either_thread_of_a_training_step_reaches_the_caller(monkeyp
     original = _Adam.update
     threads = []
 
-    def fc_update_fails(self, params, grads):
+    def fc_update_fails(self, params, grads, step):
         threads.append(threading.current_thread())
-        if threads[-1] is not threading.main_thread() and self.step == 2:
+        if threads[-1] is not threading.main_thread() and step == 2:
             raise RuntimeError("fc update failed")
-        original(self, params, grads)
+        original(self, params, grads, step)
 
     monkeypatch.setattr(_Adam, "update", fc_update_fails)
     error, left = _active_threads_after(
@@ -783,8 +785,8 @@ def test_an_error_on_either_thread_of_a_training_step_reaches_the_caller(monkeyp
     assert (type(error), str(error), left) == (RuntimeError, "conv backward failed", 0)
     monkeypatch.undo()
 
-    def fc_update_poisons(self, params, grads):       # the next forward is not finite
-        original(self, params, grads)
+    def fc_update_poisons(self, params, grads, step):     # the next forward is not finite
+        original(self, params, grads, step)
         if threading.current_thread() is not threading.main_thread():
             params[0][1][0] = np.nan
 
@@ -799,9 +801,9 @@ def test_the_fc_stack_update_keeps_the_callers_floating_point_error_settings(mon
     original = _Adam.update
     seen = []
 
-    def recording(self, params, grads):
+    def recording(self, params, grads, step):
         seen.append(np.geterr())
-        original(self, params, grads)
+        original(self, params, grads, step)
 
     monkeypatch.setattr(_Adam, "update", recording)
     settings = dict(divide="raise", over="raise", under="ignore", invalid="raise")
@@ -809,6 +811,52 @@ def test_the_fc_stack_update_keeps_the_callers_floating_point_error_settings(mon
         train(build_network(SMALL, seed=36), x[:8], y[:8], x[8:], y[8:],
               TrainSpec(epochs=1, batch_size=4, seed=10))
     assert seen == [settings] * 4
+
+
+def test_each_step_number_reaches_both_shares_once_and_carries_across_epochs(monkeypatch):
+    x, y = _tailed_data(SMALL, 12, seed=37)
+    original = _Adam.update
+    seen = []
+
+    def recording(self, params, grads, step):
+        seen.append((step, threading.current_thread() is threading.main_thread()))
+        original(self, params, grads, step)
+
+    monkeypatch.setattr(_Adam, "update", recording)
+    result = train(build_network(SMALL, seed=38), x[:8], y[:8], x[8:], y[8:],
+                   TrainSpec(epochs=2, batch_size=4, seed=11))
+    assert len(result.history) == 2                     # two epochs of two steps
+    assert sorted(seen) == [(step, main) for step in (1, 2, 3, 4) for main in (False, True)]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_writes_no_attribute_or_moment_entry_of_its_optimizer(monkeypatch, optimizer):
+    # the two shares update at once, so only the arrays they own may change
+    x, y = _tailed_data(SMALL, 12, seed=39)
+    cls = _Adam if optimizer == "adam" else model_module._Sgd
+    original = cls.__init__
+    made = []
+
+    def recording(self, *args):
+        original(self, *args)
+        made.append((self, dict(vars(self)),
+                     {name: dict(table) for name, table in vars(self).items()
+                      if isinstance(table, dict)}))
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    net = build_network(SMALL, seed=40)
+    train(net, x[:8], y[:8], x[8:], y[8:],
+          TrainSpec(epochs=2, batch_size=4, optimizer=optimizer, seed=12))
+    [(opt, attributes, tables)] = made
+    assert type(opt) is cls
+    assert vars(opt).keys() == attributes.keys()
+    assert all(vars(opt)[name] is value for name, value in attributes.items())
+    for name, entries in tables.items():
+        table = getattr(opt, name)
+        assert table.keys() == entries.keys() == {key for key, _ in net.param_items()}
+        assert all(table[key] is array for key, array in entries.items())
+        assert all(array.any() for array in table.values()), name    # updated in place
+    assert set(tables) == ({"m", "v"} if optimizer == "adam" else set())
 
 
 def test_running_stats_move_during_training():
@@ -977,7 +1025,7 @@ def test_a_training_step_on_a_loaded_model_is_bitwise_one_on_a_deserialized_clon
         logits, caches = copy.forward_train(x)
         grads = copy.backward(caches, softmax_cce_logit_grad(softmax(logits), targets))
         copy.update_running_stats(caches)
-        _Adam(TrainSpec()).apply(copy.param_items(), grads)
+        _Adam(TrainSpec(), copy.param_items()).update(copy.param_items(), grads, 1)
         stepped.append(serialize(copy))
     assert stepped[0] == stepped[1] == stepped[2] == stepped[3] != blob
     assert path.read_bytes() == blob                # the step wrote to no page of the file
